@@ -42,7 +42,6 @@ from .features import (
     add_statistical_features,
     annotate_faults,
     build_dataset,
-    correlation_matrix,
     encode_sequence,
     pca,
     prioritize,
@@ -58,7 +57,6 @@ from .knowledge import (
     ModeModel,
     MonitoringRule,
     OperatingEnvelope,
-    classify_fault,
     default_kb,
     envelope_check,
     evaluate_rules,

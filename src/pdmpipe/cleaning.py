@@ -9,7 +9,7 @@ flagged points that line up with a detected fault.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh
@@ -395,9 +395,7 @@ def apply_verdicts(frame: TimeSeriesFrame, verdicts) -> TimeSeriesFrame:
                     channels[name][v.index] = (left + right) / 2
         elif v.verdict == VERDICT_DROPPED:
             drop.add(v.index)
-    out = TimeSeriesFrame(
-        timestamps=frame.timestamps, channels=channels, units=dict(frame.units),
-        logs=dict(frame.logs), step_minutes=frame.step_minutes)
+    out = replace(frame, channels=channels)
     if drop:
         keep = np.ones(len(frame), dtype=bool)
         keep[list(drop)] = False

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cleaning import (
-    DISPOSITION_DELETE,
     DISPOSITION_RECONSTRUCT,
     GapInterval,
     GapReport,
@@ -46,27 +45,6 @@ log = logging.getLogger(__name__)
 BALANCE_SEQUENCES = ("S09", "S10")
 STAT_FEATURES = ("stat_mean", "stat_median", "stat_variance")
 TARGET = "target"
-
-
-def correlation_matrix(X: np.ndarray) -> np.ndarray:
-    """Pearson correlations between columns; constant columns yield zeros."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise ValueError("need a 2-d matrix with at least two rows")
-    if np.isnan(X).any():
-        raise ValueError("X must not contain missing values")
-    std = X.std(axis=0)
-    constant = std == 0
-    if constant.any():
-        log.warning("constant columns in correlation input: %s",
-                    np.flatnonzero(constant).tolist())
-    out = np.zeros((X.shape[1], X.shape[1]))
-    live = ~constant
-    if live.sum() >= 1:
-        sub = np.corrcoef(X[:, live], rowvar=False)
-        sub = np.atleast_2d(sub)
-        out[np.ix_(live, live)] = sub
-    return out
 
 
 @dataclass(frozen=True)
@@ -125,8 +103,8 @@ class FeatureSelection:
                 "notes": list(self.notes)}
 
 
-def select_features(names, pca_result: PcaResult, corr: np.ndarray,
-                    kb: KnowledgeBase = None, tau: float = 0.30) -> FeatureSelection:
+def select_features(names, pca_result: PcaResult, kb: KnowledgeBase = None,
+                    tau: float = 0.30) -> FeatureSelection:
     """Keep channels that load on the retained components.
 
     With a knowledge base, redundant sensor groups collapse to their
@@ -275,15 +253,9 @@ def annotate_faults(frame: TimeSeriesFrame, events, kb: KnowledgeBase) -> TimeSe
         if e.cause in cause_of:
             arrays[cause_of[e.cause]][rows] = 1
 
-    logs = dict(frame.logs)
-    logs["severity"] = severity
-    logs["consequence"] = consequence
-    logs["priority"] = priority
-    for name, _ in cause_cols:
-        logs[name] = arrays[name]
-    return TimeSeriesFrame(
-        timestamps=frame.timestamps, channels=dict(frame.channels),
-        units=dict(frame.units), logs=logs, step_minutes=frame.step_minutes)
+    return replace(frame, logs={**frame.logs, "severity": severity,
+                                "consequence": consequence, "priority": priority,
+                                **arrays})
 
 
 def reconstruct_target(frame: TimeSeriesFrame) -> TimeSeriesFrame:
@@ -293,11 +265,7 @@ def reconstruct_target(frame: TimeSeriesFrame) -> TimeSeriesFrame:
             raise ValueError(f"missing {name!r} log; integrate fault knowledge first")
     target = (frame.logs["severity"] & frame.logs["consequence"]
               & frame.logs["priority"]).astype(np.int64)
-    logs = dict(frame.logs)
-    logs[TARGET] = target
-    return TimeSeriesFrame(
-        timestamps=frame.timestamps, channels=dict(frame.channels),
-        units=dict(frame.units), logs=logs, step_minutes=frame.step_minutes)
+    return replace(frame, logs={**frame.logs, TARGET: target})
 
 
 def encode_sequence(sequence: np.ndarray) -> np.ndarray:
@@ -441,11 +409,8 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     t_sec = frame.timestamps.astype(np.int64)
     _, first_idx, inverse = np.unique(frame.cycle, return_index=True,
                                       return_inverse=True)
-    logs = dict(frame.logs)
-    logs["cycle_minute"] = (t_sec - t_sec[first_idx][inverse]) // 60
-    frame = TimeSeriesFrame(
-        timestamps=frame.timestamps, channels=dict(frame.channels),
-        units=dict(frame.units), logs=logs, step_minutes=frame.step_minutes)
+    frame = replace(frame, logs={**frame.logs,
+                                 "cycle_minute": (t_sec - t_sec[first_idx][inverse]) // 60})
 
     # cleaning: oversparse columns, then gaps, then outliers
     fractions = {name: float(np.isnan(values).mean())
@@ -495,10 +460,9 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     std = X_all.std(axis=0)
     std[std == 0] = 1.0
     X_std = (X_all - X_all.mean(axis=0)) / std
-    corr = correlation_matrix(X_std)
     pcares = pca(X_std, params.variance_threshold)
-    selection = select_features(names, pcares, corr,
-                                kb if scenario == "s2" else None, params.tau)
+    selection = select_features(names, pcares, kb if scenario == "s2" else None,
+                                params.tau)
     frame = frame.drop_channels([n for n in names if n not in selection.selected])
 
     # knowledge integration
@@ -520,15 +484,10 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     if scenario == "s2":
         frame = reconstruct_target(frame)
     else:
-        logs = dict(frame.logs)
-        logs[TARGET] = (frame.logs["fault_log"] > 0).astype(np.int64)
-        frame = TimeSeriesFrame(
-            timestamps=frame.timestamps, channels=dict(frame.channels),
-            units=dict(frame.units), logs=logs, step_minutes=frame.step_minutes)
+        frame = replace(frame, logs={
+            **frame.logs, TARGET: (frame.logs["fault_log"] > 0).astype(np.int64)})
 
-    policy = ResamplePolicy(interval_minutes=params.resample_minutes,
-                            numeric="mean", flags="any", categorical="last")
-    frame = resample(frame, policy)
+    frame = resample(frame, ResamplePolicy(interval_minutes=params.resample_minutes))
     frame = select_balance_window(frame)
     if len(frame) == 0:
         raise ValueError("balance window removed every row")

@@ -17,13 +17,13 @@ cycle carry no information.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 import yaml
 
-from .timeseries import IDLE, SEQUENCE_COL, SEQUENCE_IDS, TimeSeriesFrame
+from .timeseries import SEQUENCE_COL, SEQUENCE_IDS, TimeSeriesFrame
 
 log = logging.getLogger(__name__)
 
@@ -328,77 +328,89 @@ class FaultEvent:
         )
 
 
+def _rule(r: dict) -> MonitoringRule:
+    sensor = None
+    if "sensor" in r:
+        s = r["sensor"]
+        thr = s["threshold"]
+        if isinstance(thr, (list, tuple)):
+            thr = (float(thr[0]), float(thr[1]))
+        else:
+            thr = float(thr)
+        sensor = SensorPredicate(
+            channel=s["channel"], comparator=s["comparator"], threshold=thr, unit=s["unit"]
+        )
+    logp = None
+    if "log" in r:
+        logp = LogPredicate(logs=tuple(r["log"]["logs"]), value=int(r["log"]["value"]))
+    return MonitoringRule(
+        id=int(r["id"]),
+        mode=r["mode"],
+        sequence_id=r["sequence_id"],
+        fault_name=r["fault_name"],
+        severity=r["severity"],
+        consequence=r["consequence"],
+        cause=r.get("cause"),
+        sensor=sensor,
+        log=logp,
+        step_minute=int(r.get("step_minute", 0)),
+        within_first_minutes=r.get("within_first_minutes"),
+        no_memory_first_minutes=r.get("no_memory_first_minutes"),
+    )
+
+
+def _parse(where: str, build, item):
+    """``build(item)``; a missing key or a misshaped entry becomes a ValueError naming ``where``."""
+    try:
+        return build(item)
+    except KeyError as exc:
+        raise ValueError(f"knowledge base {where}: missing key {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"knowledge base {where}: {exc}") from None
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise ValueError(f"knowledge base {where}: malformed entry ({exc})") from None
+
+
+def _entries(doc: dict, section: str, build) -> tuple:
+    items = doc[section]
+    if not isinstance(items, list):
+        raise ValueError(f"knowledge base section {section!r} must be a list, "
+                         f"got {type(items).__name__}")
+    return tuple(_parse(f"{section}[{i}]", build, item) for i, item in enumerate(items))
+
+
 def _build_kb(doc: dict) -> KnowledgeBase:
     required = ("mode_model", "rules", "fmeca", "envelopes", "redundancy")
     missing = [k for k in required if k not in doc]
     if missing:
         raise ValueError(f"knowledge base document missing sections: {missing}")
 
-    mm = doc["mode_model"]
-    mode_model = ModeModel(
+    mode_model = _parse("mode_model", lambda mm: ModeModel(
         modes=tuple(m["name"] for m in mm["modes"]),
         sequences={m["name"]: tuple(m["sequences"]) for m in mm["modes"]},
         durations={str(k): int(v) for k, v in mm["durations"].items()},
-    )
-
-    rules = []
-    for r in doc["rules"]:
-        sensor = None
-        if "sensor" in r:
-            s = r["sensor"]
-            thr = s["threshold"]
-            if isinstance(thr, (list, tuple)):
-                thr = (float(thr[0]), float(thr[1]))
-            else:
-                thr = float(thr)
-            sensor = SensorPredicate(
-                channel=s["channel"], comparator=s["comparator"], threshold=thr, unit=s["unit"]
-            )
-        logp = None
-        if "log" in r:
-            logp = LogPredicate(logs=tuple(r["log"]["logs"]), value=int(r["log"]["value"]))
-        rules.append(MonitoringRule(
-            id=int(r["id"]),
-            mode=r["mode"],
-            sequence_id=r["sequence_id"],
-            fault_name=r["fault_name"],
-            severity=r["severity"],
-            consequence=r["consequence"],
-            cause=r.get("cause"),
-            sensor=sensor,
-            log=logp,
-            step_minute=int(r.get("step_minute", 0)),
-            within_first_minutes=r.get("within_first_minutes"),
-            no_memory_first_minutes=r.get("no_memory_first_minutes"),
-        ))
-
-    fmeca = tuple(
-        FmecaEntry(
-            fault_name=e["fault_name"],
-            causes=tuple(e["causes"]),
-            severity=e["severity"],
-            consequence=e["consequence"],
-            corrective_action=e.get("corrective_action", ""),
-        )
-        for e in doc["fmeca"]
-    )
-    envelopes = tuple(
-        OperatingEnvelope(
-            channel=e["channel"],
-            mode=e["mode"],
-            sequence_id=e["sequence_id"],
-            min=float(e["min"]),
-            max=float(e["max"]),
-        )
-        for e in doc["envelopes"]
-    )
-    redundancy = tuple(frozenset(group) for group in doc["redundancy"])
+    ), doc["mode_model"])
+    rules = _entries(doc, "rules", _rule)
+    fmeca = _entries(doc, "fmeca", lambda e: FmecaEntry(
+        fault_name=e["fault_name"],
+        causes=tuple(e["causes"]),
+        severity=e["severity"],
+        consequence=e["consequence"],
+        corrective_action=e.get("corrective_action", ""),
+    ))
+    envelopes = _entries(doc, "envelopes", lambda e: OperatingEnvelope(
+        channel=e["channel"],
+        mode=e["mode"],
+        sequence_id=e["sequence_id"],
+        min=float(e["min"]),
+        max=float(e["max"]),
+    ))
     kb = KnowledgeBase(
         mode_model=mode_model,
-        rules=tuple(rules),
+        rules=rules,
         fmeca=fmeca,
         envelopes=envelopes,
-        redundancy=redundancy,
+        redundancy=_entries(doc, "redundancy", frozenset),
     )
     log.info("knowledge base loaded: %d rules, %d FMECA entries, %d envelopes",
              len(kb.rules), len(kb.fmeca), len(kb.envelopes))
@@ -408,7 +420,10 @@ def _build_kb(doc: dict) -> KnowledgeBase:
 def load_kb(path) -> KnowledgeBase:
     """Load and fully validate a knowledge base from a YAML document."""
     with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: knowledge base is not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: knowledge base document must be a mapping")
     return _build_kb(doc)
@@ -516,12 +531,6 @@ def evaluate_rules(frame: TimeSeriesFrame, kb: KnowledgeBase) -> list:
     events.sort(key=lambda e: (e.onset.astype("datetime64[s]").astype(np.int64),
                                e.cycle, e.fault_name))
     return events
-
-
-def classify_fault(name: str, kb: KnowledgeBase):
-    """FMECA triple (causes, severity, consequence) for a fault name."""
-    entry = kb.entry(name)
-    return entry.causes, entry.severity, entry.consequence
 
 
 def envelope_check(row: dict, kb: KnowledgeBase) -> dict:

@@ -584,10 +584,7 @@ def inject_missing(frame: TimeSeriesFrame, gt: GroundTruth, scenario: dict):
                 intervals.append(MissingInterval(
                     start=frame.timestamps[s], end=frame.timestamps[e], cause="NonUse"))
 
-    out = TimeSeriesFrame(
-        timestamps=frame.timestamps, channels=channels, units=dict(frame.units),
-        logs=dict(frame.logs), step_minutes=frame.step_minutes)
-    return out, replace(gt, missing=tuple(intervals))
+    return replace(frame, channels=channels), replace(gt, missing=tuple(intervals))
 
 
 def inject_outliers(frame: TimeSeriesFrame, gt: GroundTruth, scenario):
@@ -622,7 +619,4 @@ def inject_outliers(frame: TimeSeriesFrame, gt: GroundTruth, scenario):
         points.append(OutlierPoint(
             timestamp=frame.timestamps[row], channel=name, kind=kind,
             value=float(value), original=float(original)))
-    out = TimeSeriesFrame(
-        timestamps=frame.timestamps, channels=channels, units=dict(frame.units),
-        logs=dict(frame.logs), step_minutes=frame.step_minutes)
-    return out, replace(gt, outliers=tuple(points))
+    return replace(frame, channels=channels), replace(gt, outliers=tuple(points))

@@ -14,7 +14,7 @@ Frames are immutable by convention: every operation returns a new frame.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,22 +111,13 @@ class TimeSeriesFrame:
 
 @dataclass(frozen=True)
 class ResamplePolicy:
-    """How to aggregate each column kind into interval buckets."""
+    """Width of the interval buckets a frame is resampled into."""
 
     interval_minutes: int
-    numeric: str = "mean"        # {mean, last}
-    flags: str = "any"           # {any, last}
-    categorical: str = "last"    # {last, mode}
 
     def __post_init__(self):
         if self.interval_minutes <= 0:
             raise ValueError("interval must be positive")
-        if self.numeric not in ("mean", "last"):
-            raise ValueError(f"unknown numeric aggregator {self.numeric!r}")
-        if self.flags not in ("any", "last"):
-            raise ValueError(f"unknown flag aggregator {self.flags!r}")
-        if self.categorical not in ("last", "mode"):
-            raise ValueError(f"unknown categorical aggregator {self.categorical!r}")
 
 
 def load_csv(path, schema: dict) -> TimeSeriesFrame:
@@ -211,18 +202,13 @@ def write_csv(frame: TimeSeriesFrame, path) -> dict:
     }
 
 
-def _bucket_last(values, ends):
-    return values[ends - 1]
-
-
 def resample(frame: TimeSeriesFrame, policy: ResamplePolicy) -> TimeSeriesFrame:
     """Aggregate the frame into fixed buckets anchored at its first timestamp.
 
-    Numeric channels use the policy's numeric aggregator (means skip missing
-    cells; an all-missing bucket stays missing). Binary logs use the flag
-    aggregator (any-one by default, so a fault pulse anywhere in a bucket
-    survives). The sequence id uses the categorical aggregator; the cycle
-    number always takes the bucket's last value.
+    Numeric channels take the bucket mean, skipping missing cells (an
+    all-missing bucket stays missing). Binary logs take any-one, so a fault
+    pulse anywhere in a bucket survives. The sequence id and the cycle
+    number take the bucket's last value.
 
     One output row is emitted per non-empty bucket. On gap-free input the
     output length is exactly ceil(span / interval) with span = (last - first)
@@ -240,39 +226,24 @@ def resample(frame: TimeSeriesFrame, policy: ResamplePolicy) -> TimeSeriesFrame:
     offsets = frame.elapsed_minutes()
     bucket_of_row = offsets // policy.interval_minutes
     bucket_ids, starts = np.unique(bucket_of_row, return_index=True)
-    ends = np.append(starts[1:], len(frame))
+    last = np.append(starts[1:], len(frame)) - 1
 
     out_ts = frame.timestamps[0] + (bucket_ids * policy.interval_minutes).astype("timedelta64[m]")
 
     out_channels = {}
     for name, values in frame.channels.items():
-        if policy.numeric == "last":
-            out_channels[name] = _bucket_last(values, ends)
-        else:
-            ok = ~np.isnan(values)
-            sums = np.add.reduceat(np.where(ok, values, 0.0), starts)
-            counts = np.add.reduceat(ok.astype(np.float64), starts)
-            with np.errstate(invalid="ignore"):
-                out_channels[name] = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+        ok = ~np.isnan(values)
+        sums = np.add.reduceat(np.where(ok, values, 0.0), starts)
+        counts = np.add.reduceat(ok.astype(np.float64), starts)
+        with np.errstate(invalid="ignore"):
+            out_channels[name] = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
     out_logs = {}
     for name, values in frame.logs.items():
-        if name == SEQUENCE_COL:
-            if policy.categorical == "mode":
-                agg = np.empty(len(bucket_ids), dtype=values.dtype)
-                for j, (s, e) in enumerate(zip(starts, ends)):
-                    vals, counts = np.unique(values[s:e], return_counts=True)
-                    agg[j] = vals[np.argmax(counts)]  # ties -> smallest value
-                out_logs[name] = agg
-            else:
-                out_logs[name] = _bucket_last(values, ends)
-        elif name == CYCLE_COL:
-            out_logs[name] = _bucket_last(values, ends)
+        if name in (SEQUENCE_COL, CYCLE_COL):
+            out_logs[name] = values[last]
         else:
-            if policy.flags == "any":
-                out_logs[name] = np.maximum.reduceat(values, starts)
-            else:
-                out_logs[name] = _bucket_last(values, ends)
+            out_logs[name] = np.maximum.reduceat(values, starts)
 
     return TimeSeriesFrame(
         timestamps=out_ts.astype("datetime64[s]"),

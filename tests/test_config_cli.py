@@ -202,6 +202,17 @@ class TestCliFailures:
         assert rc == 2
         assert "unknown configuration keys" in capsys.readouterr().err
 
+    def test_malformed_kb_is_usage_error(self, tmp_path, capsys):
+        kb_path = tmp_path / "kb.yaml"
+        kb_path.write_text(yaml.safe_dump({"mode_model": {}, "rules": [], "fmeca": [],
+                                           "envelopes": [], "redundancy": []}))
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(dict(CLI_DOC, kb=str(kb_path))))
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "mode_model" in err
+
     def test_runtime_failure_exits_three(self, tmp_path, capsys):
         doc = dict(CLI_DOC,
                    missing={"blanket": [{"cycle": 9, "start_minute": 100,

@@ -10,7 +10,6 @@ from pdmpipe import (
     annotate_faults,
     add_statistical_features,
     build_dataset,
-    correlation_matrix,
     encode_sequence,
     pca,
     prioritize,
@@ -22,25 +21,6 @@ from pdmpipe import (
 from pdmpipe.features import PcaResult
 from pdmpipe.knowledge import ACKNOWLEDGE, BLOCKING, CYCLE_STOP, NON_BLOCKING, FaultEvent
 from helpers import quiet_frame, segment_rows
-
-
-class TestCorrelation:
-    def test_matches_numpy_on_random_input(self):
-        X = np.random.default_rng(3).standard_normal((50, 4))
-        assert np.allclose(correlation_matrix(X), np.corrcoef(X, rowvar=False))
-
-    def test_constant_column_yields_zeros(self):
-        X = np.column_stack([np.arange(10.0), np.full(10, 7.0)])
-        corr = correlation_matrix(X)
-        assert corr[0, 0] == 1.0
-        assert corr[1, 1] == 0.0
-        assert corr[0, 1] == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            correlation_matrix(np.zeros((1, 3)))
-        with pytest.raises(ValueError):
-            correlation_matrix(np.array([[1.0, np.nan], [2.0, 3.0]]))
 
 
 class TestPca:
@@ -95,34 +75,34 @@ class TestSelectFeatures:
     def test_low_loading_channels_dropped_with_note(self):
         names = ["a", "b", "c"]
         result = self.make_result([[0.9], [0.5], [0.1]])
-        sel = select_features(names, result, np.eye(3), kb=None, tau=0.30)
+        sel = select_features(names, result, kb=None, tau=0.30)
         assert sel.selected == ("a", "b")
         assert any("dropped c" in note for note in sel.notes)
 
     def test_redundant_pair_collapses_to_strongest(self, kb):
         names = ["temp_external_b", "temp_external_e", "x"]
         result = self.make_result([[0.6], [0.8], [0.9]])
-        sel = select_features(names, result, np.eye(3), kb=kb, tau=0.30)
+        sel = select_features(names, result, kb=kb, tau=0.30)
         assert "temp_external_e" in sel.selected
         assert "temp_external_b" not in sel.selected
 
     def test_blocking_rule_channels_kept_despite_low_loading(self, kb):
         names = ["angle_platform", "x"]
         result = self.make_result([[0.05], [0.9]])
-        sel = select_features(names, result, np.eye(2), kb=kb, tau=0.30)
+        sel = select_features(names, result, kb=kb, tau=0.30)
         assert "angle_platform" in sel.selected
         assert any("blocking" in note for note in sel.notes)
 
     def test_without_kb_no_force_keep(self):
         names = ["angle_platform", "x"]
         result = self.make_result([[0.05], [0.9]])
-        sel = select_features(names, result, np.eye(2), kb=None, tau=0.30)
+        sel = select_features(names, result, kb=None, tau=0.30)
         assert sel.selected == ("x",)
 
     def test_empty_selection_rejected(self):
         result = self.make_result([[0.05], [0.01]])
         with pytest.raises(ValueError, match="every channel"):
-            select_features(["a", "b"], result, np.eye(2), kb=None, tau=0.30)
+            select_features(["a", "b"], result, kb=None, tau=0.30)
 
 
 class TestStandardize:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from pdmpipe import classify_fault, envelope_check, evaluate_rules, load_kb
+from pdmpipe import envelope_check, evaluate_rules, load_kb
 from pdmpipe.knowledge import (
     ACKNOWLEDGE,
     BLOCKING,
@@ -79,6 +79,27 @@ class TestLoading:
         doc["redundancy"].append(["temp_external_e", "temp_external_c"])
         with pytest.raises(ValueError, match="disjoint"):
             load_doc(doc, tmp_path)
+
+    @pytest.mark.parametrize("section,detail,damage", [
+        ("envelopes", "min", lambda doc: doc["envelopes"][0].pop("min")),
+        ("fmeca", "list", lambda doc: doc.update(
+            fmeca={e["fault_name"]: e for e in doc["fmeca"]})),
+        ("rules", "sequence_id", lambda doc: doc["rules"][0].pop("sequence_id")),
+        ("mode_model", "durations", lambda doc: doc["mode_model"].pop("durations")),
+        ("envelopes", "float", lambda doc: doc["envelopes"][0].update(min="zero")),
+    ], ids=["envelope-without-min", "fmeca-as-mapping", "rule-without-sequence-id",
+            "mode-model-without-durations", "envelope-min-not-a-number"])
+    def test_malformed_entry_names_section_and_key(self, tmp_path, section, detail, damage):
+        doc = stock_doc()
+        damage(doc)
+        with pytest.raises(ValueError, match=rf"{section}.*{detail}"):
+            load_doc(doc, tmp_path)
+
+    def test_invalid_yaml_rejected(self, tmp_path):
+        path = tmp_path / "kb.yaml"
+        path.write_text("rules: [\n  - id: 1\n")
+        with pytest.raises(ValueError, match="not valid YAML"):
+            load_kb(path)
 
     def test_inverted_envelope_rejected(self, tmp_path):
         doc = stock_doc()
@@ -157,15 +178,6 @@ class TestTypes:
 
 
 class TestLookups:
-    def test_classify_fault(self, kb):
-        causes, severity, consequence = classify_fault("Heating Fault", kb)
-        assert causes == ("thermal regulation drift", "brewing fan failure")
-        assert (severity, consequence) == (BLOCKING, CYCLE_STOP)
-        causes, severity, consequence = classify_fault("Door Closure Fault", kb)
-        assert (severity, consequence) == (NON_BLOCKING, ACKNOWLEDGE)
-        with pytest.raises(KeyError):
-            classify_fault("Phantom Fault", kb)
-
     def test_envelope_check(self, kb):
         row = {"sequence_id": "S10", "angle_platform": 0.0,
                "pressure_internal_a": 25.0, "temp_external_a": 22.0}

@@ -80,12 +80,10 @@ class TestResample:
         out = resample(frame, ResamplePolicy(interval_minutes=interval))
         assert len(out) == math.ceil(n / interval)
 
-    def test_native_interval_with_last_is_identity(self):
+    def test_native_interval_is_identity(self):
         values = np.array([1.0, np.nan, 3.0, 4.0])
         frame = flat_frame(4, x=values)
-        policy = ResamplePolicy(interval_minutes=1, numeric="last",
-                                flags="last", categorical="last")
-        out = resample(frame, policy)
+        out = resample(frame, ResamplePolicy(interval_minutes=1))
         assert np.array_equal(out.timestamps, frame.timestamps)
         assert np.array_equal(out.channels["x"], values, equal_nan=True)
         assert np.array_equal(out.sequence, frame.sequence)
@@ -102,24 +100,11 @@ class TestResample:
         out = resample(frame, ResamplePolicy(interval_minutes=15))
         assert np.array_equal(out.logs["pulse"], [0, 1])
 
-    def test_flag_last_takes_bucket_end(self):
-        frame = flat_frame(4)
-        frame.logs["pulse"][:] = [1, 0, 0, 1]
-        policy = ResamplePolicy(interval_minutes=2, flags="last")
-        assert np.array_equal(resample(frame, policy).logs["pulse"], [0, 1])
-
     def test_cycle_takes_bucket_last(self):
         frame = flat_frame(4)
         frame.logs["cycle_number"] = np.array([1, 1, 1, 2], dtype=np.int64)
         out = resample(frame, ResamplePolicy(interval_minutes=2))
         assert np.array_equal(out.cycle, [1, 2])
-
-    def test_sequence_mode_breaks_ties_low(self):
-        frame = flat_frame(4)
-        frame.logs["sequence_id"] = np.array(
-            ["S02", "S01", "S01", "S02"], dtype="U4")
-        policy = ResamplePolicy(interval_minutes=4, categorical="mode")
-        assert resample(frame, policy).sequence[0] == "S01"
 
     def test_buckets_align_to_first_timestamp(self):
         frame = flat_frame(31, start="2025-03-01T00:07:00")
@@ -145,13 +130,9 @@ class TestResample:
             resample(flat_frame(3).take(np.zeros(3, dtype=bool)),
                      ResamplePolicy(interval_minutes=15))
 
-    def test_bad_aggregators_rejected(self):
+    def test_nonpositive_interval_rejected(self):
         with pytest.raises(ValueError):
             ResamplePolicy(interval_minutes=0)
-        with pytest.raises(ValueError):
-            ResamplePolicy(interval_minutes=15, numeric="median")
-        with pytest.raises(ValueError):
-            ResamplePolicy(interval_minutes=15, flags="max")
 
 
 class TestSliceBySequence:
