@@ -146,23 +146,17 @@ def impute_single_sensor(frame: TimeSeriesFrame, gap: GapInterval, k: int = 3) -
     offsets = np.empty(len(frame), dtype=np.int64)
     for s, e in _instances(frame):
         offsets[s:e] = np.arange(e - s)
-    position = {}
     cyc = frame.cycle
     seq = frame.sequence
-    for i in range(len(frame)):
-        position[(int(cyc[i]), seq[i], int(offsets[i]))] = i
 
     t = frame.timestamps
     rows = np.flatnonzero((t >= gap.start) & (t <= gap.end) & ~observed)
     for r in rows:
-        donors = []
-        c = int(cyc[r]) - 1
-        while c >= 1 and len(donors) < k:
-            j = position.get((c, seq[r], int(offsets[r])))
-            if j is not None and observed[j]:
-                donors.append(values[j])
-            c -= 1
-        values[r] = float(np.mean(donors)) if donors else fallback
+        # cycles never decrease, so the rows of cycles 1 .. cyc[r]-1 are one slice
+        lo, hi = np.searchsorted(cyc, [1, cyc[r]])
+        same = (offsets[lo:hi] == offsets[r]) & (seq[lo:hi] == seq[r]) & observed[lo:hi]
+        donors = values[lo + np.flatnonzero(same)[::-1][:k]]   # nearest cycle first
+        values[r] = float(np.mean(donors)) if donors.size else fallback
     return frame.with_channel(gap.channel, values, frame.units[gap.channel])
 
 
@@ -322,13 +316,14 @@ def verify_outliers(frame: TimeSeriesFrame, flags, kb: KnowledgeBase, events,
     by interpolation. Everything else is dropped as irrelevant.
     """
     t_int = frame.timestamps.astype("int64")
+    instances = list(_instances(frame))
     windows = []
     for e in events:
         if e.severity != BLOCKING:
             continue
         onset = e.onset.astype("int64")
         end = onset
-        for s, stop in _instances(frame):
+        for s, stop in instances:
             if (frame.cycle[s] == e.cycle and frame.sequence[s] == e.sequence_id
                     and t_int[s] <= onset < t_int[stop - 1] + 60):
                 end = t_int[stop - 1]

@@ -41,8 +41,7 @@ def _generate(config: PipelineConfig, kb):
     return frame, gt
 
 
-def cmd_simulate(config: PipelineConfig, out_dir: str) -> int:
-    kb = _knowledge(config)
+def cmd_simulate(config: PipelineConfig, kb, out_dir: str) -> int:
     frame, gt = _generate(config, kb)
     os.makedirs(out_dir, exist_ok=True)
     schema = write_csv(frame, os.path.join(out_dir, "telemetry.csv"))
@@ -57,8 +56,7 @@ def cmd_simulate(config: PipelineConfig, out_dir: str) -> int:
     return 0
 
 
-def cmd_preprocess(config: PipelineConfig, scenario: str, out_dir: str) -> int:
-    kb = _knowledge(config)
+def cmd_preprocess(config: PipelineConfig, kb, scenario: str, out_dir: str) -> int:
     frame, gt = _generate(config, kb)
     ds = build_dataset(frame, kb, scenario, config.preprocess)
     os.makedirs(out_dir, exist_ok=True)
@@ -69,8 +67,7 @@ def cmd_preprocess(config: PipelineConfig, scenario: str, out_dir: str) -> int:
     return 0
 
 
-def cmd_evaluate(config: PipelineConfig, scenario: str, out_dir: str) -> int:
-    kb = _knowledge(config)
+def cmd_evaluate(config: PipelineConfig, kb, scenario: str, out_dir: str) -> int:
     frame, gt = _generate(config, kb)
     report = run_scenario(frame, gt, kb, scenario, config)
     write_report(report, out_dir)
@@ -84,8 +81,7 @@ def cmd_evaluate(config: PipelineConfig, scenario: str, out_dir: str) -> int:
     return 0
 
 
-def cmd_compare(config: PipelineConfig, out_dir: str) -> int:
-    kb = _knowledge(config)
+def cmd_compare(config: PipelineConfig, kb, out_dir: str) -> int:
     frame, gt = _generate(config, kb)
     result = compare(frame, gt, kb, config)
     write_comparison(result, out_dir)
@@ -128,8 +124,7 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
-        kb_probe = _knowledge(config)   # surface KB problems as config errors
-        del kb_probe
+        kb = _knowledge(config)   # KB problems are configuration errors
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -137,13 +132,13 @@ def main(argv=None) -> int:
     out_dir = args.out or config.out_dir
     try:
         if args.command == "simulate":
-            return cmd_simulate(config, out_dir)
+            return cmd_simulate(config, kb, out_dir)
         if args.command == "preprocess":
-            return cmd_preprocess(config, args.scenario, out_dir)
+            return cmd_preprocess(config, kb, args.scenario, out_dir)
         if args.command == "evaluate":
-            return cmd_evaluate(config, args.scenario, out_dir)
+            return cmd_evaluate(config, kb, args.scenario, out_dir)
         if args.command == "compare":
-            return cmd_compare(config, out_dir)
+            return cmd_compare(config, kb, out_dir)
         raise AssertionError(f"unhandled command {args.command}")
     except Exception as exc:   # noqa: BLE001 - boundary: report and exit 3
         log.exception("pipeline failure")

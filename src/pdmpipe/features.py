@@ -9,7 +9,6 @@ needs the knowledge base.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -36,6 +35,9 @@ from .timeseries import (
     SEQUENCE_IDS,
     ResamplePolicy,
     TimeSeriesFrame,
+    _floats,
+    _read_table,
+    _write_table,
     resample,
     slice_by_sequence,
 )
@@ -324,16 +326,8 @@ class CuratedDataset:
         return self.X.shape[0]
 
     def to_files(self, csv_path, meta_path) -> None:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestamp", "cycle", "sequence",
-                             *self.feature_names, TARGET])
-            for i in range(len(self)):
-                writer.writerow([
-                    str(np.datetime_as_string(self.timestamps[i], unit="s")),
-                    int(self.cycles[i]), str(self.sequences[i]),
-                    *[repr(float(v)) for v in self.X[i]],
-                    int(self.y[i])])
+        _write_table(csv_path, ["timestamp", "cycle", "sequence", *self.feature_names, TARGET],
+                     self.timestamps, [self.cycles, self.sequences, *self.X.T, self.y])
         meta = {
             "scenario": self.scenario,
             "feature_names": list(self.feature_names),
@@ -353,18 +347,11 @@ class CuratedDataset:
         with open(meta_path) as fh:
             meta = json.load(fh)
         names = meta["feature_names"]
-        timestamps, cycles, sequences, rows, targets = [], [], [], [], []
-        with open(csv_path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["timestamp", "cycle", "sequence", *names, TARGET]:
-                raise ValueError("curated csv header does not match metadata")
-            for rec in reader:
-                timestamps.append(np.datetime64(rec[0], "s"))
-                cycles.append(int(rec[1]))
-                sequences.append(rec[2])
-                rows.append([float(v) for v in rec[3:3 + len(names)]])
-                targets.append(int(rec[-1]))
+        # the header names "sequence" twice (the id, then the encoded
+        # feature), so columns are taken by position
+        header, columns = _read_table(csv_path)
+        if header != ["timestamp", "cycle", "sequence", *names, TARGET]:
+            raise ValueError("curated csv header does not match metadata")
         selection = FeatureSelection(
             selected=tuple(meta["selection"]["selected"]),
             max_loading=meta["selection"]["max_loading"],
@@ -378,11 +365,11 @@ class CuratedDataset:
             for g in meta["gap_report"]["intervals"])
         return cls(
             scenario=meta["scenario"], feature_names=tuple(names),
-            X=np.array(rows, dtype=float),
-            y=np.array(targets, dtype=np.int8),
-            cycles=np.array(cycles, dtype=np.int64),
-            sequences=np.array(sequences, dtype="U4"),
-            timestamps=np.array(timestamps, dtype="datetime64[s]"),
+            X=_floats(columns[3:-1].T),
+            y=columns[-1].astype(np.int8),
+            cycles=columns[1].astype(np.int64),
+            sequences=columns[2].astype("U4"),
+            timestamps=columns[0].astype("datetime64[s]"),
             interval_minutes=int(meta["interval_minutes"]),
             scaler={k: (v[0], v[1]) for k, v in meta["scaler"].items()},
             selection=selection, gap_report=GapReport(intervals=gaps),

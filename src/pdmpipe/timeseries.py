@@ -130,45 +130,26 @@ def load_csv(path, schema: dict) -> TimeSeriesFrame:
     """
     channels = schema.get("channels", {})
     log_names = list(schema.get("logs", []))
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        wanted = [TIME_COL] + list(channels) + log_names
-        missing = [c for c in wanted if c not in header]
-        if missing:
-            raise ValueError(f"{path}: schema columns missing from header: {missing}")
-        pos = {c: header.index(c) for c in wanted}
-        rows = list(reader)
+    header, columns = _read_table(path)
+    wanted = [TIME_COL] + list(channels) + log_names
+    missing = [c for c in wanted if c not in header]
+    if missing:
+        raise ValueError(f"{path}: schema columns missing from header: {missing}")
+    cells = {c: columns[header.index(c)] for c in wanted}
 
-    n = len(rows)
-    timestamps = np.empty(n, dtype="datetime64[s]")
-    chan_data = {c: np.full(n, np.nan) for c in channels}
-    log_data = {}
-    for name in log_names:
-        if name == SEQUENCE_COL:
-            log_data[name] = np.empty(n, dtype="U4")
-        else:
-            log_data[name] = np.zeros(n, dtype=np.int64)
-
-    for i, row in enumerate(rows):
-        timestamps[i] = np.datetime64(row[pos[TIME_COL]])
-        for c in channels:
-            cell = row[pos[c]]
-            try:
-                chan_data[c][i] = float(cell)
-            except ValueError:
-                pass  # stays NaN
-        for name in log_names:
-            cell = row[pos[name]]
-            if name == SEQUENCE_COL:
-                log_data[name][i] = cell
-            else:
-                log_data[name][i] = int(float(cell))
-
-    if n > 1 and not np.all(timestamps[1:] > timestamps[:-1]):
+    timestamps = cells[TIME_COL].astype("datetime64[s]")
+    if len(timestamps) > 1 and not np.all(timestamps[1:] > timestamps[:-1]):
         raise ValueError(f"{path}: timestamps not strictly increasing")
+    chan_data = {}
+    for c in channels:
+        try:
+            chan_data[c] = _floats(cells[c])
+        except ValueError:   # a cell that is not a number is missing too
+            chan_data[c] = np.array([_float_or_nan(v) for v in cells[c]])
+    with np.errstate(invalid="raise"):   # a NaN or infinite log cell fails the cast
+        log_data = {name: cells[name].astype("U4") if name == SEQUENCE_COL
+                    else cells[name].astype(np.float64).astype(np.int64)
+                    for name in log_names}
     return TimeSeriesFrame(
         timestamps=timestamps,
         channels=chan_data,
@@ -180,26 +161,64 @@ def load_csv(path, schema: dict) -> TimeSeriesFrame:
 
 def write_csv(frame: TimeSeriesFrame, path) -> dict:
     """Write a frame to CSV; returns the schema that round-trips it."""
-    names = list(frame.channels) + list(frame.logs)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([TIME_COL] + names)
-        iso = np.datetime_as_string(frame.timestamps, unit="s")
-        cols = [frame.channels[c] for c in frame.channels] + [frame.logs[c] for c in frame.logs]
-        for i in range(len(frame)):
-            row = [iso[i]]
-            for col in cols:
-                v = col[i]
-                if isinstance(v, np.floating):
-                    row.append("" if np.isnan(v) else repr(float(v)))
-                else:
-                    row.append(str(v))
-            writer.writerow(row)
+    _write_table(path, [TIME_COL, *frame.channels, *frame.logs], frame.timestamps,
+                 [*frame.channels.values(), *frame.logs.values()])
     return {
         "channels": dict(frame.units),
         "logs": list(frame.logs),
         "step_minutes": frame.step_minutes,
     }
+
+
+_BLOCK_ROWS = 4096   # rows formatted at a time; whole columns of text more than double peak memory
+
+
+def _write_table(path, header, timestamps, columns) -> None:
+    """Write the header, then per row the ISO-second timestamp and one cell per column."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for lo in range(0, len(timestamps), _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
+            writer.writerows(zip(np.datetime_as_string(timestamps[block], unit="s"),
+                                 *(_cells(col[block]) for col in columns)))
+
+
+def _cells(values: np.ndarray) -> list:
+    """Floats as ``repr(float(v))``, which float64 text equals, with NaN empty; else ``str``.
+    A list, because ``csv`` writes Python strings about twice as fast as numpy ones."""
+    if values.dtype.kind != "f":
+        return values.astype(str).tolist()
+    return np.where(np.isnan(values), "", values.astype(np.float64).astype(str)).tolist()
+
+
+def _read_table(path):
+    """Header and cells of a CSV table; ``columns[j]`` holds column j's cells
+    as strings. A row whose cell count differs from the header's is an error."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    header, body = rows[0], rows[1:]
+    widths = np.fromiter(map(len, body), dtype=np.int64, count=len(body))
+    ragged = np.flatnonzero(widths != len(header))
+    if ragged.size:
+        i = ragged[0]
+        raise ValueError(f"{path}: line {i + 2} has {widths[i]} cells, "
+                         f"the header has {len(header)}")
+    return header, np.array(body, dtype=object).reshape(len(body), len(header)).T
+
+
+def _floats(cells: np.ndarray) -> np.ndarray:
+    """Cells as float64: an empty cell is NaN, any other must parse."""
+    return np.where(cells == "", "nan", cells).astype(np.float64)
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return np.nan
 
 
 def resample(frame: TimeSeriesFrame, policy: ResamplePolicy) -> TimeSeriesFrame:

@@ -117,6 +117,19 @@ class TestImpute:
         assert np.array_equal(out.channels["temp_external_a"][rows],
                               np.full(10, expected))
 
+    def test_donors_are_averaged_nearest_cycle_first(self):
+        frame = self.make_frame(cycles=5)
+        values = frame.channels["temp_external_a"]
+        for cycle, donor in [(4, np.nan), (3, 1.0), (2, 1e16), (1, -1e16)]:
+            values[segment_rows(frame, cycle, "S09")[10:20]] = donor
+        rows = segment_rows(frame, 5, "S09")[10:20]
+        values[rows] = np.nan
+        out = impute_single_sensor(frame, self.gap_for(frame, rows), k=3)
+        # cycle 4 has no donor cell, so cycles 3, 2, 1 give one each, in that order
+        expected = np.mean([1.0, 1e16, -1e16])
+        assert expected != np.mean([-1e16, 1e16, 1.0])
+        assert np.array_equal(out.channels["temp_external_a"][rows], np.full(10, expected))
+
     def test_validation(self):
         frame = self.make_frame(cycles=1)
         rows = segment_rows(frame, 1, "S09")[:5]

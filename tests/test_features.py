@@ -356,3 +356,14 @@ class TestBuildDataset:
         assert np.array_equal(back.timestamps, ds.timestamps)
         assert back.scaler == {k: (float(m), float(s))
                                for k, (m, s) in ds.scaler.items()}
+
+    def test_short_row_rejected(self, curated, tmp_path):
+        ds = curated["s2"]
+        ds.to_files(tmp_path / "c.csv", tmp_path / "c.json")
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0]   # the first data row loses its target
+        (tmp_path / "c.csv").write_text("\n".join(lines) + "\n")
+        width = len(ds.feature_names) + 4
+        with pytest.raises(ValueError, match=f"c.csv: line 2 has {width - 1} cells, "
+                                             f"the header has {width}"):
+            CuratedDataset.from_files(tmp_path / "c.csv", tmp_path / "c.json")

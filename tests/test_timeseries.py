@@ -174,6 +174,33 @@ class TestCsvRoundTrip:
             assert np.array_equal(back.logs[name], frame.logs[name])
         assert back.step_minutes == frame.step_minutes
 
+    def test_cell_text(self, tmp_path):
+        x = np.array([np.nan, -0.0, 5e-324, 1e16, 1e-05, 0.1])
+        frame = TimeSeriesFrame(
+            timestamps=minutes(6), channels={"x": x}, units={"x": "u"},
+            logs={"sequence_id": np.array(["S01", "S01", "S13", "S13", "IDLE", "IDLE"]),
+                  "pulse": np.array([0, 1, -3, 7, 12345678901, 0])})
+        path = tmp_path / "telemetry.csv"
+        write_csv(frame, path)
+        expected = ["timestamp,x,sequence_id,pulse"]
+        for i in range(6):
+            cell = "" if np.isnan(x[i]) else repr(float(x[i]))
+            expected.append(f"{str(frame.timestamps[i])},{cell},"
+                            f"{str(frame.sequence[i])},{str(frame.logs['pulse'][i])}")
+        assert path.read_bytes() == "".join(line + "\r\n" for line in expected).encode()
+        assert expected[1:4] == ["2025-03-01T00:00:00,,S01,0",
+                                 "2025-03-01T00:01:00,-0.0,S01,1",
+                                 "2025-03-01T00:02:00,5e-324,S13,-3"]
+
+    @pytest.mark.parametrize("row, cells", [("2025-03-01T00:01:00", 1),
+                                            ("2025-03-01T00:01:00,2,3", 3)])
+    def test_ragged_row_rejected(self, tmp_path, row, cells):
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"timestamp,x\n2025-03-01T00:00:00,1\n{row}\n")
+        with pytest.raises(ValueError,
+                           match=f"ragged.csv: line 3 has {cells} cells, the header has 2"):
+            load_csv(path, {"channels": {"x": "u"}})
+
     def test_unparseable_cell_becomes_missing(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("timestamp,x\n"
