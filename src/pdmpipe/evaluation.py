@@ -105,14 +105,18 @@ def label_horizon(ds: CuratedDataset, horizon_minutes: int):
     if horizon_minutes == 0:
         return y.astype(np.int8), np.ones(len(y), dtype=bool)
     t = ds.timestamps.astype("int64")
-    rising = (y == 1) & np.concatenate(([True], y[:-1] == 0))
-    onset_times = t[rising]
+    onset_times = t[_onset_rows(y)]
     span = horizon_minutes * 60
     upper = np.searchsorted(onset_times, t + span, side="right")
     lower = np.searchsorted(onset_times, t, side="right")
     labels = (upper > lower).astype(np.int8)
     valid = (t + span) <= t[-1]
     return labels, valid
+
+
+def _onset_rows(y: np.ndarray) -> np.ndarray:
+    """Rows where the target rises from 0 to 1 (a first-row 1 counts)."""
+    return np.flatnonzero((y == 1) & np.concatenate(([True], y[:-1] == 0)))
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,31 @@ def split_chronological(ds: CuratedDataset, fractions=(0.6, 0.2, 0.2)) -> Split:
         train_cycles=tuple(int(c) for c in train_c),
         validation_cycles=tuple(int(c) for c in val_c),
         test_cycles=tuple(int(c) for c in test_c))
+
+
+def _check_labels_within_parts(ds: CuratedDataset, split: Split,
+                               horizon_minutes: int, labels, valid) -> None:
+    """Raise if a used positive label comes from an onset in another split part.
+
+    Parts are chronological blocks of whole cycles, so the latest onset in
+    a row's window (t, t + horizon] lies in the row's own part iff every
+    onset in that window does.
+    """
+    if horizon_minutes == 0:
+        return
+    rows = np.flatnonzero((labels == 1) & valid)
+    t = ds.timestamps.astype("int64")
+    onsets = _onset_rows(np.asarray(ds.y, dtype=np.int64))
+    last = np.searchsorted(t[onsets], t[rows] + horizon_minutes * 60, side="right") - 1
+    part = split.validation.astype(np.int64) + 2 * split.test
+    crossing = np.flatnonzero(part[onsets[last]] != part[rows])
+    if crossing.size:
+        i = crossing[0]
+        names = ("train", "validation", "test")
+        raise ValueError(
+            f"horizon {horizon_minutes} min labels rows of the "
+            f"{names[part[rows[i]]]} part positive from a target onset "
+            f"in the {names[part[onsets[last[i]]]]} part")
 
 
 def _fit_family(family: str, X, y, params: dict, seed: int):
@@ -275,6 +304,7 @@ def run_scenario(frame, gt, kb: KnowledgeBase, scenario: str, config) -> Scenari
     cells = []
     for horizon in config.horizons_minutes:
         labels, valid = label_horizon(ds, horizon)
+        _check_labels_within_parts(ds, split, horizon, labels, valid)
         tr = split.train & valid
         va = split.validation & valid
         te = split.test & valid

@@ -274,11 +274,9 @@ def _log_loss(y: np.ndarray, score: np.ndarray) -> float:
 class Gbdt:
     """Boosted histogram trees on the logistic loss."""
 
-    def __init__(self, base_score, trees, bin_edges, params: GbdtParams,
-                 train_loss):
+    def __init__(self, base_score, trees, params: GbdtParams, train_loss):
         self.base_score = float(base_score)
         self.trees = list(trees)              # leaf values carry the step size
-        self.bin_edges = bin_edges
         self.params = params
         self.train_loss = list(train_loss)
 
@@ -310,7 +308,7 @@ class Gbdt:
     @classmethod
     def from_dict(cls, d: dict) -> "Gbdt":
         return cls(d["base_score"], [Tree.from_dict(t) for t in d["trees"]],
-                   None, GbdtParams(**d["params"]), d["train_loss"])
+                   GbdtParams(**d["params"]), d["train_loss"])
 
 
 def _bin_features(X: np.ndarray, bins: int):
@@ -325,56 +323,68 @@ def _bin_features(X: np.ndarray, bins: int):
     return edges, codes
 
 
-def _fit_hist_tree(codes, edges, g, h, rows, params: GbdtParams):
-    """One regression tree on binned gradients, Newton leaf values."""
+def _fit_hist_tree(flat, edges, g, h, params: GbdtParams):
+    """One regression tree on binned gradients, Newton leaf values.
+
+    ``flat`` holds each row's bin codes offset by ``feature * bins``, so a
+    single bincount per node gives every feature's histogram. Returns the
+    tree and the leaf each training row ends in.
+    """
     builder = _TreeBuilder()
     lam = params.reg_lambda
+    n, d = flat.shape
+    size = d * params.bins
+    # np.unique can leave a feature fewer bins; cut b exists iff b < len(edges[j])
+    n_edges = np.array([len(e) for e in edges], dtype=np.int64)
+    cuts = np.arange(params.bins - 1) < n_edges[:, None]
+    features = np.arange(d)
+    leaf = np.empty(n, dtype=np.int64)
+
+    def left_sums(local, weights):
+        hist = np.bincount(local, weights=weights, minlength=size)
+        return np.cumsum(hist.reshape(d, params.bins), axis=1)[:, :-1]
 
     def grow(rows: np.ndarray, depth: int) -> int:
         node = builder.add()
         G = float(g[rows].sum())
         H = float(h[rows].sum())
         builder.value[node] = -G / (H + lam)
+        leaf[rows] = node                   # the children overwrite an inner node
         if depth >= params.max_depth or len(rows) < 2 * params.min_leaf:
             return node
         parent_score = G * G / (H + lam)
+        local = flat[rows].ravel()
+        GL = left_sums(local, np.repeat(g[rows], d))
+        HL = left_sums(local, np.repeat(h[rows], d))
+        CL = left_sums(local, None)
+        GR = G - GL
+        HR = H - HL
+        CR = len(rows) - CL
+        valid = cuts & (CL >= params.min_leaf) & (CR >= params.min_leaf)
+        gain = GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent_score
+        gain[~valid] = -np.inf
+        cut = np.argmax(gain, axis=1)       # first max = lowest bin
+        top = gain[features, cut].tolist()
+        # a later feature must beat the best by more than _EPS, so near-ties
+        # go to the lower feature; a global argmax would not keep that
         best = None
-        for j in range(codes.shape[1]):
-            nb = len(edges[j]) + 1
-            if nb < 2:
+        for j in range(d):
+            if top[j] <= _EPS:
                 continue
-            local = codes[rows, j]
-            hg = np.bincount(local, weights=g[rows], minlength=nb)
-            hh = np.bincount(local, weights=h[rows], minlength=nb)
-            hc = np.bincount(local, minlength=nb)
-            GL = np.cumsum(hg)[:-1]
-            HL = np.cumsum(hh)[:-1]
-            CL = np.cumsum(hc)[:-1]
-            GR = G - GL
-            HR = H - HL
-            CR = len(rows) - CL
-            valid = (CL >= params.min_leaf) & (CR >= params.min_leaf)
-            if not valid.any():
-                continue
-            gain = GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent_score
-            gain[~valid] = -np.inf
-            b = int(np.argmax(gain))        # first max = lowest bin
-            if gain[b] <= _EPS:
-                continue
-            if best is None or gain[b] > best[0] + _EPS:
-                best = (float(gain[b]), j, b)
+            if best is None or top[j] > top[best] + _EPS:
+                best = j
         if best is None:
             return node
-        _, j, b = best
-        go_left = codes[rows, j] <= b
-        builder.feature[node] = j
-        builder.threshold[node] = float(edges[j][b])
+        b = int(cut[best])
+        go_left = flat[rows, best] <= best * params.bins + b
+        builder.feature[node] = best
+        builder.threshold[node] = float(edges[best][b])
         builder.left[node] = grow(rows[go_left], depth + 1)
         builder.right[node] = grow(rows[~go_left], depth + 1)
         return node
 
-    grow(rows, 0)
-    return builder.done()
+    grow(np.arange(n), 0)
+    return builder.done(), leaf
 
 
 def fit_gbdt(X: np.ndarray, y: np.ndarray, params: GbdtParams = None) -> Gbdt:
@@ -391,20 +401,26 @@ def fit_gbdt(X: np.ndarray, y: np.ndarray, params: GbdtParams = None) -> Gbdt:
         raise ValueError("X must be 2-d with one label per row")
     if len(X) == 0:
         raise ValueError("cannot fit on an empty dataset")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
     edges, codes = _bin_features(X, params.bins)
+    flat = codes + np.arange(X.shape[1]) * params.bins
     p0 = min(max(float(y.mean()), 1e-6), 1.0 - 1e-6)
     base = math.log(p0 / (1.0 - p0))
     score = np.full(len(y), base)
     loss = _log_loss(y, score)
     losses = [loss]
     trees = []
-    rows = np.arange(len(y))
     for _ in range(params.iterations):
         p = 1.0 / (1.0 + np.exp(-score))
         g = p - y
         h = np.maximum(p * (1.0 - p), _EPS)
-        tree = _fit_hist_tree(codes, edges, g, h, rows, params)
-        step = tree.predict_value(X) * params.learning_rate
+        tree, leaf = _fit_hist_tree(flat, edges, g, h, params)
+        # a training row's leaf is where predict_value(X) routes it, because
+        # code <= b iff x <= edges[b]
+        step = tree.value[leaf] * params.learning_rate
         scale = 1.0
         for _ in range(12):
             candidate = _log_loss(y, score + scale * step)
@@ -419,7 +435,7 @@ def fit_gbdt(X: np.ndarray, y: np.ndarray, params: GbdtParams = None) -> Gbdt:
         score = score + scale * step
         loss = candidate
         losses.append(loss)
-    return Gbdt(base, trees, edges, params, losses)
+    return Gbdt(base, trees, params, losses)
 
 
 class Svm:
@@ -463,6 +479,8 @@ def fit_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = None,
         raise ValueError("X must be 2-d with one label per row")
     if len(X) == 0:
         raise ValueError("cannot fit on an empty dataset")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
     n, d = X.shape
     aug = np.hstack([X, np.ones((n, 1))])
     signed = (2 * y - 1).astype(float)

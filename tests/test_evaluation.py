@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdmpipe import evaluation
 from pdmpipe import (
     CuratedDataset,
     compare,
@@ -274,6 +275,18 @@ class TestRunScenario:
         frame, gt = sim_mid
         with pytest.raises(ValueError, match="scenario"):
             run_scenario(frame, gt, kb, "s3", mid_config)
+
+    def test_horizon_reaching_across_a_part_boundary_rejected(self, kb, monkeypatch):
+        # five 8-row cycles back to back: train 1-3, validation 4, test 5;
+        # the onset at row 26 (cycle 4) labels rows 22-25 at 60 min
+        y = np.zeros(40, dtype=np.int8)
+        y[26:28] = 1
+        ds = stub_ds(y, cycles=np.repeat(np.arange(1, 6), 8))
+        monkeypatch.setattr(evaluation, "build_dataset", lambda *args: ds)
+        config = make_config(1, models=TINY_MODELS, horizons_minutes=[30, 60])
+        with pytest.raises(ValueError,
+                           match="horizon 60 min .* train part .* validation part"):
+            run_scenario(None, None, kb, "s1", config)
 
     def test_rerun_is_deterministic(self, sim_mid, kb, mid_config, mid_comparison):
         frame, gt = sim_mid

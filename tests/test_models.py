@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from pdmpipe import models
 from pdmpipe import (
     Forest,
     ForestParams,
@@ -37,6 +40,113 @@ def blobs(seed, n=200, gap=3.0):
 
 def leaf(value):
     return Tree([-1], [0.0], [-1], [-1], [value])
+
+
+def oracle_hist_tree(codes, edges, g, h, rows, params):
+    """The per-feature histogram search: 3 bincounts and 3 cumsums per feature."""
+    builder = models._TreeBuilder()
+    lam = params.reg_lambda
+
+    def grow(rows, depth):
+        node = builder.add()
+        G = float(g[rows].sum())
+        H = float(h[rows].sum())
+        builder.value[node] = -G / (H + lam)
+        if depth >= params.max_depth or len(rows) < 2 * params.min_leaf:
+            return node
+        parent_score = G * G / (H + lam)
+        best = None
+        for j in range(codes.shape[1]):
+            nb = len(edges[j]) + 1
+            local = codes[rows, j]
+            GL = np.cumsum(np.bincount(local, weights=g[rows], minlength=nb))[:-1]
+            HL = np.cumsum(np.bincount(local, weights=h[rows], minlength=nb))[:-1]
+            CL = np.cumsum(np.bincount(local, minlength=nb))[:-1]
+            GR = G - GL
+            HR = H - HL
+            CR = len(rows) - CL
+            valid = (CL >= params.min_leaf) & (CR >= params.min_leaf)
+            if not valid.any():
+                continue
+            gain = GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent_score
+            gain[~valid] = -np.inf
+            b = int(np.argmax(gain))
+            if gain[b] <= models._EPS:
+                continue
+            if best is None or gain[b] > best[0] + models._EPS:
+                best = (float(gain[b]), j, b)
+        if best is None:
+            return node
+        _, j, b = best
+        go_left = codes[rows, j] <= b
+        builder.feature[node] = j
+        builder.threshold[node] = float(edges[j][b])
+        builder.left[node] = grow(rows[go_left], depth + 1)
+        builder.right[node] = grow(rows[~go_left], depth + 1)
+        return node
+
+    grow(rows, 0)
+    return builder.done()
+
+
+def oracle_fit_gbdt(X, y, params):
+    """fit_gbdt driven by the per-feature search, stepping through predict_value."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    edges, codes = models._bin_features(X, params.bins)
+    p0 = min(max(float(y.mean()), 1e-6), 1.0 - 1e-6)
+    base = math.log(p0 / (1.0 - p0))
+    score = np.full(len(y), base)
+    loss = models._log_loss(y, score)
+    losses = [loss]
+    trees = []
+    rows = np.arange(len(y))
+    for _ in range(params.iterations):
+        p = 1.0 / (1.0 + np.exp(-score))
+        g = p - y
+        h = np.maximum(p * (1.0 - p), models._EPS)
+        tree = oracle_hist_tree(codes, edges, g, h, rows, params)
+        step = tree.predict_value(X) * params.learning_rate
+        scale = 1.0
+        for _ in range(12):
+            candidate = models._log_loss(y, score + scale * step)
+            if candidate <= loss + models._EPS:
+                break
+            scale /= 2.0
+        else:
+            losses.append(loss)
+            break
+        tree.value = tree.value * (params.learning_rate * scale)
+        trees.append(tree)
+        score = score + scale * step
+        loss = candidate
+        losses.append(loss)
+    return Gbdt(base, trees, params, losses)
+
+
+def oracle_case(seed):
+    """Random data and parameters; some cases get a duplicated, a constant
+    and a low-cardinality column, or coarsely rounded values."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 300))
+    d = int(rng.integers(1, 7))
+    X = rng.standard_normal((n, d))
+    if d >= 2 and seed % 2 == 0:
+        X[:, -1] = X[:, 0]
+    if d >= 3 and seed % 3 == 0:
+        X[:, 1] = 2.5
+    if d >= 4 and seed % 4 != 1:
+        X[:, 2] = rng.integers(0, 3, size=n)
+    if seed % 5 == 0:
+        X = np.round(X, 1)
+    y = (X[:, 0] + rng.standard_normal(n) > 0.3).astype(np.int64)
+    params = GbdtParams(iterations=int(rng.integers(1, 15)),
+                        learning_rate=float(rng.choice([0.1, 0.5, 1.0])),
+                        max_depth=int(rng.integers(1, 5)),
+                        min_leaf=int(rng.integers(1, 12)),
+                        bins=int(rng.integers(2, 40)),
+                        reg_lambda=float(rng.choice([0.5, 1.0, 3.0])))
+    return X, y, params
 
 
 class TestTree:
@@ -120,6 +230,73 @@ class TestGbdt:
         assert np.array_equal(model.predict(X), (proba >= 0.5).astype(np.int8))
         assert (model.predict(X) == y).mean() > 0.95
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_per_feature_search(self, seed):
+        X, y, params = oracle_case(seed)
+        assert fit_gbdt(X, y, params).to_dict() == oracle_fit_gbdt(X, y, params).to_dict()
+
+    def test_identical_columns_split_on_the_lower_index(self):
+        X, y = blobs(11)
+        X = np.column_stack([X[:, 1], X[:, 0], X[:, 0]])
+        model = fit_gbdt(X, y, GbdtParams(iterations=10))
+        used = {int(f) for t in model.trees for f in t.feature if f >= 0}
+        assert 1 in used and 2 not in used
+
+    def test_constant_column_is_never_chosen(self):
+        X, y = blobs(12)
+        X[:, 0] = 7.0
+        model = fit_gbdt(X, y, GbdtParams(iterations=10, min_leaf=1))
+        used = {int(f) for t in model.trees for f in t.feature if f >= 0}
+        assert used and 0 not in used
+
+    def test_later_feature_must_win_by_more_than_eps(self):
+        # both features cut rows 0-4 from 5-8; row 9, of almost no weight,
+        # goes right on feature 0 and left on feature 1, which leaves
+        # feature 1 ahead by less than _EPS
+        g = np.array([-1.0] * 5 + [1.0] * 4 + [-2e-13])
+        h = np.array([0.25] * 9 + [1e-12])
+        codes = np.array([[0, 0]] * 5 + [[1, 1]] * 4 + [[1, 0]])
+        params = GbdtParams(max_depth=1, min_leaf=1, bins=2)
+        G, H, lam = g.sum(), h.sum(), params.reg_lambda
+
+        def gain(left):
+            GL, HL = g[left].sum(), h[left].sum()
+            return (GL * GL / (HL + lam) + (G - GL) ** 2 / (H - HL + lam)
+                    - G * G / (H + lam))
+
+        assert 0 < gain(codes[:, 1] == 0) - gain(codes[:, 0] == 0) < models._EPS
+        edges = [np.array([0.5]), np.array([0.5])]
+        tree, _ = models._fit_hist_tree(codes + np.array([0, 2]), edges, g, h, params)
+        assert tree.feature[0] == 0
+
+    def test_cuts_past_a_features_last_edge_are_never_taken(self):
+        # one edge, so cuts 1 and 2 of bins=4 lie past it and keep every
+        # row left; with min_leaf 0 their gain is the rounding gap between
+        # the sequential histogram sum and the pairwise total, here > _EPS,
+        # while the one real cut splits two equal halves at a loss
+        half = np.random.default_rng(3).standard_normal(64) * 1e3 + 5e3
+        g = np.concatenate([half, half])
+        h = np.full(128, 0.25)
+        codes = np.repeat([0, 1], 64)[:, None]
+        params = GbdtParams(max_depth=1, min_leaf=0, bins=4)
+        G, H, lam = g.sum(), h.sum(), params.reg_lambda
+        GL = np.bincount(codes[:, 0], weights=g).cumsum()[-1]
+        assert GL * GL / (H + lam) + (G - GL) ** 2 / lam - G * G / (H + lam) > models._EPS
+        edges = [np.array([0.5])]
+        tree, leaf = models._fit_hist_tree(codes, edges, g, h, params)
+        oracle = oracle_hist_tree(codes, edges, g, h, np.arange(128), params)
+        assert tree.to_dict() == oracle.to_dict()
+        assert len(tree.feature) == 1 and not leaf.any()
+
+    def test_validation(self):
+        X, y = blobs(13, n=40)
+        for labels in (np.where(y == 1, 2, 0), np.where(y == 1, 1, -1)):
+            with pytest.raises(ValueError, match="labels must be 0 or 1"):
+                fit_gbdt(X, labels)
+        X[3, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fit_gbdt(X, y)
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             GbdtParams(iterations=0)
@@ -145,6 +322,12 @@ class TestSvm:
         a = fit_svm(X, y, SvmParams(epochs=3), seed=5)
         b = fit_svm(X, y, SvmParams(epochs=3), seed=5)
         assert np.array_equal(a.weights, b.weights)
+
+    def test_validation(self):
+        X, y = blobs(14, n=40)
+        for labels in (np.where(y == 1, 2, 0), np.where(y == 1, 1, -1)):
+            with pytest.raises(ValueError, match="labels must be 0 or 1"):
+                fit_svm(X, labels)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
