@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.ndimage import median_filter
 from scipy.stats import chi2
 
 from .knowledge import BLOCKING, OUT_OF_ENVELOPE, KnowledgeBase, _instances, envelope_check
@@ -233,22 +234,47 @@ def detect_outliers_ics(X: np.ndarray, m: int = 2, alpha: float = 0.025) -> np.n
     return np.flatnonzero(dist > cutoff)
 
 
-def _running_median(x: np.ndarray, window: int) -> np.ndarray:
-    """Centered running median with shrinking windows at the edges."""
+def _span_medians(x: np.ndarray, starts: np.ndarray, stops: np.ndarray,
+                  window: int) -> np.ndarray:
+    """Centered running median of ``x`` inside each [start, stop) span.
+
+    Windows shrink at a span's edges, and a window holding NaN gives NaN,
+    as ``np.median`` over each window would. Every span must be longer
+    than ``window``; rows outside the spans get unspecified values.
+    Interior rows come from one median filter over the whole array (the
+    window is odd, so each median is one selected element); the clipped
+    edge windows of all spans are sorted together in one padded block.
+    """
     n = len(x)
     half = window // 2
-    out = np.empty(n)
-    if n > window:
-        views = np.lib.stride_tricks.sliding_window_view(x, window)
-        out[half:n - half] = np.median(views, axis=1)
-        edge = half
-    else:
-        edge = n
-    for i in range(min(edge, n)):
-        out[i] = np.median(x[max(0, i - half):i + half + 1])
-    for i in range(max(n - edge, 0), n):
-        out[i] = np.median(x[max(0, i - half):i + half + 1])
-    return out
+    missing = np.isnan(x)
+    filled = np.where(missing, 0.0, x)
+    med = median_filter(filled, size=window, mode="nearest")
+
+    rows = np.arange(n)
+    lo = np.maximum(rows - half, 0)
+    hi = np.minimum(rows + half + 1, n)
+    offsets = np.arange(half)
+    head = (starts[:, None] + offsets).ravel()
+    tail = (stops[:, None] - half + offsets).ravel()
+    lo[head] = np.repeat(starts, half)
+    hi[tail] = np.repeat(stops, half)
+
+    edge = np.concatenate([head, tail])
+    count = hi[edge] - lo[edge]
+    cells = lo[edge][:, None] + np.arange(window - 1)
+    block = np.where(cells < hi[edge][:, None], filled[np.minimum(cells, n - 1)], np.inf)
+    block.sort(axis=1)
+    r = np.arange(len(edge))
+    mid = block[r, (count - 1) // 2]
+    even = count % 2 == 0
+    mid[even] = (mid[even] + block[r[even], count[even] // 2]) / 2
+    med[edge] = mid
+
+    missing_before = np.concatenate(([0], np.cumsum(missing)))
+    med[missing_before[hi] > missing_before[lo]] = np.nan
+    med += 0.0      # np.median sums from +0.0, so it never returns -0.0
+    return med
 
 
 def detrended_iqr_flags(frame: TimeSeriesFrame, k: float, window: int = 31):
@@ -258,20 +284,23 @@ def detrended_iqr_flags(frame: TimeSeriesFrame, k: float, window: int = 31):
     median, so ramps and decays stay inside the fences while isolated
     spikes stand out. Rows within half a window of an instance boundary
     are exempt: the shrinking median is biased there and a trend looks
-    like a spike.
+    like a spike. Instances no longer than the window are skipped.
     """
-    flags = []
+    if window < 3 or window % 2 == 0:
+        raise ValueError(f"window must be odd and >= 3, got {window}")
     half = window // 2
-    for s, e in _instances(frame):
-        if e - s <= window:
-            continue
-        for name in frame.channels:
-            x = frame.channels[name][s:e]
-            observed = ~np.isnan(x)
-            if observed.sum() < 4:
+    spans = [(s, e) for s, e in _instances(frame) if e - s > window]
+    if not spans:
+        return []
+    starts, stops = np.array(spans, dtype=np.int64).T
+    flags = []
+    for name, values in frame.channels.items():
+        med = _span_medians(values, starts, stops, window)
+        for s, e in spans:
+            x = values[s:e]
+            if np.count_nonzero(~np.isnan(x)) < 4:
                 continue
-            resid = x - _running_median(x, window)
-            for i in detect_outliers_iqr(resid, k):
+            for i in detect_outliers_iqr(x - med[s:e], k):
                 if half <= i < (e - s) - half:
                     flags.append((s + int(i), name))
     flags.sort(key=lambda f: (f[0], f[1]))

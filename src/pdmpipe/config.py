@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .features import PreprocessParams
+from .models import ForestParams, GbdtParams, SvmParams
 from .simulator import DEFAULT_INJECTION, FAULT_KINDS, SimConfig
 
 
@@ -21,6 +22,8 @@ class ConfigError(ValueError):
 
 DEFAULT_HORIZONS = (180, 720, 1440)
 DEFAULT_SPLIT = (0.6, 0.2, 0.2)
+
+GRID_PARAMS = {"forest": ForestParams, "gbdt": GbdtParams, "svm": SvmParams}
 
 DEFAULT_GRIDS = {
     "forest": ({"trees": 30, "max_depth": 10}, {"trees": 60, "max_depth": 10}),
@@ -76,11 +79,16 @@ class PipelineConfig:
         if len(self.split) != 3 or abs(sum(self.split) - 1.0) > 1e-9:
             raise ConfigError("split must be three fractions summing to 1")
         for family, grid in self.grids.items():
-            if family not in ("forest", "gbdt", "svm"):
+            if family not in GRID_PARAMS:
                 raise ConfigError(f"unknown model family {family!r}")
             if not grid:
                 raise ConfigError(f"empty grid for {family}")
-        for family in ("forest", "gbdt", "svm"):
+            for entry in grid:
+                try:
+                    GRID_PARAMS[family](**entry)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"bad {family} grid entry {entry}: {exc}") from None
+        for family in GRID_PARAMS:
             if family not in self.grids:
                 raise ConfigError(f"missing grid for {family}")
 
@@ -159,14 +167,18 @@ def _from_doc(doc: dict) -> PipelineConfig:
     pp_section = doc.get("preprocess") or {}
     try:
         preprocess = PreprocessParams(**pp_section)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad preprocess section: {exc}") from None
 
     grids = doc.get("models")
     if grids is None:
         grids = {k: tuple(dict(g) for g in v) for k, v in DEFAULT_GRIDS.items()}
     else:
-        grids = {str(k): tuple(dict(g) for g in v) for k, v in grids.items()}
+        try:
+            grids = {str(k): tuple(dict(g) for g in v) for k, v in grids.items()}
+        except (AttributeError, TypeError, ValueError):
+            raise ConfigError("models must map each family to a list of "
+                              "parameter mappings") from None
 
     missing = doc.get("missing")
     if missing is None:

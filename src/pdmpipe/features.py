@@ -300,6 +300,32 @@ class PreprocessParams:
     column_drop_missing_fraction: float = 0.5
     train_fraction: float = 0.6
 
+    def __post_init__(self):
+        if self.resample_minutes < 1:
+            raise ValueError("resample_minutes must be >= 1")
+        if not 0 < self.variance_threshold <= 1:
+            raise ValueError("variance_threshold must be in (0, 1]")
+        if not 0 <= self.tau <= 1:
+            raise ValueError("tau must be in [0, 1]")
+        if self.top_n < 1:
+            raise ValueError("top_n must be >= 1")
+        if self.iqr_k < 0:
+            raise ValueError("iqr_k must be >= 0")
+        if self.iqr_window < 3 or self.iqr_window % 2 == 0:
+            raise ValueError(f"iqr_window must be odd and >= 3, got {self.iqr_window}")
+        if self.ics_m < 1:
+            raise ValueError("ics_m must be >= 1")
+        if not 0 < self.ics_alpha < 1:
+            raise ValueError("ics_alpha must be in (0, 1)")
+        if self.impute_k < 1:
+            raise ValueError("impute_k must be >= 1")
+        if self.verify_window_minutes < 0:
+            raise ValueError("verify_window_minutes must be >= 0")
+        if not 0 <= self.column_drop_missing_fraction <= 1:
+            raise ValueError("column_drop_missing_fraction must be in [0, 1]")
+        if not 0 < self.train_fraction < 1:
+            raise ValueError("train_fraction must be in (0, 1)")
+
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 

@@ -40,6 +40,7 @@ class ForestParams:
     def __post_init__(self):
         if self.trees < 1:
             raise ValueError("trees must be >= 1")
+        TreeParams(max_depth=self.max_depth, min_leaf=self.min_leaf)   # each tree's limits
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,10 @@ class GbdtParams:
             raise ValueError("iterations must be >= 1")
         if not 0 < self.learning_rate <= 1:
             raise ValueError("learning rate must be in (0, 1]")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        if self.min_leaf < 1:
+            raise ValueError("min_leaf must be >= 1")
         if self.bins < 2:
             raise ValueError("need at least 2 bins")
 

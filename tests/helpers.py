@@ -76,8 +76,8 @@ def segment_rows(frame: TimeSeriesFrame, cycle: int, sequence_id: str) -> np.nda
                           & (frame.sequence == sequence_id))
 
 
-def run_pdm(*args: str, timeout: float) -> subprocess.CompletedProcess:
-    """Run ``python -m pdmpipe *args`` in a fresh interpreter.
+def run_python(*args: str, timeout: float, cwd=None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter.
 
     The checked-out ``src`` goes first on ``PYTHONPATH``, so the run never
     picks up an installed copy of the package.
@@ -85,5 +85,10 @@ def run_pdm(*args: str, timeout: float) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "pdmpipe", *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=timeout)
+
+
+def run_pdm(*args: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run ``python -m pdmpipe *args`` in a fresh interpreter (see run_python)."""
+    return run_python("-m", "pdmpipe", *args, timeout=timeout)

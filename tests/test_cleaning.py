@@ -16,8 +16,9 @@ from pdmpipe import (
     impute_single_sensor,
     verify_outliers,
 )
+from pdmpipe import cleaning
 from pdmpipe.cleaning import detrended_iqr_flags, ics_flags
-from pdmpipe.knowledge import BLOCKING, CYCLE_STOP, FaultEvent
+from pdmpipe.knowledge import BLOCKING, CYCLE_STOP, FaultEvent, _instances
 from helpers import quiet_frame, segment_rows
 
 
@@ -236,6 +237,106 @@ class TestScreeningFlags:
         frame.channels["pressure_internal_b"][rows[200]] += 40.0
         flags = ics_flags(frame, m=2, alpha=2e-5)
         assert (int(rows[200]), None) in flags
+
+
+def oracle_running_median(x, window):
+    """The per-instance running median the screen used to call: centered
+    windows, shrinking at the edges, one np.median per edge row."""
+    n = len(x)
+    half = window // 2
+    out = np.empty(n)
+    if n > window:
+        views = np.lib.stride_tricks.sliding_window_view(x, window)
+        out[half:n - half] = np.median(views, axis=1)
+        edge = half
+    else:
+        edge = n
+    for i in range(min(edge, n)):
+        out[i] = np.median(x[max(0, i - half):i + half + 1])
+    for i in range(max(n - edge, 0), n):
+        out[i] = np.median(x[max(0, i - half):i + half + 1])
+    return out
+
+
+def oracle_detrended_iqr_flags(frame, k, window):
+    """The screen as a loop over (instance, channel) pairs."""
+    flags = []
+    half = window // 2
+    for s, e in _instances(frame):
+        if e - s <= window:
+            continue
+        for name in frame.channels:
+            x = frame.channels[name][s:e]
+            if (~np.isnan(x)).sum() < 4:
+                continue
+            resid = x - oracle_running_median(x, window)
+            for i in detect_outliers_iqr(resid, k):
+                if half <= i < (e - s) - half:
+                    flags.append((s + int(i), name))
+    flags.sort(key=lambda f: (f[0], f[1]))
+    return flags
+
+
+def screening_case(seed):
+    """Two cycles of instances around the window length, with tied values,
+    constant runs, spikes and scattered NaN."""
+    rng = np.random.default_rng(seed)
+    window = (3, 5, 31)[seed % 3]
+    lengths = [window + 1, window + 2, window + 3,
+               window + int(rng.integers(4, 3 * window)),
+               int(rng.integers(1, window + 1))]
+    rng.shuffle(lengths)
+    segments = tuple((f"S{i + 1:02d}", m) for i, m in enumerate(lengths))
+    frame = quiet_frame(cycles=2, segments=segments)
+    n = len(frame)
+    for j, name in enumerate(frame.channels):
+        scale = float(rng.choice([0.5, 3.0, 40.0]))
+        x = np.round(rng.normal(0.0, scale, n), int(rng.integers(0, 2)))
+        for start in rng.integers(0, n, size=2):
+            x[start:start + int(rng.integers(window // 2, 2 * window))] = x[start]
+        x[rng.integers(0, n, size=3)] += 60.0 * scale
+        if j > 0:       # the first channel stays complete
+            x[rng.random(n) < float(rng.choice([0.01, 0.05]))] = np.nan
+        frame.channels[name][:] = x
+    return frame, window
+
+
+class TestScreeningOracle:
+    @pytest.mark.parametrize("seed", range(36))
+    def test_matches_the_per_instance_loop(self, seed):
+        frame, window = screening_case(seed)
+        spans = [(s, e) for s, e in _instances(frame) if e - s > window]
+        starts, stops = np.array(spans).T
+        for name, x in frame.channels.items():
+            med = cleaning._span_medians(x, starts, stops, window)
+            for s, e in spans:
+                expected = oracle_running_median(x[s:e], window)
+                assert np.array_equal(med[s:e], expected, equal_nan=True), (name, s, e)
+        for k in (1.5, 4.0):
+            assert (detrended_iqr_flags(frame, k, window)
+                    == oracle_detrended_iqr_flags(frame, k, window))
+
+    def test_cases_cover_ties_nan_and_flags(self):
+        nan_windows = flagged = 0
+        for seed in range(36):
+            frame, window = screening_case(seed)
+            nan_windows += sum(np.isnan(oracle_running_median(x, window)).any()
+                               for x in frame.channels.values())
+            flagged += len(oracle_detrended_iqr_flags(frame, 1.5, window)) > 0
+        assert nan_windows > 0 and flagged == 36
+
+    def test_window_holding_nan_has_nan_median(self):
+        x = np.arange(20.0)
+        x[10] = np.nan
+        med = cleaning._span_medians(x, np.array([0]), np.array([20]), 5)
+        assert np.isnan(med[8:13]).all()
+        assert not np.isnan(med[:8]).any() and not np.isnan(med[13:]).any()
+        assert med[0] == 1.0 and med[1] == 1.5 and med[19] == 18.0
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 30])
+    def test_window_must_be_odd_and_at_least_three(self, window):
+        with pytest.raises(ValueError, match="window"):
+            detrended_iqr_flags(quiet_frame(), k=4.0, window=window)
 
 
 class TestVerifyOutliers:

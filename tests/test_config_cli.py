@@ -75,6 +75,33 @@ class TestConfigValidation:
             make_config(7, models={"forest": [{"trees": 5}]})
         with pytest.raises(ConfigError, match="empty grid"):
             make_config(7, models={"forest": (), "gbdt": [{}], "svm": [{}]})
+        with pytest.raises(ConfigError, match="list of parameter mappings"):
+            make_config(7, models={"forest": [3], "gbdt": [{}], "svm": [{}]})
+
+    @pytest.mark.parametrize("key, value", [
+        ("resample_minutes", 0), ("variance_threshold", 0.0),
+        ("variance_threshold", 1.5), ("tau", -0.1), ("tau", 1.1), ("top_n", 0),
+        ("iqr_k", -0.5), ("iqr_window", 30), ("iqr_window", 1), ("ics_m", 0),
+        ("ics_alpha", 0.0), ("ics_alpha", 1.0), ("impute_k", 0),
+        ("verify_window_minutes", -1), ("column_drop_missing_fraction", 1.5),
+        ("train_fraction", 0.0), ("train_fraction", 1.0),
+    ])
+    def test_preprocess_ranges(self, key, value):
+        with pytest.raises(ConfigError, match=f"bad preprocess section: {key}"):
+            make_config(7, preprocess={key: value})
+
+    @pytest.mark.parametrize("family, entry, match", [
+        ("gbdt", {"min_leaf": 0}, "min_leaf"),
+        ("gbdt", {"max_depth": 0}, "max_depth"),
+        ("forest", {"min_leaf": 0}, "min_leaf"),
+        ("svm", {"epochs": 0}, "epochs"),
+        ("gbdt", {"depth": 3}, "unexpected keyword"),
+    ])
+    def test_grid_entries_are_built_at_load(self, family, entry, match):
+        grids = {"forest": [{}], "gbdt": [{}], "svm": [{}]}
+        grids[family] = [{}, entry]
+        with pytest.raises(ConfigError, match=f"bad {family} grid entry .*{match}"):
+            make_config(7, models=grids)
 
     def test_file_level_failures(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -212,6 +239,24 @@ class TestCliFailures:
         assert rc == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "mode_model" in err
+
+    @pytest.mark.parametrize("section, message", [
+        ({"preprocess": {"iqr_window": 30}}, "iqr_window must be odd and >= 3, got 30"),
+        ({"preprocess": {"resample_minutes": 0}}, "resample_minutes must be >= 1"),
+        ({"models": dict(CLI_DOC["models"], gbdt=[{"min_leaf": 0}])},
+         "min_leaf must be >= 1"),
+    ])
+    def test_bad_parameters_exit_two_before_simulating(self, tmp_path, capsys,
+                                                       section, message):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(dict(CLI_DOC, **section)))
+        out = tmp_path / "out"
+        rc = main(["preprocess", "--config", str(path), "--scenario", "s1",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+        assert not out.exists()
 
     def test_runtime_failure_exits_three(self, tmp_path, capsys):
         doc = dict(CLI_DOC,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -210,6 +211,10 @@ class TestForest:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             ForestParams(trees=0)
+        with pytest.raises(ValueError, match="min_leaf"):
+            ForestParams(min_leaf=0)
+        with pytest.raises(ValueError, match="max_depth"):
+            ForestParams(max_depth=0)
 
 
 class TestGbdt:
@@ -273,12 +278,13 @@ class TestGbdt:
         # one edge, so cuts 1 and 2 of bins=4 lie past it and keep every
         # row left; with min_leaf 0 their gain is the rounding gap between
         # the sequential histogram sum and the pairwise total, here > _EPS,
-        # while the one real cut splits two equal halves at a loss
+        # while the one real cut splits two equal halves at a loss.
+        # GbdtParams rejects min_leaf 0, so the tree builder gets a stand-in.
         half = np.random.default_rng(3).standard_normal(64) * 1e3 + 5e3
         g = np.concatenate([half, half])
         h = np.full(128, 0.25)
         codes = np.repeat([0, 1], 64)[:, None]
-        params = GbdtParams(max_depth=1, min_leaf=0, bins=4)
+        params = SimpleNamespace(max_depth=1, min_leaf=0, bins=4, reg_lambda=1.0)
         G, H, lam = g.sum(), h.sum(), params.reg_lambda
         GL = np.bincount(codes[:, 0], weights=g).cumsum()[-1]
         assert GL * GL / (H + lam) + (G - GL) ** 2 / lam - G * G / (H + lam) > models._EPS
@@ -304,6 +310,10 @@ class TestGbdt:
             GbdtParams(learning_rate=0.0)
         with pytest.raises(ValueError):
             GbdtParams(bins=1)
+        with pytest.raises(ValueError, match="min_leaf"):
+            GbdtParams(min_leaf=0)
+        with pytest.raises(ValueError, match="max_depth"):
+            GbdtParams(max_depth=0)
 
 
 class TestSvm:
