@@ -35,7 +35,7 @@ frame, gt = inject_outliers(frame, gt, [
      "kind": "TrueIrrelevant", "delta": 80.0},
 ])
 
-report = classify_gaps(frame, "s2")
+report = classify_gaps(frame, reconstruct=True)   # the knowledge-informed disposition
 print("gaps found:")
 for gap in report.intervals:
     channel = gap.channel or "all channels"

@@ -46,7 +46,6 @@ from .features import (
     pca,
     prioritize,
     reconstruct_target,
-    select_balance_window,
     select_features,
     standardize,
 )
@@ -90,7 +89,6 @@ from .simulator import (
     simulate,
 )
 from .timeseries import (
-    ResamplePolicy,
     TimeSeriesFrame,
     load_csv,
     resample,

@@ -1,9 +1,11 @@
 """Gap classification, imputation, and outlier screening for raw telemetry.
 
-Cleaning is scenario-aware only in its dispositions: the data-driven
-scenario deletes everything suspicious, while the knowledge-informed
-scenario reconstructs single-sensor gaps from past cycles and keeps
-flagged points that line up with a detected fault.
+Gaps are classified by cause and either deleted or reconstructed from
+past cycles; outlier candidates come from a running-median spike screen
+and an invariant-coordinate row screen, and are judged against the
+detected faults so that flagged points lining up with a fault are kept.
+The caller chooses which gaps to reconstruct and whether to judge the
+candidates at all.
 """
 
 from __future__ import annotations
@@ -82,23 +84,21 @@ def _runs(mask: np.ndarray):
     return list(zip(starts, ends))
 
 
-def classify_gaps(frame: TimeSeriesFrame, scenario: str) -> GapReport:
+def classify_gaps(frame: TimeSeriesFrame, reconstruct: bool) -> GapReport:
     """Partition missing cells into causal intervals with dispositions.
 
     Rows with every channel missing are non-use when idle, blanket
     maintenance otherwise. Rows missing exactly one channel form
-    single-sensor gaps; any other pattern is unknown. The data-driven
-    scenario deletes all of them; the knowledge-informed scenario
-    reconstructs single-sensor gaps and deletes the rest.
+    single-sensor gaps; any other pattern is unknown. Single-sensor gaps
+    are marked for reconstruction when ``reconstruct`` is set; every
+    other interval is deleted.
     """
-    if scenario not in ("s1", "s2"):
-        raise ValueError(f"unknown scenario {scenario!r}")
     names = list(frame.channels)
     missing = np.column_stack([np.isnan(frame.channels[c]) for c in names])
     n_missing = missing.sum(axis=1)
     d = len(names)
     idle = frame.sequence == IDLE
-    reconstruct = DISPOSITION_RECONSTRUCT if scenario == "s2" else DISPOSITION_DELETE
+    single_disposition = DISPOSITION_RECONSTRUCT if reconstruct else DISPOSITION_DELETE
 
     intervals = []
     all_gone = n_missing == d
@@ -115,7 +115,7 @@ def classify_gaps(frame: TimeSeriesFrame, scenario: str) -> GapReport:
         for s, e in _runs(single & missing[:, j]):
             intervals.append(GapInterval(
                 start=frame.timestamps[s], end=frame.timestamps[e - 1],
-                cause=CAUSE_DROPOUT, disposition=reconstruct, channel=name))
+                cause=CAUSE_DROPOUT, disposition=single_disposition, channel=name))
 
     for s, e in _runs((n_missing > 1) & (n_missing < d)):
         intervals.append(GapInterval(

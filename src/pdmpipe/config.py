@@ -104,8 +104,13 @@ class PipelineConfig:
                 "idle_minutes": self.sim.idle_minutes,
                 "start": self.sim.start,
                 "injection": dict(self.sim.injection),
+                "schedule": None if self.sim.schedule is None
+                else [list(entry) for entry in self.sim.schedule],
                 "logging_probability": self.sim.logging_probability,
                 "logging_model": self.sim.logging_model,
+                "noise": dict(self.sim.noise),
+                "wander": dict(self.sim.wander),
+                "wander_phi": self.sim.wander_phi,
             },
             "missing": missing,
             "outliers": [dict(o) for o in self.outliers],

@@ -297,8 +297,6 @@ def run_scenario(frame, gt, kb: KnowledgeBase, scenario: str, config) -> Scenari
     """Score one scenario end to end on already-generated telemetry."""
     if scenario == "baseline":
         return _baseline_report(frame, gt, kb, config.seed)
-    if scenario not in ("s1", "s2"):
-        raise ValueError(f"unknown scenario {scenario!r}")
     ds = build_dataset(frame, kb, scenario, config.preprocess)
     split = split_chronological(ds, config.split)
     cells = []

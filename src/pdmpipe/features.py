@@ -3,8 +3,8 @@
 The curated dataset is built in a fixed order: clean, reduce channels,
 integrate fault knowledge, transform, resample to the working interval,
 then keep only the sequences where prediction matters. Both scenarios
-share the machinery; the data-driven one simply skips every step that
-needs the knowledge base.
+share the machinery; ``build_dataset`` withholds the knowledge base
+from the data-driven one, which then skips every step that needs it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .knowledge import BLOCKING, CYCLE_STOP, KnowledgeBase, _instances, evaluate
 from .timeseries import (
     IDLE,
     SEQUENCE_IDS,
-    ResamplePolicy,
     TimeSeriesFrame,
     _floats,
     _read_table,
@@ -272,17 +271,13 @@ def reconstruct_target(frame: TimeSeriesFrame) -> TimeSeriesFrame:
 
 def encode_sequence(sequence: np.ndarray) -> np.ndarray:
     """Ordinal sequence position: idle is 0, S01..S13 are 1..13."""
-    codes = {IDLE: 0}
-    codes.update({sid: i + 1 for i, sid in enumerate(SEQUENCE_IDS)})
-    try:
-        return np.array([codes[s] for s in sequence], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"unknown sequence id {exc.args[0]!r}") from None
-
-
-def select_balance_window(frame: TimeSeriesFrame) -> TimeSeriesFrame:
-    """Keep only the sequences whose failures the model must anticipate."""
-    return slice_by_sequence(frame, BALANCE_SEQUENCES)
+    vocab = np.array((IDLE, *SEQUENCE_IDS))   # sorted, so its index is the code
+    sequence = np.asarray(sequence)
+    codes = np.minimum(np.searchsorted(vocab, sequence), len(vocab) - 1)
+    unknown = np.flatnonzero(vocab[codes] != sequence)
+    if unknown.size:
+        raise ValueError(f"unknown sequence id {str(sequence[unknown[0]])!r}")
+    return codes.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -408,13 +403,15 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     """Run the full curation pipeline on raw telemetry.
 
     Order: clean (gaps, then outliers), reduce channels, integrate fault
-    knowledge, transform, resample, balance. The data-driven scenario
-    uses the automation fault log as its target and never consults the
-    knowledge base.
+    knowledge, transform, resample, balance. The scenario is decided once:
+    the data-driven one (s1) gets no knowledge base, and every later step
+    asks only whether one is present. Without it, gaps and flagged rows
+    are deleted and the automation fault log is the target.
     """
     params = params or PreprocessParams()
     if scenario not in ("s1", "s2"):
         raise ValueError(f"unknown scenario {scenario!r}")
+    kb = kb if scenario == "s2" else None
     notes = []
 
     # within-cycle position, in minutes since the cycle's first raw row;
@@ -435,7 +432,7 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     if not frame.channels:
         raise ValueError("every channel exceeded the missing-fraction limit")
 
-    report = classify_gaps(frame, scenario)
+    report = classify_gaps(frame, reconstruct=kb is not None)
     for gap in report.intervals:
         if gap.disposition == DISPOSITION_RECONSTRUCT:
             frame = impute_single_sensor(frame, gap, params.impute_k)
@@ -446,24 +443,21 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
         if np.isnan(values).any():
             raise ValueError(f"missing cells remain in {name} after cleaning")
 
-    events = evaluate_rules(frame, kb) if scenario == "s2" else []
-
     flags = detrended_iqr_flags(frame, params.iqr_k, params.iqr_window)
     flags.extend(ics_flags(frame, params.ics_m, params.ics_alpha))
     flags.sort(key=lambda f: (f[0], f[1] or ""))
-    verdict_counts = {}
-    if scenario == "s2":
+    if kb is None:
+        drop = sorted({row for row, _ in flags})
+        keep = np.ones(len(frame), dtype=bool)
+        keep[drop] = False
+        frame = frame.take(keep)
+        verdict_counts = {"deleted_rows": len(drop)}
+    else:
+        events = evaluate_rules(frame, kb)
         verdicts = verify_outliers(frame, flags, kb, events,
                                    params.verify_window_minutes)
         verdict_counts = dict(Counter(v.verdict for v in verdicts))
         frame = apply_verdicts(frame, verdicts)
-    else:
-        drop = sorted({row for row, _ in flags})
-        verdict_counts = {"deleted_rows": len(drop)}
-        if drop:
-            keep = np.ones(len(frame), dtype=bool)
-            keep[drop] = False
-            frame = frame.take(np.flatnonzero(keep))
     if len(frame) == 0:
         raise ValueError("outlier handling removed every row")
 
@@ -473,17 +467,23 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     std = X_all.std(axis=0)
     std[std == 0] = 1.0
     X_std = (X_all - X_all.mean(axis=0)) / std
-    pcares = pca(X_std, params.variance_threshold)
-    selection = select_features(names, pcares, kb if scenario == "s2" else None,
+    selection = select_features(names, pca(X_std, params.variance_threshold), kb,
                                 params.tau)
     frame = frame.drop_channels([n for n in names if n not in selection.selected])
 
-    # knowledge integration
-    if scenario == "s2":
+    # knowledge integration: the target, and with a knowledge base the
+    # fault annotations it is reconstructed from
+    if kb is None:
+        frame = replace(frame, logs={
+            **frame.logs, TARGET: (frame.logs["fault_log"] > 0).astype(np.int64)})
+        kb_columns = []
+    else:
         events, priority_table = prioritize(events, params.top_n)
-        frame = annotate_faults(frame, events, kb)
+        frame = reconstruct_target(annotate_faults(frame, events, kb))
         notes.extend(f"cause {row['cause']}: {row['count']} blocking events, rank {row['rank']}"
                      for row in priority_table)
+        kb_columns = ["severity", "consequence",
+                      *[name for name, _ in _cause_columns(kb)], "priority"]
 
     # transform: scaler fitted on the leading train cycles only
     unique_cycles = np.unique(frame.cycle)
@@ -493,32 +493,19 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     frame, scaler = standardize(frame, fit_mask)
     frame = add_statistical_features(frame, selection.selected)
 
-    # target
-    if scenario == "s2":
-        frame = reconstruct_target(frame)
-    else:
-        frame = replace(frame, logs={
-            **frame.logs, TARGET: (frame.logs["fault_log"] > 0).astype(np.int64)})
-
-    frame = resample(frame, ResamplePolicy(interval_minutes=params.resample_minutes))
-    frame = select_balance_window(frame)
+    frame = resample(frame, params.resample_minutes)
+    frame = slice_by_sequence(frame, BALANCE_SEQUENCES)
     if len(frame) == 0:
         raise ValueError("balance window removed every row")
 
     # the cycle number stays split metadata, not a feature: a chronological
     # split makes it a row id the trees would memorize
     channel_names = list(frame.channels)   # selected + statistical
-    feature_names = [*channel_names, "sequence", "cycle_minute"]
-    columns = [frame.channels[n] for n in channel_names]
-    columns.append(encode_sequence(frame.sequence).astype(float))
-    columns.append(frame.logs["cycle_minute"].astype(float))
-    if scenario == "s2":
-        kb_cols = ["severity", "consequence",
-                   *[name for name, _ in _cause_columns(kb)], "priority"]
-        feature_names.extend(kb_cols)
-        columns.extend(frame.logs[c].astype(float) for c in kb_cols)
-
-    X = np.column_stack(columns)
+    feature_names = [*channel_names, "sequence", "cycle_minute", *kb_columns]
+    X = np.column_stack([*(frame.channels[n] for n in channel_names),
+                         encode_sequence(frame.sequence).astype(float),
+                         frame.logs["cycle_minute"].astype(float),
+                         *(frame.logs[c].astype(float) for c in kb_columns)])
     y = frame.logs[TARGET].astype(np.int8)
     notes.append(f"{len(frame)} rows, {X.shape[1]} features, "
                  f"{int(y.sum())} positive")

@@ -113,10 +113,8 @@ class SimConfig:
 
     seed: int
     cycles: int = 55
-    step_minutes: int = 1
     idle_minutes: int = 210
     start: str = "2025-01-05T00:00:00"
-    durations: dict = None                  # sequence id -> minutes; None = KB defaults
     noise: dict = field(default_factory=lambda: dict(DEFAULT_NOISE))
     wander: dict = field(default_factory=lambda: dict(DEFAULT_WANDER))
     wander_phi: float = 0.97
@@ -276,10 +274,7 @@ def _ramp(m: np.ndarray, onset: int, amplitude: float, hold_until: int) -> np.nd
 
 def simulate(config: SimConfig, kb: KnowledgeBase):
     """Generate (telemetry frame, ground truth) for the configured run."""
-    durations = config.durations or kb.mode_model.durations
-    layout = CycleLayout(durations, config.idle_minutes)
-    if config.step_minutes != 1:
-        raise ValueError("only 1-minute native sampling is supported")
+    layout = CycleLayout(kb.mode_model.durations, config.idle_minutes)
 
     cycles = config.cycles
     total = layout.total_minutes
@@ -356,13 +351,8 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
     p_b = np.full(n, 1005.0)
     p_b += np.where(row_blocking & (m < active_end), SHIFT_PRESSURE_B, 0.0)
 
-    onset_minute = {
-        "needle": s10a + 5,
-        "sample": s10a + 0,
-        "heating_temp": s9a + 890,
-        "heating_pressure": s9a + 610,
-        "angle": s10a + 0,
-    }
+    onset_minute = {key: layout.start[seq] + offset
+                    for key, (_, _, seq, offset) in FAULT_KINDS.items() if offset is not None}
     # magnitude-scaled pre-onset ramp, held until the cycle aborts
     ramp_total = np.zeros(n)
     for key in BLOCKING_KEYS:
@@ -456,8 +446,6 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
     else:
         gate = MU_LOW + (1 - MU_LOW) * (1.0 - config.logging_probability)
 
-    seq_end_of = {"needle": s10b, "sample": s10b, "angle": s10b,
-                  "heating_temp": s9b, "heating_pressure": s9b}
     fault_pulse = np.zeros(n, dtype=np.int64)
     gt_events = []
     for c in range(1, cycles + 1):
@@ -465,15 +453,13 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
         for key in FAULT_KINDS:
             if not injected[key][c - 1]:
                 continue
-            name, cause, seq, onset_off = FAULT_KINDS[key]
+            name, cause, seq, _ = FAULT_KINDS[key]
             if key == "door":
                 onset = s4a + int(door_minute[c - 1])
                 mu = float(door_mu[c - 1])
-                pulse_end = layout.end["S04"]
             else:
                 onset = onset_minute[key]
                 mu = float(mu_cycle[c - 1])
-                pulse_end = seq_end_of[key]
             if config.logging_model == "bernoulli":
                 logged = bool(substream(seed, "logging", key, c).random()
                               < config.logging_probability)
@@ -497,7 +483,7 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
                 magnitude=mu,
             ))
             if logged:
-                fault_pulse[offset + onset:offset + pulse_end] = 1
+                fault_pulse[offset + onset:offset + layout.end[seq]] = 1
 
     frame = TimeSeriesFrame(
         timestamps=timestamps,

@@ -109,17 +109,6 @@ class TimeSeriesFrame:
         return out
 
 
-@dataclass(frozen=True)
-class ResamplePolicy:
-    """Width of the interval buckets a frame is resampled into."""
-
-    interval_minutes: int
-
-    def __post_init__(self):
-        if self.interval_minutes <= 0:
-            raise ValueError("interval must be positive")
-
-
 def load_csv(path, schema: dict) -> TimeSeriesFrame:
     """Read telemetry CSV into a frame.
 
@@ -221,8 +210,8 @@ def _float_or_nan(cell: str) -> float:
         return np.nan
 
 
-def resample(frame: TimeSeriesFrame, policy: ResamplePolicy) -> TimeSeriesFrame:
-    """Aggregate the frame into fixed buckets anchored at its first timestamp.
+def resample(frame: TimeSeriesFrame, interval_minutes: int) -> TimeSeriesFrame:
+    """Aggregate the frame into ``interval_minutes`` buckets anchored at its first timestamp.
 
     Numeric channels take the bucket mean, skipping missing cells (an
     all-missing bucket stays missing). Binary logs take any-one, so a fault
@@ -234,20 +223,22 @@ def resample(frame: TimeSeriesFrame, policy: ResamplePolicy) -> TimeSeriesFrame:
     + native step; buckets emptied by prior row deletion are skipped rather
     than fabricating rows with undefined sequence context.
     """
+    if interval_minutes <= 0:
+        raise ValueError("interval must be positive")
     if len(frame) == 0:
         raise ValueError("cannot resample an empty frame")
-    if policy.interval_minutes % frame.step_minutes != 0:
+    if interval_minutes % frame.step_minutes != 0:
         raise ValueError(
-            f"interval {policy.interval_minutes} min is not a multiple of the "
+            f"interval {interval_minutes} min is not a multiple of the "
             f"native step {frame.step_minutes} min"
         )
 
     offsets = frame.elapsed_minutes()
-    bucket_of_row = offsets // policy.interval_minutes
+    bucket_of_row = offsets // interval_minutes
     bucket_ids, starts = np.unique(bucket_of_row, return_index=True)
     last = np.append(starts[1:], len(frame)) - 1
 
-    out_ts = frame.timestamps[0] + (bucket_ids * policy.interval_minutes).astype("timedelta64[m]")
+    out_ts = frame.timestamps[0] + (bucket_ids * interval_minutes).astype("timedelta64[m]")
 
     out_channels = {}
     for name, values in frame.channels.items():
@@ -269,7 +260,7 @@ def resample(frame: TimeSeriesFrame, policy: ResamplePolicy) -> TimeSeriesFrame:
         channels=out_channels,
         units=dict(frame.units),
         logs=out_logs,
-        step_minutes=policy.interval_minutes,
+        step_minutes=interval_minutes,
     )
 
 

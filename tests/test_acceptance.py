@@ -16,7 +16,6 @@ import pytest
 
 from pdmpipe import (
     CuratedDataset,
-    ResamplePolicy,
     SimConfig,
     compare,
     compute_metrics,
@@ -230,12 +229,11 @@ def test_comparison_outputs_are_byte_identical(tmp_path):
 
 
 def test_positive_labels_nest_as_the_horizon_grows(kb):
-    policy = ResamplePolicy(interval_minutes=15)
     total_positive = 0
     for seed in range(300, 310):
         config = SimConfig(seed=seed, cycles=6, logging_probability=1.0)
         frame, _ = simulate(config, kb)
-        rows = resample(frame, policy)
+        rows = resample(frame, 15)
         ds = stub_dataset(rows.logs["fault_log"], rows.timestamps, 15)
         labeled = {h: label_horizon(ds, h * HOUR)[0] for h in (3, 12, 24)}
         total_positive += int(labeled[3].sum())

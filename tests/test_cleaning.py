@@ -36,7 +36,7 @@ class TestClassifyGaps:
         blank(frame, slice(400, 410),
               ["pressure_internal_a", "temp_internal"])     # several, not all
 
-        report = classify_gaps(frame, "s2")
+        report = classify_gaps(frame, reconstruct=True)
         by_cause = {}
         for gap in report.intervals:
             by_cause.setdefault(gap.cause, []).append(gap)
@@ -57,20 +57,16 @@ class TestClassifyGaps:
     def test_data_driven_scenario_deletes_dropouts_too(self):
         frame = quiet_frame()
         blank(frame, slice(300, 330), ["temp_external_a"])
-        report = classify_gaps(frame, "s1")
+        report = classify_gaps(frame, reconstruct=False)
         assert [g.disposition for g in report.intervals] == ["Delete"]
 
     def test_intervals_sorted_by_start(self):
         frame = quiet_frame()
         blank(frame, slice(500, 520), ["temp_external_a"])
         blank(frame, slice(100, 120))
-        report = classify_gaps(frame, "s2")
+        report = classify_gaps(frame, reconstruct=True)
         starts = [g.start for g in report.intervals]
         assert starts == sorted(starts)
-
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(ValueError, match="scenario"):
-            classify_gaps(quiet_frame(), "s3")
 
 
 class TestImpute:
@@ -147,7 +143,7 @@ class TestDropIntervals:
         frame = quiet_frame()
         blank(frame, slice(100, 150))
         blank(frame, slice(300, 330), ["temp_external_a"])
-        report = classify_gaps(frame, "s2")
+        report = classify_gaps(frame, reconstruct=True)
         out = drop_intervals(frame, report)
         assert len(out) == len(frame) - 50
         kept = set(out.timestamps.astype("int64"))

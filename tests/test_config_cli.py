@@ -29,10 +29,12 @@ class TestMakeConfig:
         assert _from_doc(config.to_dict()).to_dict() == config.to_dict()
 
     def test_yaml_file_round_trips(self, tmp_path):
-        config = make_config(9, horizons_minutes=[180, 360])
+        config = make_config(9, horizons_minutes=[180, 360],
+                             sim={"schedule": [[2, "needle"]], "wander_phi": 0.5})
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump(config.to_dict()))
         assert load_config(path).to_dict() == config.to_dict()
+        assert load_config(path).sim == config.sim
 
     def test_injection_overrides_merge_into_defaults(self):
         config = make_config(7, sim={"injection": {"needle": 0.5}})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,12 @@ from pdmpipe import (
     pca,
     prioritize,
     reconstruct_target,
-    select_balance_window,
     select_features,
     standardize,
 )
 from pdmpipe.features import PcaResult
 from pdmpipe.knowledge import ACKNOWLEDGE, BLOCKING, CYCLE_STOP, NON_BLOCKING, FaultEvent
+from pdmpipe.timeseries import SEQUENCE_IDS
 from helpers import quiet_frame, segment_rows
 
 
@@ -273,12 +275,15 @@ class TestEncodersAndWindow:
     def test_sequence_codes(self):
         codes = encode_sequence(np.array(["IDLE", "S01", "S13"], dtype="U4"))
         assert codes.tolist() == [0, 1, 13]
+        everything = np.array(["IDLE", *SEQUENCE_IDS][::-1], dtype="U4")
+        assert encode_sequence(everything).tolist() == list(range(13, -1, -1))
         with pytest.raises(ValueError, match="unknown sequence"):
             encode_sequence(np.array(["S99"], dtype="U4"))
-
-    def test_balance_window_keeps_heating_and_sampling(self):
-        out = select_balance_window(quiet_frame())
-        assert set(np.unique(out.sequence)) == {"S09", "S10"}
+        # S14 sorts past S13 and A before IDLE; the error names the first unknown id
+        with pytest.raises(ValueError, match="unknown sequence id 'S14'"):
+            encode_sequence(np.array(["S01", "IDLE", "S14", "S02"], dtype="U4"))
+        with pytest.raises(ValueError, match="unknown sequence id 'A'"):
+            encode_sequence(np.array(["A"], dtype="U4"))
 
 
 @pytest.fixture(scope="module")
@@ -294,7 +299,25 @@ KB_COLUMNS = (
     "cause_door_left_open", "priority")
 
 
+# sha256 of (csv, json) written by to_files on the sim_mid fixture. The
+# ROADMAP's byte contract: a change to these bytes is declared in CHANGES.md
+# with the new digests.
+CURATED_DIGESTS = {
+    "s1": ("dd0ec9bb68847c514b42aaab7e02a34726925441c9f4dee49c9690ec4a7134f8",
+           "acff7039bbb3bf8ffd22b72c60cb8c4cd1499b86f8a06864343371ce441a6102"),
+    "s2": ("1c3d669aa5a72c18864a7c7e07d1b1dc430318f99f774519badbd29c77a841a3",
+           "1a252206a2efdf24eb9b36375b153c93ae3a110f02646fa00920eaaac8fd29c0"),
+}
+
+
 class TestBuildDataset:
+    def test_curated_bytes_are_pinned(self, curated, tmp_path):
+        for scenario, ds in curated.items():
+            paths = (tmp_path / f"{scenario}.csv", tmp_path / f"{scenario}.json")
+            ds.to_files(*paths)
+            digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+            assert digests == CURATED_DIGESTS[scenario], scenario
+
     def test_matrix_is_complete_and_binary(self, curated):
         for ds in curated.values():
             assert not np.isnan(ds.X).any()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdmpipe import ResamplePolicy, TimeSeriesFrame, load_csv, resample, slice_by_sequence, write_csv
+from pdmpipe import TimeSeriesFrame, load_csv, resample, slice_by_sequence, write_csv
 
 
 def minutes(n, start="2025-03-01T00:00:00"):
@@ -77,44 +77,44 @@ class TestResample:
     @given(n=st.integers(1, 400), interval=st.integers(1, 90))
     def test_gap_free_length_is_ceil_span_over_interval(self, n, interval):
         frame = flat_frame(n)
-        out = resample(frame, ResamplePolicy(interval_minutes=interval))
+        out = resample(frame, interval)
         assert len(out) == math.ceil(n / interval)
 
     def test_native_interval_is_identity(self):
         values = np.array([1.0, np.nan, 3.0, 4.0])
         frame = flat_frame(4, x=values)
-        out = resample(frame, ResamplePolicy(interval_minutes=1))
+        out = resample(frame, 1)
         assert np.array_equal(out.timestamps, frame.timestamps)
         assert np.array_equal(out.channels["x"], values, equal_nan=True)
         assert np.array_equal(out.sequence, frame.sequence)
 
     def test_mean_skips_missing_and_keeps_empty_bucket_missing(self):
         frame = flat_frame(4, x=np.array([1.0, np.nan, np.nan, np.nan]))
-        out = resample(frame, ResamplePolicy(interval_minutes=2))
+        out = resample(frame, 2)
         assert out.channels["x"][0] == 1.0
         assert np.isnan(out.channels["x"][1])
 
     def test_flag_any_keeps_pulse_anywhere_in_bucket(self):
         frame = flat_frame(30)
         frame.logs["pulse"][17] = 1
-        out = resample(frame, ResamplePolicy(interval_minutes=15))
+        out = resample(frame, 15)
         assert np.array_equal(out.logs["pulse"], [0, 1])
 
     def test_cycle_takes_bucket_last(self):
         frame = flat_frame(4)
         frame.logs["cycle_number"] = np.array([1, 1, 1, 2], dtype=np.int64)
-        out = resample(frame, ResamplePolicy(interval_minutes=2))
+        out = resample(frame, 2)
         assert np.array_equal(out.cycle, [1, 2])
 
     def test_buckets_align_to_first_timestamp(self):
         frame = flat_frame(31, start="2025-03-01T00:07:00")
-        out = resample(frame, ResamplePolicy(interval_minutes=15))
+        out = resample(frame, 15)
         assert out.timestamps[0] == frame.timestamps[0]
         assert (out.timestamps[1] - out.timestamps[0]) == np.timedelta64(900, "s")
 
     def test_deleted_rows_skip_their_bucket(self):
         frame = flat_frame(45).take(np.r_[0:15, 30:45])
-        out = resample(frame, ResamplePolicy(interval_minutes=15))
+        out = resample(frame, 15)
         assert len(out) == 2
 
     def test_interval_must_be_multiple_of_step(self):
@@ -123,16 +123,15 @@ class TestResample:
             timestamps=frame.timestamps[::5], channels={}, units={},
             logs={}, step_minutes=5)
         with pytest.raises(ValueError, match="multiple"):
-            resample(frame, ResamplePolicy(interval_minutes=7))
+            resample(frame, 7)
 
     def test_empty_frame_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            resample(flat_frame(3).take(np.zeros(3, dtype=bool)),
-                     ResamplePolicy(interval_minutes=15))
+            resample(flat_frame(3).take(np.zeros(3, dtype=bool)), 15)
 
     def test_nonpositive_interval_rejected(self):
-        with pytest.raises(ValueError):
-            ResamplePolicy(interval_minutes=0)
+        with pytest.raises(ValueError, match="positive"):
+            resample(flat_frame(3), 0)
 
 
 class TestSliceBySequence:
