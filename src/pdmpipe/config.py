@@ -13,7 +13,7 @@ import yaml
 
 from .features import PreprocessParams
 from .models import ForestParams, GbdtParams, SvmParams
-from .simulator import DEFAULT_INJECTION, FAULT_KINDS, SimConfig
+from .simulator import DEFAULT_INJECTION, DEFAULT_NOISE, DEFAULT_WANDER, SimConfig
 
 
 class ConfigError(ValueError):
@@ -126,6 +126,10 @@ _TOP_KEYS = {"seed", "out", "kb", "sim", "missing", "outliers", "preprocess",
 _SIM_KEYS = {"cycles", "idle_minutes", "start", "injection", "schedule",
              "logging_probability", "logging_model", "noise", "wander",
              "wander_phi"}
+# sim mappings merged into their defaults: (key, defaults, what its keys name)
+_SIM_MAPPINGS = (("injection", DEFAULT_INJECTION, "fault"),
+                 ("noise", DEFAULT_NOISE, "channel"),
+                 ("wander", DEFAULT_WANDER, "channel"))
 
 
 def _build_sim(seed: int, section: dict) -> SimConfig:
@@ -133,13 +137,24 @@ def _build_sim(seed: int, section: dict) -> SimConfig:
     if unknown:
         raise ConfigError(f"unknown sim keys: {sorted(unknown)}")
     kwargs = dict(section)
-    if "injection" in kwargs:
-        injection = dict(DEFAULT_INJECTION)
-        for key, p in kwargs["injection"].items():
-            if key not in FAULT_KINDS:
-                raise ConfigError(f"unknown fault key {key!r} in injection")
-            injection[key] = float(p)
-        kwargs["injection"] = injection
+    # a partial mapping overrides only the keys it names
+    for name, defaults, what in _SIM_MAPPINGS:
+        if name not in kwargs:
+            continue
+        if not isinstance(kwargs[name], dict):
+            raise ConfigError(f"sim {name} must be a mapping")
+        merged = dict(defaults)
+        for key, value in kwargs[name].items():
+            if key not in defaults:
+                raise ConfigError(f"unknown {what} key {key!r} in {name}")
+            try:
+                merged[key] = float(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"sim {name} {key!r} must be a number, "
+                                  f"got {value!r}") from None
+            if not merged[key] >= 0:
+                raise ConfigError(f"sim {name} {key!r} must be >= 0, got {value!r}")
+        kwargs[name] = merged
     if "schedule" in kwargs and kwargs["schedule"] is not None:
         kwargs["schedule"] = tuple((int(c), str(k)) for c, k in kwargs["schedule"])
     try:

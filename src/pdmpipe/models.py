@@ -4,6 +4,11 @@ All four are deterministic given their seed, serialize to plain JSON,
 and reproduce their predictions bit-exactly after a round trip. Ties
 everywhere resolve toward the negative class, the lower feature index,
 and the lower threshold, in that order, so retraining is stable.
+
+A forest grows all of its trees in lock-step: each step takes the next
+node of every tree, which draws its features from that tree's own random
+stream, and searches all of those nodes' splits in a few whole-array
+operations. The trees are the ones growing each tree alone would give.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import numpy as np
 from ._seeding import substream
 
 _EPS = 1e-12
+# rows x features searched per batch; bounds the split search's working arrays
+_SEARCH_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -133,44 +140,171 @@ class _TreeBuilder:
         return Tree(self.feature, self.threshold, self.left, self.right, self.value)
 
 
-def _best_gini_split(X, y, rows, features, min_leaf):
-    """Best (gain, feature, threshold, left rows, right rows) or None."""
-    n = len(rows)
-    ones = int(y[rows].sum())
-    zeros = n - ones
-    parent = 1.0 - (zeros * zeros + ones * ones) / (n * n)
-    best = None
-    for j in features:
-        x = X[rows, j]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = y[rows][order]
-        boundary = np.flatnonzero(xs[1:] != xs[:-1]) + 1   # left segment size
-        if boundary.size == 0:
+def _fit_inputs(X, y, label_dtype):
+    """``X`` as a finite 2-d float array and ``y`` as 0/1 labels of ``label_dtype``."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    if X.ndim != 2 or len(X) != len(y):
+        raise ValueError("X must be 2-d with one label per row")
+    if len(X) == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
+    return X, y.astype(label_dtype)
+
+
+def _best_splits(code, keyed, values, width, d, nodes, min_leaf):
+    """The best Gini split of every node in ``nodes``, searched at once.
+
+    ``nodes`` holds (rows, ones, features) per node. Each (node, feature)
+    pair is a segment; one gather stacks every segment's sort keys and one
+    sort orders them by node, feature, value rank and label. Cuts fall
+    where the rank changes, and their label counts come from one integer
+    cumsum, so every gain is the same elementwise float expression a
+    per-feature search would evaluate. Returns per node None or
+    (feature, threshold, left rows, right rows, left ones).
+    """
+    sizes = np.array([len(rows) for rows, _, _ in nodes])
+    n_feat = np.array([len(f) for _, _, f in nodes])
+    if len(nodes) > 1 and sizes @ n_feat > _SEARCH_ELEMENTS:
+        # halve the batch to bound the working arrays
+        half = len(nodes) // 2
+        return (_best_splits(code, keyed, values, width, d, nodes[:half], min_leaf)
+                + _best_splits(code, keyed, values, width, d, nodes[half:], min_leaf))
+    ones = np.array([o for _, o, _ in nodes])
+    feature = np.concatenate([f for _, _, f in nodes])
+    seg_node = np.repeat(np.arange(len(nodes)), n_feat)
+    seg_len = sizes[seg_node]
+    seg_ones = ones[seg_node]
+    seg_zeros = seg_len - seg_ones
+    parent_gini = 1.0 - (seg_zeros * seg_zeros + seg_ones * seg_ones) / (seg_len * seg_len)
+    seg_end = np.cumsum(seg_len)
+    seg_start = seg_end - seg_len
+    seg = np.repeat(np.arange(len(feature)), seg_len)
+    all_rows = np.concatenate([rows for rows, _, _ in nodes]) * d
+    row_start = np.cumsum(sizes) - sizes
+    pos = np.arange(seg_end[-1]) + (row_start[seg_node] - seg_start)[seg]
+    # ties may land in any order: only the row sets either side of a cut count
+    key = keyed[all_rows[pos] + feature[seg]] + (seg_node * (2 * width))[seg]
+    key.sort()
+    lab = key & 1
+    rank = key >> 1                             # node * width + column code
+    # a cut at p puts a segment's first p sorted rows left
+    cut = np.flatnonzero(rank[1:] != rank[:-1]) + 1
+    cs = seg[cut]
+    left_n = cut - seg_start[cs]
+    n = seg_len[cs]
+    keep = (left_n >= min_leaf) & (n - left_n >= min_leaf)
+    cut, cs, left_n, n = cut[keep], cs[keep], left_n[keep], n[keep]
+    if cut.size == 0:
+        return [None] * len(nodes)
+    cum = np.cumsum(lab)
+    left_ones_n = cum[cut - 1] - (cum[seg_start] - lab[seg_start])[cs]
+    left_ones = left_ones_n.astype(float)
+    left_n_f = left_n.astype(float)
+    right_n = n - left_n_f
+    right_ones = seg_ones[cs] - left_ones
+    left_zeros = left_n_f - left_ones
+    right_zeros = right_n - right_ones
+    gini_l = 1.0 - (left_zeros ** 2 + left_ones ** 2) / (left_n_f ** 2)
+    gini_r = 1.0 - (right_zeros ** 2 + right_ones ** 2) / (right_n ** 2)
+    gain = parent_gini[cs] - (left_n_f * gini_l + right_n * gini_r) / n
+    # first maximum per segment = its lowest threshold
+    first = np.flatnonzero(np.concatenate(([True], cs[1:] != cs[:-1])))
+    top = np.maximum.reduceat(gain, first)
+    hit = np.flatnonzero(gain == np.repeat(top, np.diff(np.append(first, len(gain)))))
+    hit = hit[np.concatenate(([True], cs[hit][1:] != cs[hit][:-1]))]
+    best_seg = cs[hit]
+    base = seg_node[best_seg] * width
+    hi = rank[cut[hit]] - base                  # column codes either side of the cut
+    threshold = ((values[rank[cut[hit] - 1] - base] + values[hi]) / 2.0).tolist()
+    # a later feature must beat the node's best by more than _EPS, so
+    # near-ties go to the lower feature index
+    best = [None] * len(nodes)
+    top_gain = gain[hit].tolist()
+    node_of = seg_node[best_seg].tolist()
+    for k, g in enumerate(top_gain):
+        i = node_of[k]
+        if best[i] is None or g > top_gain[best[i]] + _EPS:
+            best[i] = k
+    best_seg = best_seg.tolist()
+    hi = hi.tolist()
+    left_ones_n = left_ones_n[hit].tolist()
+    out = []
+    for (rows, _, _), k in zip(nodes, best):
+        if k is None:
+            out.append(None)
             continue
-        left_ones = np.cumsum(ys)[boundary - 1].astype(float)
-        left_n = boundary.astype(float)
-        right_n = n - left_n
-        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not valid.any():
+        j = int(feature[best_seg[k]])
+        go_left = code[rows * d + j] < hi[k]
+        out.append((j, threshold[k], rows[go_left], rows[~go_left], left_ones_n[k]))
+    return out
+
+
+def _grow_trees(X, y, rows, rngs, mtry, params: TreeParams) -> list:
+    """One greedy Gini CART tree per entry of ``rows``, grown in lock-step.
+
+    Tree t fits the rows ``rows[t]`` of ``X`` (repeats allowed) and draws
+    ``mtry`` features per node from ``rngs[t]``; ``mtry`` None or >= the
+    column count uses every feature. Each tree grows depth-first, left
+    child first. Step k pops the k-th node of every tree that has one, in
+    tree order, so each tree makes the draws it would make growing alone;
+    one ``_best_splits`` call then searches all of the step's nodes.
+    """
+    n, d = X.shape
+    # integer value ranks per column, offset so that every column owns its
+    # own range; a bootstrap only repeats rows, so it keeps ranks and ties
+    code = np.empty((n, d), dtype=np.int64)
+    values = np.empty(0)
+    for j in range(d):
+        u, inv = np.unique(X[:, j], return_inverse=True)
+        code[:, j] = inv + len(values)
+        values = np.concatenate((values, u))
+    width = len(values)
+    keyed = (2 * code + y[:, None]).ravel()    # the label rides in the low bit
+    code = code.ravel()
+    every = np.arange(d)
+    builders = [_TreeBuilder() for _ in rows]
+    # (rows, depth, parent, is_left, ones); the left child is pushed last
+    stacks = [[(r, 0, -1, True, int(y[r].sum()))] for r in rows]
+    while any(stacks):
+        step = []
+        for t, stack in enumerate(stacks):
+            if not stack:
+                continue
+            node_rows, depth, parent, is_left, ones = stack.pop()
+            builder = builders[t]
+            node = builder.add()
+            if parent >= 0:
+                (builder.left if is_left else builder.right)[parent] = node
+            zeros = len(node_rows) - ones
+            builder.value[node] = 1.0 if ones > zeros else 0.0
+            if ones == 0 or zeros == 0:
+                continue
+            if params.max_depth is not None and depth >= params.max_depth:
+                continue
+            if len(node_rows) < 2 * params.min_leaf or d == 0:
+                continue
+            if mtry is not None and mtry < d:
+                features = np.sort(rngs[t].choice(d, size=mtry, replace=False))
+            else:
+                features = every
+            step.append((t, node, depth, (node_rows, ones, features)))
+        if not step:
             continue
-        right_ones = ones - left_ones
-        left_zeros = left_n - left_ones
-        right_zeros = right_n - right_ones
-        gini_l = 1.0 - (left_zeros ** 2 + left_ones ** 2) / (left_n ** 2)
-        gini_r = 1.0 - (right_zeros ** 2 + right_ones ** 2) / (right_n ** 2)
-        gain = parent - (left_n * gini_l + right_n * gini_r) / n
-        gain[~valid] = -np.inf
-        i = int(np.argmax(gain))            # first max = lowest threshold
-        if gain[i] == -np.inf:
-            continue
-        if best is None or gain[i] > best[0] + _EPS:
-            cut = boundary[i]
-            threshold = (xs[cut - 1] + xs[cut]) / 2.0
-            left_rows = rows[order[:cut]]
-            right_rows = rows[order[cut:]]
-            best = (float(gain[i]), int(j), float(threshold), left_rows, right_rows)
-    return best
+        splits = _best_splits(code, keyed, values, width, d,
+                              [s[3] for s in step], params.min_leaf)
+        for (t, node, depth, (_, ones, _)), split in zip(step, splits):
+            if split is None:
+                continue
+            j, threshold, left_rows, right_rows, left_ones = split
+            builders[t].feature[node] = j
+            builders[t].threshold[node] = threshold
+            stacks[t].append((right_rows, depth + 1, node, False, ones - left_ones))
+            stacks[t].append((left_rows, depth + 1, node, True, left_ones))
+    return [builder.done() for builder in builders]
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams = None,
@@ -180,52 +314,12 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams = None,
     Splits fall at midpoints of consecutive distinct values; a tied gain
     goes to the lower feature index, then the lower threshold. Impure
     nodes split even at zero gain while depth and leaf-size budgets
-    allow, which is what lets parity-style targets fit exactly.
+    allow, which is what lets parity-style targets fit exactly. With
+    ``mtry`` below the column count, each node searches ``mtry`` features
+    drawn from ``rng``.
     """
-    params = params or TreeParams()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ValueError("X must be 2-d with one label per row")
-    if len(X) == 0:
-        raise ValueError("cannot fit on an empty dataset")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    d = X.shape[1]
-    builder = _TreeBuilder()
-
-    # explicit stack; left child pushed last so it grows first
-    stack = [(np.arange(len(X)), 0, -1, "left")]
-    while stack:
-        rows, depth, parent, side = stack.pop()
-        node = builder.add()
-        if parent >= 0:
-            if side == "left":
-                builder.left[parent] = node
-            else:
-                builder.right[parent] = node
-        ones = int(y[rows].sum())
-        zeros = len(rows) - ones
-        builder.value[node] = 1.0 if ones > zeros else 0.0
-        if ones == 0 or zeros == 0:
-            continue
-        if params.max_depth is not None and depth >= params.max_depth:
-            continue
-        if len(rows) < 2 * params.min_leaf:
-            continue
-        if mtry is not None and mtry < d:
-            features = np.sort(rng.choice(d, size=mtry, replace=False))
-        else:
-            features = np.arange(d)
-        split = _best_gini_split(X, y, rows, features, params.min_leaf)
-        if split is None:
-            continue
-        _, j, threshold, left_rows, right_rows = split
-        builder.feature[node] = j
-        builder.threshold[node] = threshold
-        stack.append((right_rows, depth + 1, node, "right"))
-        stack.append((left_rows, depth + 1, node, "left"))
-    return builder.done()
+    X, y = _fit_inputs(X, y, np.int64)
+    return _grow_trees(X, y, [np.arange(len(X))], [rng], mtry, params or TreeParams())[0]
 
 
 class Forest:
@@ -255,19 +349,21 @@ class Forest:
 
 def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams = None,
                seed: int = 0) -> Forest:
-    """Bootstrap-bagged CART trees with per-node feature subsampling."""
+    """Bootstrap-bagged CART trees with per-node feature subsampling.
+
+    Tree t draws its bootstrap, then its per-node features, from
+    ``substream(seed, "tree", t)``. All trees grow in lock-step, one node
+    of each per step, which gives the same trees as growing them one by
+    one.
+    """
     params = params or ForestParams()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
+    X, y = _fit_inputs(X, y, np.int64)
     n, d = X.shape
     mtry = max(1, int(math.floor(math.sqrt(d))))
     tree_params = TreeParams(max_depth=params.max_depth, min_leaf=params.min_leaf)
-    trees = []
-    for t in range(params.trees):
-        rng = substream(seed, "tree", t)
-        rows = np.sort(rng.integers(0, n, size=n))
-        trees.append(fit_tree(X[rows], y[rows], tree_params, rng=rng, mtry=mtry))
-    return Forest(trees, params)
+    rngs = [substream(seed, "tree", t) for t in range(params.trees)]
+    rows = [np.sort(rng.integers(0, n, size=n)) for rng in rngs]
+    return Forest(_grow_trees(X, y, rows, rngs, mtry, tree_params), params)
 
 
 def _log_loss(y: np.ndarray, score: np.ndarray) -> float:
@@ -400,16 +496,7 @@ def fit_gbdt(X: np.ndarray, y: np.ndarray, params: GbdtParams = None) -> Gbdt:
     loss does not increase, so the recorded loss curve never rises.
     """
     params = params or GbdtParams()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ValueError("X must be 2-d with one label per row")
-    if len(X) == 0:
-        raise ValueError("cannot fit on an empty dataset")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    if not np.isfinite(X).all():
-        raise ValueError("X must be finite")
+    X, y = _fit_inputs(X, y, float)
     edges, codes = _bin_features(X, params.bins)
     flat = codes + np.arange(X.shape[1]) * params.bins
     p0 = min(max(float(y.mean()), 1e-6), 1.0 - 1e-6)

@@ -10,6 +10,7 @@ import yaml
 from pdmpipe import CuratedDataset, ConfigError, load_config, make_config
 from pdmpipe.cli import main
 from pdmpipe.config import _from_doc
+from pdmpipe.simulator import DEFAULT_NOISE, DEFAULT_WANDER
 from helpers import run_pdm
 
 
@@ -41,6 +42,12 @@ class TestMakeConfig:
         assert config.sim.injection["needle"] == 0.5
         assert "door" in config.sim.injection
 
+    def test_noise_and_wander_overrides_merge_into_defaults(self):
+        config = make_config(7, sim={"noise": {"angle_platform": 0.4},
+                                     "wander": {"temp_internal": 0}})
+        assert config.sim.noise == dict(DEFAULT_NOISE, angle_platform=0.4)
+        assert config.sim.wander == dict(DEFAULT_WANDER, temp_internal=0.0)
+
 
 class TestConfigValidation:
     def test_seed_is_mandatory_and_integral(self, tmp_path):
@@ -58,6 +65,21 @@ class TestConfigValidation:
             make_config(7, sim={"cycels": 10})
         with pytest.raises(ConfigError, match="unknown fault key"):
             make_config(7, sim={"injection": {"gremlin": 0.1}})
+        with pytest.raises(ConfigError, match="unknown channel key 'bogus' in noise"):
+            make_config(7, sim={"noise": {"bogus": 1.0}})
+        with pytest.raises(ConfigError, match="unknown channel key 'bogus' in wander"):
+            make_config(7, sim={"wander": {"bogus": 1.0}})
+
+    @pytest.mark.parametrize("name", ["noise", "wander"])
+    @pytest.mark.parametrize("value, match", [
+        (-0.5, "must be >= 0"), (float("nan"), "must be >= 0"),
+        ("loud", "must be a number"), (None, "must be a number"),
+    ])
+    def test_bad_channel_scales_rejected(self, name, value, match):
+        with pytest.raises(ConfigError, match=f"sim {name} 'temp_internal' {match}"):
+            make_config(7, sim={name: {"temp_internal": value}})
+        with pytest.raises(ConfigError, match=f"sim {name} must be a mapping"):
+            make_config(7, sim={name: [1.0]})
         with pytest.raises(ConfigError, match="preprocess"):
             make_config(7, preprocess={"tua": 0.3})
 
@@ -203,6 +225,14 @@ class TestCliPipeline:
         assert (out / "comparison.csv").exists()
         assert "reports ->" in capsys.readouterr().out
 
+    def test_partial_noise_mapping_simulates(self, tmp_path):
+        doc = dict(CLI_DOC, sim={"cycles": 1, "noise": {"angle_platform": 0.4}})
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert (tmp_path / "out" / "telemetry.csv").exists()
+
     def test_out_falls_back_to_the_config_value(self, tmp_path, monkeypatch):
         doc = dict(CLI_DOC, out=str(tmp_path / "from_config"))
         path = tmp_path / "run.yaml"
@@ -259,6 +289,16 @@ class TestCliFailures:
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err
         assert not out.exists()
+
+    def test_unknown_noise_channel_is_usage_error(self, tmp_path, capsys):
+        doc = dict(CLI_DOC, sim=dict(CLI_DOC["sim"], noise={"bogus": 1.0}))
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'bogus'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_exits_three(self, tmp_path, capsys):
         doc = dict(CLI_DOC,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pdmpipe import models
+from pdmpipe._seeding import substream
 from pdmpipe import (
     Forest,
     ForestParams,
@@ -125,6 +126,131 @@ def oracle_fit_gbdt(X, y, params):
     return Gbdt(base, trees, params, losses)
 
 
+def oracle_gini_split(X, y, rows, features, min_leaf):
+    """One node's best (gain, feature, threshold, left rows, right rows) or
+    None: a stable argsort and a cumsum per feature."""
+    n = len(rows)
+    ones = int(y[rows].sum())
+    zeros = n - ones
+    parent = 1.0 - (zeros * zeros + ones * ones) / (n * n)
+    best = None
+    for j in features:
+        x = X[rows, j]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        ys = y[rows][order]
+        boundary = np.flatnonzero(xs[1:] != xs[:-1]) + 1   # left segment size
+        if boundary.size == 0:
+            continue
+        left_ones = np.cumsum(ys)[boundary - 1].astype(float)
+        left_n = boundary.astype(float)
+        right_n = n - left_n
+        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
+        if not valid.any():
+            continue
+        right_ones = ones - left_ones
+        left_zeros = left_n - left_ones
+        right_zeros = right_n - right_ones
+        gini_l = 1.0 - (left_zeros ** 2 + left_ones ** 2) / (left_n ** 2)
+        gini_r = 1.0 - (right_zeros ** 2 + right_ones ** 2) / (right_n ** 2)
+        gain = parent - (left_n * gini_l + right_n * gini_r) / n
+        gain[~valid] = -np.inf
+        i = int(np.argmax(gain))            # first max = lowest threshold
+        if gain[i] == -np.inf:
+            continue
+        if best is None or gain[i] > best[0] + models._EPS:
+            cut = boundary[i]
+            threshold = (xs[cut - 1] + xs[cut]) / 2.0
+            left_rows = rows[order[:cut]]
+            right_rows = rows[order[cut:]]
+            best = (float(gain[i]), int(j), float(threshold), left_rows, right_rows)
+    return best
+
+
+def oracle_fit_tree(X, y, params, rng=None, mtry=None):
+    """fit_tree grown one node at a time from an explicit stack."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=np.int64)
+    d = X.shape[1]
+    builder = models._TreeBuilder()
+    # left child pushed last so it grows first
+    stack = [(np.arange(len(X)), 0, -1, "left")]
+    while stack:
+        rows, depth, parent, side = stack.pop()
+        node = builder.add()
+        if parent >= 0:
+            if side == "left":
+                builder.left[parent] = node
+            else:
+                builder.right[parent] = node
+        ones = int(y[rows].sum())
+        zeros = len(rows) - ones
+        builder.value[node] = 1.0 if ones > zeros else 0.0
+        if ones == 0 or zeros == 0:
+            continue
+        if params.max_depth is not None and depth >= params.max_depth:
+            continue
+        if len(rows) < 2 * params.min_leaf:
+            continue
+        if mtry is not None and mtry < d:
+            features = np.sort(rng.choice(d, size=mtry, replace=False))
+        else:
+            features = np.arange(d)
+        split = oracle_gini_split(X, y, rows, features, params.min_leaf)
+        if split is None:
+            continue
+        _, j, threshold, left_rows, right_rows = split
+        builder.feature[node] = j
+        builder.threshold[node] = threshold
+        stack.append((right_rows, depth + 1, node, "right"))
+        stack.append((left_rows, depth + 1, node, "left"))
+    return builder.done()
+
+
+def oracle_fit_forest(X, y, params, seed):
+    """fit_forest growing its trees one after another."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=np.int64)
+    n, d = X.shape
+    mtry = max(1, int(math.floor(math.sqrt(d))))
+    tree_params = TreeParams(max_depth=params.max_depth, min_leaf=params.min_leaf)
+    trees = []
+    for t in range(params.trees):
+        rng = substream(seed, "tree", t)
+        rows = np.sort(rng.integers(0, n, size=n))
+        trees.append(oracle_fit_tree(X[rows], y[rows], tree_params, rng=rng, mtry=mtry))
+    return Forest(trees, params)
+
+
+def forest_case(seed):
+    """Random data and forest parameters. Across the seeds: duplicated,
+    constant, rounded and low-cardinality columns, a column mixing 0.0 with
+    -0.0, one-column data, one-class labels, and every combination of
+    min_leaf 1/3 with max_depth None/1/10 and of 1, 7 and 30 trees."""
+    rng = np.random.default_rng(1000 + seed)
+    n = int(rng.integers(6, 160))
+    d = 1 if seed % 9 == 4 else int(rng.integers(2, 9))
+    X = rng.standard_normal((n, d))
+    if seed % 5 == 0:
+        X = np.round(X, 1)
+    if d >= 2 and seed % 2 == 0:
+        X[:, -1] = X[:, 0]
+    if d >= 3 and seed % 3 == 0:
+        X[:, 1] = -1.5
+    if d >= 4:
+        X[:, 2] = rng.integers(0, 3, size=n)
+    if d >= 5:
+        X[:, 3] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=n)
+    if seed % 12 == 7:
+        y = np.full(n, seed % 2, dtype=np.int64)
+    else:
+        y = (X[:, 0] + rng.standard_normal(n) > 0.3).astype(np.int64)
+    params = ForestParams(trees=(1, 7, 30)[seed // 6 % 3],
+                          max_depth=(None, 1, 10)[seed % 3],
+                          min_leaf=(1, 3)[seed % 2])
+    return X, y, params
+
+
 def oracle_case(seed):
     """Random data and parameters; some cases get a duplicated, a constant
     and a low-cardinality column, or coarsely rounded values."""
@@ -174,6 +300,40 @@ class TestTree:
         Xt, yt = blobs(1)
         assert (model.predict(Xt) == yt).mean() > 0.95
 
+    @pytest.mark.parametrize("seed", range(36))
+    def test_matches_the_one_node_search(self, seed):
+        X, y, params = forest_case(seed)
+        tree_params = TreeParams(max_depth=params.max_depth, min_leaf=params.min_leaf)
+        assert (fit_tree(X, y, tree_params).to_dict()
+                == oracle_fit_tree(X, y, tree_params).to_dict())
+        mtry = max(1, X.shape[1] // 2)
+        got = fit_tree(X, y, tree_params, rng=np.random.default_rng(seed), mtry=mtry)
+        want = oracle_fit_tree(X, y, tree_params, rng=np.random.default_rng(seed), mtry=mtry)
+        assert got.to_dict() == want.to_dict()
+
+    def test_later_feature_must_win_by_more_than_eps(self):
+        # the two columns' best cuts have the same Gini gain; rounding
+        # leaves feature 1 ahead by 5.6e-17, which is less than _EPS
+        X = np.array([[2, 0, 2, 2, 1, 0, 1, 1], [0, 1, 0, 1, 1, 1, 2, 2]], dtype=float).T
+        y = np.array([1, 1, 0, 1, 1, 0, 1, 1])
+        rows = np.arange(8)
+        gain = [oracle_gini_split(X, y, rows, [j], 1)[0] for j in (0, 1)]
+        assert 0 < gain[1] - gain[0] < models._EPS
+        assert fit_tree(X, y, TreeParams(max_depth=1)).feature[0] == 0
+
+    def test_no_columns_gives_a_majority_leaf(self):
+        y = np.array([0, 1, 1, 1])
+        model = fit_tree(np.zeros((4, 0)), y)
+        assert model.to_dict() == oracle_fit_tree(np.zeros((4, 0)), y, TreeParams()).to_dict()
+        assert model.predict(np.zeros((2, 0))).tolist() == [1, 1]
+
+    def test_non_finite_x_rejected(self):
+        for bad in (np.nan, np.inf):
+            X = XOR_X.copy()
+            X[2, 1] = bad
+            with pytest.raises(ValueError, match="X must be finite"):
+                fit_tree(X, XOR_Y)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fit_tree(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
@@ -203,6 +363,24 @@ class TestForest:
         pred = model.predict(Xt)
         assert set(np.unique(pred)) <= {0, 1}
         assert (pred == yt).mean() > 0.95
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_matches_trees_grown_one_by_one(self, seed):
+        X, y, params = forest_case(seed)
+        assert (fit_forest(X, y, params, seed=seed).to_dict()
+                == oracle_fit_forest(X, y, params, seed).to_dict())
+
+    def test_validation(self):
+        X, y = blobs(15, n=40)
+        with pytest.raises(ValueError, match="empty"):
+            fit_forest(X[:0], y[:0])
+        with pytest.raises(ValueError, match="2-d"):
+            fit_forest(X[:, 0], y)
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            fit_forest(X, np.where(y == 1, 2, 0))
+        X[5, 2] = np.nan
+        with pytest.raises(ValueError, match="X must be finite"):
+            fit_forest(X, y)
 
     def test_tied_vote_stays_negative(self):
         model = Forest([leaf(1.0), leaf(0.0)], ForestParams(trees=2))
