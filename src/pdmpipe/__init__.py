@@ -57,7 +57,7 @@ from .knowledge import (
     MonitoringRule,
     OperatingEnvelope,
     default_kb,
-    envelope_check,
+    envelope_breaches,
     evaluate_rules,
     load_kb,
 )

@@ -18,8 +18,8 @@ from scipy.linalg import eigh
 from scipy.ndimage import median_filter
 from scipy.stats import chi2
 
-from .knowledge import BLOCKING, OUT_OF_ENVELOPE, KnowledgeBase, _instances, envelope_check
-from .timeseries import IDLE, TimeSeriesFrame
+from .knowledge import BLOCKING, KnowledgeBase, _instances, envelope_breaches
+from .timeseries import IDLE, TimeSeriesFrame, _runs
 
 log = logging.getLogger(__name__)
 
@@ -69,19 +69,6 @@ class OutlierVerdict:
     channel: str
     verdict: str
     replacement: float = None
-
-    def to_dict(self) -> dict:
-        return {"index": self.index, "channel": self.channel,
-                "verdict": self.verdict, "replacement": self.replacement}
-
-
-def _runs(mask: np.ndarray):
-    """Yield (start, end) index pairs of maximal True runs, end exclusive."""
-    padded = np.concatenate(([False], mask, [False]))
-    edges = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    return list(zip(starts, ends))
 
 
 def classify_gaps(frame: TimeSeriesFrame, reconstruct: bool) -> GapReport:
@@ -362,6 +349,8 @@ def verify_outliers(frame: TimeSeriesFrame, flags, kb: KnowledgeBase, events,
     flagged_rows = {}
     for row, channel in flags:
         flagged_rows.setdefault(row, set()).add(channel)
+    breaches = envelope_breaches(frame, kb)
+    any_breach = np.logical_or.reduce(list(breaches.values()))
 
     def is_relevant(row: int) -> bool:
         ts = t_int[row]
@@ -373,12 +362,8 @@ def verify_outliers(frame: TimeSeriesFrame, flags, kb: KnowledgeBase, events,
         if channel in flagged_rows.get(row, ()) or None in flagged_rows.get(row, ()):
             return False
         if channel is None:
-            verdicts = envelope_check(frame.row(row), kb)
-            return OUT_OF_ENVELOPE not in verdicts.values()
-        value = frame.channels[channel][row]
-        if np.isnan(value):
-            return False
-        return envelope_check(frame.row(row), kb).get(channel) != OUT_OF_ENVELOPE
+            return not any_breach[row]
+        return not (np.isnan(frame.channels[channel][row]) or breaches[channel][row])
 
     verdicts = []
     seen = set()

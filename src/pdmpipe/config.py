@@ -76,8 +76,9 @@ class PipelineConfig:
                 raise ConfigError(
                     f"horizon {h} is not a multiple of the "
                     f"{self.preprocess.resample_minutes}-minute row interval")
-        if len(self.split) != 3 or abs(sum(self.split) - 1.0) > 1e-9:
-            raise ConfigError("split must be three fractions summing to 1")
+        if (len(self.split) != 3 or abs(sum(self.split) - 1.0) > 1e-9
+                or min(self.split) <= 0):
+            raise ConfigError("split must be three positive fractions summing to 1")
         for family, grid in self.grids.items():
             if family not in GRID_PARAMS:
                 raise ConfigError(f"unknown model family {family!r}")
@@ -107,7 +108,6 @@ class PipelineConfig:
                 "schedule": None if self.sim.schedule is None
                 else [list(entry) for entry in self.sim.schedule],
                 "logging_probability": self.sim.logging_probability,
-                "logging_model": self.sim.logging_model,
                 "noise": dict(self.sim.noise),
                 "wander": dict(self.sim.wander),
                 "wander_phi": self.sim.wander_phi,
@@ -124,8 +124,7 @@ class PipelineConfig:
 _TOP_KEYS = {"seed", "out", "kb", "sim", "missing", "outliers", "preprocess",
              "models", "horizons_minutes", "split"}
 _SIM_KEYS = {"cycles", "idle_minutes", "start", "injection", "schedule",
-             "logging_probability", "logging_model", "noise", "wander",
-             "wander_phi"}
+             "logging_probability", "noise", "wander", "wander_phi"}
 # sim mappings merged into their defaults: (key, defaults, what its keys name)
 _SIM_MAPPINGS = (("injection", DEFAULT_INJECTION, "fault"),
                  ("noise", DEFAULT_NOISE, "channel"),

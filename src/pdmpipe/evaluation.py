@@ -297,7 +297,7 @@ def run_scenario(frame, gt, kb: KnowledgeBase, scenario: str, config) -> Scenari
     """Score one scenario end to end on already-generated telemetry."""
     if scenario == "baseline":
         return _baseline_report(frame, gt, kb, config.seed)
-    ds = build_dataset(frame, kb, scenario, config.preprocess)
+    ds = build_dataset(frame, kb, scenario, config.preprocess, config.split[0])
     split = split_chronological(ds, config.split)
     cells = []
     for horizon in config.horizons_minutes:

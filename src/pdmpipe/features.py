@@ -13,7 +13,7 @@ import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -293,7 +293,6 @@ class PreprocessParams:
     impute_k: int = 3
     verify_window_minutes: int = 60
     column_drop_missing_fraction: float = 0.5
-    train_fraction: float = 0.6
 
     def __post_init__(self):
         if self.resample_minutes < 1:
@@ -318,11 +317,9 @@ class PreprocessParams:
             raise ValueError("verify_window_minutes must be >= 0")
         if not 0 <= self.column_drop_missing_fraction <= 1:
             raise ValueError("column_drop_missing_fraction must be in [0, 1]")
-        if not 0 < self.train_fraction < 1:
-            raise ValueError("train_fraction must be in (0, 1)")
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -399,18 +396,23 @@ class CuratedDataset:
 
 
 def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
-                  params: PreprocessParams = None) -> CuratedDataset:
+                  params: PreprocessParams = None,
+                  train_fraction: float = 0.6) -> CuratedDataset:
     """Run the full curation pipeline on raw telemetry.
 
     Order: clean (gaps, then outliers), reduce channels, integrate fault
     knowledge, transform, resample, balance. The scenario is decided once:
     the data-driven one (s1) gets no knowledge base, and every later step
     asks only whether one is present. Without it, gaps and flagged rows
-    are deleted and the automation fault log is the target.
+    are deleted and the automation fault log is the target. The final
+    scaler is fitted on the leading ``train_fraction`` of the cycles, the
+    share the chronological split trains on.
     """
     params = params or PreprocessParams()
     if scenario not in ("s1", "s2"):
         raise ValueError(f"unknown scenario {scenario!r}")
+    if not 0 < train_fraction < 1:
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     kb = kb if scenario == "s2" else None
     notes = []
 
@@ -487,7 +489,7 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
 
     # transform: scaler fitted on the leading train cycles only
     unique_cycles = np.unique(frame.cycle)
-    n_train = max(1, math.floor(params.train_fraction * len(unique_cycles)))
+    n_train = max(1, math.floor(train_fraction * len(unique_cycles)))
     train_cycles = set(unique_cycles[:n_train].tolist())
     fit_mask = np.isin(frame.cycle, list(train_cycles))
     frame, scaler = standardize(frame, fit_mask)

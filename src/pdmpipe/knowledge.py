@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 import yaml
 
-from .timeseries import SEQUENCE_COL, SEQUENCE_IDS, TimeSeriesFrame
+from .timeseries import SEQUENCE_IDS, TimeSeriesFrame
 
 log = logging.getLogger(__name__)
 
@@ -36,10 +36,6 @@ SOURCE_AUTOMATION = "AutomationLog"
 SOURCE_RULE_ENGINE = "RuleEngine"
 SOURCE_GROUND_TRUTH = "GroundTruth"
 SOURCES = (SOURCE_AUTOMATION, SOURCE_RULE_ENGINE, SOURCE_GROUND_TRUTH)
-
-IN_ENVELOPE = "InEnvelope"
-OUT_OF_ENVELOPE = "OutOfEnvelope"
-NO_ENVELOPE = "NoEnvelope"
 
 # Severity and consequence travel in lockstep: a blocking fault stops the
 # cycle, a non-blocking one only demands acknowledgment.
@@ -90,10 +86,6 @@ class ModeModel:
             if sequence_id in self.sequences[mode]:
                 return mode
         raise KeyError(sequence_id)
-
-    def cycle_minutes(self) -> int:
-        """Active minutes of one cycle, idle gaps excluded."""
-        return sum(self.durations[s] for s in SEQUENCE_IDS)
 
 
 @dataclass(frozen=True)
@@ -313,20 +305,6 @@ class FaultEvent:
             "source": self.source,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FaultEvent":
-        return cls(
-            onset=np.datetime64(d["onset"], "s"),
-            cycle=int(d["cycle"]),
-            sequence_id=d["sequence_id"],
-            fault_name=d["fault_name"],
-            cause=d["cause"],
-            severity=d["severity"],
-            consequence=d["consequence"],
-            priority=bool(d.get("priority", False)),
-            source=d["source"],
-        )
-
 
 def _rule(r: dict) -> MonitoringRule:
     sensor = None
@@ -533,25 +511,19 @@ def evaluate_rules(frame: TimeSeriesFrame, kb: KnowledgeBase) -> list:
     return events
 
 
-def envelope_check(row: dict, kb: KnowledgeBase) -> dict:
-    """Judge each channel reading in a row against its operating envelope.
+def envelope_breaches(frame: TimeSeriesFrame, kb: KnowledgeBase) -> dict:
+    """Per channel, a row mask of readings outside the envelope of the row's sequence.
 
-    The row must carry sequence context. Channels with no envelope for that
-    sequence, and missing readings (which assert nothing), get NoEnvelope.
+    Where several envelopes name the same (channel, sequence), the last
+    one counts. A missing reading, and a sequence without an envelope
+    for the channel, breach nothing.
     """
-    sequence = row.get(SEQUENCE_COL)
-    if sequence is None:
-        raise ValueError("row lacks sequence context")
     bands = {(e.channel, e.sequence_id): e for e in kb.envelopes}
-    verdicts = {}
-    for name, value in row.items():
-        if not isinstance(value, float):
-            continue
-        env = bands.get((name, sequence))
-        if env is None or np.isnan(value):
-            verdicts[name] = NO_ENVELOPE
-        elif env.min <= value <= env.max:
-            verdicts[name] = IN_ENVELOPE
-        else:
-            verdicts[name] = OUT_OF_ENVELOPE
-    return verdicts
+    out = {name: np.zeros(len(frame), dtype=bool) for name in frame.channels}
+    for (name, sequence), env in bands.items():
+        if name in out:
+            values = frame.channels[name]
+            with np.errstate(invalid="ignore"):
+                outside = (values < env.min) | (values > env.max)
+            out[name] |= outside & (frame.sequence == sequence)
+    return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -319,6 +319,8 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams = None,
     drawn from ``rng``.
     """
     X, y = _fit_inputs(X, y, np.int64)
+    if mtry is not None and mtry < X.shape[1] and rng is None:
+        raise ValueError(f"mtry={mtry} below the column count needs an rng to draw features")
     return _grow_trees(X, y, [np.arange(len(X))], [rng], mtry, params or TreeParams())[0]
 
 
@@ -336,9 +338,7 @@ class Forest:
 
     def to_dict(self) -> dict:
         return {"family": "forest",
-                "params": {"trees": self.params.trees,
-                           "max_depth": self.params.max_depth,
-                           "min_leaf": self.params.min_leaf},
+                "params": asdict(self.params),
                 "trees": [t.to_dict() for t in self.trees]}
 
     @classmethod
@@ -397,12 +397,7 @@ class Gbdt:
     def to_dict(self) -> dict:
         return {"family": "gbdt",
                 "base_score": self.base_score,
-                "params": {"iterations": self.params.iterations,
-                           "learning_rate": self.params.learning_rate,
-                           "max_depth": self.params.max_depth,
-                           "min_leaf": self.params.min_leaf,
-                           "bins": self.params.bins,
-                           "reg_lambda": self.params.reg_lambda},
+                "params": asdict(self.params),
                 "train_loss": self.train_loss,
                 "trees": [t.to_dict() for t in self.trees]}
 
@@ -549,7 +544,7 @@ class Svm:
     def to_dict(self) -> dict:
         return {"family": "svm",
                 "weights": self.weights.tolist(),
-                "params": {"reg": self.params.reg, "epochs": self.params.epochs},
+                "params": asdict(self.params),
                 "objectives": self.objectives}
 
     @classmethod
@@ -565,14 +560,7 @@ def fit_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = None,
     with the usual stochastic wobble.
     """
     params = params or SvmParams()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ValueError("X must be 2-d with one label per row")
-    if len(X) == 0:
-        raise ValueError("cannot fit on an empty dataset")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
+    X, y = _fit_inputs(X, y, np.int64)
     n, d = X.shape
     aug = np.hstack([X, np.ones((n, 1))])
     signed = (2 * y - 1).astype(float)

@@ -28,7 +28,7 @@ from .knowledge import (
     FaultEvent,
     KnowledgeBase,
 )
-from .timeseries import IDLE, SEQUENCE_IDS, TimeSeriesFrame
+from .timeseries import IDLE, SEQUENCE_IDS, TimeSeriesFrame, _runs
 
 log = logging.getLogger(__name__)
 
@@ -121,15 +121,12 @@ class SimConfig:
     injection: dict = field(default_factory=lambda: dict(DEFAULT_INJECTION))
     schedule: tuple = None                  # ((cycle, fault key), ...) overrides injection
     logging_probability: float = 0.25
-    logging_model: str = "magnitude"        # {magnitude, bernoulli}
 
     def __post_init__(self):
         if self.cycles < 1:
             raise ValueError("cycles must be >= 1")
         if not 0.0 <= self.logging_probability <= 1.0:
             raise ValueError("logging probability must be in [0, 1]")
-        if self.logging_model not in ("magnitude", "bernoulli"):
-            raise ValueError(f"unknown logging model {self.logging_model!r}")
         for key, p in self.injection.items():
             if key not in FAULT_KINDS:
                 raise ValueError(f"unknown fault key {key!r}")
@@ -155,11 +152,6 @@ class GtEvent:
         return {"event": self.event.to_dict(), "logged": self.logged,
                 "magnitude": self.magnitude}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GtEvent":
-        return cls(FaultEvent.from_dict(d["event"]), bool(d["logged"]),
-                   float(d["magnitude"]))
-
 
 @dataclass(frozen=True)
 class MissingInterval:
@@ -176,11 +168,6 @@ class MissingInterval:
         return {"start": str(np.datetime_as_string(self.start, unit="s")),
                 "end": str(np.datetime_as_string(self.end, unit="s")),
                 "cause": self.cause, "channel": self.channel}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MissingInterval":
-        return cls(np.datetime64(d["start"], "s"), np.datetime64(d["end"], "s"),
-                   d["cause"], d.get("channel"))
 
 
 @dataclass(frozen=True)
@@ -199,11 +186,6 @@ class OutlierPoint:
         return {"timestamp": str(np.datetime_as_string(self.timestamp, unit="s")),
                 "channel": self.channel, "kind": self.kind,
                 "value": self.value, "original": self.original}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OutlierPoint":
-        return cls(np.datetime64(d["timestamp"], "s"), d["channel"], d["kind"],
-                   float(d["value"]), float(d["original"]))
 
 
 @dataclass(frozen=True)
@@ -226,14 +208,6 @@ class GroundTruth:
             "missing": [m.to_dict() for m in self.missing],
             "outliers": [o.to_dict() for o in self.outliers],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroundTruth":
-        return cls(
-            events=tuple(GtEvent.from_dict(g) for g in d.get("events", [])),
-            missing=tuple(MissingInterval.from_dict(m) for m in d.get("missing", [])),
-            outliers=tuple(OutlierPoint.from_dict(o) for o in d.get("outliers", [])),
-        )
 
 
 class CycleLayout:
@@ -460,13 +434,7 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
             else:
                 onset = onset_minute[key]
                 mu = float(mu_cycle[c - 1])
-            if config.logging_model == "bernoulli":
-                logged = bool(substream(seed, "logging", key, c).random()
-                              < config.logging_probability)
-                if config.logging_probability >= 1.0:
-                    logged = True
-            else:
-                logged = mu > gate
+            logged = mu > gate
             entry = kb.entry(name)
             gt_events.append(GtEvent(
                 event=FaultEvent(
@@ -562,13 +530,9 @@ def inject_missing(frame: TimeSeriesFrame, gt: GroundTruth, scenario: dict):
         if np.any(idle):
             for name in channels:
                 channels[name][idle] = np.nan
-            padded = np.concatenate(([False], idle, [False]))
-            edges = np.diff(padded.astype(np.int8))
-            starts = np.flatnonzero(edges == 1)
-            ends = np.flatnonzero(edges == -1) - 1
-            for s, e in zip(starts, ends):
+            for s, e in _runs(idle):
                 intervals.append(MissingInterval(
-                    start=frame.timestamps[s], end=frame.timestamps[e], cause="NonUse"))
+                    start=frame.timestamps[s], end=frame.timestamps[e - 1], cause="NonUse"))
 
     return replace(frame, channels=channels), replace(gt, missing=tuple(intervals))
 

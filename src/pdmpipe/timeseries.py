@@ -99,14 +99,12 @@ class TimeSeriesFrame:
         delta = (self.timestamps - self.timestamps[0]).astype("timedelta64[s]")
         return delta.astype(np.int64) // 60
 
-    def row(self, i: int) -> dict:
-        """One row as a plain mapping: channels as floats, logs as int/str."""
-        out = {TIME_COL: self.timestamps[i]}
-        for name, arr in self.channels.items():
-            out[name] = float(arr[i])
-        for name, arr in self.logs.items():
-            out[name] = str(arr[i]) if name == SEQUENCE_COL else int(arr[i])
-        return out
+
+def _runs(mask: np.ndarray) -> list:
+    """(start, end) index pairs of the maximal True runs of ``mask``, end exclusive."""
+    padded = np.concatenate(([False], mask, [False]))
+    edges = np.diff(padded.astype(np.int8))
+    return list(zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)))
 
 
 def load_csv(path, schema: dict) -> TimeSeriesFrame:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,8 +19,14 @@ from pdmpipe import (
     verify_outliers,
 )
 from pdmpipe import cleaning
-from pdmpipe.cleaning import detrended_iqr_flags, ics_flags
-from pdmpipe.knowledge import BLOCKING, CYCLE_STOP, FaultEvent, _instances
+from pdmpipe.cleaning import OutlierVerdict, detrended_iqr_flags, ics_flags
+from pdmpipe.knowledge import (
+    BLOCKING,
+    CYCLE_STOP,
+    FaultEvent,
+    OperatingEnvelope,
+    _instances,
+)
 from helpers import quiet_frame, segment_rows
 
 
@@ -389,6 +397,159 @@ class TestVerifyOutliers:
         assert verdicts[0].channel == "pressure_internal_a"
 
 
+def oracle_envelope_check(frame, i, kb):
+    """The per-row envelope judgement verify_outliers used to make: row i
+    as a dict of every channel and log, judged against a fresh band table."""
+    row = {name: float(values[i]) for name, values in frame.channels.items()}
+    row.update({name: str(values[i]) if name == "sequence_id" else int(values[i])
+                for name, values in frame.logs.items()})
+    bands = {(e.channel, e.sequence_id): e for e in kb.envelopes}
+    verdicts = {}
+    for name, value in row.items():
+        if not isinstance(value, float):
+            continue
+        env = bands.get((name, row["sequence_id"]))
+        if env is None or np.isnan(value):
+            verdicts[name] = "NoEnvelope"
+        elif env.min <= value <= env.max:
+            verdicts[name] = "InEnvelope"
+        else:
+            verdicts[name] = "OutOfEnvelope"
+    return verdicts
+
+
+def oracle_verify_outliers(frame, flags, kb, events, window_minutes=60):
+    """verify_outliers with one envelope judgement per neighbour row."""
+    t_int = frame.timestamps.astype("int64")
+    instances = list(_instances(frame))
+    windows = []
+    for e in events:
+        if e.severity != BLOCKING:
+            continue
+        onset = e.onset.astype("int64")
+        end = onset
+        for s, stop in instances:
+            if (frame.cycle[s] == e.cycle and frame.sequence[s] == e.sequence_id
+                    and t_int[s] <= onset < t_int[stop - 1] + 60):
+                end = t_int[stop - 1]
+                break
+        windows.append((onset - window_minutes * 60, end))
+    flagged_rows = {}
+    for row, channel in flags:
+        flagged_rows.setdefault(row, set()).add(channel)
+
+    def neighbor_ok(row, channel):
+        if row < 0 or row >= len(frame):
+            return False
+        if channel in flagged_rows.get(row, ()) or None in flagged_rows.get(row, ()):
+            return False
+        verdicts = oracle_envelope_check(frame, row, kb)
+        if channel is None:
+            return "OutOfEnvelope" not in verdicts.values()
+        if np.isnan(frame.channels[channel][row]):
+            return False
+        return verdicts.get(channel) != "OutOfEnvelope"
+
+    verdicts = []
+    seen = set()
+    for row, channel in flags:
+        if channel is None and any(c is not None for c in flagged_rows[row]):
+            continue
+        if (row, channel) in seen:
+            continue
+        seen.add((row, channel))
+        if any(lo <= t_int[row] <= hi for lo, hi in windows):
+            verdicts.append(OutlierVerdict(row, channel, "TaggedTrueRelevant"))
+        elif neighbor_ok(row - 1, channel) and neighbor_ok(row + 1, channel):
+            replacement = None
+            if channel is not None:
+                values = frame.channels[channel]
+                replacement = float((values[row - 1] + values[row + 1]) / 2)
+            verdicts.append(OutlierVerdict(row, channel, "CorrectedFalsePositive",
+                                           replacement))
+        else:
+            verdicts.append(OutlierVerdict(row, channel, "DroppedTrueIrrelevant"))
+    return verdicts
+
+
+def verify_case(seed, kb):
+    """A short cycle whose enveloped readings sit at, just inside and just
+    past their bands' edges, with NaN cells, flags on neighbouring rows,
+    row-wide flags, and on odd seeds a second envelope that overrides a
+    stock one."""
+    rng = np.random.default_rng(seed)
+    segments = tuple((sid, int(rng.integers(8, 30)))
+                     for sid in ("S01", "S09", "S10", "S11", "S12"))
+    frame = quiet_frame(segments=segments)
+    n = len(frame)
+    if seed % 2:
+        kb = replace(kb, envelopes=kb.envelopes + (
+            OperatingEnvelope("angle_platform", "Sampling", "S10", -5.0, 5.0),
+            OperatingEnvelope("temp_internal", "Heating", "S09", 290.0, 305.0)))
+    bands = {(e.channel, e.sequence_id): e for e in kb.envelopes}
+    for name, values in frame.channels.items():
+        for i in range(n):
+            env = bands.get((name, str(frame.sequence[i])))
+            if env is None:
+                values[i] += float(rng.normal(0.0, 50.0))
+                continue
+            edge = env.min if rng.random() < 0.5 else env.max
+            outward = -np.inf if edge == env.min else np.inf
+            values[i] = rng.choice([edge, np.nextafter(edge, outward),
+                                    np.nextafter(edge, -outward),
+                                    (env.min + env.max) / 2, (env.min + env.max) / 2])
+        values[rng.random(n) < 0.04] = np.nan
+    names = list(frame.channels)
+    flags = []
+    for row in rng.integers(1, n - 1, size=int(rng.integers(10, 30))):
+        channel = names[rng.integers(len(names))] if rng.random() < 0.7 else None
+        flags.append((int(row), channel))
+        if rng.random() < 0.3:
+            flags.append((int(row) + 1, channel))
+    flags.sort(key=lambda f: (f[0], f[1] or ""))
+    events = []
+    if seed % 3 == 0:
+        s10 = segment_rows(frame, 1, "S10")
+        events.append(FaultEvent(
+            onset=frame.timestamps[s10[len(s10) // 2]], cycle=1, sequence_id="S10",
+            fault_name="Needle Valve Fault", cause="needle valve clogging",
+            severity=BLOCKING, consequence=CYCLE_STOP))
+    return frame, flags, kb, events
+
+
+class TestVerifyOutliersOracle:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_the_per_row_envelope_check(self, kb, seed):
+        frame, flags, case_kb, events = verify_case(seed, kb)
+        assert (verify_outliers(frame, flags, case_kb, events, 20)
+                == oracle_verify_outliers(frame, flags, case_kb, events, 20))
+
+    def test_cases_cover_edges_nan_and_row_wide_flags(self, kb):
+        seen = set()
+        for seed in range(24):
+            frame, flags, case_kb, events = verify_case(seed, kb)
+            for v in oracle_verify_outliers(frame, flags, case_kb, events, 20):
+                seen.add((v.channel is None, v.verdict))
+            bands = {(e.channel, e.sequence_id): e for e in case_kb.envelopes}
+            for row, channel in flags:
+                for i in (row - 1, row + 1):
+                    if i >= len(frame):
+                        continue
+                    judged = oracle_envelope_check(frame, i, case_kb)
+                    seen.update(judged.values())
+                    for name, value in ((c, frame.channels[c][i]) for c in judged):
+                        env = bands.get((name, str(frame.sequence[i])))
+                        if np.isnan(value):
+                            seen.add("NaN")
+                        elif env is not None and value in (env.min, env.max):
+                            seen.add("AtEdge")
+        for whole_row in (False, True):
+            for verdict in ("CorrectedFalsePositive", "DroppedTrueIrrelevant",
+                            "TaggedTrueRelevant"):
+                assert (whole_row, verdict) in seen
+        assert {"InEnvelope", "OutOfEnvelope", "NoEnvelope", "NaN", "AtEdge"} <= seen
+
+
 class TestApplyVerdicts:
     def test_corrections_drops_and_passthrough(self, kb):
         frame = quiet_frame()
@@ -398,7 +559,6 @@ class TestApplyVerdicts:
         tagged = int(rows[800])
         frame.channels["pressure_internal_a"][spike] += 800.0
         frame.channels["pressure_internal_a"][tagged] += 123.0
-        from pdmpipe.cleaning import OutlierVerdict
         verdicts = [
             OutlierVerdict(spike, "pressure_internal_a",
                            "CorrectedFalsePositive", replacement=1000.0),
@@ -421,7 +581,6 @@ class TestApplyVerdicts:
         row = int(segment_rows(frame, 1, "S11")[50])
         for name in frame.channels:
             frame.channels[name][row] += 77.0
-        from pdmpipe.cleaning import OutlierVerdict
         out = apply_verdicts(frame, [OutlierVerdict(row, None,
                                                     "CorrectedFalsePositive")])
         for name in out.channels:

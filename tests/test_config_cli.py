@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from pdmpipe import CuratedDataset, ConfigError, load_config, make_config
+from pdmpipe import features
 from pdmpipe.cli import main
 from pdmpipe.config import _from_doc
 from pdmpipe.simulator import DEFAULT_NOISE, DEFAULT_WANDER
@@ -41,6 +45,10 @@ class TestMakeConfig:
         config = make_config(7, sim={"injection": {"needle": 0.5}})
         assert config.sim.injection["needle"] == 0.5
         assert "door" in config.sim.injection
+
+    def test_default_yaml_spells_out_every_key(self):
+        path = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
+        assert yaml.safe_load(path.read_text()) == load_config(path).to_dict()
 
     def test_noise_and_wander_overrides_merge_into_defaults(self):
         config = make_config(7, sim={"noise": {"angle_platform": 0.4},
@@ -88,8 +96,9 @@ class TestConfigValidation:
             make_config(7, horizons_minutes=[100])
         with pytest.raises(ConfigError, match="at least one"):
             make_config(7, horizons_minutes=[])
-        with pytest.raises(ConfigError, match="summing to 1"):
-            make_config(7, split=[0.5, 0.4, 0.2])
+        for split in ([0.5, 0.4, 0.2], [0.0, 0.5, 0.5], [1.2, -0.1, -0.1]):
+            with pytest.raises(ConfigError, match="positive fractions summing to 1"):
+                make_config(7, split=split)
 
     def test_model_grid_constraints(self):
         with pytest.raises(ConfigError, match="unknown model family"):
@@ -108,7 +117,6 @@ class TestConfigValidation:
         ("iqr_k", -0.5), ("iqr_window", 30), ("iqr_window", 1), ("ics_m", 0),
         ("ics_alpha", 0.0), ("ics_alpha", 1.0), ("impute_k", 0),
         ("verify_window_minutes", -1), ("column_drop_missing_fraction", 1.5),
-        ("train_fraction", 0.0), ("train_fraction", 1.0),
     ])
     def test_preprocess_ranges(self, key, value):
         with pytest.raises(ConfigError, match=f"bad preprocess section: {key}"):
@@ -233,6 +241,28 @@ class TestCliPipeline:
         assert rc == 0
         assert (tmp_path / "out" / "telemetry.csv").exists()
 
+    def test_scaler_is_fitted_on_the_split_train_cycles(self, tmp_path, monkeypatch):
+        seen = []
+
+        def standardize(frame, fit_mask):
+            seen.append(frame)
+            return real(frame, fit_mask)
+
+        real = features.standardize
+        monkeypatch.setattr(features, "standardize", standardize)
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(dict(CLI_DOC, split=[0.4, 0.3, 0.3])))
+        out = tmp_path / "pre"
+        assert main(["preprocess", "--config", str(path), "--scenario", "s1",
+                     "--out", str(out)]) == 0
+        frame, = seen
+        cycles = np.unique(frame.cycle)
+        rows = np.isin(frame.cycle, cycles[:math.floor(0.4 * len(cycles))])
+        scaler = json.loads((out / "curated_s1.json").read_text())["scaler"]
+        assert set(scaler) == set(frame.channels)
+        for name, values in frame.channels.items():
+            assert scaler[name] == [np.mean(values[rows]), np.std(values[rows])]
+
     def test_out_falls_back_to_the_config_value(self, tmp_path, monkeypatch):
         doc = dict(CLI_DOC, out=str(tmp_path / "from_config"))
         path = tmp_path / "run.yaml"
@@ -289,6 +319,19 @@ class TestCliFailures:
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", [
+        ("sim", "logging_model"),
+        ("preprocess", "train_fraction"),
+    ])
+    def test_removed_keys_are_usage_errors(self, tmp_path, capsys, section, key):
+        doc = dict(CLI_DOC, **{section: dict(CLI_DOC.get(section, {}), **{key: 0.6})})
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
 
     def test_unknown_noise_channel_is_usage_error(self, tmp_path, capsys):
         doc = dict(CLI_DOC, sim=dict(CLI_DOC["sim"], noise={"bogus": 1.0}))

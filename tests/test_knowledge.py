@@ -2,21 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
 import yaml
 
-from pdmpipe import envelope_check, evaluate_rules, load_kb
+from pdmpipe import envelope_breaches, evaluate_rules, load_kb
 from pdmpipe.knowledge import (
     ACKNOWLEDGE,
     BLOCKING,
     CYCLE_STOP,
-    IN_ENVELOPE,
-    NO_ENVELOPE,
     NON_BLOCKING,
-    OUT_OF_ENVELOPE,
     FaultEvent,
     LogPredicate,
     ModeModel,
@@ -51,7 +49,6 @@ class TestLoading:
         mm = kb.mode_model
         assert mm.mode_of("S09") == "Heating"
         assert mm.mode_of("S10") == "Sampling"
-        assert mm.cycle_minutes() == 2700
         with pytest.raises(KeyError):
             mm.mode_of("S99")
 
@@ -168,32 +165,45 @@ class TestTypes:
                        cause="c", severity=BLOCKING,
                        consequence=CYCLE_STOP, source="Rumor")
 
-    def test_event_dict_round_trip(self, kb):
+    def test_event_to_dict(self, kb):
         event = FaultEvent(
             onset=np.datetime64("2025-01-05T18:05:00", "s"), cycle=3,
             sequence_id="S10", fault_name="Needle Valve Fault",
             cause="needle valve clogging", severity=BLOCKING,
             consequence=CYCLE_STOP, priority=True)
-        assert FaultEvent.from_dict(event.to_dict()) == event
+        assert event.to_dict() == {
+            "onset": "2025-01-05T18:05:00", "cycle": 3, "sequence_id": "S10",
+            "fault_name": "Needle Valve Fault", "cause": "needle valve clogging",
+            "severity": BLOCKING, "consequence": CYCLE_STOP, "priority": True,
+            "source": "RuleEngine"}
 
 
 class TestLookups:
     def test_envelope_check(self, kb):
-        row = {"sequence_id": "S10", "angle_platform": 0.0,
-               "pressure_internal_a": 25.0, "temp_external_a": 22.0}
-        verdicts = envelope_check(row, kb)
-        assert verdicts["angle_platform"] == IN_ENVELOPE
-        assert verdicts["pressure_internal_a"] == IN_ENVELOPE
-        assert verdicts["temp_external_a"] == NO_ENVELOPE
+        frame = quiet_frame()
+        s10 = segment_rows(frame, 1, "S10")
+        s11 = segment_rows(frame, 1, "S11")
+        assert not any(mask.any() for mask in envelope_breaches(frame, kb).values())
 
-        row["angle_platform"] = 41.0
-        assert envelope_check(row, kb)["angle_platform"] == OUT_OF_ENVELOPE
-        row["angle_platform"] = float("nan")
-        assert envelope_check(row, kb)["angle_platform"] == NO_ENVELOPE
+        angle = frame.channels["angle_platform"]
+        angle[s10[:4]] = [40.0, 40.5, -31.0, np.nan]   # band [-31, 40] in S10
+        angle[s11[0]] = 500.0                          # no angle band in S11
+        frame.channels["temp_external_a"][s10[0]] = 1e6   # no band at all
+        breaches = envelope_breaches(frame, kb)
+        assert set(breaches) == set(frame.channels)
+        assert np.flatnonzero(breaches["angle_platform"]).tolist() == [s10[1]]
+        assert not breaches["temp_external_a"].any()
 
-    def test_envelope_check_needs_sequence_context(self, kb):
-        with pytest.raises(ValueError, match="sequence"):
-            envelope_check({"angle_platform": 0.0}, kb)
+    def test_last_envelope_for_a_channel_and_sequence_counts(self, kb):
+        frame = quiet_frame()
+        s10 = segment_rows(frame, 1, "S10")
+        frame.channels["angle_platform"][s10[0]] = 10.0
+        narrow = OperatingEnvelope("angle_platform", "Sampling", "S10", -5.0, 5.0)
+        wide = OperatingEnvelope("angle_platform", "Sampling", "S10", -50.0, 50.0)
+        for envelopes, hit in (((narrow,), True), ((narrow, wide), False),
+                               ((wide, narrow), True)):
+            breaches = envelope_breaches(frame, replace(kb, envelopes=envelopes))
+            assert breaches["angle_platform"][s10[0]] == hit
 
 
 class TestRuleEngine:

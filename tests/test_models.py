@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -334,6 +335,13 @@ class TestTree:
             with pytest.raises(ValueError, match="X must be finite"):
                 fit_tree(X, XOR_Y)
 
+    def test_mtry_below_the_column_count_needs_an_rng(self):
+        X, y = blobs(3, n=20)
+        with pytest.raises(ValueError, match="rng"):
+            fit_tree(X, y, mtry=2)
+        # every column searched: nothing to draw
+        assert fit_tree(X, y, mtry=3).to_dict() == fit_tree(X, y).to_dict()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fit_tree(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
@@ -517,6 +525,14 @@ class TestSvm:
             with pytest.raises(ValueError, match="labels must be 0 or 1"):
                 fit_svm(X, labels)
 
+    def test_non_finite_x_rejected(self):
+        X, y = blobs(14, n=50)
+        for bad in (np.nan, np.inf):
+            X_bad = X.copy()
+            X_bad[7, 1] = bad
+            with pytest.raises(ValueError, match="X must be finite"):
+                fit_svm(X_bad, y, SvmParams(epochs=2))
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             SvmParams(reg=0.0)
@@ -555,6 +571,22 @@ class TestSerialization:
         back = model_from_dict(gbdt.to_dict())
         assert np.allclose(back.decision_score(X), gbdt.decision_score(X))
         assert back.train_loss == gbdt.train_loss
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        # sha256 of each file as the params dicts were written field by field
+        expected = {
+            "tree": "590a4db5606585be1dc0aac39cc07536be0e7c6764051c371a1205ae18669df8",
+            "forest": "08a0292fb75c362d888c72ddb9749058cb9a3835de5f49416d9e8d1c04a0efbe",
+            "gbdt": "d61c2d709c9996031b2cfc5169863c5957c6d8375fad60b67fc28ea8fb753c14",
+            "svm": "4b0d667842a31e7752f9b046fbc671b80d10c7697ca5b4307a10063cbdce716c",
+        }
+        _, models = self.fitted_models()
+        got = {}
+        for model in models:
+            path = tmp_path / "model.json"
+            save_model(model, path)
+            got[model.to_dict()["family"]] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == expected
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="family"):
