@@ -7,7 +7,7 @@ parameter silently falling back to a default is worse than an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import yaml
 
@@ -85,6 +85,9 @@ class PipelineConfig:
             if not grid:
                 raise ConfigError(f"empty grid for {family}")
             for entry in grid:
+                unknown = _unknown_keys(GRID_PARAMS[family], entry)
+                if unknown:
+                    raise ConfigError(f"unknown {family} grid keys: {unknown} in {entry}")
                 try:
                     GRID_PARAMS[family](**entry)
                 except (TypeError, ValueError) as exc:
@@ -129,6 +132,11 @@ _SIM_KEYS = {"cycles", "idle_minutes", "start", "injection", "schedule",
 _SIM_MAPPINGS = (("injection", DEFAULT_INJECTION, "fault"),
                  ("noise", DEFAULT_NOISE, "channel"),
                  ("wander", DEFAULT_WANDER, "channel"))
+
+
+def _unknown_keys(params, section: dict) -> list:
+    """Keys of ``section`` that name no field of the dataclass ``params``, sorted."""
+    return sorted(set(section) - {f.name for f in fields(params)}, key=str)
 
 
 def _build_sim(seed: int, section: dict) -> SimConfig:
@@ -184,6 +192,11 @@ def _from_doc(doc: dict) -> PipelineConfig:
 
     sim = _build_sim(seed, doc.get("sim") or {})
     pp_section = doc.get("preprocess") or {}
+    if not isinstance(pp_section, dict):
+        raise ConfigError("preprocess must be a mapping")
+    unknown = _unknown_keys(PreprocessParams, pp_section)
+    if unknown:
+        raise ConfigError(f"unknown preprocess keys: {unknown}")
     try:
         preprocess = PreprocessParams(**pp_section)
     except (TypeError, ValueError) as exc:

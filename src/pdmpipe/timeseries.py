@@ -14,6 +14,7 @@ Frames are immutable by convention: every operation returns a new frame.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -157,26 +158,46 @@ def write_csv(frame: TimeSeriesFrame, path) -> dict:
     }
 
 
-_BLOCK_ROWS = 4096   # rows formatted at a time; whole columns of text more than double peak memory
+# Rows joined into one string per write. With 4096-row blocks the RSS
+# high-water of ``simulate`` on 320k telemetry rows rose by about 4.5 MB over
+# writing rows with ``csv.writer``; with 512 it stays level, at the same speed.
+_BLOCK_ROWS = 512
+_QUOTED = re.compile(r'[,"\r\n]')   # cells ``csv.QUOTE_MINIMAL`` wraps in quotes
 
 
 def _write_table(path, header, timestamps, columns) -> None:
-    """Write the header, then per row the ISO-second timestamp and one cell per column."""
+    """Write the header, then per row the ISO-second timestamp and one cell per
+    column, CRLF-terminated as ``csv.writer`` writes them."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)   # column names may need quoting
         for lo in range(0, len(timestamps), _BLOCK_ROWS):
             block = slice(lo, lo + _BLOCK_ROWS)
-            writer.writerows(zip(np.datetime_as_string(timestamps[block], unit="s"),
-                                 *(_cells(col[block]) for col in columns)))
+            rows = zip(np.datetime_as_string(timestamps[block], unit="s").tolist(),
+                       *(_cells(col[block]) for col in columns))
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def _cells(values: np.ndarray) -> list:
-    """Floats as ``repr(float(v))``, which float64 text equals, with NaN empty; else ``str``.
-    A list, because ``csv`` writes Python strings about twice as fast as numpy ones."""
-    if values.dtype.kind != "f":
-        return values.astype(str).tolist()
-    return np.where(np.isnan(values), "", values.astype(np.float64).astype(str)).tolist()
+    """One column block as CSV cell text.
+
+    Floats go through float64, so every float dtype gives the same text,
+    then ``repr``, with NaN as an empty cell; Python's ``repr`` is about twice
+    as fast as numpy's float-to-string cast and gives the same text. Integers
+    and bools take ``str``. Other cells take numpy's ``str`` and are quoted as
+    ``csv.writer`` quotes them: one holding a comma, a quote or a line break is
+    wrapped in quotes with inner quotes doubled. Number text never needs it.
+    """
+    kind = values.dtype.kind
+    if kind == "f":
+        floats = values.astype(np.float64)
+        cells = list(map(repr, floats.tolist()))
+        for i in np.flatnonzero(np.isnan(floats)).tolist():
+            cells[i] = ""
+        return cells
+    if kind in "biu":
+        return list(map(str, values.tolist()))
+    return ['"' + c.replace('"', '""') + '"' if _QUOTED.search(c) else c
+            for c in values.astype(str).tolist()]
 
 
 def _read_table(path):

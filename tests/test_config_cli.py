@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -77,6 +78,8 @@ class TestConfigValidation:
             make_config(7, sim={"noise": {"bogus": 1.0}})
         with pytest.raises(ConfigError, match="unknown channel key 'bogus' in wander"):
             make_config(7, sim={"wander": {"bogus": 1.0}})
+        with pytest.raises(ConfigError, match="preprocess must be a mapping"):
+            make_config(7, preprocess=[{"tau": 0.3}])
 
     @pytest.mark.parametrize("name", ["noise", "wander"])
     @pytest.mark.parametrize("value, match", [
@@ -127,7 +130,6 @@ class TestConfigValidation:
         ("gbdt", {"max_depth": 0}, "max_depth"),
         ("forest", {"min_leaf": 0}, "min_leaf"),
         ("svm", {"epochs": 0}, "epochs"),
-        ("gbdt", {"depth": 3}, "unexpected keyword"),
     ])
     def test_grid_entries_are_built_at_load(self, family, entry, match):
         grids = {"forest": [{}], "gbdt": [{}], "svm": [{}]}
@@ -166,6 +168,11 @@ CLI_DOC = {
 }
 
 
+# sha256 of the telemetry.csv that ``simulate`` writes for CLI_DOC. A change
+# to these bytes is declared in CHANGES.md with the new digest.
+TELEMETRY_DIGEST = "aeda6ecb0c43c484f3396c7094feed81dfbfbd21d419d9e49359260b68a4b727"
+
+
 @pytest.fixture(scope="module")
 def cli_config(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -197,6 +204,8 @@ class TestCliSimulate:
         for name in ("telemetry.csv", "telemetry_schema.json",
                      "ground_truth.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+        digest = hashlib.sha256((a / "telemetry.csv").read_bytes()).hexdigest()
+        assert digest == TELEMETRY_DIGEST
 
 
 class TestCliPipeline:
@@ -307,6 +316,10 @@ class TestCliFailures:
         ({"preprocess": {"resample_minutes": 0}}, "resample_minutes must be >= 1"),
         ({"models": dict(CLI_DOC["models"], gbdt=[{"min_leaf": 0}])},
          "min_leaf must be >= 1"),
+        ({"preprocess": {"train_fraction": 0.6}},
+         "configuration error: unknown preprocess keys: ['train_fraction']"),
+        ({"models": dict(CLI_DOC["models"], gbdt=[{"depth": 3}])},
+         "configuration error: unknown gbdt grid keys: ['depth'] in {'depth': 3}"),
     ])
     def test_bad_parameters_exit_two_before_simulating(self, tmp_path, capsys,
                                                        section, message):

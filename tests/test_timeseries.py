@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pdmpipe import TimeSeriesFrame, load_csv, resample, slice_by_sequence, write_csv
+from pdmpipe.timeseries import SEQUENCE_IDS, _write_table
 
 
 def minutes(n, start="2025-03-01T00:00:00"):
@@ -222,3 +224,80 @@ class TestCsvRoundTrip:
         path.write_text("timestamp,x\n2025-03-01T00:00:00,1\n")
         with pytest.raises(ValueError, match="missing"):
             load_csv(path, {"channels": {"x": "u", "y": "u"}})
+
+
+def oracle_write_table(path, header, timestamps, columns):
+    """The table writer before joined blocks: numpy's float-to-string cast,
+    then ``csv.writer`` rows, 4096 rows at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for lo in range(0, len(timestamps), 4096):
+            block = slice(lo, lo + 4096)
+            writer.writerows(zip(np.datetime_as_string(timestamps[block], unit="s"),
+                                 *(oracle_cells(col[block]) for col in columns)))
+
+
+def oracle_cells(values):
+    if values.dtype.kind != "f":
+        return values.astype(str).tolist()
+    return np.where(np.isnan(values), "", values.astype(np.float64).astype(str)).tolist()
+
+
+# floats at the edges of the text format: NaN, signed zero and infinity, the
+# smallest subnormal, and both sides of repr's switches to exponent notation
+# at 1e16 and between 1e-4 and 1e-5
+SPECIAL_FLOATS = np.array([
+    np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e16, -1e16,
+    np.nextafter(1e16, 0), 9999999999999998.0, 1e16 + 2, 1e-4, np.nextafter(1e-4, 0),
+    1e-5, np.nextafter(1e-5, 1), 9.999999999999999e-05, 0.1, 1e22, 123456789.0])
+TEXT_CELLS = np.array(["", "plain", "a,b", 'say "hi"', '"', ",", "x\ry",
+                       "line\nbreak", "\r\n", "S01"])
+ROW_COUNTS = (0, 1, 511, 512, 513, 4095, 4096, 4097)
+
+
+def table_case(seed):
+    """Header, timestamps and columns of every kind the writer meets, with
+    float specials mixed into random floats near the format's switch points."""
+    rng = np.random.default_rng(seed)
+    n = ROW_COUNTS[seed] if seed < len(ROW_COUNTS) else int(rng.integers(2, 1500))
+    scale = 10.0 ** rng.integers(-8, 20, size=n)
+    near = rng.choice([1.0, 1e16, 1e-4, 1e-5], size=n)
+    x = np.where(near == 1.0, rng.standard_normal(n) * scale,
+                 near * (1 + rng.uniform(-1e-3, 1e-3, size=n)))
+    special = rng.random(n) < 0.3
+    x[special] = rng.choice(SPECIAL_FLOATS, size=int(special.sum()))
+    columns = {
+        "f64": x,
+        "f32": np.where(np.abs(x) > 1e30, np.copysign(np.inf, x), x).astype(np.float32),
+        "f16": rng.standard_normal(n).astype(np.float16),
+        "longdouble": x.astype(np.longdouble),
+        "i8": rng.integers(-128, 128, size=n).astype(np.int8),
+        "i64": rng.integers(-2**62, 2**62, size=n),
+        "bool": rng.random(n) < 0.5,
+        "sequence_id": rng.choice([*SEQUENCE_IDS, "IDLE"], size=n).astype("U4"),
+        "text": rng.choice(TEXT_CELLS, size=n),
+    }
+    if seed % 2:
+        columns['quoted, "name"'] = columns["i8"]
+    names = [list(columns)[i] for i in rng.permutation(len(columns))]
+    return ["timestamp", *names], minutes(n), [columns[name] for name in names]
+
+
+class TestTableWriterOracle:
+    @pytest.mark.parametrize("seed", range(36))
+    def test_matches_csv_writer_rows(self, seed, tmp_path):
+        header, timestamps, columns = table_case(seed)
+        _write_table(tmp_path / "new.csv", header, timestamps, columns)
+        oracle_write_table(tmp_path / "old.csv", header, timestamps, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_cases_cover_specials_and_quoting(self):
+        floats, text = set(), set()
+        for seed in range(36):
+            header, _, columns = table_case(seed)
+            named = dict(zip(header[1:], columns))
+            floats.update(map(repr, named["f64"].tolist()))
+            text.update(named["text"].tolist())
+        assert set(map(repr, SPECIAL_FLOATS.tolist())) <= floats
+        assert set(TEXT_CELLS.tolist()) <= text
