@@ -22,7 +22,7 @@ config = make_config(
     models={
         "forest": [{"trees": 30, "max_depth": 10}],
         "gbdt": [{"iterations": 60, "learning_rate": 0.1, "max_depth": 3}],
-        "svm": [{"reg": 0.001, "epochs": 20}],
+        "svm": [{"reg": 0.001}],
     },
     missing={"non_use": True,
              "blanket": [{"cycle": 7, "start_minute": 1500, "minutes": 180}],

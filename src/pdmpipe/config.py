@@ -29,7 +29,7 @@ DEFAULT_GRIDS = {
     "forest": ({"trees": 30, "max_depth": 10}, {"trees": 60, "max_depth": 10}),
     "gbdt": ({"iterations": 80, "learning_rate": 0.1, "max_depth": 3},
              {"iterations": 120, "learning_rate": 0.1, "max_depth": 4}),
-    "svm": ({"reg": 0.001, "epochs": 30}, {"reg": 0.0001, "epochs": 30}),
+    "svm": ({"reg": 0.001}, {"reg": 0.0001}),
 }
 
 DEFAULT_MISSING = {

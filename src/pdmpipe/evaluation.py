@@ -185,7 +185,7 @@ def _fit_family(family: str, X, y, params: dict, seed: int):
     if family == "gbdt":
         return fit_gbdt(X, y, GbdtParams(**params))
     if family == "svm":
-        return fit_svm(X, y, SvmParams(**params), seed=seed)
+        return fit_svm(X, y, SvmParams(**params))
     raise ValueError(f"unknown model family {family!r}")
 
 
@@ -198,7 +198,7 @@ class TunedModel:
 
 
 def _capacity(params: dict):
-    for key in ("trees", "iterations", "epochs"):
+    for key in ("trees", "iterations"):
         if key in params:
             return params[key]
     return 0
@@ -208,7 +208,7 @@ def tune_and_fit(X_train, y_train, X_val, y_val, family: str, grid,
                  seed: int) -> TunedModel:
     """Fit every grid entry on train, keep the best validation F1.
 
-    Ties prefer fewer trees/iterations/epochs, then a shallower depth,
+    Ties prefer fewer trees/iterations, then a shallower depth,
     then the earlier grid entry. The winning model stays fitted on the
     train rows only.
     """

@@ -1,9 +1,10 @@
 """Native binary classifiers: CART, bagged forest, boosted trees, linear SVM.
 
-All four are deterministic given their seed, serialize to plain JSON,
-and reproduce their predictions bit-exactly after a round trip. Ties
-everywhere resolve toward the negative class, the lower feature index,
-and the lower threshold, in that order, so retraining is stable.
+All four are deterministic (the forest given its seed), serialize to
+plain JSON, and reproduce their predictions bit-exactly after a round
+trip. Ties everywhere resolve toward the negative class, the lower
+feature index, and the lower threshold, in that order, so retraining is
+stable.
 
 A forest grows all of its trees in lock-step: each step takes the next
 node of every tree, which draws its features from that tree's own random
@@ -15,13 +16,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from ._seeding import substream
 
 _EPS = 1e-12
+# primal Newton SVM: stop once half the squared Newton decrement is below
+# _NEWTON_TOL, or after _NEWTON_STEPS steps; Armijo backtracking halves the
+# step at most _ARMIJO_HALVINGS times for a sufficient decrease of _ARMIJO_C
+_NEWTON_TOL = 1e-12
+_NEWTON_STEPS = 50
+_ARMIJO_C = 1e-4
+_ARMIJO_HALVINGS = 40
 # rows x features searched per batch; bounds the split search's working arrays
 _SEARCH_ELEMENTS = 1 << 14
 
@@ -75,13 +83,10 @@ class GbdtParams:
 @dataclass(frozen=True)
 class SvmParams:
     reg: float = 1e-3
-    epochs: int = 40
 
     def __post_init__(self):
         if self.reg <= 0:
             raise ValueError("reg must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
 
 
 class Tree:
@@ -344,7 +349,7 @@ class Forest:
     @classmethod
     def from_dict(cls, d: dict) -> "Forest":
         return cls([Tree.from_dict(t) for t in d["trees"]],
-                   ForestParams(**d["params"]))
+                   _saved_params(ForestParams, d))
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams = None,
@@ -404,7 +409,7 @@ class Gbdt:
     @classmethod
     def from_dict(cls, d: dict) -> "Gbdt":
         return cls(d["base_score"], [Tree.from_dict(t) for t in d["trees"]],
-                   GbdtParams(**d["params"]), d["train_loss"])
+                   _saved_params(GbdtParams, d), d["train_loss"])
 
 
 def _bin_features(X: np.ndarray, bins: int):
@@ -526,7 +531,7 @@ def fit_gbdt(X: np.ndarray, y: np.ndarray, params: GbdtParams = None) -> Gbdt:
 
 
 class Svm:
-    """Linear classifier trained by the Pegasos subgradient method."""
+    """Linear classifier on the squared hinge loss, fitted by primal Newton."""
 
     def __init__(self, weights, params: SvmParams, objectives):
         self.weights = np.asarray(weights, dtype=float)   # bias is the last entry
@@ -549,36 +554,60 @@ class Svm:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Svm":
-        return cls(d["weights"], SvmParams(**d["params"]), d["objectives"])
+        return cls(d["weights"], _saved_params(SvmParams, d), d["objectives"])
 
 
-def fit_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = None,
-            seed: int = 0) -> Svm:
-    """Pegasos on the hinge loss with step size 1/(reg * t).
+def _svm_objective(w, aug, signed, reg):
+    """``reg/2 * ||w||^2 + mean(max(0, 1 - s * w.x)^2)`` and the margin slack."""
+    slack = 1.0 - signed * (aug @ w)
+    hinge = np.maximum(slack, 0.0)
+    return float(reg / 2.0 * (w @ w) + (hinge @ hinge) / len(signed)), slack
 
-    Records the primal objective at every epoch end; it trends down
-    with the usual stochastic wobble.
+
+def fit_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = None) -> Svm:
+    """Squared-hinge linear SVM by primal finite Newton (Keerthi & DeCoste, 2005).
+
+    Minimizes ``reg/2 * ||w||^2 + mean(max(0, 1 - s * w.x)^2)`` over the
+    features plus a bias column, with the bias regularized too. Each step
+    takes the rows inside the margin, solves once with the generalized
+    Hessian ``reg*I + (2/n) A_act^T A_act`` and backtracks until the Armijo
+    condition holds. The objective is convex and piecewise quadratic, so
+    once the margin rows stop changing a full step lands on the minimum.
+    Stops when half the squared Newton decrement falls to
+    ``_NEWTON_TOL`` or after ``_NEWTON_STEPS`` steps; ``objectives``
+    holds the objective after each step, which never increases.
     """
     params = params or SvmParams()
     X, y = _fit_inputs(X, y, np.int64)
     n, d = X.shape
     aug = np.hstack([X, np.ones((n, 1))])
     signed = (2 * y - 1).astype(float)
-    w = np.zeros(d + 1)
     reg = params.reg
-    t = 0
+    w = np.zeros(d + 1)
+    obj, slack = _svm_objective(w, aug, signed, reg)
     objectives = []
-    for epoch in range(params.epochs):
-        order = substream(seed, "epoch", epoch).permutation(n)
-        for i in order:
-            t += 1
-            eta = 1.0 / (reg * t)
-            margin = signed[i] * (aug[i] @ w)
-            w *= 1.0 - eta * reg
-            if margin < 1.0:
-                w += eta * signed[i] * aug[i]
-        hinge = np.maximum(0.0, 1.0 - signed * (aug @ w))
-        objectives.append(float(reg / 2.0 * (w @ w) + hinge.mean()))
+    for _ in range(_NEWTON_STEPS):
+        act = slack > 0.0
+        a_act = aug[act]
+        # -s * (1 - s * z) = z - s, since s * s = 1
+        grad = reg * w + (2.0 / n) * (a_act.T @ (a_act @ w - signed[act]))
+        hess = (2.0 / n) * (a_act.T @ a_act)
+        hess[np.diag_indices_from(hess)] += reg
+        step = -np.linalg.solve(hess, grad)
+        slope = float(grad @ step)          # minus the squared Newton decrement
+        if -slope / 2.0 <= _NEWTON_TOL:
+            break
+        t = 1.0
+        for _ in range(_ARMIJO_HALVINGS):
+            cand, cand_slack = _svm_objective(w + t * step, aug, signed, reg)
+            if cand <= obj + _ARMIJO_C * t * slope:
+                break
+            t /= 2.0
+        else:
+            break                           # no decrease left at this precision
+        w = w + t * step
+        obj, slack = cand, cand_slack
+        objectives.append(obj)
     return Svm(w, params, objectives)
 
 
@@ -588,6 +617,14 @@ _FAMILIES = {
     "gbdt": Gbdt,
     "svm": Svm,
 }
+
+
+def _saved_params(params_cls, d: dict):
+    """``params_cls`` from a saved model's params; a key it lacks is an error."""
+    unknown = sorted(set(d["params"]) - {f.name for f in fields(params_cls)})
+    if unknown:
+        raise ValueError(f"saved {d['family']} model has unknown params keys: {unknown}")
+    return params_cls(**d["params"])
 
 
 def model_from_dict(d: dict):

@@ -167,7 +167,16 @@ _QUOTED = re.compile(r'[,"\r\n]')   # cells ``csv.QUOTE_MINIMAL`` wraps in quote
 
 def _write_table(path, header, timestamps, columns) -> None:
     """Write the header, then per row the ISO-second timestamp and one cell per
-    column, CRLF-terminated as ``csv.writer`` writes them."""
+    column, CRLF-terminated as ``csv.writer`` writes them. The header names the
+    timestamp, then each column, and every column has one cell per timestamp;
+    anything else is an error before the file is opened."""
+    if len(header) != len(columns) + 1:
+        raise ValueError(f"{path}: header has {len(header)} names for the "
+                         f"timestamp and {len(columns)} columns")
+    for name, col in zip(header[1:], columns):
+        if len(col) != len(timestamps):
+            raise ValueError(f"{path}: column {name!r} has {len(col)} rows, "
+                             f"there are {len(timestamps)} timestamps")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)   # column names may need quoting
         for lo in range(0, len(timestamps), _BLOCK_ROWS):

@@ -129,7 +129,7 @@ class TestConfigValidation:
         ("gbdt", {"min_leaf": 0}, "min_leaf"),
         ("gbdt", {"max_depth": 0}, "max_depth"),
         ("forest", {"min_leaf": 0}, "min_leaf"),
-        ("svm", {"epochs": 0}, "epochs"),
+        ("svm", {"reg": 0.0}, "reg"),
     ])
     def test_grid_entries_are_built_at_load(self, family, entry, match):
         grids = {"forest": [{}], "gbdt": [{}], "svm": [{}]}
@@ -162,7 +162,7 @@ CLI_DOC = {
     "models": {
         "forest": [{"trees": 5, "max_depth": 5}],
         "gbdt": [{"iterations": 10, "learning_rate": 0.2, "max_depth": 3}],
-        "svm": [{"reg": 0.001, "epochs": 3}],
+        "svm": [{"reg": 0.001}],
     },
     "horizons_minutes": [180],
 }
@@ -345,6 +345,19 @@ class TestCliFailures:
         assert rc == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
+
+    def test_svm_epochs_is_a_usage_error(self, tmp_path, capsys):
+        # the svm fit has no epochs; a grid written for the old solver is refused
+        doc = dict(CLI_DOC, models=dict(CLI_DOC["models"],
+                                        svm=[{"reg": 0.001, "epochs": 30}]))
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        rc = main(["compare", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error: unknown svm grid keys: ['epochs']" in err
+        assert not out.exists()
 
     def test_unknown_noise_channel_is_usage_error(self, tmp_path, capsys):
         doc = dict(CLI_DOC, sim=dict(CLI_DOC["sim"], noise={"bogus": 1.0}))

@@ -32,7 +32,7 @@ from pdmpipe.evaluation import (
 TINY_MODELS = {
     "forest": [{"trees": 5, "max_depth": 5}],
     "gbdt": [{"iterations": 10, "learning_rate": 0.2, "max_depth": 3}],
-    "svm": [{"reg": 0.001, "epochs": 3}],
+    "svm": [{"reg": 0.001}],
 }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -379,6 +380,19 @@ class TestBuildDataset:
         assert np.array_equal(back.timestamps, ds.timestamps)
         assert back.scaler == {k: (float(m), float(s))
                                for k, (m, s) in ds.scaler.items()}
+
+    def test_misshaped_dataset_is_not_written(self, curated, tmp_path):
+        # 4 timestamps, 2 labels, and 3 feature columns under 2 names
+        ds = curated["s2"]
+        bad = dataclasses.replace(ds, timestamps=ds.timestamps[:4], cycles=ds.cycles[:4],
+                                  sequences=ds.sequences[:4], X=ds.X[:4, :3],
+                                  y=ds.y[:2], feature_names=ds.feature_names[:2])
+        with pytest.raises(ValueError, match="header has 6 names for the timestamp and 6 columns"):
+            bad.to_files(tmp_path / "c.csv", tmp_path / "c.json")
+        bad = dataclasses.replace(bad, feature_names=ds.feature_names[:3])
+        with pytest.raises(ValueError, match="column 'target' has 2 rows, there are 4 timestamps"):
+            bad.to_files(tmp_path / "c.csv", tmp_path / "c.json")
+        assert not (tmp_path / "c.csv").exists() and not (tmp_path / "c.json").exists()
 
     def test_short_row_rejected(self, curated, tmp_path):
         ds = curated["s2"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from types import SimpleNamespace
 
@@ -502,22 +503,83 @@ class TestGbdt:
             GbdtParams(max_depth=0)
 
 
+def svm_case(seed):
+    """Overlapping classes, so some rows stay inside the margin at the optimum,
+    with a seeded row count, column count, offset and regularization."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(40, 300)), int(rng.integers(1, 8))
+    X = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0, size=d)
+    score = X @ rng.standard_normal(d) + rng.uniform(-1, 1)
+    y = (score + rng.standard_normal(n) > 0).astype(np.int64)
+    return X, y, float(10.0 ** rng.uniform(-4, -1))
+
+
+def svm_objective(w, X, y, reg):
+    """The primal objective and its gradient, written out on their own."""
+    aug = np.hstack([X, np.ones((len(X), 1))])
+    s = 2.0 * y - 1.0
+    hinge = np.maximum(0.0, 1.0 - s * (aug @ w))
+    value = reg / 2.0 * w @ w + np.mean(hinge ** 2)
+    grad = reg * w - 2.0 / len(X) * aug.T @ (s * hinge)
+    return value, grad
+
+
+SVM_SEEDS = range(8)
+
+
 class TestSvm:
     def test_separates_wide_margin_blobs(self):
         X, y = blobs(6)
-        model = fit_svm(X, y, SvmParams(reg=1e-3, epochs=10), seed=2)
+        model = fit_svm(X, y, SvmParams(reg=1e-3))
         assert (model.predict(X) == y).mean() > 0.95
-        assert len(model.objectives) == 10
+        assert 1 <= len(model.objectives) <= models._NEWTON_STEPS
 
     def test_zero_score_stays_negative(self):
         model = Svm(np.zeros(4), SvmParams(), [])
         assert model.predict(np.ones((2, 3))).tolist() == [0, 0]
 
-    def test_same_seed_reproduces_weights(self):
-        X, y = blobs(7)
-        a = fit_svm(X, y, SvmParams(epochs=3), seed=5)
-        b = fit_svm(X, y, SvmParams(epochs=3), seed=5)
-        assert np.array_equal(a.weights, b.weights)
+    @pytest.mark.parametrize("seed", SVM_SEEDS)
+    def test_gradient_vanishes_at_the_returned_weights(self, seed):
+        X, y, reg = svm_case(seed)
+        model = fit_svm(X, y, SvmParams(reg=reg))
+        assert len(model.objectives) < models._NEWTON_STEPS
+        _, grad = svm_objective(model.weights, X, y, reg)
+        assert np.linalg.norm(grad) < models._NEWTON_TOL
+
+    @pytest.mark.parametrize("seed", SVM_SEEDS)
+    def test_matches_lbfgs_on_the_same_objective(self, seed):
+        from scipy.optimize import minimize
+        X, y, reg = svm_case(seed)
+        model = fit_svm(X, y, SvmParams(reg=reg))
+        ref = minimize(svm_objective, np.zeros(X.shape[1] + 1), args=(X, y, reg),
+                       jac=True, method="L-BFGS-B",
+                       options={"gtol": 1e-13, "ftol": 1e-15, "maxiter": 20000})
+        assert np.max(np.abs(model.weights - ref.x)) < 1e-6
+        assert model.objectives[-1] <= ref.fun + 1e-12
+
+    def test_row_order_does_not_change_weights(self):
+        for seed in SVM_SEEDS:
+            X, y, reg = svm_case(seed)
+            order = np.random.default_rng(seed).permutation(len(X))
+            a = fit_svm(X, y, SvmParams(reg=reg))
+            b = fit_svm(X[order], y[order], SvmParams(reg=reg))
+            assert np.max(np.abs(a.weights - b.weights)) <= 1e-12, seed
+
+    def test_objectives_never_increase(self):
+        for seed in SVM_SEEDS:
+            X, y, reg = svm_case(seed)
+            objectives = fit_svm(X, y, SvmParams(reg=reg)).objectives
+            assert len(objectives) >= 1
+            assert all(b <= a for a, b in zip(objectives, objectives[1:])), seed
+            # the first step starts from w = 0, where the objective is 1
+            assert objectives[0] <= 1.0
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_single_class_labels_predict_that_class(self, label):
+        X, _ = blobs(9, n=80)
+        model = fit_svm(X, np.full(len(X), label))
+        assert 1 <= len(model.objectives) < models._NEWTON_STEPS
+        assert np.all(model.predict(X) == label)
 
     def test_validation(self):
         X, y = blobs(14, n=40)
@@ -531,13 +593,13 @@ class TestSvm:
             X_bad = X.copy()
             X_bad[7, 1] = bad
             with pytest.raises(ValueError, match="X must be finite"):
-                fit_svm(X_bad, y, SvmParams(epochs=2))
+                fit_svm(X_bad, y)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
             SvmParams(reg=0.0)
-        with pytest.raises(ValueError):
-            SvmParams(epochs=0)
+        with pytest.raises(TypeError):
+            SvmParams(epochs=30)
 
 
 class TestSerialization:
@@ -547,7 +609,7 @@ class TestSerialization:
             fit_tree(X, y, TreeParams(max_depth=3)),
             fit_forest(X, y, ForestParams(trees=3, max_depth=3), seed=0),
             fit_gbdt(X, y, GbdtParams(iterations=5)),
-            fit_svm(X, y, SvmParams(epochs=2), seed=0),
+            fit_svm(X, y),
         ]
 
     def test_dict_round_trip_preserves_predictions(self):
@@ -578,7 +640,7 @@ class TestSerialization:
             "tree": "590a4db5606585be1dc0aac39cc07536be0e7c6764051c371a1205ae18669df8",
             "forest": "08a0292fb75c362d888c72ddb9749058cb9a3835de5f49416d9e8d1c04a0efbe",
             "gbdt": "d61c2d709c9996031b2cfc5169863c5957c6d8375fad60b67fc28ea8fb753c14",
-            "svm": "4b0d667842a31e7752f9b046fbc671b80d10c7697ca5b4307a10063cbdce716c",
+            "svm": "a6fff8fe9c143389b4afbc0d0f6904f8696284a9a46de2e3fe282a20e89083dd",
         }
         _, models = self.fitted_models()
         got = {}
@@ -587,6 +649,20 @@ class TestSerialization:
             save_model(model, path)
             got[model.to_dict()["family"]] = hashlib.sha256(path.read_bytes()).hexdigest()
         assert got == expected
+
+    @pytest.mark.parametrize("family, key", [
+        ("forest", "bootstrap"), ("gbdt", "subsample"), ("svm", "epochs")])
+    def test_unknown_saved_params_key_is_named(self, tmp_path, family, key):
+        _, fitted = self.fitted_models()
+        saved = next(m.to_dict() for m in fitted if m.to_dict()["family"] == family)
+        saved["params"][key] = 30
+        with pytest.raises(ValueError, match=f"saved {family} model has unknown "
+                                             f"params keys: \\['{key}'\\]"):
+            model_from_dict(saved)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ValueError, match=key):
+            load_model(path)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="family"):

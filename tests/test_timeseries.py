@@ -301,3 +301,19 @@ class TestTableWriterOracle:
             text.update(named["text"].tolist())
         assert set(map(repr, SPECIAL_FLOATS.tolist())) <= floats
         assert set(TEXT_CELLS.tolist()) <= text
+
+
+class TestTableWriterShape:
+    def test_header_needs_one_name_per_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        columns = [np.arange(4.0), np.arange(4)]
+        with pytest.raises(ValueError, match="header has 2 names for the timestamp and 2 columns"):
+            _write_table(path, ["timestamp", "a"], minutes(4), columns)
+        assert not path.exists()
+
+    def test_columns_need_one_cell_per_timestamp(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="column 'b' has 2 rows, there are 4 timestamps"):
+            _write_table(path, ["timestamp", "a", "b"], minutes(4),
+                         [np.arange(4.0), np.arange(2)])
+        assert not path.exists()
