@@ -149,13 +149,20 @@ def impute_single_sensor(frame: TimeSeriesFrame, gap: GapInterval, k: int = 3) -
 
 
 def drop_intervals(frame: TimeSeriesFrame, report: GapReport) -> TimeSeriesFrame:
-    """Remove every row covered by a Delete interval."""
-    keep = np.ones(len(frame), dtype=bool)
+    """Remove every row covered by a Delete interval.
+
+    Timestamps increase, so each interval covers one slice of rows; its
+    bounds come from ``searchsorted``, and a row is deleted when the
+    running count of opened minus closed slices is positive there.
+    """
+    delete = [g for g in report.intervals if g.disposition == DISPOSITION_DELETE]
     t = frame.timestamps
-    for gap in report.intervals:
-        if gap.disposition == DISPOSITION_DELETE:
-            keep &= ~((t >= gap.start) & (t <= gap.end))
-    return frame.take(np.flatnonzero(keep))
+    n = len(t)
+    first = np.searchsorted(t, np.array([g.start for g in delete], dtype="M8"), "left")
+    stop = np.searchsorted(t, np.array([g.end for g in delete], dtype="M8"), "right")
+    cover = np.cumsum(np.bincount(first, minlength=n + 1)
+                      - np.bincount(stop, minlength=n + 1))
+    return frame.take(np.flatnonzero(cover[:n] <= 0))
 
 
 def detect_outliers_iqr(values: np.ndarray, k: float = 1.5) -> np.ndarray:
@@ -167,15 +174,46 @@ def detect_outliers_iqr(values: np.ndarray, k: float = 1.5) -> np.ndarray:
     if k < 0:
         raise ValueError("k must be >= 0")
     x = np.asarray(values, dtype=float)
-    observed = ~np.isnan(x)
-    if observed.sum() == 0:
+    observed = x[~np.isnan(x)]
+    if observed.size == 0:
         return np.empty(0, dtype=np.int64)
-    q1, q3 = np.quantile(x[observed], [0.25, 0.75], method="linear")
-    iqr = q3 - q1
-    lo, hi = q1 - k * iqr, q3 + k * iqr
+    lo, hi = _iqr_fences([observed], k)
     with np.errstate(invalid="ignore"):
-        mask = (x < lo) | (x > hi)
+        mask = (x < lo[0]) | (x > hi[0])
     return np.flatnonzero(mask)
+
+
+_QUARTILES = np.array([0.25, 0.75])
+
+
+def _iqr_fences(samples, k: float):
+    """Fences Q1 - k*IQR and Q3 + k*IQR of each sample, as two arrays.
+
+    Each sample is a non-empty 1-D float array without NaN. Its quartiles
+    are ``np.quantile(sample, [0.25, 0.75], method="linear")`` bit for bit,
+    because they are computed as numpy computes them: the virtual index is
+    (m-1)*q, an index at or above the last one reads the largest value
+    with weight index + 1, one ``np.partition`` per sample with numpy's
+    kth list (so even tied zeros keep their sign) gives the order
+    statistics, and ``a + (b-a)*t``, or ``b - (b-a)*(1-t)`` when
+    t >= 0.5, interpolates them as numpy's ``_lerp`` does.
+    """
+    last = np.array([len(x) - 1 for x in samples])[:, None]
+    virtual = last * _QUARTILES
+    below = np.floor(virtual)
+    above = virtual >= last
+    below[above] = -1
+    upper = below + 1
+    upper[above] = -1
+    t = virtual - below
+    stats = np.empty((len(samples), 4))
+    for j, ranks in enumerate(np.hstack([below, upper]).astype(np.intp).tolist()):
+        stats[j] = np.partition(samples[j], sorted({0, -1, *ranks}))[ranks]
+    a, b = stats[:, :2], stats[:, 2:]
+    diff = b - a
+    q = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+    iqr = q[:, 1] - q[:, 0]
+    return q[:, 0] - k * iqr, q[:, 1] + k * iqr
 
 
 def detect_outliers_ics(X: np.ndarray, m: int = 2, alpha: float = 0.025) -> np.ndarray:
@@ -258,7 +296,7 @@ def _span_medians(x: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     mid[even] = (mid[even] + block[r[even], count[even] // 2]) / 2
     med[edge] = mid
 
-    missing_before = np.concatenate(([0], np.cumsum(missing)))
+    missing_before = _prefix_counts(missing)
     med[missing_before[hi] > missing_before[lo]] = np.nan
     med += 0.0      # np.median sums from +0.0, so it never returns -0.0
     return med
@@ -275,6 +313,8 @@ def detrended_iqr_flags(frame: TimeSeriesFrame, k: float, window: int = 31):
     """
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window}")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     half = window // 2
     spans = [(s, e) for s, e in _instances(frame) if e - s > window]
     if not spans:
@@ -282,16 +322,34 @@ def detrended_iqr_flags(frame: TimeSeriesFrame, k: float, window: int = 31):
     starts, stops = np.array(spans, dtype=np.int64).T
     flags = []
     for name, values in frame.channels.items():
-        med = _span_medians(values, starts, stops, window)
-        for s, e in spans:
-            x = values[s:e]
-            if np.count_nonzero(~np.isnan(x)) < 4:
-                continue
-            for i in detect_outliers_iqr(x - med[s:e], k):
-                if half <= i < (e - s) - half:
-                    flags.append((s + int(i), name))
+        resid = values - _span_medians(values, starts, stops, window)
+        # each instance's observed residuals are one slice of ``flat``
+        kept = ~np.isnan(resid)
+        flat = resid[kept]
+        resid_before = _prefix_counts(kept)
+        values_before = _prefix_counts(~np.isnan(values))
+        # instances with fewer than 4 observed values, or no observed residual, are skipped
+        use = ((values_before[stops] - values_before[starts] >= 4)
+               & (resid_before[stops] > resid_before[starts]))
+        s, e = starts[use], stops[use]
+        lo, hi = _iqr_fences([flat[a:b] for a, b in zip(resid_before[s], resid_before[e])], k)
+        # per row, its instance's fences inside the screened interiors and
+        # NaN, which no residual crosses, everywhere else
+        fences = np.full((2, 2 * len(lo) + 1), np.nan)
+        fences[:, 1::2] = lo, hi
+        sizes = np.diff(np.column_stack([s + half, e - half]).ravel(),
+                        prepend=0, append=len(values))
+        row_lo, row_hi = np.repeat(fences, sizes, axis=1)
+        with np.errstate(invalid="ignore"):
+            crossed = (resid < row_lo) | (resid > row_hi)
+        flags.extend((row, name) for row in np.flatnonzero(crossed).tolist())
     flags.sort(key=lambda f: (f[0], f[1]))
     return flags
+
+
+def _prefix_counts(mask: np.ndarray) -> np.ndarray:
+    """``out[i]`` is the number of True cells in ``mask[:i]``, for i = 0 .. len(mask)."""
+    return np.concatenate(([0], np.cumsum(mask)))
 
 
 def ics_flags(frame: TimeSeriesFrame, m: int, alpha: float):

@@ -13,7 +13,8 @@ import yaml
 
 from .features import PreprocessParams
 from .models import ForestParams, GbdtParams, SvmParams
-from .simulator import DEFAULT_INJECTION, DEFAULT_NOISE, DEFAULT_WANDER, SimConfig
+from .simulator import (CHANNEL_UNITS, DEFAULT_INJECTION, DEFAULT_NOISE, DEFAULT_WANDER,
+                        SimConfig)
 
 
 class ConfigError(ValueError):
@@ -201,6 +202,11 @@ def _from_doc(doc: dict) -> PipelineConfig:
         preprocess = PreprocessParams(**pp_section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad preprocess section: {exc}") from None
+    if preprocess.ics_m > len(CHANNEL_UNITS):
+        # the ICS screen would skip every sequence, so outliers would pass unscreened
+        raise ConfigError(f"bad preprocess section: ics_m must be at most "
+                          f"{len(CHANNEL_UNITS)}, the number of channels, "
+                          f"got {preprocess.ics_m}")
 
     grids = doc.get("models")
     if grids is None:

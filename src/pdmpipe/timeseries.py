@@ -30,7 +30,14 @@ CYCLE_COL = "cycle_number"
 
 @dataclass(frozen=True)
 class TimeSeriesFrame:
-    """One block of telemetry: timestamps + numeric channels + discrete logs."""
+    """One block of telemetry: timestamps + numeric channels + discrete logs.
+
+    Construction checks every column's length, the unit tags, strictly
+    increasing timestamps and non-decreasing cycle numbers. Sequence ids
+    are checked against ``SEQUENCE_VOCAB`` at run heads only: the first
+    row and each row whose id differs from the row before. A run repeats
+    its head's id, so that covers every row in one vectorized comparison.
+    """
 
     timestamps: np.ndarray                 # datetime64[s], strictly increasing
     channels: dict                         # name -> float64 array (NaN = missing)
@@ -49,7 +56,9 @@ class TimeSeriesFrame:
         if n > 1 and not np.all(self.timestamps[1:] > self.timestamps[:-1]):
             raise ValueError("timestamps must be strictly increasing")
         if SEQUENCE_COL in self.logs:
-            bad = set(np.unique(self.logs[SEQUENCE_COL])) - SEQUENCE_VOCAB
+            seq = np.asarray(self.logs[SEQUENCE_COL])
+            heads = np.concatenate((seq[:1], seq[1:][seq[1:] != seq[:-1]]))
+            bad = set(heads) - SEQUENCE_VOCAB
             if bad:
                 raise ValueError(f"unknown sequence ids: {sorted(bad)}")
         if CYCLE_COL in self.logs and n > 1:

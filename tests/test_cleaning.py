@@ -19,7 +19,13 @@ from pdmpipe import (
     verify_outliers,
 )
 from pdmpipe import cleaning
-from pdmpipe.cleaning import OutlierVerdict, detrended_iqr_flags, ics_flags
+from pdmpipe.cleaning import (
+    GapInterval,
+    GapReport,
+    OutlierVerdict,
+    detrended_iqr_flags,
+    ics_flags,
+)
 from pdmpipe.knowledge import (
     BLOCKING,
     CYCLE_STOP,
@@ -159,6 +165,98 @@ class TestDropIntervals:
         assert frame.timestamps[100].astype("int64") not in kept
         assert frame.timestamps[300].astype("int64") in kept  # reconstruct, kept
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_per_interval_mask(self, seed):
+        frame, report = interval_case(seed)
+        out = drop_intervals(frame, report)
+        expected = oracle_drop_intervals(frame, report)
+        assert np.array_equal(out.timestamps, expected.timestamps)
+        for name in frame.channels:
+            assert np.array_equal(out.channels[name], expected.channels[name],
+                                  equal_nan=True)
+        for name in frame.logs:
+            assert np.array_equal(out.logs[name], expected.logs[name])
+
+    def test_cases_cover_every_interval_layout(self):
+        seen = set()
+        for seed in range(12):
+            frame, report = interval_case(seed)
+            seen |= interval_layouts(frame, report)
+        assert seen == {"adjacent", "overlapping", "nested", "first row", "last row",
+                        "reconstruct", "off-grid bound", "no delete"}
+
+
+def oracle_drop_intervals(frame, report):
+    """The gap deletion as it was: one full-length mask per Delete interval."""
+    keep = np.ones(len(frame), dtype=bool)
+    t = frame.timestamps
+    for gap in report.intervals:
+        if gap.disposition == "Delete":
+            keep &= ~((t >= gap.start) & (t <= gap.end))
+    return frame.take(np.flatnonzero(keep))
+
+
+def interval_case(seed):
+    """A 1-cycle frame and a seeded gap report. Intervals sit next to,
+    across and inside one another, reach past the first and the last
+    row, and some bounds fall between two timestamps; every fourth
+    report deletes nothing."""
+    rng = np.random.default_rng(seed)
+    frame = quiet_frame()
+    t = frame.timestamps
+    n = len(t)
+    minute = np.timedelta64(60, "s")
+    rows = []
+    for _ in range(int(rng.integers(4, 12))):
+        a = int(rng.integers(0, n))
+        rows.append((a, min(a + int(rng.integers(0, 80)), n - 1)))
+    a, b = rows[0]
+    rows += [(b + 1, min(b + 20, n - 1)),                            # adjacent
+             (max(a - 5, 0), min(a + 3, n - 1)),                     # overlapping
+             (min(a + 1, b), b),                                     # nested
+             (0, int(rng.integers(0, 30))), (int(rng.integers(n - 30, n)), n - 1)]
+    intervals = []
+    for lo, hi in rows:
+        if lo > hi:
+            continue
+        start, end = t[lo], t[hi]
+        if rng.random() < 0.2:      # a bound between two rows, or past the ends
+            start = start - minute // 2
+        if rng.random() < 0.2:
+            end = end + minute // 2
+        delete = seed % 4 != 3 and rng.random() < 0.75
+        intervals.append(GapInterval(
+            start=start, end=end, cause="Unknown",
+            disposition="Delete" if delete else "Reconstruct"))
+    return frame, GapReport(intervals=tuple(intervals))
+
+
+def interval_layouts(frame, report):
+    """Which of the layouts the deletion must handle appear in a report."""
+    t = frame.timestamps
+    seen = set()
+    if any(g.disposition == "Reconstruct" for g in report.intervals):
+        seen.add("reconstruct")
+    delete = [(g.start, g.end) for g in report.intervals if g.disposition == "Delete"]
+    if not delete:
+        seen.add("no delete")
+    step = np.timedelta64(60, "s")
+    for i, (s1, e1) in enumerate(delete):
+        if s1 <= t[0]:
+            seen.add("first row")
+        if e1 >= t[-1]:
+            seen.add("last row")
+        if not (np.isin(s1, t) and np.isin(e1, t)):
+            seen.add("off-grid bound")
+        for s2, e2 in delete[i + 1:]:
+            if s1 <= s2 and e2 <= e1 or s2 <= s1 and e1 <= e2:
+                seen.add("nested")
+            elif s1 <= e2 and s2 <= e1:
+                seen.add("overlapping")
+            elif e1 + step == s2 or e2 + step == s1:
+                seen.add("adjacent")
+    return seen
+
 
 class TestIqrDetector:
     @given(st.lists(st.floats(min_value=-1e9, max_value=1e9,
@@ -171,6 +269,29 @@ class TestIqrDetector:
         lo, hi = q1 - k * (q3 - q1), q3 + k * (q3 - q1)
         expected = [i for i, v in enumerate(values) if v < lo or v > hi]
         assert got.tolist() == expected
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fences_are_numpys_quartiles_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        k = (0.0, 1.5, 4.0)[seed % 3]
+        samples, expected = [], []
+        for size in (*range(1, 12), *rng.integers(12, 300, size=10)):
+            x = np.round(rng.normal(0.0, float(rng.choice([1e-3, 1.0, 1e6])), size),
+                         int(rng.integers(0, 3)))
+            x[rng.random(size) < 0.2] = np.nan
+            x[rng.random(size) < 0.05] = rng.choice([np.inf, -np.inf, -0.0, 0.0])
+            x[0] = 0.0 if np.isnan(x).all() else x[0]
+            observed = x[~np.isnan(x)]
+            with np.errstate(invalid="ignore"):     # inf - inf
+                q1, q3 = np.quantile(observed, [0.25, 0.75], method="linear")
+                expected.append((q1 - k * (q3 - q1), q3 + k * (q3 - q1)))
+            samples.append(observed)
+        with np.errstate(invalid="ignore"):
+            lo, hi = cleaning._iqr_fences(samples, k)
+        want = np.array(expected)
+        for got, ref in ((lo, want[:, 0]), (hi, want[:, 1])):
+            assert np.array_equal(got, ref, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
 
     def test_missing_values_never_flagged(self):
         x = np.array([1.0, np.nan, 1.0, 1.0, 100.0, np.nan])
@@ -274,11 +395,47 @@ def oracle_detrended_iqr_flags(frame, k, window):
             if (~np.isnan(x)).sum() < 4:
                 continue
             resid = x - oracle_running_median(x, window)
-            for i in detect_outliers_iqr(resid, k):
+            for i in oracle_iqr_outliers(resid, k):
                 if half <= i < (e - s) - half:
                     flags.append((s + int(i), name))
     flags.sort(key=lambda f: (f[0], f[1]))
     return flags
+
+
+def oracle_iqr_outliers(x, k):
+    """Indices outside the fences from np.quantile, as the screen computed
+    them per (instance, channel) before the fences were batched."""
+    observed = ~np.isnan(x)
+    if not observed.any():
+        return []
+    q1, q3 = np.quantile(x[observed], [0.25, 0.75], method="linear")
+    lo, hi = q1 - k * (q3 - q1), q3 + k * (q3 - q1)
+    with np.errstate(invalid="ignore"):
+        return np.flatnonzero((x < lo) | (x > hi))
+
+
+def fence_branches(frame, window):
+    """The interpolation branches the quartiles of a screening case take,
+    one per screened (instance, channel) and quartile: ``single`` when one
+    residual is observed, ``whole`` when the virtual index (m-1)*q is an
+    integer, ``upper`` when its fraction is at least 0.5, else ``lower``."""
+    seen = set()
+    for s, e in _instances(frame):
+        if e - s <= window:
+            continue
+        for x in frame.channels.values():
+            x = x[s:e]
+            if (~np.isnan(x)).sum() < 4:
+                continue
+            with np.errstate(invalid="ignore"):     # inf - inf
+                m = int((~np.isnan(x - oracle_running_median(x, window))).sum())
+            if m == 1:
+                seen.add("single")
+            elif m > 1:
+                for q in (0.25, 0.75):
+                    t = (m - 1) * q % 1
+                    seen.add("whole" if t == 0 else "upper" if t >= 0.5 else "lower")
+    return seen
 
 
 def screening_case(seed):
@@ -305,10 +462,45 @@ def screening_case(seed):
     return frame, window
 
 
+def branch_case(seed):
+    """Short instances whose observed residual counts m make the virtual
+    index (m-1)*q whole, or give it a fraction of 0.25, 0.5 or 0.75, plus
+    instances with a single observed residual and with none."""
+    rng = np.random.default_rng(seed)
+    window = 3
+    lengths = [5, 6, 7, 8, 9, 13, 40, 11, 11]
+    segments = tuple((f"S{i + 1:02d}", m) for i, m in enumerate(lengths))
+    frame = quiet_frame(cycles=2, segments=segments)
+    n = len(frame)
+    starts = np.cumsum([0] + lengths[:-1])
+    for j, name in enumerate(frame.channels):
+        x = np.round(rng.normal(0.0, 2.0, n), int(rng.integers(0, 2)))
+        x[rng.integers(0, n, size=4)] += 50.0
+        if j == 1:
+            x[rng.integers(0, n, size=2)] = np.inf
+        for c in range(2):
+            # S08: x observed at rows 0, 1, 3, 5, 7 and 9, so only row 0's
+            # window is complete; S09: no complete window
+            s = c * sum(lengths) + starts[7]
+            x[s + 2:s + 11:2] = np.nan
+            s = c * sum(lengths) + starts[8]
+            x[s:s + 11:2] = np.nan
+        frame.channels[name][:] = x
+    return frame, window
+
+
 class TestScreeningOracle:
     @pytest.mark.parametrize("seed", range(36))
     def test_matches_the_per_instance_loop(self, seed):
-        frame, window = screening_case(seed)
+        self.check_against_the_loop(*screening_case(seed))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_branch_cases_match_the_per_instance_loop(self, seed):
+        with np.errstate(invalid="ignore"):     # residuals of inf - inf
+            self.check_against_the_loop(*branch_case(seed))
+
+    @staticmethod
+    def check_against_the_loop(frame, window):
         spans = [(s, e) for s, e in _instances(frame) if e - s > window]
         starts, stops = np.array(spans).T
         for name, x in frame.channels.items():
@@ -316,9 +508,15 @@ class TestScreeningOracle:
             for s, e in spans:
                 expected = oracle_running_median(x[s:e], window)
                 assert np.array_equal(med[s:e], expected, equal_nan=True), (name, s, e)
-        for k in (1.5, 4.0):
+        for k in (0.0, 1.5, 4.0):
             assert (detrended_iqr_flags(frame, k, window)
                     == oracle_detrended_iqr_flags(frame, k, window))
+
+    def test_cases_reach_every_interpolation_branch(self):
+        seen = set()
+        for seed in range(4):
+            seen |= fence_branches(*branch_case(seed))
+        assert seen == {"single", "whole", "upper", "lower"}
 
     def test_cases_cover_ties_nan_and_flags(self):
         nan_windows = flagged = 0

@@ -117,7 +117,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key, value", [
         ("resample_minutes", 0), ("variance_threshold", 0.0),
         ("variance_threshold", 1.5), ("tau", -0.1), ("tau", 1.1), ("top_n", 0),
-        ("iqr_k", -0.5), ("iqr_window", 30), ("iqr_window", 1), ("ics_m", 0),
+        ("iqr_k", -0.5), ("iqr_window", 30), ("iqr_window", 1), ("ics_m", 0), ("ics_m", 10),
         ("ics_alpha", 0.0), ("ics_alpha", 1.0), ("impute_k", 0),
         ("verify_window_minutes", -1), ("column_drop_missing_fraction", 1.5),
     ])
@@ -320,6 +320,8 @@ class TestCliFailures:
          "configuration error: unknown preprocess keys: ['train_fraction']"),
         ({"models": dict(CLI_DOC["models"], gbdt=[{"depth": 3}])},
          "configuration error: unknown gbdt grid keys: ['depth'] in {'depth': 3}"),
+        ({"preprocess": {"ics_m": 50}},
+         "bad preprocess section: ics_m must be at most 9, the number of channels, got 50"),
     ])
     def test_bad_parameters_exit_two_before_simulating(self, tmp_path, capsys,
                                                        section, message):

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pdmpipe import TimeSeriesFrame, load_csv, resample, slice_by_sequence, write_csv
-from pdmpipe.timeseries import SEQUENCE_IDS, _write_table
+from pdmpipe.timeseries import SEQUENCE_IDS, SEQUENCE_VOCAB, _write_table
 
 
 def minutes(n, start="2025-03-01T00:00:00"):
@@ -56,6 +56,29 @@ class TestFrameInvariants:
             TimeSeriesFrame(
                 timestamps=minutes(2), channels={}, units={},
                 logs={"sequence_id": np.array(["S01", "S14"], dtype="U4")})
+
+    @pytest.mark.parametrize("ids", [
+        ["S14", "S01", "S01", "S02"],             # bad id at row 0
+        ["S01", "S01", "S02", "IDLE", "S14"],     # bad id at the last row
+        ["S01", "S01", "s01", "S01", "S01"],      # one bad row inside a run
+        ["S01", "BAD", "BAD", "BAD", "S02"],      # a whole run of a bad id
+        ["ZZ", "S01", "AA", "AA", "S01", "ZZ"],   # several, each named once
+        ["S99"],
+    ])
+    def test_every_unknown_sequence_id_is_named(self, ids):
+        seq = np.array(ids, dtype="U4")
+        # reference: np.unique over every row
+        bad = sorted(set(np.unique(seq)) - SEQUENCE_VOCAB)
+        with pytest.raises(ValueError) as info:
+            TimeSeriesFrame(timestamps=minutes(len(ids)), channels={}, units={},
+                            logs={"sequence_id": seq})
+        assert str(info.value) == f"unknown sequence ids: {bad}"
+
+    @pytest.mark.parametrize("ids", [[], ["IDLE"], ["S13"], ["S01", "S01", "IDLE"]])
+    def test_known_sequence_ids_pass(self, ids):
+        frame = TimeSeriesFrame(timestamps=minutes(len(ids)), channels={}, units={},
+                                logs={"sequence_id": np.array(ids, dtype="U4")})
+        assert len(frame) == len(ids)
 
     def test_decreasing_cycle_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
