@@ -74,9 +74,6 @@ from .models import (
     fit_gbdt,
     fit_svm,
     fit_tree,
-    load_model,
-    model_from_dict,
-    save_model,
 )
 from .simulator import (
     GroundTruth,
@@ -90,7 +87,6 @@ from .simulator import (
 )
 from .timeseries import (
     TimeSeriesFrame,
-    load_csv,
     resample,
     slice_by_sequence,
     write_csv,

@@ -7,7 +7,7 @@ parameter silently falling back to a default is worse than an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import yaml
 
@@ -53,21 +53,20 @@ DEFAULT_OUTLIERS = (
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """A validated run configuration; ``_from_doc`` fills in every default."""
+
     seed: int
-    out_dir: str = "out"
-    kb_path: str = None
-    sim: SimConfig = None
-    missing: dict = field(default_factory=lambda: dict(DEFAULT_MISSING))
-    outliers: tuple = DEFAULT_OUTLIERS
-    preprocess: PreprocessParams = field(default_factory=PreprocessParams)
-    grids: dict = field(default_factory=lambda: {k: tuple(dict(g) for g in v)
-                                                 for k, v in DEFAULT_GRIDS.items()})
-    horizons_minutes: tuple = DEFAULT_HORIZONS
-    split: tuple = DEFAULT_SPLIT
+    out_dir: str
+    kb_path: str
+    sim: SimConfig
+    missing: dict
+    outliers: tuple
+    preprocess: PreprocessParams
+    grids: dict
+    horizons_minutes: tuple
+    split: tuple
 
     def __post_init__(self):
-        if self.sim is None:
-            object.__setattr__(self, "sim", SimConfig(seed=self.seed))
         if not self.horizons_minutes:
             raise ConfigError("need at least one horizon")
         for h in self.horizons_minutes:
@@ -221,11 +220,15 @@ def _from_doc(doc: dict) -> PipelineConfig:
     missing = doc.get("missing")
     if missing is None:
         missing = dict(DEFAULT_MISSING)
+    elif not isinstance(missing, dict):
+        raise ConfigError(f"missing must be a mapping, got {missing!r}")
     outliers = doc.get("outliers")
     if outliers is None:
         outliers = DEFAULT_OUTLIERS
-    else:
+    elif isinstance(outliers, (list, tuple)) and all(isinstance(o, dict) for o in outliers):
         outliers = tuple(dict(o) for o in outliers)
+    else:
+        raise ConfigError(f"outliers must be a list of mappings, got {outliers!r}")
 
     try:
         return PipelineConfig(
@@ -237,14 +240,22 @@ def _from_doc(doc: dict) -> PipelineConfig:
             outliers=outliers,
             preprocess=preprocess,
             grids=grids,
-            horizons_minutes=tuple(doc["horizons_minutes"])
-            if "horizons_minutes" in doc else DEFAULT_HORIZONS,
-            split=tuple(doc["split"]) if "split" in doc else DEFAULT_SPLIT,
+            horizons_minutes=_list(doc, "horizons_minutes", DEFAULT_HORIZONS),
+            split=_list(doc, "split", DEFAULT_SPLIT),
         )
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _list(doc: dict, key: str, default: tuple) -> tuple:
+    """``doc[key]`` as a tuple, or ``default`` when the key is absent."""
+    if key not in doc:
+        return default
+    if not isinstance(doc[key], (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {doc[key]!r}")
+    return tuple(doc[key])
 
 
 def load_config(path) -> PipelineConfig:

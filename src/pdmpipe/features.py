@@ -19,7 +19,6 @@ import numpy as np
 
 from .cleaning import (
     DISPOSITION_RECONSTRUCT,
-    GapInterval,
     GapReport,
     apply_verdicts,
     classify_gaps,
@@ -34,8 +33,6 @@ from .timeseries import (
     IDLE,
     SEQUENCE_IDS,
     TimeSeriesFrame,
-    _floats,
-    _read_table,
     _write_table,
     resample,
     slice_by_sequence,
@@ -359,40 +356,6 @@ class CuratedDataset:
         with open(meta_path, "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-    @classmethod
-    def from_files(cls, csv_path, meta_path) -> "CuratedDataset":
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        names = meta["feature_names"]
-        # the header names "sequence" twice (the id, then the encoded
-        # feature), so columns are taken by position
-        header, columns = _read_table(csv_path)
-        if header != ["timestamp", "cycle", "sequence", *names, TARGET]:
-            raise ValueError("curated csv header does not match metadata")
-        selection = FeatureSelection(
-            selected=tuple(meta["selection"]["selected"]),
-            max_loading=meta["selection"]["max_loading"],
-            retained_components=meta["selection"]["retained_components"],
-            explained=tuple(meta["selection"]["explained"]),
-            notes=tuple(meta["selection"]["notes"]))
-        gaps = tuple(
-            GapInterval(start=np.datetime64(g["start"], "s"),
-                        end=np.datetime64(g["end"], "s"), cause=g["cause"],
-                        disposition=g["disposition"], channel=g.get("channel"))
-            for g in meta["gap_report"]["intervals"])
-        return cls(
-            scenario=meta["scenario"], feature_names=tuple(names),
-            X=_floats(columns[3:-1].T),
-            y=columns[-1].astype(np.int8),
-            cycles=columns[1].astype(np.int64),
-            sequences=columns[2].astype("U4"),
-            timestamps=columns[0].astype("datetime64[s]"),
-            interval_minutes=int(meta["interval_minutes"]),
-            scaler={k: (v[0], v[1]) for k, v in meta["scaler"].items()},
-            selection=selection, gap_report=GapReport(intervals=gaps),
-            verdict_counts=dict(meta["verdict_counts"]),
-            notes=tuple(meta["notes"]))
 
 
 def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,

@@ -1,8 +1,8 @@
 """Native binary classifiers: CART, bagged forest, boosted trees, linear SVM.
 
-All four are deterministic (the forest given its seed), serialize to
-plain JSON, and reproduce their predictions bit-exactly after a round
-trip. Ties everywhere resolve toward the negative class, the lower
+All four are deterministic (the forest given its seed), and each
+fitted model's ``to_dict`` describes it as plain JSON; nothing reads
+that back. Ties everywhere resolve toward the negative class, the lower
 feature index, and the lower threshold, in that order, so retraining is
 stable.
 
@@ -14,9 +14,8 @@ operations. The trees are the ones growing each tree alone would give.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -122,10 +121,6 @@ class Tree:
                 "left": self.left.tolist(),
                 "right": self.right.tolist(),
                 "value": self.value.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        return cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
 
 
 class _TreeBuilder:
@@ -346,11 +341,6 @@ class Forest:
                 "params": asdict(self.params),
                 "trees": [t.to_dict() for t in self.trees]}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Forest":
-        return cls([Tree.from_dict(t) for t in d["trees"]],
-                   _saved_params(ForestParams, d))
-
 
 def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams = None,
                seed: int = 0) -> Forest:
@@ -405,11 +395,6 @@ class Gbdt:
                 "params": asdict(self.params),
                 "train_loss": self.train_loss,
                 "trees": [t.to_dict() for t in self.trees]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Gbdt":
-        return cls(d["base_score"], [Tree.from_dict(t) for t in d["trees"]],
-                   _saved_params(GbdtParams, d), d["train_loss"])
 
 
 def _bin_features(X: np.ndarray, bins: int):
@@ -552,10 +537,6 @@ class Svm:
                 "params": asdict(self.params),
                 "objectives": self.objectives}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Svm":
-        return cls(d["weights"], _saved_params(SvmParams, d), d["objectives"])
-
 
 def _svm_objective(w, aug, signed, reg):
     """``reg/2 * ||w||^2 + mean(max(0, 1 - s * w.x)^2)`` and the margin slack."""
@@ -609,37 +590,3 @@ def fit_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = None) -> Svm:
         obj, slack = cand, cand_slack
         objectives.append(obj)
     return Svm(w, params, objectives)
-
-
-_FAMILIES = {
-    "tree": Tree,
-    "forest": Forest,
-    "gbdt": Gbdt,
-    "svm": Svm,
-}
-
-
-def _saved_params(params_cls, d: dict):
-    """``params_cls`` from a saved model's params; a key it lacks is an error."""
-    unknown = sorted(set(d["params"]) - {f.name for f in fields(params_cls)})
-    if unknown:
-        raise ValueError(f"saved {d['family']} model has unknown params keys: {unknown}")
-    return params_cls(**d["params"])
-
-
-def model_from_dict(d: dict):
-    family = d.get("family")
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown model family {family!r}")
-    return _FAMILIES[family].from_dict(d)
-
-
-def save_model(model, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model.to_dict(), fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path):
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))

@@ -125,6 +125,8 @@ class SimConfig:
     def __post_init__(self):
         if self.cycles < 1:
             raise ValueError("cycles must be >= 1")
+        if self.idle_minutes < 0:
+            raise ValueError(f"idle_minutes must be >= 0, got {self.idle_minutes}")
         if not 0.0 <= self.logging_probability <= 1.0:
             raise ValueError("logging probability must be in [0, 1]")
         for key, p in self.injection.items():

@@ -1,4 +1,4 @@
-"""Columnar time-series container with CSV round-trip and interval resampling.
+"""Columnar time-series container with CSV output and interval resampling.
 
 The frame carries three kinds of columns:
 
@@ -117,47 +117,8 @@ def _runs(mask: np.ndarray) -> list:
     return list(zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)))
 
 
-def load_csv(path, schema: dict) -> TimeSeriesFrame:
-    """Read telemetry CSV into a frame.
-
-    ``schema`` maps columns to roles: ``{"channels": {name: unit}, "logs":
-    [names], "step_minutes": int}``. The first column must be an ISO-8601
-    timestamp named 'timestamp'. Numeric cells that fail to parse (including
-    empty ones) become missing markers; log cells must parse.
-    """
-    channels = schema.get("channels", {})
-    log_names = list(schema.get("logs", []))
-    header, columns = _read_table(path)
-    wanted = [TIME_COL] + list(channels) + log_names
-    missing = [c for c in wanted if c not in header]
-    if missing:
-        raise ValueError(f"{path}: schema columns missing from header: {missing}")
-    cells = {c: columns[header.index(c)] for c in wanted}
-
-    timestamps = cells[TIME_COL].astype("datetime64[s]")
-    if len(timestamps) > 1 and not np.all(timestamps[1:] > timestamps[:-1]):
-        raise ValueError(f"{path}: timestamps not strictly increasing")
-    chan_data = {}
-    for c in channels:
-        try:
-            chan_data[c] = _floats(cells[c])
-        except ValueError:   # a cell that is not a number is missing too
-            chan_data[c] = np.array([_float_or_nan(v) for v in cells[c]])
-    with np.errstate(invalid="raise"):   # a NaN or infinite log cell fails the cast
-        log_data = {name: cells[name].astype("U4") if name == SEQUENCE_COL
-                    else cells[name].astype(np.float64).astype(np.int64)
-                    for name in log_names}
-    return TimeSeriesFrame(
-        timestamps=timestamps,
-        channels=chan_data,
-        units=dict(channels),
-        logs=log_data,
-        step_minutes=int(schema.get("step_minutes", 1)),
-    )
-
-
 def write_csv(frame: TimeSeriesFrame, path) -> dict:
-    """Write a frame to CSV; returns the schema that round-trips it."""
+    """Write a frame to CSV; returns its schema: channel units, log names, step."""
     _write_table(path, [TIME_COL, *frame.channels, *frame.logs], frame.timestamps,
                  [*frame.channels.values(), *frame.logs.values()])
     return {
@@ -216,35 +177,6 @@ def _cells(values: np.ndarray) -> list:
         return list(map(str, values.tolist()))
     return ['"' + c.replace('"', '""') + '"' if _QUOTED.search(c) else c
             for c in values.astype(str).tolist()]
-
-
-def _read_table(path):
-    """Header and cells of a CSV table; ``columns[j]`` holds column j's cells
-    as strings. A row whose cell count differs from the header's is an error."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header, body = rows[0], rows[1:]
-    widths = np.fromiter(map(len, body), dtype=np.int64, count=len(body))
-    ragged = np.flatnonzero(widths != len(header))
-    if ragged.size:
-        i = ragged[0]
-        raise ValueError(f"{path}: line {i + 2} has {widths[i]} cells, "
-                         f"the header has {len(header)}")
-    return header, np.array(body, dtype=object).reshape(len(body), len(header)).T
-
-
-def _floats(cells: np.ndarray) -> np.ndarray:
-    """Cells as float64: an empty cell is NaN, any other must parse."""
-    return np.where(cells == "", "nan", cells).astype(np.float64)
-
-
-def _float_or_nan(cell: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        return np.nan
 
 
 def resample(frame: TimeSeriesFrame, interval_minutes: int) -> TimeSeriesFrame:

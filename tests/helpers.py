@@ -1,14 +1,17 @@
-"""Hand-built telemetry frames with known, rule-silent nominal values,
-and a runner for the ``pdm`` command line in a fresh interpreter."""
+"""Hand-built telemetry frames with known, rule-silent nominal values, the
+stock knowledge-base document, and a runner for the ``pdm`` command line in
+a fresh interpreter."""
 
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from pdmpipe.timeseries import TimeSeriesFrame
 
@@ -74,6 +77,13 @@ def segment_rows(frame: TimeSeriesFrame, cycle: int, sequence_id: str) -> np.nda
     """Row indices of one sequence instance."""
     return np.flatnonzero((frame.cycle == cycle)
                           & (frame.sequence == sequence_id))
+
+
+def stock_doc() -> dict:
+    """The shipped knowledge base as the plain document ``load_kb`` reads."""
+    text = resources.files("pdmpipe").joinpath(
+        "data/knowledge_base.yaml").read_text("utf-8")
+    return yaml.safe_load(text)
 
 
 def run_python(*args: str, timeout: float, cwd=None) -> subprocess.CompletedProcess:

@@ -8,6 +8,7 @@ to get a pass/fail line per guarantee. The quantitative checks pin the reference
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import time
 from pathlib import Path
 
@@ -212,6 +213,20 @@ def test_numerical_invariants_hold():
         assert detect_outliers_iqr(values, k).tolist() == expected
 
 
+# sha256 of each file ``pdm compare --config configs/default.yaml`` writes.
+# A change to these bytes is declared in CHANGES.md with the new digests.
+REFERENCE_DIGESTS = {
+    "baseline_cells.csv": "7bc05fae96cd0e62a032dd7a429e2f4a730a1ec1be785d11c8c486b445fc2b29",
+    "baseline_report.json": "21372a1309767d1572ea9339d1499d45db266fb00d9ffd4a0936a72665119644",
+    "comparison.csv": "1ae6a1e7cfd3c300827c9932f2f5df4125238734bda956d5a1bec5df3cff1520",
+    "comparison.json": "929dcfb253e3b5eb3617f220bf9229d1897a3830157b2f3f1fbb5e787f4de1c1",
+    "s1_cells.csv": "0bc3ed6c4fa6ce92a8eafb8d6dacb0f521f9bf72952c51e949f7566aa7337911",
+    "s1_report.json": "12c6937f0231109e994c566aff29d58247fb867cac976fefadfb44e7e62667b1",
+    "s2_cells.csv": "3a8f0d442f4841927a7d675ff3fea8aebdee9354666bbe08cf25ac62eb6c895a",
+    "s2_report.json": "d4c6d4779f25addaaccd560b265919693852fdf96608ff1f637dde3a11de419d",
+}
+
+
 def test_comparison_outputs_are_byte_identical(tmp_path):
     outputs = []
     for name in ("a", "b"):
@@ -226,6 +241,9 @@ def test_comparison_outputs_are_byte_identical(tmp_path):
     for name in names:
         assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), \
             f"{name} differs between identical runs"
+    digests = {name: hashlib.sha256((outputs[0] / name).read_bytes()).hexdigest()
+               for name in names}
+    assert digests == REFERENCE_DIGESTS
 
 
 def test_positive_labels_nest_as_the_horizon_grows(kb):

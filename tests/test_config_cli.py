@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -11,12 +12,12 @@ import numpy as np
 import pytest
 import yaml
 
-from pdmpipe import CuratedDataset, ConfigError, load_config, make_config
+from pdmpipe import ConfigError, load_config, make_config
 from pdmpipe import features
 from pdmpipe.cli import main
 from pdmpipe.config import _from_doc
 from pdmpipe.simulator import DEFAULT_NOISE, DEFAULT_WANDER
-from helpers import run_pdm
+from helpers import run_pdm, stock_doc
 
 
 class TestMakeConfig:
@@ -215,10 +216,12 @@ class TestCliPipeline:
         rc = main(["preprocess", "--config", cli_config, "--scenario", "s1",
                    "--out", str(out)])
         assert rc == 0
-        ds = CuratedDataset.from_files(out / "curated_s1.csv",
-                                       out / "curated_s1.json")
-        assert ds.scenario == "s1"
-        assert len(ds) > 0
+        meta = json.loads((out / "curated_s1.json").read_text())
+        assert meta["scenario"] == "s1"
+        with open(out / "curated_s1.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["timestamp", "cycle", "sequence", *meta["feature_names"], "target"]
+        assert rows and all(len(row) == len(header) for row in rows)
         assert "curated s1" in capsys.readouterr().out
 
     def test_evaluate_baseline_writes_a_report(self, cli_config, tmp_path,
@@ -322,6 +325,12 @@ class TestCliFailures:
          "configuration error: unknown gbdt grid keys: ['depth'] in {'depth': 3}"),
         ({"preprocess": {"ics_m": 50}},
          "bad preprocess section: ics_m must be at most 9, the number of channels, got 50"),
+        ({"outliers": 5}, "outliers must be a list of mappings, got 5"),
+        ({"horizons_minutes": 180}, "horizons_minutes must be a list, got 180"),
+        ({"split": 0.6}, "split must be a list, got 0.6"),
+        ({"missing": 5}, "missing must be a mapping, got 5"),
+        ({"sim": dict(CLI_DOC["sim"], idle_minutes=-5)},
+         "bad sim section: idle_minutes must be >= 0, got -5"),
     ])
     def test_bad_parameters_exit_two_before_simulating(self, tmp_path, capsys,
                                                        section, message):
@@ -391,3 +400,65 @@ class TestCliFailures:
         with pytest.raises(SystemExit) as exc:
             main(["preprocess", "--config", "x", "--scenario", "s9"])
         assert exc.value.code == 2
+
+
+def kb_copy(tmp_path, edit) -> str:
+    """Path of the stock knowledge base written out after ``edit(doc)``."""
+    doc = stock_doc()
+    edit(doc)
+    path = tmp_path / "kb.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return str(path)
+
+
+def absent_channel(doc):
+    rule = doc["rules"][0]
+    assert rule["id"] == 1
+    rule["sensor"]["channel"] = "no_such_channel"
+
+
+def bar_unit(doc):
+    rule = next(r for r in doc["rules"] if r.get("sensor", {}).get("unit") == "hPa")
+    rule["sensor"]["unit"] = "bar"
+
+
+# (config overrides, knowledge-base edit, command, exit code, message); on
+# exit 0 the message is the report's reason for selecting no cell
+BAD_INPUTS = {
+    "four_cycles": ({"sim": dict(CLI_DOC["sim"], cycles=4,
+                                 schedule=[[2, "needle"], [4, "heating_temp"]]),
+                     "missing": {"non_use": True}, "outliers": []},
+                    None, ["compare"], 3, "need at least 5 cycles to split, got 4"),
+    "kb_absent_channel": ({}, absent_channel, ["compare"], 3,
+                          "rule 1: frame lacks channel 'no_such_channel'"),
+    "kb_unit_mismatch": ({}, bar_unit, ["compare"], 2, "conflicts with 'bar'"),
+    "horizon_beyond_data": ({"sim": dict(CLI_DOC["sim"], cycles=10),
+                             "horizons_minutes": [99990]},
+                            None, ["compare"], 3, "horizon 99990 leaves an empty split part"),
+    "nothing_logged": ({"sim": dict(CLI_DOC["sim"], logging_probability=0)},
+                       None, ["evaluate", "--scenario", "s1"], 0,
+                       "no cell exceeded accuracy 0.7 with nonzero F1"),
+}
+
+
+class TestCliBadInputs:
+    @pytest.mark.parametrize("overrides, kb_edit, command, code, message",
+                             BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_cause_is_named(self, tmp_path, capsys, overrides, kb_edit, command,
+                            code, message):
+        doc = dict(CLI_DOC, **overrides)
+        if kb_edit is not None:
+            doc["kb"] = kb_copy(tmp_path, kb_edit)
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        rc = main([*command, "--config", str(path), "--out", str(out)])
+        assert rc == code
+        err = capsys.readouterr().err
+        if code == 0:
+            report = json.loads((out / "s1_report.json").read_text())
+            assert report["best"] is None
+            assert report["reason"] == message
+        else:
+            prefix = "configuration error" if code == 2 else "pipeline error"
+            assert f"{prefix}: " in err and message in err

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -22,13 +21,7 @@ from pdmpipe.knowledge import (
     OperatingEnvelope,
     SensorPredicate,
 )
-from helpers import quiet_frame, segment_rows
-
-
-def stock_doc():
-    text = resources.files("pdmpipe").joinpath(
-        "data/knowledge_base.yaml").read_text("utf-8")
-    return yaml.safe_load(text)
+from helpers import quiet_frame, segment_rows, stock_doc
 
 
 def load_doc(doc, tmp_path):
