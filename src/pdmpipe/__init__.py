@@ -14,7 +14,6 @@ from .cleaning import (
     apply_verdicts,
     classify_gaps,
     detect_outliers_ics,
-    detect_outliers_iqr,
     drop_intervals,
     impute_single_sensor,
     verify_outliers,
@@ -69,11 +68,9 @@ from .models import (
     Svm,
     SvmParams,
     Tree,
-    TreeParams,
     fit_forest,
     fit_gbdt,
     fit_svm,
-    fit_tree,
 )
 from .simulator import (
     GroundTruth,

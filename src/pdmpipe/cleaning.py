@@ -165,24 +165,6 @@ def drop_intervals(frame: TimeSeriesFrame, report: GapReport) -> TimeSeriesFrame
     return frame.take(np.flatnonzero(cover[:n] <= 0))
 
 
-def detect_outliers_iqr(values: np.ndarray, k: float = 1.5) -> np.ndarray:
-    """Indices of points outside the quartile fences [Q1-k*IQR, Q3+k*IQR].
-
-    Quartiles use linear interpolation between order statistics; missing
-    values are ignored and never flagged.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    x = np.asarray(values, dtype=float)
-    observed = x[~np.isnan(x)]
-    if observed.size == 0:
-        return np.empty(0, dtype=np.int64)
-    lo, hi = _iqr_fences([observed], k)
-    with np.errstate(invalid="ignore"):
-        mask = (x < lo[0]) | (x > hi[0])
-    return np.flatnonzero(mask)
-
-
 _QUARTILES = np.array([0.25, 0.75])
 
 

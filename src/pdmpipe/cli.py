@@ -11,7 +11,6 @@ configuration, 3 pipeline failure. Set PDM_LOG to change verbosity.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -23,7 +22,7 @@ from .evaluation import compare, run_scenario, write_comparison, write_report
 from .features import build_dataset
 from .knowledge import default_kb, load_kb
 from .simulator import inject_missing, inject_outliers, simulate
-from .timeseries import write_csv
+from .timeseries import _write_json, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -45,12 +44,8 @@ def cmd_simulate(config: PipelineConfig, kb, out_dir: str) -> int:
     frame, gt = _generate(config, kb)
     os.makedirs(out_dir, exist_ok=True)
     schema = write_csv(frame, os.path.join(out_dir, "telemetry.csv"))
-    with open(os.path.join(out_dir, "telemetry_schema.json"), "w") as fh:
-        json.dump(schema, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "ground_truth.json"), "w") as fh:
-        json.dump(gt.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "telemetry_schema.json"), schema)
+    _write_json(os.path.join(out_dir, "ground_truth.json"), gt.to_dict())
     print(f"simulated {config.sim.cycles} cycles, {len(frame)} rows, "
           f"{len(gt.events)} events ({len(gt.logged_events())} logged) -> {out_dir}")
     return 0

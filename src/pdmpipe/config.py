@@ -1,8 +1,9 @@
 """Run configuration: one YAML file drives every command.
 
 A config must carry an explicit seed; there is no implicit randomness
-anywhere downstream. Unknown keys are rejected loudly since a typoed
-parameter silently falling back to a default is worse than an error.
+anywhere downstream. Unknown keys are rejected loudly, in every section
+and list entry, since a typoed parameter silently falling back to a
+default is worse than an error.
 """
 
 from __future__ import annotations
@@ -85,9 +86,8 @@ class PipelineConfig:
             if not grid:
                 raise ConfigError(f"empty grid for {family}")
             for entry in grid:
-                unknown = _unknown_keys(GRID_PARAMS[family], entry)
-                if unknown:
-                    raise ConfigError(f"unknown {family} grid keys: {unknown} in {entry}")
+                _keys(entry, f"{family} grid", _fields(GRID_PARAMS[family]),
+                      context=f" in {entry}")
                 try:
                     GRID_PARAMS[family](**entry)
                 except (TypeError, ValueError) as exc:
@@ -96,54 +96,56 @@ class PipelineConfig:
             if family not in self.grids:
                 raise ConfigError(f"missing grid for {family}")
 
-    def to_dict(self) -> dict:
-        missing = {k: [dict(i) for i in v] if isinstance(v, (list, tuple)) else v
-                   for k, v in self.missing.items()}
-        return {
-            "seed": self.seed,
-            "out": self.out_dir,
-            "kb": self.kb_path,
-            "sim": {
-                "cycles": self.sim.cycles,
-                "idle_minutes": self.sim.idle_minutes,
-                "start": self.sim.start,
-                "injection": dict(self.sim.injection),
-                "schedule": None if self.sim.schedule is None
-                else [list(entry) for entry in self.sim.schedule],
-                "logging_probability": self.sim.logging_probability,
-                "noise": dict(self.sim.noise),
-                "wander": dict(self.sim.wander),
-                "wander_phi": self.sim.wander_phi,
-            },
-            "missing": missing,
-            "outliers": [dict(o) for o in self.outliers],
-            "preprocess": self.preprocess.to_dict(),
-            "models": {k: [dict(g) for g in v] for k, v in self.grids.items()},
-            "horizons_minutes": list(self.horizons_minutes),
-            "split": list(self.split),
-        }
 
-
-_TOP_KEYS = {"seed", "out", "kb", "sim", "missing", "outliers", "preprocess",
-             "models", "horizons_minutes", "split"}
-_SIM_KEYS = {"cycles", "idle_minutes", "start", "injection", "schedule",
-             "logging_probability", "noise", "wander", "wander_phi"}
+_TOP_KEYS = ("seed", "out", "kb", "sim", "missing", "outliers", "preprocess",
+             "models", "horizons_minutes", "split")
+_MISSING_KEYS = ("non_use", "blanket", "dropout")
+# required keys of one entry of each list section; an outlier also needs a
+# delta or a value
+_ENTRY_KEYS = {
+    "blanket": ("cycle", "start_minute", "minutes"),
+    "dropout": ("cycle", "channel", "start_minute", "minutes"),
+    "outliers": ("cycle", "channel", "minute", "kind"),
+}
+_OUTLIER_VALUES = ("delta", "value")
 # sim mappings merged into their defaults: (key, defaults, what its keys name)
 _SIM_MAPPINGS = (("injection", DEFAULT_INJECTION, "fault"),
                  ("noise", DEFAULT_NOISE, "channel"),
                  ("wander", DEFAULT_WANDER, "channel"))
 
 
-def _unknown_keys(params, section: dict) -> list:
-    """Keys of ``section`` that name no field of the dataclass ``params``, sorted."""
-    return sorted(set(section) - {f.name for f in fields(params)}, key=str)
+def _fields(params) -> set:
+    """Field names of the dataclass ``params``."""
+    return {f.name for f in fields(params)}
 
 
-def _build_sim(seed: int, section: dict) -> SimConfig:
-    unknown = set(section) - _SIM_KEYS
+def _keys(section, name: str, allowed, required=(), context: str = "") -> dict:
+    """``section`` after checking that it is a mapping, that each of its keys
+    is in ``allowed`` and that it has every key in ``required``; the error
+    names the section ``name``, and ``context`` follows an unknown-key list."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a mapping, got {section!r}")
+    unknown = sorted(set(section) - set(allowed), key=str)
     if unknown:
-        raise ConfigError(f"unknown sim keys: {sorted(unknown)}")
-    kwargs = dict(section)
+        raise ConfigError(f"unknown {name} keys: {unknown}{context}")
+    lacking = [key for key in required if key not in section]
+    if lacking:
+        raise ConfigError(f"{name} lacks required keys: {lacking}")
+    return section
+
+
+def _entries(items, name: str, required, optional=()) -> tuple:
+    """The list section ``items`` as a tuple of mappings, each checked by
+    ``_keys`` as ``name[i]``: it needs the ``required`` keys and may add
+    ``optional`` ones."""
+    if not isinstance(items, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of mappings, got {items!r}")
+    return tuple(dict(_keys(item, f"{name}[{i}]", (*required, *optional), required))
+                 for i, item in enumerate(items))
+
+
+def _build_sim(seed: int, section) -> SimConfig:
+    kwargs = dict(_keys(section, "sim", _fields(SimConfig) - {"seed"}))
     # a partial mapping overrides only the keys it names
     for name, defaults, what in _SIM_MAPPINGS:
         if name not in kwargs:
@@ -162,8 +164,13 @@ def _build_sim(seed: int, section: dict) -> SimConfig:
             if not merged[key] >= 0:
                 raise ConfigError(f"sim {name} {key!r} must be >= 0, got {value!r}")
         kwargs[name] = merged
-    if "schedule" in kwargs and kwargs["schedule"] is not None:
-        kwargs["schedule"] = tuple((int(c), str(k)) for c, k in kwargs["schedule"])
+    schedule = kwargs.get("schedule")
+    if schedule is not None:
+        try:
+            kwargs["schedule"] = tuple((int(c), str(k)) for c, k in schedule)
+        except (TypeError, ValueError):
+            raise ConfigError(f"sim schedule must be a list of [cycle, fault key] "
+                              f"pairs, got {schedule!r}") from None
     try:
         return SimConfig(seed=seed, **kwargs)
     except (TypeError, ValueError) as exc:
@@ -178,11 +185,7 @@ def make_config(seed: int, **overrides) -> PipelineConfig:
 
 
 def _from_doc(doc: dict) -> PipelineConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration must be a mapping")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
+    _keys(doc, "configuration", _TOP_KEYS)
     if "seed" not in doc or doc["seed"] is None:
         raise ConfigError("seed is required; no implicit randomness")
     try:
@@ -191,12 +194,7 @@ def _from_doc(doc: dict) -> PipelineConfig:
         raise ConfigError("seed must be an integer") from None
 
     sim = _build_sim(seed, doc.get("sim") or {})
-    pp_section = doc.get("preprocess") or {}
-    if not isinstance(pp_section, dict):
-        raise ConfigError("preprocess must be a mapping")
-    unknown = _unknown_keys(PreprocessParams, pp_section)
-    if unknown:
-        raise ConfigError(f"unknown preprocess keys: {unknown}")
+    pp_section = _keys(doc.get("preprocess") or {}, "preprocess", _fields(PreprocessParams))
     try:
         preprocess = PreprocessParams(**pp_section)
     except (TypeError, ValueError) as exc:
@@ -220,15 +218,20 @@ def _from_doc(doc: dict) -> PipelineConfig:
     missing = doc.get("missing")
     if missing is None:
         missing = dict(DEFAULT_MISSING)
-    elif not isinstance(missing, dict):
-        raise ConfigError(f"missing must be a mapping, got {missing!r}")
+    else:
+        missing = dict(_keys(missing, "missing", _MISSING_KEYS))
+        for kind in ("blanket", "dropout"):
+            if kind in missing:
+                missing[kind] = _entries(missing[kind], f"missing.{kind}",
+                                         _ENTRY_KEYS[kind])
     outliers = doc.get("outliers")
     if outliers is None:
         outliers = DEFAULT_OUTLIERS
-    elif isinstance(outliers, (list, tuple)) and all(isinstance(o, dict) for o in outliers):
-        outliers = tuple(dict(o) for o in outliers)
     else:
-        raise ConfigError(f"outliers must be a list of mappings, got {outliers!r}")
+        outliers = _entries(outliers, "outliers", _ENTRY_KEYS["outliers"], _OUTLIER_VALUES)
+        for i, outlier in enumerate(outliers):
+            if not any(key in outlier for key in _OUTLIER_VALUES):
+                raise ConfigError(f"outliers[{i}] needs a delta or a value key")
 
     try:
         return PipelineConfig(

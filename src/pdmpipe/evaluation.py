@@ -9,7 +9,6 @@ longer horizons and then the fixed family order on ties.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 import os
@@ -28,6 +27,7 @@ from .models import (
     fit_gbdt,
     fit_svm,
 )
+from .timeseries import _write_json
 
 log = logging.getLogger(__name__)
 
@@ -356,9 +356,7 @@ def _cell_rows(report: ScenarioReport):
 
 def write_report(report: ScenarioReport, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, f"{report.scenario}_report.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, f"{report.scenario}_report.json"), report.to_dict())
     with open(os.path.join(out_dir, f"{report.scenario}_cells.csv"), "w",
               newline="") as fh:
         writer = csv.writer(fh)
@@ -390,9 +388,7 @@ def write_comparison(result: dict, out_dir: str) -> None:
         write_report(report, out_dir)
     payload = {"comparison": result["comparison"],
                "reports": {k: r.to_dict() for k, r in result["reports"].items()}}
-    with open(os.path.join(out_dir, "comparison.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "comparison.json"), payload)
     with open(os.path.join(out_dir, "comparison.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario", "best_model", "best_horizon_minutes",

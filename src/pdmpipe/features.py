@@ -9,11 +9,10 @@ from the data-driven one, which then skips every step that needs it.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .timeseries import (
     IDLE,
     SEQUENCE_IDS,
     TimeSeriesFrame,
+    _write_json,
     _write_table,
     resample,
     slice_by_sequence,
@@ -49,7 +49,6 @@ TARGET = "target"
 class PcaResult:
     mean: np.ndarray
     loadings: np.ndarray        # (channels, retained components)
-    eigenvalues: np.ndarray     # all, descending
     explained: np.ndarray       # fraction per component, descending
     retained: int
 
@@ -82,7 +81,7 @@ def pca(X: np.ndarray, variance_threshold: float = 0.95) -> PcaResult:
     retained = int(np.searchsorted(cumulative, variance_threshold - 1e-12) + 1)
     retained = min(retained, len(eigvals))
     return PcaResult(mean=mean, loadings=eigvecs[:, :retained],
-                     eigenvalues=eigvals, explained=explained, retained=retained)
+                     explained=explained, retained=retained)
 
 
 @dataclass(frozen=True)
@@ -315,9 +314,6 @@ class PreprocessParams:
         if not 0 <= self.column_drop_missing_fraction <= 1:
             raise ValueError("column_drop_missing_fraction must be in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class CuratedDataset:
@@ -353,9 +349,7 @@ class CuratedDataset:
             "verdict_counts": dict(self.verdict_counts),
             "notes": list(self.notes),
         }
-        with open(meta_path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(meta_path, meta)
 
 
 def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,

@@ -17,7 +17,7 @@ cycle carry no information.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -306,10 +306,34 @@ class FaultEvent:
         }
 
 
+def _known(entry, keys, where: str = "") -> dict:
+    """``entry`` after checking that it is a mapping whose keys are all in
+    ``keys``, the field names when ``keys`` is a dataclass; ``where`` names
+    a nested entry in the error."""
+    if not isinstance(entry, dict):
+        raise TypeError(f"expected a mapping{where}, got {entry!r}")
+    if isinstance(keys, type):
+        keys = [f.name for f in fields(keys)]
+    unknown = sorted(set(entry) - set(keys), key=str)
+    if unknown:
+        raise ValueError(f"unknown keys{where}: {unknown}")
+    return entry
+
+
+def _mode_model(mm: dict) -> ModeModel:
+    modes = [_known(m, ("name", "sequences"), f" in modes[{i}]")
+             for i, m in enumerate(mm["modes"])]
+    return ModeModel(
+        modes=tuple(m["name"] for m in modes),
+        sequences={m["name"]: tuple(m["sequences"]) for m in modes},
+        durations={str(k): int(v) for k, v in mm["durations"].items()},
+    )
+
+
 def _rule(r: dict) -> MonitoringRule:
     sensor = None
     if "sensor" in r:
-        s = r["sensor"]
+        s = _known(r["sensor"], SensorPredicate, " in sensor")
         thr = s["threshold"]
         if isinstance(thr, (list, tuple)):
             thr = (float(thr[0]), float(thr[1]))
@@ -320,7 +344,8 @@ def _rule(r: dict) -> MonitoringRule:
         )
     logp = None
     if "log" in r:
-        logp = LogPredicate(logs=tuple(r["log"]["logs"]), value=int(r["log"]["value"]))
+        lp = _known(r["log"], LogPredicate, " in log")
+        logp = LogPredicate(logs=tuple(lp["logs"]), value=int(lp["value"]))
     return MonitoringRule(
         id=int(r["id"]),
         mode=r["mode"],
@@ -337,10 +362,11 @@ def _rule(r: dict) -> MonitoringRule:
     )
 
 
-def _parse(where: str, build, item):
-    """``build(item)``; a missing key or a misshaped entry becomes a ValueError naming ``where``."""
+def _parse(where: str, build, item, keys=None):
+    """``build(item)``, after ``_known`` checks ``item`` against ``keys`` if given;
+    a missing key or a misshaped entry becomes a ValueError naming ``where``."""
     try:
-        return build(item)
+        return build(item if keys is None else _known(item, keys))
     except KeyError as exc:
         raise ValueError(f"knowledge base {where}: missing key {exc.args[0]!r}") from None
     except ValueError as exc:
@@ -349,12 +375,12 @@ def _parse(where: str, build, item):
         raise ValueError(f"knowledge base {where}: malformed entry ({exc})") from None
 
 
-def _entries(doc: dict, section: str, build) -> tuple:
+def _entries(doc: dict, section: str, build, keys=None) -> tuple:
     items = doc[section]
     if not isinstance(items, list):
         raise ValueError(f"knowledge base section {section!r} must be a list, "
                          f"got {type(items).__name__}")
-    return tuple(_parse(f"{section}[{i}]", build, item) for i, item in enumerate(items))
+    return tuple(_parse(f"{section}[{i}]", build, item, keys) for i, item in enumerate(items))
 
 
 def _build_kb(doc: dict) -> KnowledgeBase:
@@ -363,26 +389,22 @@ def _build_kb(doc: dict) -> KnowledgeBase:
     if missing:
         raise ValueError(f"knowledge base document missing sections: {missing}")
 
-    mode_model = _parse("mode_model", lambda mm: ModeModel(
-        modes=tuple(m["name"] for m in mm["modes"]),
-        sequences={m["name"]: tuple(m["sequences"]) for m in mm["modes"]},
-        durations={str(k): int(v) for k, v in mm["durations"].items()},
-    ), doc["mode_model"])
-    rules = _entries(doc, "rules", _rule)
+    mode_model = _parse("mode_model", _mode_model, doc["mode_model"], ("modes", "durations"))
+    rules = _entries(doc, "rules", _rule, MonitoringRule)
     fmeca = _entries(doc, "fmeca", lambda e: FmecaEntry(
         fault_name=e["fault_name"],
         causes=tuple(e["causes"]),
         severity=e["severity"],
         consequence=e["consequence"],
         corrective_action=e.get("corrective_action", ""),
-    ))
+    ), FmecaEntry)
     envelopes = _entries(doc, "envelopes", lambda e: OperatingEnvelope(
         channel=e["channel"],
         mode=e["mode"],
         sequence_id=e["sequence_id"],
         min=float(e["min"]),
         max=float(e["max"]),
-    ))
+    ), OperatingEnvelope)
     kb = KnowledgeBase(
         mode_model=mode_model,
         rules=rules,

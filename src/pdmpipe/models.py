@@ -1,6 +1,6 @@
-"""Native binary classifiers: CART, bagged forest, boosted trees, linear SVM.
+"""Native binary classifiers: bagged CART forest, boosted trees, linear SVM.
 
-All four are deterministic (the forest given its seed), and each
+All three are deterministic (the forest given its seed), and each
 fitted model's ``to_dict`` describes it as plain JSON; nothing reads
 that back. Ties everywhere resolve toward the negative class, the lower
 feature index, and the lower threshold, in that order, so retraining is
@@ -34,18 +34,6 @@ _SEARCH_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
-class TreeParams:
-    max_depth: int = None
-    min_leaf: int = 1
-
-    def __post_init__(self):
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
-
-
-@dataclass(frozen=True)
 class ForestParams:
     trees: int = 40
     max_depth: int = None
@@ -54,7 +42,10 @@ class ForestParams:
     def __post_init__(self):
         if self.trees < 1:
             raise ValueError("trees must be >= 1")
-        TreeParams(max_depth=self.max_depth, min_leaf=self.min_leaf)   # each tree's limits
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        if self.min_leaf < 1:
+            raise ValueError("min_leaf must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -243,15 +234,20 @@ def _best_splits(code, keyed, values, width, d, nodes, min_leaf):
     return out
 
 
-def _grow_trees(X, y, rows, rngs, mtry, params: TreeParams) -> list:
+def _grow_trees(X, y, rows, rngs, mtry, max_depth, min_leaf) -> list:
     """One greedy Gini CART tree per entry of ``rows``, grown in lock-step.
 
     Tree t fits the rows ``rows[t]`` of ``X`` (repeats allowed) and draws
     ``mtry`` features per node from ``rngs[t]``; ``mtry`` None or >= the
-    column count uses every feature. Each tree grows depth-first, left
-    child first. Step k pops the k-th node of every tree that has one, in
-    tree order, so each tree makes the draws it would make growing alone;
-    one ``_best_splits`` call then searches all of the step's nodes.
+    column count uses every feature. Splits fall at midpoints of
+    consecutive distinct values; a tied gain goes to the lower feature
+    index, then the lower threshold. An impure node splits even at zero
+    gain unless it is at depth ``max_depth`` (None: no limit) or has fewer
+    than ``2 * min_leaf`` rows, which is what lets parity-style targets fit
+    exactly. Each tree grows depth-first, left child first. Step k pops the
+    k-th node of every tree that has one, in tree order, so each tree makes
+    the draws it would make growing alone; one ``_best_splits`` call then
+    searches all of the step's nodes.
     """
     n, d = X.shape
     # integer value ranks per column, offset so that every column owns its
@@ -283,9 +279,9 @@ def _grow_trees(X, y, rows, rngs, mtry, params: TreeParams) -> list:
             builder.value[node] = 1.0 if ones > zeros else 0.0
             if ones == 0 or zeros == 0:
                 continue
-            if params.max_depth is not None and depth >= params.max_depth:
+            if max_depth is not None and depth >= max_depth:
                 continue
-            if len(node_rows) < 2 * params.min_leaf or d == 0:
+            if len(node_rows) < 2 * min_leaf or d == 0:
                 continue
             if mtry is not None and mtry < d:
                 features = np.sort(rngs[t].choice(d, size=mtry, replace=False))
@@ -295,7 +291,7 @@ def _grow_trees(X, y, rows, rngs, mtry, params: TreeParams) -> list:
         if not step:
             continue
         splits = _best_splits(code, keyed, values, width, d,
-                              [s[3] for s in step], params.min_leaf)
+                              [s[3] for s in step], min_leaf)
         for (t, node, depth, (_, ones, _)), split in zip(step, splits):
             if split is None:
                 continue
@@ -305,23 +301,6 @@ def _grow_trees(X, y, rows, rngs, mtry, params: TreeParams) -> list:
             stacks[t].append((right_rows, depth + 1, node, False, ones - left_ones))
             stacks[t].append((left_rows, depth + 1, node, True, left_ones))
     return [builder.done() for builder in builders]
-
-
-def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams = None,
-             rng: np.random.Generator = None, mtry: int = None) -> Tree:
-    """Greedy binary CART on the Gini criterion.
-
-    Splits fall at midpoints of consecutive distinct values; a tied gain
-    goes to the lower feature index, then the lower threshold. Impure
-    nodes split even at zero gain while depth and leaf-size budgets
-    allow, which is what lets parity-style targets fit exactly. With
-    ``mtry`` below the column count, each node searches ``mtry`` features
-    drawn from ``rng``.
-    """
-    X, y = _fit_inputs(X, y, np.int64)
-    if mtry is not None and mtry < X.shape[1] and rng is None:
-        raise ValueError(f"mtry={mtry} below the column count needs an rng to draw features")
-    return _grow_trees(X, y, [np.arange(len(X))], [rng], mtry, params or TreeParams())[0]
 
 
 class Forest:
@@ -355,10 +334,10 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams = None,
     X, y = _fit_inputs(X, y, np.int64)
     n, d = X.shape
     mtry = max(1, int(math.floor(math.sqrt(d))))
-    tree_params = TreeParams(max_depth=params.max_depth, min_leaf=params.min_leaf)
     rngs = [substream(seed, "tree", t) for t in range(params.trees)]
     rows = [np.sort(rng.integers(0, n, size=n)) for rng in rngs]
-    return Forest(_grow_trees(X, y, rows, rngs, mtry, tree_params), params)
+    trees = _grow_trees(X, y, rows, rngs, mtry, params.max_depth, params.min_leaf)
+    return Forest(trees, params)
 
 
 def _log_loss(y: np.ndarray, score: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Columnar time-series container with CSV output and interval resampling.
+"""Columnar time-series container with CSV and JSON output and interval resampling.
 
 The frame carries three kinds of columns:
 
@@ -14,6 +14,7 @@ Frames are immutable by convention: every operation returns a new frame.
 from __future__ import annotations
 
 import csv
+import json
 import re
 from dataclasses import dataclass, replace
 
@@ -154,6 +155,13 @@ def _write_table(path, header, timestamps, columns) -> None:
             rows = zip(np.datetime_as_string(timestamps[block], unit="s").tolist(),
                        *(_cells(col[block]) for col in columns))
             fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+
+
+def _write_json(path, doc) -> None:
+    """Write ``doc`` as JSON with two-space indents, sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _cells(values: np.ndarray) -> list:

@@ -20,7 +20,6 @@ from pdmpipe import (
     SimConfig,
     compare,
     compute_metrics,
-    detect_outliers_iqr,
     evaluate_rules,
     fit_gbdt,
     inject_missing,
@@ -34,6 +33,7 @@ from pdmpipe import (
     split_chronological,
     standardize,
 )
+from pdmpipe import cleaning
 from pdmpipe.models import GbdtParams
 from helpers import quiet_frame, run_pdm
 
@@ -200,7 +200,7 @@ def test_numerical_invariants_hold():
         model = fit_gbdt(X, y, GbdtParams(iterations=25))
         assert np.all(np.diff(model.train_loss) <= 0.0)
 
-    # robust detector equals the fence oracle
+    # the spike screen's quartile fences equal the fence oracle
     rng = np.random.default_rng(7)
     for _ in range(200):
         n = int(rng.integers(1, 120))
@@ -210,7 +210,8 @@ def test_numerical_invariants_hold():
         iqr = q3 - q1
         expected = [i for i, v in enumerate(values)
                     if v < q1 - k * iqr or v > q3 + k * iqr]
-        assert detect_outliers_iqr(values, k).tolist() == expected
+        lo, hi = cleaning._iqr_fences([values], k)
+        assert np.flatnonzero((values < lo[0]) | (values > hi[0])).tolist() == expected
 
 
 # sha256 of each file ``pdm compare --config configs/default.yaml`` writes.

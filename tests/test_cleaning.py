@@ -13,7 +13,6 @@ from pdmpipe import (
     apply_verdicts,
     classify_gaps,
     detect_outliers_ics,
-    detect_outliers_iqr,
     drop_intervals,
     impute_single_sensor,
     verify_outliers,
@@ -264,7 +263,8 @@ class TestIqrDetector:
            st.floats(min_value=0.0, max_value=10.0))
     def test_matches_fence_oracle(self, values, k):
         x = np.array(values)
-        got = detect_outliers_iqr(x, k)
+        lo, hi = cleaning._iqr_fences([x], k)
+        got = np.flatnonzero((x < lo[0]) | (x > hi[0]))
         q1, q3 = np.quantile(x, [0.25, 0.75], method="linear")
         lo, hi = q1 - k * (q3 - q1), q3 + k * (q3 - q1)
         expected = [i for i, v in enumerate(values) if v < lo or v > hi]
@@ -292,17 +292,6 @@ class TestIqrDetector:
         for got, ref in ((lo, want[:, 0]), (hi, want[:, 1])):
             assert np.array_equal(got, ref, equal_nan=True)
             assert np.array_equal(np.signbit(got), np.signbit(ref))
-
-    def test_missing_values_never_flagged(self):
-        x = np.array([1.0, np.nan, 1.0, 1.0, 100.0, np.nan])
-        assert detect_outliers_iqr(x, 1.5).tolist() == [4]
-
-    def test_all_missing_flags_nothing(self):
-        assert detect_outliers_iqr(np.array([np.nan, np.nan])).size == 0
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            detect_outliers_iqr(np.arange(5.0), -1.0)
 
 
 class TestIcsDetector:

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 import yaml
 
-from pdmpipe import ConfigError, load_config, make_config
+from pdmpipe import ConfigError, PreprocessParams, SimConfig, load_config, make_config
 from pdmpipe import features
 from pdmpipe.cli import main
-from pdmpipe.config import _from_doc
-from pdmpipe.simulator import DEFAULT_NOISE, DEFAULT_WANDER
+from pdmpipe.config import (GRID_PARAMS, _ENTRY_KEYS, _MISSING_KEYS, _TOP_KEYS, _fields,
+                             _from_doc)
+from pdmpipe.simulator import DEFAULT_INJECTION, DEFAULT_NOISE, DEFAULT_WANDER
 from helpers import run_pdm, stock_doc
 
 
@@ -30,18 +31,13 @@ class TestMakeConfig:
         assert config.split == (0.6, 0.2, 0.2)
         assert set(config.grids) == {"forest", "gbdt", "svm"}
 
-    def test_to_dict_round_trips(self):
-        config = make_config(7, out="elsewhere",
-                             sim={"cycles": 12, "logging_probability": 0.5})
-        assert _from_doc(config.to_dict()).to_dict() == config.to_dict()
-
     def test_yaml_file_round_trips(self, tmp_path):
-        config = make_config(9, horizons_minutes=[180, 360],
-                             sim={"schedule": [[2, "needle"]], "wander_phi": 0.5})
+        doc = {"seed": 9, "horizons_minutes": [180, 360],
+               "sim": {"schedule": [[2, "needle"]], "wander_phi": 0.5}}
         path = tmp_path / "run.yaml"
-        path.write_text(yaml.safe_dump(config.to_dict()))
-        assert load_config(path).to_dict() == config.to_dict()
-        assert load_config(path).sim == config.sim
+        path.write_text(yaml.safe_dump(doc))
+        assert load_config(path) == make_config(**doc)
+        assert load_config(path).sim.schedule == ((2, "needle"),)
 
     def test_injection_overrides_merge_into_defaults(self):
         config = make_config(7, sim={"injection": {"needle": 0.5}})
@@ -50,7 +46,19 @@ class TestMakeConfig:
 
     def test_default_yaml_spells_out_every_key(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
-        assert yaml.safe_load(path.read_text()) == load_config(path).to_dict()
+        doc = yaml.safe_load(path.read_text())
+        load_config(path)
+        assert set(doc) == set(_TOP_KEYS)
+        assert set(doc["sim"]) == _fields(SimConfig) - {"seed"}
+        for name, defaults in (("injection", DEFAULT_INJECTION), ("noise", DEFAULT_NOISE),
+                               ("wander", DEFAULT_WANDER)):
+            assert set(doc["sim"][name]) == set(defaults)
+        assert set(doc["missing"]) == set(_MISSING_KEYS)
+        for kind in ("blanket", "dropout"):
+            assert all(set(e) == set(_ENTRY_KEYS[kind]) for e in doc["missing"][kind])
+        assert all(set(o) == {*_ENTRY_KEYS["outliers"], "delta"} for o in doc["outliers"])
+        assert set(doc["preprocess"]) == _fields(PreprocessParams)
+        assert set(doc["models"]) == set(GRID_PARAMS)
 
     def test_noise_and_wander_overrides_merge_into_defaults(self):
         config = make_config(7, sim={"noise": {"angle_platform": 0.4},
@@ -169,9 +177,13 @@ CLI_DOC = {
 }
 
 
-# sha256 of the telemetry.csv that ``simulate`` writes for CLI_DOC. A change
-# to these bytes is declared in CHANGES.md with the new digest.
+# sha256 of the files that ``simulate`` writes for CLI_DOC. A change to these
+# bytes is declared in CHANGES.md with the new digests.
 TELEMETRY_DIGEST = "aeda6ecb0c43c484f3396c7094feed81dfbfbd21d419d9e49359260b68a4b727"
+SIMULATE_JSON_DIGESTS = {
+    "telemetry_schema.json": "d9364e399240a3e72a60a78eda53f5c8f1aaa1c02386174446b16f13b912370a",
+    "ground_truth.json": "a062ec1d19ae3806179756460d7bfaf5d4f1e35b9a3ad534769ba61f267d7e21",
+}
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +219,8 @@ class TestCliSimulate:
             assert (a / name).read_bytes() == (b / name).read_bytes()
         digest = hashlib.sha256((a / "telemetry.csv").read_bytes()).hexdigest()
         assert digest == TELEMETRY_DIGEST
+        for name, want in SIMULATE_JSON_DIGESTS.items():
+            assert hashlib.sha256((a / name).read_bytes()).hexdigest() == want, name
 
 
 class TestCliPipeline:
@@ -422,6 +436,20 @@ def bar_unit(doc):
     rule["sensor"]["unit"] = "bar"
 
 
+def within_first_minute(doc):
+    rule = doc["rules"][1]
+    rule["within_first_minute"] = rule.pop("within_first_minutes")
+
+
+OUTLIER = {"cycle": 3, "channel": "temp_internal", "minute": 100, "kind": "FalseSpike",
+           "delta": 50.0}
+DROPOUT = {"cycle": 3, "channel": "temp_internal", "start_minute": 100, "minutes": 30}
+
+
+def entry_without(entry, key):
+    return {k: v for k, v in entry.items() if k != key}
+
+
 # (config overrides, knowledge-base edit, command, exit code, message); on
 # exit 0 the message is the report's reason for selecting no cell
 BAD_INPUTS = {
@@ -438,6 +466,43 @@ BAD_INPUTS = {
     "nothing_logged": ({"sim": dict(CLI_DOC["sim"], logging_probability=0)},
                        None, ["evaluate", "--scenario", "s1"], 0,
                        "no cell exceeded accuracy 0.7 with nonzero F1"),
+    "schedule_not_a_list": ({"sim": dict(CLI_DOC["sim"], schedule=5)}, None, ["simulate"], 2,
+                            "sim schedule must be a list of [cycle, fault key] pairs, got 5"),
+    "schedule_entry_not_a_pair": ({"sim": dict(CLI_DOC["sim"], schedule=[[2]])}, None,
+                                  ["simulate"], 2, "sim schedule must be a list"),
+    "kb_rule_key_typo": ({}, within_first_minute, ["simulate"], 2,
+                         "knowledge base rules[1]: unknown keys: ['within_first_minute']"),
+    "missing_unknown_key": ({"missing": {"bogus": True}}, None, ["simulate"], 2,
+                            "unknown missing keys: ['bogus']"),
+    "missing_dropouts_typo": ({"missing": {"dropouts": [DROPOUT]}}, None, ["simulate"], 2,
+                              "unknown missing keys: ['dropouts']"),
+    "blanket_not_a_list": ({"missing": {"blanket": 5}}, None, ["simulate"], 2,
+                           "missing.blanket must be a list of mappings, got 5"),
+    "dropout_not_a_list": ({"missing": {"dropout": DROPOUT}}, None, ["simulate"], 2,
+                           "missing.dropout must be a list of mappings"),
+    "dropout_entry_not_a_mapping": ({"missing": {"dropout": [DROPOUT, 3]}}, None,
+                                    ["simulate"], 2, "missing.dropout[1] must be a mapping, got 3"),
+    "dropout_without_channel": ({"missing": {"dropout": [entry_without(DROPOUT, "channel")]}},
+                                None, ["simulate"], 2,
+                                "missing.dropout[0] lacks required keys: ['channel']"),
+    "blanket_without_minutes": ({"missing": {"blanket": [{"cycle": 3, "start_minute": 100}]}},
+                                None, ["simulate"], 2,
+                                "missing.blanket[0] lacks required keys: ['minutes']"),
+    "blanket_unknown_key": ({"missing": {"blanket": [dict(entry_without(DROPOUT, "channel"),
+                                                          length=30)]}},
+                            None, ["simulate"], 2, "unknown missing.blanket[0] keys: ['length']"),
+    "outlier_without_channel": ({"outliers": [entry_without(OUTLIER, "channel")]}, None,
+                                ["simulate"], 2, "outliers[0] lacks required keys: ['channel']"),
+    "outlier_without_minute_and_kind": ({"outliers": [OUTLIER, {"cycle": 3, "channel": "x",
+                                                                "delta": 1.0}]},
+                                        None, ["simulate"], 2,
+                                        "outliers[1] lacks required keys: ['minute', 'kind']"),
+    "outlier_without_delta_or_value": ({"outliers": [entry_without(OUTLIER, "delta")]}, None,
+                                       ["simulate"], 2, "outliers[0] needs a delta or a value key"),
+    "outlier_unknown_key": ({"outliers": [dict(OUTLIER, size=3)]}, None, ["simulate"], 2,
+                            "unknown outliers[0] keys: ['size']"),
+    "outlier_not_a_mapping": ({"outliers": [[3, "temp_internal"]]}, None, ["simulate"], 2,
+                              "outliers[0] must be a mapping, got [3, 'temp_internal']"),
 }
 
 

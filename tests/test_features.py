@@ -37,7 +37,7 @@ class TestPca:
         X = np.random.default_rng(5).standard_normal((100, 6))
         result = pca(X)
         assert abs(result.explained.sum() - 1.0) < 1e-12
-        assert np.all(np.diff(result.eigenvalues) <= 1e-12)
+        assert np.all(np.diff(result.explained) <= 1e-12)
 
     def test_retained_is_the_smallest_sufficient_prefix(self):
         X = np.random.default_rng(6).standard_normal((120, 7))
@@ -70,7 +70,6 @@ class TestSelectFeatures:
         loadings = np.asarray(loadings, dtype=float)
         k = loadings.shape[1]
         return PcaResult(mean=np.zeros(len(loadings)), loadings=loadings,
-                         eigenvalues=np.ones(len(loadings)),
                          explained=np.full(len(loadings), 1.0 / len(loadings)),
                          retained=k)
 

@@ -77,8 +77,26 @@ class TestLoading:
         ("rules", "sequence_id", lambda doc: doc["rules"][0].pop("sequence_id")),
         ("mode_model", "durations", lambda doc: doc["mode_model"].pop("durations")),
         ("envelopes", "float", lambda doc: doc["envelopes"][0].update(min="zero")),
+        (r"rules\[1\]", r"unknown keys: \['within_first_minute'\]",
+         lambda doc: doc["rules"][1].update(within_first_minute=1)),
+        (r"rules\[0\]", r"unknown keys in sensor: \['chanel'\]",
+         lambda doc: doc["rules"][0]["sensor"].update(chanel="temp_internal")),
+        (r"rules\[1\]", r"unknown keys in log: \['values'\]",
+         lambda doc: doc["rules"][1]["log"].update(values=1)),
+        (r"fmeca\[0\]", r"unknown keys: \['cause'\]",
+         lambda doc: doc["fmeca"][0].update(cause="x")),
+        (r"envelopes\[0\]", r"unknown keys: \['maximum'\]",
+         lambda doc: doc["envelopes"][0].update(maximum=1.0)),
+        ("mode_model", r"unknown keys: \['mode'\]",
+         lambda doc: doc["mode_model"].update(mode=[])),
+        ("mode_model", r"unknown keys in modes\[0\]: \['sequence'\]",
+         lambda doc: doc["mode_model"]["modes"][0].update(sequence="S01")),
+        (r"rules\[6\]", "expected a mapping, got 3", lambda doc: doc["rules"].append(3)),
     ], ids=["envelope-without-min", "fmeca-as-mapping", "rule-without-sequence-id",
-            "mode-model-without-durations", "envelope-min-not-a-number"])
+            "mode-model-without-durations", "envelope-min-not-a-number",
+            "rule-key-typo", "sensor-key-typo", "log-key-typo", "fmeca-key-typo",
+            "envelope-key-typo", "mode-model-key-typo", "mode-key-typo",
+            "rule-not-a-mapping"])
     def test_malformed_entry_names_section_and_key(self, tmp_path, section, detail, damage):
         doc = stock_doc()
         damage(doc)

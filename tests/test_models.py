@@ -20,11 +20,9 @@ from pdmpipe import (
     Svm,
     SvmParams,
     Tree,
-    TreeParams,
     fit_forest,
     fit_gbdt,
     fit_svm,
-    fit_tree,
 )
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -37,6 +35,12 @@ def blobs(seed, n=200, gap=3.0):
     y = (X[:, 0] > 0).astype(np.int64)
     X[:, 0] += np.where(y == 1, gap, -gap)
     return X, y
+
+
+def grow_tree(X, y, max_depth=None, min_leaf=1, rng=None, mtry=None):
+    """One CART tree on every row of ``X``, grown by the forest's tree builder."""
+    X, y = models._fit_inputs(X, y, np.int64)
+    return models._grow_trees(X, y, [np.arange(len(X))], [rng], mtry, max_depth, min_leaf)[0]
 
 
 def leaf(value):
@@ -166,8 +170,8 @@ def oracle_gini_split(X, y, rows, features, min_leaf):
     return best
 
 
-def oracle_fit_tree(X, y, params, rng=None, mtry=None):
-    """fit_tree grown one node at a time from an explicit stack."""
+def oracle_fit_tree(X, y, max_depth=None, min_leaf=1, rng=None, mtry=None):
+    """A CART tree grown one node at a time from an explicit stack."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     d = X.shape[1]
@@ -187,15 +191,15 @@ def oracle_fit_tree(X, y, params, rng=None, mtry=None):
         builder.value[node] = 1.0 if ones > zeros else 0.0
         if ones == 0 or zeros == 0:
             continue
-        if params.max_depth is not None and depth >= params.max_depth:
+        if max_depth is not None and depth >= max_depth:
             continue
-        if len(rows) < 2 * params.min_leaf:
+        if len(rows) < 2 * min_leaf:
             continue
         if mtry is not None and mtry < d:
             features = np.sort(rng.choice(d, size=mtry, replace=False))
         else:
             features = np.arange(d)
-        split = oracle_gini_split(X, y, rows, features, params.min_leaf)
+        split = oracle_gini_split(X, y, rows, features, min_leaf)
         if split is None:
             continue
         _, j, threshold, left_rows, right_rows = split
@@ -212,12 +216,12 @@ def oracle_fit_forest(X, y, params, seed):
     y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
     mtry = max(1, int(math.floor(math.sqrt(d))))
-    tree_params = TreeParams(max_depth=params.max_depth, min_leaf=params.min_leaf)
     trees = []
     for t in range(params.trees):
         rng = substream(seed, "tree", t)
         rows = np.sort(rng.integers(0, n, size=n))
-        trees.append(oracle_fit_tree(X[rows], y[rows], tree_params, rng=rng, mtry=mtry))
+        trees.append(oracle_fit_tree(X[rows], y[rows], params.max_depth, params.min_leaf,
+                                     rng=rng, mtry=mtry))
     return Forest(trees, params)
 
 
@@ -277,37 +281,36 @@ def oracle_case(seed):
 
 class TestTree:
     def test_xor_fits_exactly_at_depth_two(self):
-        model = fit_tree(XOR_X, XOR_Y, TreeParams(max_depth=2))
+        model = grow_tree(XOR_X, XOR_Y, max_depth=2)
         assert model.predict(XOR_X).tolist() == XOR_Y.tolist()
 
     def test_depth_one_stump_cannot_fit_xor(self):
-        model = fit_tree(XOR_X, XOR_Y, TreeParams(max_depth=1))
+        model = grow_tree(XOR_X, XOR_Y, max_depth=1)
         assert model.predict(XOR_X).tolist() != XOR_Y.tolist()
 
     def test_pure_labels_collapse_to_a_leaf(self):
-        model = fit_tree(XOR_X, np.ones(4, dtype=np.int64))
+        model = grow_tree(XOR_X, np.ones(4, dtype=np.int64))
         assert len(model.feature) == 1
         assert model.predict(XOR_X).tolist() == [1, 1, 1, 1]
 
     def test_large_min_leaf_forces_majority_vote(self):
-        model = fit_tree(XOR_X, np.array([0, 0, 0, 1]), TreeParams(min_leaf=4))
+        model = grow_tree(XOR_X, np.array([0, 0, 0, 1]), min_leaf=4)
         assert model.predict(XOR_X).tolist() == [0, 0, 0, 0]
 
     def test_unseen_points_route_through_thresholds(self):
         X, y = blobs(0)
-        model = fit_tree(X, y, TreeParams(max_depth=4))
+        model = grow_tree(X, y, max_depth=4)
         Xt, yt = blobs(1)
         assert (model.predict(Xt) == yt).mean() > 0.95
 
     @pytest.mark.parametrize("seed", range(36))
     def test_matches_the_one_node_search(self, seed):
         X, y, params = forest_case(seed)
-        tree_params = TreeParams(max_depth=params.max_depth, min_leaf=params.min_leaf)
-        assert (fit_tree(X, y, tree_params).to_dict()
-                == oracle_fit_tree(X, y, tree_params).to_dict())
+        limits = (params.max_depth, params.min_leaf)
+        assert grow_tree(X, y, *limits).to_dict() == oracle_fit_tree(X, y, *limits).to_dict()
         mtry = max(1, X.shape[1] // 2)
-        got = fit_tree(X, y, tree_params, rng=np.random.default_rng(seed), mtry=mtry)
-        want = oracle_fit_tree(X, y, tree_params, rng=np.random.default_rng(seed), mtry=mtry)
+        got = grow_tree(X, y, *limits, rng=np.random.default_rng(seed), mtry=mtry)
+        want = oracle_fit_tree(X, y, *limits, rng=np.random.default_rng(seed), mtry=mtry)
         assert got.to_dict() == want.to_dict()
 
     def test_later_feature_must_win_by_more_than_eps(self):
@@ -318,12 +321,12 @@ class TestTree:
         rows = np.arange(8)
         gain = [oracle_gini_split(X, y, rows, [j], 1)[0] for j in (0, 1)]
         assert 0 < gain[1] - gain[0] < models._EPS
-        assert fit_tree(X, y, TreeParams(max_depth=1)).feature[0] == 0
+        assert grow_tree(X, y, max_depth=1).feature[0] == 0
 
     def test_no_columns_gives_a_majority_leaf(self):
         y = np.array([0, 1, 1, 1])
-        model = fit_tree(np.zeros((4, 0)), y)
-        assert model.to_dict() == oracle_fit_tree(np.zeros((4, 0)), y, TreeParams()).to_dict()
+        model = grow_tree(np.zeros((4, 0)), y)
+        assert model.to_dict() == oracle_fit_tree(np.zeros((4, 0)), y).to_dict()
         assert model.predict(np.zeros((2, 0))).tolist() == [1, 1]
 
     def test_non_finite_x_rejected(self):
@@ -331,26 +334,19 @@ class TestTree:
             X = XOR_X.copy()
             X[2, 1] = bad
             with pytest.raises(ValueError, match="X must be finite"):
-                fit_tree(X, XOR_Y)
-
-    def test_mtry_below_the_column_count_needs_an_rng(self):
-        X, y = blobs(3, n=20)
-        with pytest.raises(ValueError, match="rng"):
-            fit_tree(X, y, mtry=2)
-        # every column searched: nothing to draw
-        assert fit_tree(X, y, mtry=3).to_dict() == fit_tree(X, y).to_dict()
+                grow_tree(X, XOR_Y)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            fit_tree(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+            grow_tree(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
-            fit_tree(XOR_X, np.array([0, 1, 2, 1]))
+            grow_tree(XOR_X, np.array([0, 1, 2, 1]))
         with pytest.raises(ValueError):
-            fit_tree(XOR_X[:, 0], XOR_Y)
-        with pytest.raises(ValueError):
-            TreeParams(max_depth=0)
-        with pytest.raises(ValueError):
-            TreeParams(min_leaf=0)
+            grow_tree(XOR_X[:, 0], XOR_Y)
+        with pytest.raises(ValueError, match="max_depth"):
+            ForestParams(max_depth=0)
+        with pytest.raises(ValueError, match="min_leaf"):
+            ForestParams(min_leaf=0)
 
 
 class TestForest:
@@ -603,7 +599,7 @@ class TestSerialization:
     def fitted_models(self):
         X, y = blobs(8, n=60)
         return X, [
-            fit_tree(X, y, TreeParams(max_depth=3)),
+            grow_tree(X, y, max_depth=3),
             fit_forest(X, y, ForestParams(trees=3, max_depth=3), seed=0),
             fit_gbdt(X, y, GbdtParams(iterations=5)),
             fit_svm(X, y),
