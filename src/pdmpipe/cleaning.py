@@ -46,19 +46,10 @@ class GapInterval:
     disposition: str
     channel: str = None         # set only for single-sensor gaps
 
-    def to_dict(self) -> dict:
-        return {"start": str(np.datetime_as_string(self.start, unit="s")),
-                "end": str(np.datetime_as_string(self.end, unit="s")),
-                "cause": self.cause, "disposition": self.disposition,
-                "channel": self.channel}
-
 
 @dataclass(frozen=True)
 class GapReport:
     intervals: tuple
-
-    def to_dict(self) -> dict:
-        return {"intervals": [g.to_dict() for g in self.intervals]}
 
 
 @dataclass(frozen=True)

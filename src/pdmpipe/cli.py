@@ -45,7 +45,7 @@ def cmd_simulate(config: PipelineConfig, kb, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     schema = write_csv(frame, os.path.join(out_dir, "telemetry.csv"))
     _write_json(os.path.join(out_dir, "telemetry_schema.json"), schema)
-    _write_json(os.path.join(out_dir, "ground_truth.json"), gt.to_dict())
+    _write_json(os.path.join(out_dir, "ground_truth.json"), gt)
     print(f"simulated {config.sim.cycles} cycles, {len(frame)} rows, "
           f"{len(gt.events)} events ({len(gt.logged_events())} logged) -> {out_dir}")
     return 0

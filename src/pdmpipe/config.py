@@ -108,6 +108,9 @@ _ENTRY_KEYS = {
     "outliers": ("cycle", "channel", "minute", "kind"),
 }
 _OUTLIER_VALUES = ("delta", "value")
+# the number type of each numeric key of a list-section entry
+_ENTRY_NUMBERS = {"cycle": int, "start_minute": int, "minutes": int, "minute": int,
+                  "delta": float, "value": float}
 # sim mappings merged into their defaults: (key, defaults, what its keys name)
 _SIM_MAPPINGS = (("injection", DEFAULT_INJECTION, "fault"),
                  ("noise", DEFAULT_NOISE, "channel"),
@@ -137,11 +140,23 @@ def _keys(section, name: str, allowed, required=(), context: str = "") -> dict:
 def _entries(items, name: str, required, optional=()) -> tuple:
     """The list section ``items`` as a tuple of mappings, each checked by
     ``_keys`` as ``name[i]``: it needs the ``required`` keys and may add
-    ``optional`` ones."""
+    ``optional`` ones. Numeric keys are converted by ``_ENTRY_NUMBERS``."""
     if not isinstance(items, (list, tuple)):
         raise ConfigError(f"{name} must be a list of mappings, got {items!r}")
-    return tuple(dict(_keys(item, f"{name}[{i}]", (*required, *optional), required))
-                 for i, item in enumerate(items))
+    entries = []
+    for i, item in enumerate(items):
+        entry = dict(_keys(item, f"{name}[{i}]", (*required, *optional), required))
+        for key, number in _ENTRY_NUMBERS.items():
+            if key not in entry:
+                continue
+            try:
+                entry[key] = number(entry[key])
+            except (TypeError, ValueError, OverflowError):
+                kind = "an integer" if number is int else "a number"
+                raise ConfigError(f"{name}[{i}] {key} must be {kind}, "
+                                  f"got {entry[key]!r}") from None
+        entries.append(entry)
+    return tuple(entries)
 
 
 def _build_sim(seed: int, section) -> SimConfig:
@@ -193,8 +208,8 @@ def _from_doc(doc: dict) -> PipelineConfig:
     except (TypeError, ValueError):
         raise ConfigError("seed must be an integer") from None
 
-    sim = _build_sim(seed, doc.get("sim") or {})
-    pp_section = _keys(doc.get("preprocess") or {}, "preprocess", _fields(PreprocessParams))
+    sim = _build_sim(seed, _section(doc, "sim"))
+    pp_section = _keys(_section(doc, "preprocess"), "preprocess", _fields(PreprocessParams))
     try:
         preprocess = PreprocessParams(**pp_section)
     except (TypeError, ValueError) as exc:
@@ -250,6 +265,12 @@ def _from_doc(doc: dict) -> PipelineConfig:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _section(doc: dict, key: str):
+    """``doc[key]``, or an empty mapping when the key is absent or null."""
+    section = doc.get(key)
+    return {} if section is None else section
 
 
 def _list(doc: dict, key: str, default: tuple) -> tuple:

@@ -12,7 +12,7 @@ import csv
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,11 +48,6 @@ class MetricsReport:
     recall: float
     f1: float
     flags: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
-                "accuracy": self.accuracy, "precision": self.precision,
-                "recall": self.recall, "f1": self.f1, "flags": list(self.flags)}
 
 
 def compute_metrics(y_true, y_pred) -> MetricsReport:
@@ -256,11 +251,6 @@ class ScenarioReport:
     counts: dict = field(default_factory=dict)
     dataset: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"scenario": self.scenario, "cells": list(self.cells),
-                "best": self.best, "reason": self.reason, "seed": self.seed,
-                "counts": dict(self.counts), "dataset": dict(self.dataset)}
-
 
 def _baseline_report(frame, gt, kb: KnowledgeBase, seed: int) -> ScenarioReport:
     """Rule detections scored against ground-truth blocking events.
@@ -280,7 +270,7 @@ def _baseline_report(frame, gt, kb: KnowledgeBase, seed: int) -> ScenarioReport:
             y_pred.append(int((int(c), name) in predicted))
     metrics = compute_metrics(y_true, y_pred)
     cell = {"model": "rules", "horizon_minutes": 0, "params": {},
-            "validation": None, "test": metrics.to_dict()}
+            "validation": None, "test": asdict(metrics)}
     best, reason = select_best([cell])
     counts = {
         "ground_truth_events": len(gt.events),
@@ -317,8 +307,8 @@ def run_scenario(frame, gt, kb: KnowledgeBase, scenario: str, config) -> Scenari
             cells.append({
                 "model": family, "horizon_minutes": horizon,
                 "params": tuned.params,
-                "validation": tuned.val_metrics.to_dict(),
-                "test": test_metrics.to_dict(),
+                "validation": asdict(tuned.val_metrics),
+                "test": asdict(test_metrics),
             })
             log.info("%s %s @%dmin: val F1 %.3f test F1 %.3f", scenario, family,
                      horizon, tuned.val_metrics.f1, test_metrics.f1)
@@ -356,7 +346,7 @@ def _cell_rows(report: ScenarioReport):
 
 def write_report(report: ScenarioReport, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, f"{report.scenario}_report.json"), report.to_dict())
+    _write_json(os.path.join(out_dir, f"{report.scenario}_report.json"), report)
     with open(os.path.join(out_dir, f"{report.scenario}_cells.csv"), "w",
               newline="") as fh:
         writer = csv.writer(fh)
@@ -386,9 +376,8 @@ def write_comparison(result: dict, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for report in result["reports"].values():
         write_report(report, out_dir)
-    payload = {"comparison": result["comparison"],
-               "reports": {k: r.to_dict() for k, r in result["reports"].items()}}
-    _write_json(os.path.join(out_dir, "comparison.json"), payload)
+    _write_json(os.path.join(out_dir, "comparison.json"),
+                {"comparison": result["comparison"], "reports": result["reports"]})
     with open(os.path.join(out_dir, "comparison.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario", "best_model", "best_horizon_minutes",

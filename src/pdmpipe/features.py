@@ -92,13 +92,6 @@ class FeatureSelection:
     explained: tuple
     notes: tuple = ()
 
-    def to_dict(self) -> dict:
-        return {"selected": list(self.selected),
-                "max_loading": {k: float(v) for k, v in self.max_loading.items()},
-                "retained_components": self.retained_components,
-                "explained": [float(e) for e in self.explained],
-                "notes": list(self.notes)}
-
 
 def select_features(names, pca_result: PcaResult, kb: KnowledgeBase = None,
                     tau: float = 0.30) -> FeatureSelection:
@@ -339,17 +332,10 @@ class CuratedDataset:
     def to_files(self, csv_path, meta_path) -> None:
         _write_table(csv_path, ["timestamp", "cycle", "sequence", *self.feature_names, TARGET],
                      self.timestamps, [self.cycles, self.sequences, *self.X.T, self.y])
-        meta = {
-            "scenario": self.scenario,
-            "feature_names": list(self.feature_names),
-            "interval_minutes": self.interval_minutes,
-            "scaler": {k: [float(m), float(s)] for k, (m, s) in self.scaler.items()},
-            "selection": self.selection.to_dict(),
-            "gap_report": self.gap_report.to_dict(),
-            "verdict_counts": dict(self.verdict_counts),
-            "notes": list(self.notes),
-        }
-        _write_json(meta_path, meta)
+        # the sidecar holds every field but the arrays the CSV holds
+        sidecar = ("scenario", "feature_names", "interval_minutes", "scaler", "selection",
+                   "gap_report", "verdict_counts", "notes")
+        _write_json(meta_path, {name: getattr(self, name) for name in sidecar})
 
 
 def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,

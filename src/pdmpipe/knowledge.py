@@ -77,6 +77,9 @@ class ModeModel:
         missing = set(SEQUENCE_IDS) - set(self.durations)
         if missing:
             raise ValueError(f"durations missing for {sorted(missing)}")
+        unknown = set(self.durations) - set(SEQUENCE_IDS)
+        if unknown:
+            raise ValueError(f"durations for unknown sequence ids {sorted(unknown, key=str)}")
         for seq in SEQUENCE_IDS:
             if self.durations[seq] <= 0:
                 raise ValueError(f"duration of {seq} must be positive")
@@ -291,19 +294,6 @@ class FaultEvent:
         if self.source not in SOURCES:
             raise ValueError(f"unknown event source {self.source!r}")
         _check_pairing(self.severity, self.consequence, f"event {self.fault_name!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "onset": str(np.datetime_as_string(np.datetime64(self.onset, "s"), unit="s")),
-            "cycle": int(self.cycle),
-            "sequence_id": self.sequence_id,
-            "fault_name": self.fault_name,
-            "cause": self.cause,
-            "severity": self.severity,
-            "consequence": self.consequence,
-            "priority": bool(self.priority),
-            "source": self.source,
-        }
 
 
 def _known(entry, keys, where: str = "") -> dict:

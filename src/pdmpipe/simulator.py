@@ -150,10 +150,6 @@ class GtEvent:
     logged: bool
     magnitude: float
 
-    def to_dict(self) -> dict:
-        return {"event": self.event.to_dict(), "logged": self.logged,
-                "magnitude": self.magnitude}
-
 
 @dataclass(frozen=True)
 class MissingInterval:
@@ -165,11 +161,6 @@ class MissingInterval:
     def __post_init__(self):
         if self.cause not in MISSING_CAUSES:
             raise ValueError(f"unknown missing cause {self.cause!r}")
-
-    def to_dict(self) -> dict:
-        return {"start": str(np.datetime_as_string(self.start, unit="s")),
-                "end": str(np.datetime_as_string(self.end, unit="s")),
-                "cause": self.cause, "channel": self.channel}
 
 
 @dataclass(frozen=True)
@@ -183,11 +174,6 @@ class OutlierPoint:
     def __post_init__(self):
         if self.kind not in OUTLIER_KINDS:
             raise ValueError(f"unknown outlier kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {"timestamp": str(np.datetime_as_string(self.timestamp, unit="s")),
-                "channel": self.channel, "kind": self.kind,
-                "value": self.value, "original": self.original}
 
 
 @dataclass(frozen=True)
@@ -203,13 +189,6 @@ class GroundTruth:
 
     def blocking_events(self) -> list:
         return [g for g in self.events if g.event.severity == "Blocking"]
-
-    def to_dict(self) -> dict:
-        return {
-            "events": [g.to_dict() for g in self.events],
-            "missing": [m.to_dict() for m in self.missing],
-            "outliers": [o.to_dict() for o in self.outliers],
-        }
 
 
 class CycleLayout:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -158,10 +158,22 @@ def _write_table(path, header, timestamps, columns) -> None:
 
 
 def _write_json(path, doc) -> None:
-    """Write ``doc`` as JSON with two-space indents, sorted keys and a final newline."""
+    """Write ``doc`` as JSON with two-space indents, sorted keys and a final newline.
+
+    A dataclass record is written as the mapping of its field names to its
+    field values, and a ``datetime64`` as ISO 8601 text to the second.
+    """
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_value)
         fh.write("\n")
+
+
+def _json_value(obj):
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, np.datetime64):
+        return str(np.datetime_as_string(obj, unit="s"))
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _cells(values: np.ndarray) -> list:

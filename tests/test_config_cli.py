@@ -20,6 +20,8 @@ from pdmpipe.config import (GRID_PARAMS, _ENTRY_KEYS, _MISSING_KEYS, _TOP_KEYS, 
 from pdmpipe.simulator import DEFAULT_INJECTION, DEFAULT_NOISE, DEFAULT_WANDER
 from helpers import run_pdm, stock_doc
 
+DEFAULT_YAML = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
+
 
 class TestMakeConfig:
     def test_minimal_config_gets_the_documented_defaults(self):
@@ -45,9 +47,8 @@ class TestMakeConfig:
         assert "door" in config.sim.injection
 
     def test_default_yaml_spells_out_every_key(self):
-        path = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
-        doc = yaml.safe_load(path.read_text())
-        load_config(path)
+        doc = yaml.safe_load(DEFAULT_YAML.read_text())
+        load_config(DEFAULT_YAML)
         assert set(doc) == set(_TOP_KEYS)
         assert set(doc["sim"]) == _fields(SimConfig) - {"seed"}
         for name, defaults in (("injection", DEFAULT_INJECTION), ("noise", DEFAULT_NOISE),
@@ -59,6 +60,19 @@ class TestMakeConfig:
         assert all(set(o) == {*_ENTRY_KEYS["outliers"], "delta"} for o in doc["outliers"])
         assert set(doc["preprocess"]) == _fields(PreprocessParams)
         assert set(doc["models"]) == set(GRID_PARAMS)
+
+    def test_null_sections_get_the_defaults(self):
+        assert make_config(7, sim=None, preprocess=None) == make_config(7)
+
+    def test_entry_numbers_are_converted_at_load(self):
+        config = make_config(7, missing={"blanket": [{"cycle": "7", "start_minute": 1500.0,
+                                                      "minutes": 180}]},
+                             outliers=[{"cycle": 9, "channel": "temp_internal", "minute": 10,
+                                        "kind": "FalseSpike", "delta": 5}])
+        blanket, = config.missing["blanket"]
+        assert blanket == {"cycle": 7, "start_minute": 1500, "minutes": 180}
+        assert all(type(v) is int for v in blanket.values())
+        assert type(config.outliers[0]["delta"]) is float
 
     def test_noise_and_wander_overrides_merge_into_defaults(self):
         config = make_config(7, sim={"noise": {"angle_platform": 0.4},
@@ -184,6 +198,9 @@ SIMULATE_JSON_DIGESTS = {
     "telemetry_schema.json": "d9364e399240a3e72a60a78eda53f5c8f1aaa1c02386174446b16f13b912370a",
     "ground_truth.json": "a062ec1d19ae3806179756460d7bfaf5d4f1e35b9a3ad534769ba61f267d7e21",
 }
+# sha256 of ``ground_truth.json`` that ``simulate`` writes for
+# configs/default.yaml cut to 35 cycles
+DEFAULT_GROUND_TRUTH_DIGEST = "e8d1997751f8e5c167e0ceb5242d601ab4306183c4b87d007bbaa402400391d8"
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +238,21 @@ class TestCliSimulate:
         assert digest == TELEMETRY_DIGEST
         for name, want in SIMULATE_JSON_DIGESTS.items():
             assert hashlib.sha256((a / name).read_bytes()).hexdigest() == want, name
+
+    def test_default_sections_ground_truth_bytes(self, tmp_path):
+        # CLI_DOC injects nothing; the default missing and outlier sections put
+        # every ground-truth record type (27 events, 39 missing intervals, 3
+        # outlier points) into the written file
+        doc = yaml.safe_load(DEFAULT_YAML.read_text())
+        doc["sim"]["cycles"] = 35
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        written = (out / "ground_truth.json").read_bytes()
+        assert {k: len(v) for k, v in json.loads(written).items()} == \
+            {"events": 27, "missing": 39, "outliers": 3}
+        assert hashlib.sha256(written).hexdigest() == DEFAULT_GROUND_TRUTH_DIGEST
 
 
 class TestCliPipeline:
@@ -345,6 +377,9 @@ class TestCliFailures:
         ({"missing": 5}, "missing must be a mapping, got 5"),
         ({"sim": dict(CLI_DOC["sim"], idle_minutes=-5)},
          "bad sim section: idle_minutes must be >= 0, got -5"),
+        ({"sim": []}, "sim must be a mapping, got []"),
+        ({"preprocess": []}, "preprocess must be a mapping, got []"),
+        ({"preprocess": 0}, "preprocess must be a mapping, got 0"),
     ])
     def test_bad_parameters_exit_two_before_simulating(self, tmp_path, capsys,
                                                        section, message):
@@ -503,6 +538,24 @@ BAD_INPUTS = {
                             "unknown outliers[0] keys: ['size']"),
     "outlier_not_a_mapping": ({"outliers": [[3, "temp_internal"]]}, None, ["simulate"], 2,
                               "outliers[0] must be a mapping, got [3, 'temp_internal']"),
+    "blanket_cycle_not_a_number": ({"missing": {"blanket": [{"cycle": "x", "start_minute": 0,
+                                                             "minutes": 5}]}},
+                                   None, ["simulate"], 2,
+                                   "missing.blanket[0] cycle must be an integer, got 'x'"),
+    "dropout_minutes_not_a_number": ({"missing": {"dropout": [DROPOUT,
+                                                              dict(DROPOUT, minutes="long")]}},
+                                     None, ["simulate"], 2,
+                                     "missing.dropout[1] minutes must be an integer, got 'long'"),
+    "outlier_minute_null": ({"outliers": [dict(OUTLIER, minute=None)]}, None, ["simulate"], 2,
+                            "outliers[0] minute must be an integer, got None"),
+    "outlier_minute_infinite": ({"outliers": [dict(OUTLIER, minute=float("inf"))]}, None,
+                                ["simulate"], 2, "outliers[0] minute must be an integer, got inf"),
+    "outlier_delta_not_a_number": ({"outliers": [dict(OUTLIER, delta="big")]}, None,
+                                   ["simulate"], 2, "outliers[0] delta must be a number, got 'big'"),
+    "outlier_value_not_a_number": ({"outliers": [dict(entry_without(OUTLIER, "delta"),
+                                                      value=[1.0])]},
+                                   None, ["simulate"], 2,
+                                   "outliers[0] value must be a number, got [1.0]"),
 }
 
 

@@ -1,6 +1,6 @@
 """The walkthrough scripts in demos/ run to completion on the checked-out code.
 
-Demo 05 is a full comparison run and is left to the acceptance tests.
+Demo 05 is a comparison run cut to 40 cycles and one grid entry per family.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ DEMOS = SRC.parent / "demos"
     "02_rules_vs_logs.py",
     "03_cleaning_walkthrough.py",
     "04_curate_and_train.py",
+    "05_full_comparison.py",
 ])
 def test_demo_runs(name, tmp_path):
     proc = run_python(str(DEMOS / name), timeout=300, cwd=tmp_path)

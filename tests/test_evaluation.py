@@ -291,7 +291,7 @@ class TestRunScenario:
     def test_rerun_is_deterministic(self, sim_mid, kb, mid_config, mid_comparison):
         frame, gt = sim_mid
         again = run_scenario(frame, gt, kb, "s1", mid_config)
-        assert again.to_dict() == mid_comparison["reports"]["s1"].to_dict()
+        assert again == mid_comparison["reports"]["s1"]
 
 
 class TestReportFiles:

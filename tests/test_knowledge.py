@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from pdmpipe.knowledge import (
     OperatingEnvelope,
     SensorPredicate,
 )
+from pdmpipe.timeseries import _write_json
 from helpers import quiet_frame, segment_rows, stock_doc
 
 
@@ -103,6 +105,12 @@ class TestLoading:
         with pytest.raises(ValueError, match=rf"{section}.*{detail}"):
             load_doc(doc, tmp_path)
 
+    def test_duration_of_unknown_sequence_rejected(self, tmp_path):
+        doc = stock_doc()
+        doc["mode_model"]["durations"]["S14"] = 30
+        with pytest.raises(ValueError, match=r"mode_model.*unknown sequence ids \['S14'\]"):
+            load_doc(doc, tmp_path)
+
     def test_invalid_yaml_rejected(self, tmp_path):
         path = tmp_path / "kb.yaml"
         path.write_text("rules: [\n  - id: 1\n")
@@ -176,13 +184,14 @@ class TestTypes:
                        cause="c", severity=BLOCKING,
                        consequence=CYCLE_STOP, source="Rumor")
 
-    def test_event_to_dict(self, kb):
+    def test_event_json(self, kb, tmp_path):
         event = FaultEvent(
             onset=np.datetime64("2025-01-05T18:05:00", "s"), cycle=3,
             sequence_id="S10", fault_name="Needle Valve Fault",
             cause="needle valve clogging", severity=BLOCKING,
             consequence=CYCLE_STOP, priority=True)
-        assert event.to_dict() == {
+        _write_json(tmp_path / "event.json", event)
+        assert json.loads((tmp_path / "event.json").read_text()) == {
             "onset": "2025-01-05T18:05:00", "cycle": 3, "sequence_id": "S10",
             "fault_name": "Needle Valve Fault", "cause": "needle valve clogging",
             "severity": BLOCKING, "consequence": CYCLE_STOP, "priority": True,

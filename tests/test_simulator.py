@@ -9,6 +9,7 @@ import pytest
 
 from pdmpipe import SimConfig, evaluate_rules, inject_missing, inject_outliers, simulate
 from pdmpipe.simulator import MU_LOW
+from pdmpipe.timeseries import _write_json
 
 GATE_AT_QUARTER = MU_LOW + (1 - MU_LOW) * 0.75
 
@@ -30,7 +31,7 @@ class TestGenerator:
             assert name in frame.logs
         assert np.array_equal(np.unique(frame.cycle), np.arange(1, 7))
 
-    def test_same_seed_reproduces_every_byte(self, kb):
+    def test_same_seed_reproduces_every_byte(self, kb, tmp_path):
         config = SimConfig(seed=31337, cycles=3)
         a, gt_a = simulate(config, kb)
         b, gt_b = simulate(config, kb)
@@ -38,7 +39,9 @@ class TestGenerator:
             assert np.array_equal(a.channels[name], b.channels[name])
         for name in a.logs:
             assert np.array_equal(a.logs[name], b.logs[name])
-        assert gt_a.to_dict() == gt_b.to_dict()
+        _write_json(tmp_path / "a.json", gt_a)
+        _write_json(tmp_path / "b.json", gt_b)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_different_seed_changes_noise(self, kb):
         a, _ = simulate(SimConfig(seed=1, cycles=1), kb)
@@ -59,11 +62,15 @@ class TestGenerator:
         detected = {(e.cycle, e.fault_name) for e in evaluate_rules(frame, kb)}
         assert detected == gt_pairs(gt)
 
-    def test_ground_truth_round_trips_through_json_dict(self, sim_small):
+    def test_ground_truth_json_reads_back(self, sim_small, tmp_path):
         _, gt = sim_small
-        doc = gt.to_dict()
-        assert json.loads(json.dumps(doc)) == doc
-        assert [e["event"]["cycle"] for e in doc["events"]] == [g.event.cycle for g in gt.events]
+        _write_json(tmp_path / "gt.json", gt)
+        doc = json.loads((tmp_path / "gt.json").read_text())
+        assert [(e["event"]["cycle"], e["event"]["fault_name"], e["logged"], e["magnitude"])
+                for e in doc["events"]] == \
+            [(g.event.cycle, g.event.fault_name, g.logged, g.magnitude) for g in gt.events]
+        assert [np.datetime64(e["event"]["onset"], "s") for e in doc["events"]] == \
+            [g.event.onset for g in gt.events]
 
 
 class TestLoggingGate:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pdmpipe import TimeSeriesFrame, resample, slice_by_sequence, write_csv
-from pdmpipe.timeseries import SEQUENCE_IDS, SEQUENCE_VOCAB, _write_table
+from pdmpipe.timeseries import SEQUENCE_IDS, SEQUENCE_VOCAB, _write_json, _write_table
 
 
 def minutes(n, start="2025-03-01T00:00:00"):
@@ -296,3 +297,31 @@ class TestTableWriterShape:
             _write_table(path, ["timestamp", "a", "b"], minutes(4),
                          [np.arange(4.0), np.arange(2)])
         assert not path.exists()
+
+
+@dataclass(frozen=True)
+class Stamp:
+    at: np.datetime64
+    note: str = None
+
+
+@dataclass(frozen=True)
+class Log:
+    stamps: tuple
+    count: int
+
+
+class TestJsonWriter:
+    def test_records_are_written_by_their_fields(self, tmp_path):
+        path = tmp_path / "log.json"
+        at = np.datetime64("2025-03-01T06:07:08", "s")
+        _write_json(path, {"log": Log(stamps=(Stamp(at), Stamp(at + 60, "b")), count=2)})
+        assert path.read_text() == (
+            '{\n  "log": {\n    "count": 2,\n    "stamps": [\n'
+            '      {\n        "at": "2025-03-01T06:07:08",\n        "note": null\n      },\n'
+            '      {\n        "at": "2025-03-01T06:08:08",\n        "note": "b"\n      }\n'
+            '    ]\n  }\n}\n')
+
+    def test_unsupported_value_names_its_type(self, tmp_path):
+        with pytest.raises(TypeError, match="int64"):
+            _write_json(tmp_path / "n.json", {"n": np.int64(3)})
