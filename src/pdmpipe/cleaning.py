@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh
 from scipy.ndimage import median_filter
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .knowledge import BLOCKING, KnowledgeBase, _instances, envelope_breaches
 from .timeseries import IDLE, TimeSeriesFrame, _runs
@@ -228,8 +228,13 @@ def detect_outliers_ics(X: np.ndarray, m: int = 2, alpha: float = 0.025) -> np.n
     V = eigvecs[:, order[:m]]
     scores = centered @ V
     dist = np.sum(scores * scores, axis=1)
-    cutoff = chi2.ppf(1.0 - alpha, df=m)
-    return np.flatnonzero(dist > cutoff)
+    return np.flatnonzero(dist > _chi2_quantile(1.0 - alpha, m))
+
+
+def _chi2_quantile(q: float, df: int) -> float:
+    """The ``q`` quantile of chi-square(``df``), bit for bit as
+    ``scipy.stats.chi2.ppf`` computes it, without importing ``scipy.stats``."""
+    return 2.0 * gammaincinv(df / 2.0, q)
 
 
 def _span_medians(x: np.ndarray, starts: np.ndarray, stops: np.ndarray,

@@ -140,7 +140,8 @@ def _keys(section, name: str, allowed, required=(), context: str = "") -> dict:
 def _entries(items, name: str, required, optional=()) -> tuple:
     """The list section ``items`` as a tuple of mappings, each checked by
     ``_keys`` as ``name[i]``: it needs the ``required`` keys and may add
-    ``optional`` ones. Numeric keys are converted by ``_ENTRY_NUMBERS``."""
+    ``optional`` ones. Numeric keys are converted by ``_ENTRY_NUMBERS``; a
+    bool, or a non-integral value for an integer key, is refused."""
     if not isinstance(items, (list, tuple)):
         raise ConfigError(f"{name} must be a list of mappings, got {items!r}")
     entries = []
@@ -149,12 +150,18 @@ def _entries(items, name: str, required, optional=()) -> tuple:
         for key, number in _ENTRY_NUMBERS.items():
             if key not in entry:
                 continue
+            value = entry[key]
             try:
-                entry[key] = number(entry[key])
+                if isinstance(value, bool):
+                    raise TypeError
+                entry[key] = number(value)
+                # an integer key takes 7.0 as 7 but refuses 7.9
+                if number is int and isinstance(value, float) and entry[key] != value:
+                    raise ValueError
             except (TypeError, ValueError, OverflowError):
                 kind = "an integer" if number is int else "a number"
                 raise ConfigError(f"{name}[{i}] {key} must be {kind}, "
-                                  f"got {entry[key]!r}") from None
+                                  f"got {value!r}") from None
         entries.append(entry)
     return tuple(entries)
 

@@ -1,9 +1,15 @@
 """Synthetic telemetry generator for the cyclic sampling equipment.
 
 Signals are piecewise-deterministic per sequence plus white noise and a
-slow AR(1) wander. Injected faults reproduce exactly the symptom each
-monitoring rule watches, with clipped margins wide enough that the rule
-engine fires on every injected event and never on a nominal cycle.
+slow AR(1) wander ``y[t] = e[t] + phi * y[t-1]``. The wander of every
+channel comes from one LAPACK tridiagonal solve (``dgtsv``) of the
+lower-bidiagonal system ``(I - phi L) y = e``, one column per channel.
+With ``0 <= phi < 1`` the solve swaps no rows, so each step rounds as the
+recurrence does and the paths are bit-identical to it.
+
+Injected faults reproduce exactly the symptom each monitoring rule
+watches, with clipped margins wide enough that the rule engine fires on
+every injected event and never on a nominal cycle.
 
 The automation layer under-reports: each fault carries a latent magnitude,
 and only faults whose magnitude clears a quantile gate make it into the
@@ -18,9 +24,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from numbers import Real
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dgtsv
 
 from ._seeding import substream
 from .knowledge import (
@@ -127,6 +134,9 @@ class SimConfig:
             raise ValueError("cycles must be >= 1")
         if self.idle_minutes < 0:
             raise ValueError(f"idle_minutes must be >= 0, got {self.idle_minutes}")
+        if (isinstance(self.wander_phi, bool) or not isinstance(self.wander_phi, Real)
+                or not 0.0 <= self.wander_phi < 1.0):
+            raise ValueError(f"wander_phi must be a number in [0, 1), got {self.wander_phi!r}")
         if not 0.0 <= self.logging_probability <= 1.0:
             raise ValueError("logging probability must be in [0, 1]")
         for key, p in self.injection.items():
@@ -212,11 +222,23 @@ class CycleLayout:
         self.sequence_of_minute = codes
 
 
-def _wander(gen: np.random.Generator, n: int, scale: float, phi: float) -> np.ndarray:
-    if scale <= 0:
-        return np.zeros(n)
-    innovations = gen.standard_normal(n) * scale
-    return lfilter([1.0], [1.0, -phi], innovations)
+def _wander(seed: int, n: int, scales: dict, phi: float) -> dict:
+    """AR(1) wander of length ``n`` for each channel in ``scales``.
+
+    A channel with a positive scale draws its innovations from its own
+    ``substream(seed, "wander", name)``; any other channel stays all zeros.
+    The columns are solved together in place, as the system
+    ``(I - phi L) y = e`` with ``L`` the subdiagonal shift.
+    """
+    paths = np.zeros((n, len(scales)), order="F")
+    for j, (name, scale) in enumerate(scales.items()):
+        if scale > 0:
+            paths[:, j] = substream(seed, "wander", name).standard_normal(n) * scale
+    if n > 1:
+        # dgtsv refuses a 1 x 1 system; there the path is its innovation
+        paths = dgtsv(np.full(n - 1, -float(phi)), np.ones(n), np.zeros(n - 1), paths,
+                      overwrite_b=1)[3]
+    return {name: paths[:, j] for j, name in enumerate(scales)}
 
 
 def _ramp(m: np.ndarray, onset: int, amplitude: float, hold_until: int) -> np.ndarray:
@@ -344,15 +366,15 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
         "angle_platform": angle,
     }
     twin_shared = substream(seed, "noise-shared-be").standard_normal(n)
+    drift = _wander(seed, n, {name: config.wander.get(name, 0.0) for name in CHANNEL_UNITS},
+                    config.wander_phi)
     channels = {}
     for name in CHANNEL_UNITS:
         white = substream(seed, "noise", name).standard_normal(n) * config.noise[name]
         if name in ("temp_external_b", "temp_external_e"):
             # redundancy twins share most of their noise
             white = 0.9 * config.noise[name] * twin_shared + 0.35 * white
-        drift = _wander(substream(seed, "wander", name), n,
-                        config.wander.get(name, 0.0), config.wander_phi)
-        channels[name] = base[name] + white + drift
+        channels[name] = base[name] + white + drift[name]
 
     # hard margins so rule firing matches injection exactly
     pa = channels["pressure_internal_a"]

@@ -321,6 +321,38 @@ class TestIcsDetector:
             detect_outliers_ics(np.hstack([Y, Y]), m=1)
 
 
+# scipy.stats.chi2.ppf(1 - alpha, df=m) for m = 1..9 and each alpha in
+# CHI2_ALPHAS, recorded with scipy 1.17.1
+CHI2_ALPHAS = (1e-4, 0.001, 0.01, 0.025, 0.05)
+CHI2_PPF = {
+    1: (15.136705226623606, 10.827566170662733, 6.6348966010212145, 5.023886187314888,
+        3.841458820694124),
+    2: (18.420680743952584, 13.815510557964274, 9.21034037197618, 7.377758908227871,
+        5.991464547107979),
+    3: (21.107513466160444, 16.26623619623813, 11.344866730144373, 9.348403604496148,
+        7.814727903251179),
+    4: (23.512742444991076, 18.46682695290317, 13.276704135987622, 11.143286781877796,
+        9.487729036781154),
+    5: (25.74483195905612, 20.515005652432873, 15.08627246938899, 12.832501994030027,
+        11.070497693516351),
+    6: (27.85634123601417, 22.457744484825323, 16.811893829770927, 14.44937533544792,
+        12.591587243743977),
+    7: (29.87750390922517, 24.321886347856854, 18.475306906582357, 16.012764274629326,
+        14.067140449340169),
+    8: (31.827628001262585, 26.12448155837614, 20.090235029663233, 17.534546139484647,
+        15.50731305586545),
+    9: (33.719948438964906, 27.877164871256568, 21.665994333461924, 19.02276779864163,
+        16.918977604620448),
+}
+
+
+class TestIcsCutoff:
+    @pytest.mark.parametrize("m", sorted(CHI2_PPF))
+    def test_matches_chi2_ppf_bit_for_bit(self, m):
+        got = [cleaning._chi2_quantile(1.0 - alpha, m) for alpha in CHI2_ALPHAS]
+        assert got == list(CHI2_PPF[m])
+
+
 class TestScreeningFlags:
     def test_spike_inside_long_instance_is_flagged(self):
         frame = quiet_frame()

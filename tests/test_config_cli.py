@@ -18,7 +18,7 @@ from pdmpipe.cli import main
 from pdmpipe.config import (GRID_PARAMS, _ENTRY_KEYS, _MISSING_KEYS, _TOP_KEYS, _fields,
                              _from_doc)
 from pdmpipe.simulator import DEFAULT_INJECTION, DEFAULT_NOISE, DEFAULT_WANDER
-from helpers import run_pdm, stock_doc
+from helpers import run_pdm, run_python, stock_doc
 
 DEFAULT_YAML = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
 
@@ -73,6 +73,13 @@ class TestMakeConfig:
         assert blanket == {"cycle": 7, "start_minute": 1500, "minutes": 180}
         assert all(type(v) is int for v in blanket.values())
         assert type(config.outliers[0]["delta"]) is float
+
+    def test_integral_floats_load_as_integers(self):
+        config = make_config(7, missing={"blanket": [{"cycle": 7.0, "start_minute": 1500,
+                                                      "minutes": 180.0}]})
+        blanket, = config.missing["blanket"]
+        assert blanket == {"cycle": 7, "start_minute": 1500, "minutes": 180}
+        assert all(type(v) is int for v in blanket.values())
 
     def test_noise_and_wander_overrides_merge_into_defaults(self):
         config = make_config(7, sim={"noise": {"angle_platform": 0.4},
@@ -380,6 +387,12 @@ class TestCliFailures:
         ({"sim": []}, "sim must be a mapping, got []"),
         ({"preprocess": []}, "preprocess must be a mapping, got []"),
         ({"preprocess": 0}, "preprocess must be a mapping, got 0"),
+        ({"sim": dict(CLI_DOC["sim"], wander_phi="x")},
+         "bad sim section: wander_phi must be a number in [0, 1), got 'x'"),
+        ({"sim": dict(CLI_DOC["sim"], wander_phi=1.5)},
+         "bad sim section: wander_phi must be a number in [0, 1), got 1.5"),
+        ({"sim": dict(CLI_DOC["sim"], wander_phi=-2)},
+         "bad sim section: wander_phi must be a number in [0, 1), got -2"),
     ])
     def test_bad_parameters_exit_two_before_simulating(self, tmp_path, capsys,
                                                        section, message):
@@ -556,6 +569,16 @@ BAD_INPUTS = {
                                                       value=[1.0])]},
                                    None, ["simulate"], 2,
                                    "outliers[0] value must be a number, got [1.0]"),
+    "blanket_cycle_not_integral": ({"missing": {"blanket": [{"cycle": 7.9, "start_minute": 0,
+                                                             "minutes": 5}]}},
+                                   None, ["simulate"], 2,
+                                   "missing.blanket[0] cycle must be an integer, got 7.9"),
+    "blanket_start_minute_bool": ({"missing": {"blanket": [{"cycle": 3, "start_minute": True,
+                                                            "minutes": 5}]}},
+                                  None, ["simulate"], 2,
+                                  "missing.blanket[0] start_minute must be an integer, got True"),
+    "outlier_delta_bool": ({"outliers": [dict(OUTLIER, delta=True)]}, None, ["simulate"], 2,
+                           "outliers[0] delta must be a number, got True"),
 }
 
 
@@ -580,3 +603,29 @@ class TestCliBadInputs:
         else:
             prefix = "configuration error" if code == 2 else "pipeline error"
             assert f"{prefix}: " in err and message in err
+
+
+IMPORT_SURFACE = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.signal")))
+
+import pdmpipe
+import pdmpipe.cli
+after_import = loaded()
+rc = pdmpipe.cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"after_import": after_import, "rc": rc, "after_simulate": loaded()}))
+"""
+
+
+class TestImportSurface:
+    def test_neither_scipy_stats_nor_signal_is_imported(self, tmp_path):
+        # every pdm command pays for these imports, and no command needs them
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(CLI_DOC))
+        proc = run_python("-c", IMPORT_SURFACE, str(path), str(tmp_path / "out"),
+                          timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"after_import": [], "rc": 0, "after_simulate": []}

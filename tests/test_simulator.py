@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from pdmpipe import SimConfig, evaluate_rules, inject_missing, inject_outliers, simulate
-from pdmpipe.simulator import MU_LOW
+from pdmpipe._seeding import substream
+from pdmpipe.simulator import MU_LOW, _wander
 from pdmpipe.timeseries import _write_json
 
 GATE_AT_QUARTER = MU_LOW + (1 - MU_LOW) * 0.75
@@ -73,6 +75,25 @@ class TestGenerator:
             [g.event.onset for g in gt.events]
 
 
+class TestWander:
+    SCALES = {"pressure_internal_a": 1.5, "angle_platform": 0.0, "temp_internal": 0.45}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 160_050])
+    @pytest.mark.parametrize("phi", [0.0, 0.5, 0.97, 0.999])
+    def test_is_the_ar1_recurrence_bit_for_bit(self, phi, n):
+        paths = _wander(23, n, self.SCALES, phi)
+        assert list(paths) == list(self.SCALES)
+        for name, scale in self.SCALES.items():
+            if scale > 0:
+                innovations = substream(23, "wander", name).standard_normal(n) * scale
+                want = np.array(list(itertools.accumulate(
+                    innovations.tolist(), lambda prev, e: e + phi * prev)))
+            else:
+                want = np.zeros(n)
+            assert paths[name].shape == (n,)
+            assert np.array_equal(paths[name].view(np.int64), want.view(np.int64))
+
+
 class TestLoggingGate:
     def test_lossless_logging_logs_everything(self, sim_small):
         _, gt = sim_small
@@ -129,6 +150,9 @@ class TestLoggingGate:
             SimConfig(seed=1, injection={"gremlin": 0.1})
         with pytest.raises(ValueError):
             SimConfig(seed=1, cycles=3, schedule=((4, "needle"),))
+        for phi in ("x", 1.0, 1.5, -2, -0.1, True, float("nan"), None):
+            with pytest.raises(ValueError, match=r"wander_phi must be a number in \[0, 1\)"):
+                SimConfig(seed=1, wander_phi=phi)
 
 
 class TestInjectMissing:
