@@ -148,22 +148,26 @@ def _entries(items, name: str, required, optional=()) -> tuple:
     for i, item in enumerate(items):
         entry = dict(_keys(item, f"{name}[{i}]", (*required, *optional), required))
         for key, number in _ENTRY_NUMBERS.items():
-            if key not in entry:
-                continue
-            value = entry[key]
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                entry[key] = number(value)
-                # an integer key takes 7.0 as 7 but refuses 7.9
-                if number is int and isinstance(value, float) and entry[key] != value:
-                    raise ValueError
-            except (TypeError, ValueError, OverflowError):
-                kind = "an integer" if number is int else "a number"
-                raise ConfigError(f"{name}[{i}] {key} must be {kind}, "
-                                  f"got {value!r}") from None
+            if key in entry:
+                entry[key] = _number(entry[key], number, f"{name}[{i}] {key}")
         entries.append(entry)
     return tuple(entries)
+
+
+def _number(value, number, name: str):
+    """``value`` converted by ``number`` (``int`` or ``float``). A bool, or a
+    non-integral value for ``int``, is refused with an error naming ``name``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        converted = number(value)
+        # an integer key takes 7.0 as 7 but refuses 7.9
+        if number is int and isinstance(value, float) and converted != value:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if number is int else "a number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}") from None
+    return converted
 
 
 def _build_sim(seed: int, section) -> SimConfig:
@@ -186,13 +190,18 @@ def _build_sim(seed: int, section) -> SimConfig:
             if not merged[key] >= 0:
                 raise ConfigError(f"sim {name} {key!r} must be >= 0, got {value!r}")
         kwargs[name] = merged
+    for key in ("cycles", "idle_minutes"):
+        if key in kwargs:
+            kwargs[key] = _number(kwargs[key], int, f"sim {key}")
     schedule = kwargs.get("schedule")
     if schedule is not None:
         try:
-            kwargs["schedule"] = tuple((int(c), str(k)) for c, k in schedule)
+            pairs = [(c, str(k)) for c, k in schedule]
         except (TypeError, ValueError):
             raise ConfigError(f"sim schedule must be a list of [cycle, fault key] "
                               f"pairs, got {schedule!r}") from None
+        kwargs["schedule"] = tuple((_number(c, int, f"sim schedule[{i}] cycle"), k)
+                                   for i, (c, k) in enumerate(pairs))
     try:
         return SimConfig(seed=seed, **kwargs)
     except (TypeError, ValueError) as exc:

@@ -90,17 +90,7 @@ class Tree:
         self.value = np.asarray(value, dtype=float)
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        node = np.zeros(len(X), dtype=np.int64)
-        while True:
-            internal = self.left[node] >= 0
-            if not internal.any():
-                break
-            idx = np.flatnonzero(internal)
-            cur = node[idx]
-            go_left = X[idx, self.feature[cur]] <= self.threshold[cur]
-            node[idx] = np.where(go_left, self.left[cur], self.right[cur])
-        return self.value[node]
+        return _tree_values([self], X)[0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.predict_value(X).astype(np.int8)
@@ -112,6 +102,40 @@ class Tree:
                 "left": self.left.tolist(),
                 "right": self.right.tolist(),
                 "value": self.value.tolist()}
+
+
+def _tree_values(trees, X: np.ndarray) -> np.ndarray:
+    """The leaf value every tree gives every row of ``X``, as a (trees, rows) matrix.
+
+    The node arrays of all trees are stacked, each tree's child indices
+    shifted by its offset, and one walk moves every (tree, row) pair a
+    level down per step until all of them sit in leaves.
+    """
+    X = np.asarray(X, dtype=float)
+    n = len(X)
+    if not trees:
+        return np.empty((0, n))
+    sizes = np.array([len(t.feature) for t in trees])
+    offset = np.cumsum(sizes) - sizes
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    shift = np.repeat(offset, sizes)
+    left = np.concatenate([t.left for t in trees])
+    right = np.concatenate([t.right for t in trees])
+    left = np.where(left >= 0, left + shift, -1)
+    right = np.where(right >= 0, right + shift, -1)
+    value = np.concatenate([t.value for t in trees])
+    node = np.repeat(offset, n)
+    row_start = np.tile(np.arange(n) * X.shape[1], len(trees))
+    flat = X.ravel()
+    pair = np.flatnonzero(left[node] >= 0)
+    while pair.size:
+        cur = node[pair]
+        go_left = flat[row_start[pair] + feature[cur]] <= threshold[cur]
+        nxt = np.where(go_left, left[cur], right[cur])
+        node[pair] = nxt
+        pair = pair[left[nxt] >= 0]
+    return value[node].reshape(len(trees), n)
 
 
 class _TreeBuilder:
@@ -309,9 +333,7 @@ class Forest:
         self.params = params
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        votes = np.zeros(len(X), dtype=np.int64)
-        for tree in self.trees:
-            votes += tree.predict(X)
+        votes = _tree_values(self.trees, X).astype(np.int8).sum(axis=0, dtype=np.int64)
         # strict majority; a tied vote stays negative
         return (2 * votes > len(self.trees)).astype(np.int8)
 
@@ -356,10 +378,10 @@ class Gbdt:
         self.train_loss = list(train_loss)
 
     def decision_score(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
         score = np.full(len(X), self.base_score)
-        for tree in self.trees:
-            score += tree.predict_value(X)
+        # one tree at a time in fitted order: the order of the additions fixes the bits
+        for values in _tree_values(self.trees, X):
+            score += values
         return score
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -388,40 +410,69 @@ def _bin_features(X: np.ndarray, bins: int):
     return edges, codes
 
 
+def _histograms(flat, g, h, rows, bins):
+    """The G, H and row-count histograms of ``rows`` as one (3, d, bins) array.
+
+    ``flat`` holds each row's bin codes offset by ``feature * bins``, so one
+    bincount per quantity gives every feature's histogram.
+    """
+    d = flat.shape[1]
+    local = flat[rows].ravel()
+    hist = np.empty((3, d * bins))
+    hist[0] = np.bincount(local, weights=np.repeat(g[rows], d), minlength=d * bins)
+    hist[1] = np.bincount(local, weights=np.repeat(h[rows], d), minlength=d * bins)
+    hist[2] = np.bincount(local, minlength=d * bins)
+    return hist.reshape(3, d, bins)
+
+
+def _child_histograms(flat, g, h, hist, left, right, bins):
+    """The histograms of a node's two children, given the node's ``hist``.
+
+    Only the child with fewer rows is counted (the left one on a tie); the
+    other's histograms are the parent's minus those (Ke et al., NeurIPS
+    2017). Counts subtract exactly. A subtracted G or H bin can differ from
+    a direct sum in its low bits, so a bin that holds no rows is set to
+    zero: two cuts that split the same rows then tie, as they do when
+    counted.
+    """
+    small_left = len(left) <= len(right)
+    small = _histograms(flat, g, h, left if small_left else right, bins)
+    large = hist - small
+    large[:2, large[2] == 0] = 0.0
+    return (small, large) if small_left else (large, small)
+
+
 def _fit_hist_tree(flat, edges, g, h, params: GbdtParams):
     """One regression tree on binned gradients, Newton leaf values.
 
-    ``flat`` holds each row's bin codes offset by ``feature * bins``, so a
-    single bincount per node gives every feature's histogram. Returns the
-    tree and the leaf each training row ends in.
+    ``flat`` holds each row's bin codes offset by ``feature * bins``. The
+    root's histograms are counted; each split counts its smaller child's
+    and subtracts them from its own for the larger child, and makes none
+    when neither child will search. Leaf values come from the rows' own
+    gradient sums. Returns the tree and the leaf each training row ends in.
     """
     builder = _TreeBuilder()
     lam = params.reg_lambda
     n, d = flat.shape
-    size = d * params.bins
     # np.unique can leave a feature fewer bins; cut b exists iff b < len(edges[j])
     n_edges = np.array([len(e) for e in edges], dtype=np.int64)
     cuts = np.arange(params.bins - 1) < n_edges[:, None]
     features = np.arange(d)
     leaf = np.empty(n, dtype=np.int64)
 
-    def left_sums(local, weights):
-        hist = np.bincount(local, weights=weights, minlength=size)
-        return np.cumsum(hist.reshape(d, params.bins), axis=1)[:, :-1]
+    def searches(rows: np.ndarray, depth: int) -> bool:
+        return depth < params.max_depth and len(rows) >= 2 * params.min_leaf
 
-    def grow(rows: np.ndarray, depth: int) -> int:
+    def grow(rows: np.ndarray, depth: int, hist) -> int:
         node = builder.add()
         G = float(g[rows].sum())
         H = float(h[rows].sum())
         builder.value[node] = -G / (H + lam)
         leaf[rows] = node                   # the children overwrite an inner node
-        if depth >= params.max_depth or len(rows) < 2 * params.min_leaf:
+        if not searches(rows, depth):
             return node
         parent_score = G * G / (H + lam)
-        local = flat[rows].ravel()
-        GL = left_sums(local, np.repeat(g[rows], d))
-        HL = left_sums(local, np.repeat(h[rows], d))
-        CL = left_sums(local, None)
+        GL, HL, CL = np.cumsum(hist, axis=2)[:, :, :-1]
         GR = G - GL
         HR = H - HL
         CR = len(rows) - CL
@@ -442,13 +493,19 @@ def _fit_hist_tree(flat, edges, g, h, params: GbdtParams):
             return node
         b = int(cut[best])
         go_left = flat[rows, best] <= best * params.bins + b
+        left, right = rows[go_left], rows[~go_left]
+        left_hist = right_hist = None
+        if searches(left, depth + 1) or searches(right, depth + 1):
+            left_hist, right_hist = _child_histograms(flat, g, h, hist, left, right,
+                                                      params.bins)
         builder.feature[node] = best
         builder.threshold[node] = float(edges[best][b])
-        builder.left[node] = grow(rows[go_left], depth + 1)
-        builder.right[node] = grow(rows[~go_left], depth + 1)
+        builder.left[node] = grow(left, depth + 1, left_hist)
+        builder.right[node] = grow(right, depth + 1, right_hist)
         return node
 
-    grow(np.arange(n), 0)
+    root = np.arange(n)
+    grow(root, 0, _histograms(flat, g, h, root, params.bins) if searches(root, 0) else None)
     return builder.done(), leaf
 
 

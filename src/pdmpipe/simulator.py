@@ -134,6 +134,13 @@ class SimConfig:
             raise ValueError("cycles must be >= 1")
         if self.idle_minutes < 0:
             raise ValueError(f"idle_minutes must be >= 0, got {self.idle_minutes}")
+        try:
+            if isinstance(self.start, (int, float)):
+                raise TypeError
+            np.datetime64(self.start, "s")
+        except (TypeError, ValueError):
+            raise ValueError(f"start must be an ISO date and time, "
+                             f"got {self.start!r}") from None
         if (isinstance(self.wander_phi, bool) or not isinstance(self.wander_phi, Real)
                 or not 0.0 <= self.wander_phi < 1.0):
             raise ValueError(f"wander_phi must be a number in [0, 1), got {self.wander_phi!r}")

@@ -81,6 +81,20 @@ class TestMakeConfig:
         assert blanket == {"cycle": 7, "start_minute": 1500, "minutes": 180}
         assert all(type(v) is int for v in blanket.values())
 
+    def test_integral_float_sim_keys_load_as_integers(self):
+        config = make_config(7, sim={"cycles": 7.0, "idle_minutes": 10.0,
+                                     "schedule": [[7.0, "needle"]]})
+        assert (config.sim.cycles, config.sim.idle_minutes) == (7, 10)
+        assert config.sim.schedule == ((7, "needle"),)
+        assert all(type(v) is int for v in (config.sim.cycles, config.sim.idle_minutes,
+                                            config.sim.schedule[0][0]))
+
+    def test_unquoted_yaml_start_loads(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("seed: 7\nsim:\n  start: 2025-01-05T00:00:00\n")
+        start = load_config(path).sim.start
+        assert np.datetime64(start, "s") == np.datetime64("2025-01-05T00:00:00")
+
     def test_noise_and_wander_overrides_merge_into_defaults(self):
         config = make_config(7, sim={"noise": {"angle_platform": 0.4},
                                      "wander": {"temp_internal": 0}})
@@ -393,6 +407,12 @@ class TestCliFailures:
          "bad sim section: wander_phi must be a number in [0, 1), got 1.5"),
         ({"sim": dict(CLI_DOC["sim"], wander_phi=-2)},
          "bad sim section: wander_phi must be a number in [0, 1), got -2"),
+        ({"sim": dict(CLI_DOC["sim"], cycles=7.9)}, "sim cycles must be an integer, got 7.9"),
+        ({"sim": dict(CLI_DOC["sim"], cycles=True)}, "sim cycles must be an integer, got True"),
+        ({"sim": dict(CLI_DOC["sim"], idle_minutes=10.5)},
+         "sim idle_minutes must be an integer, got 10.5"),
+        ({"sim": dict(CLI_DOC["sim"], start="tomorrow")},
+         "bad sim section: start must be an ISO date and time, got 'tomorrow'"),
     ])
     def test_bad_parameters_exit_two_before_simulating(self, tmp_path, capsys,
                                                        section, message):
@@ -518,6 +538,9 @@ BAD_INPUTS = {
                             "sim schedule must be a list of [cycle, fault key] pairs, got 5"),
     "schedule_entry_not_a_pair": ({"sim": dict(CLI_DOC["sim"], schedule=[[2]])}, None,
                                   ["simulate"], 2, "sim schedule must be a list"),
+    "schedule_cycle_not_integral": ({"sim": dict(CLI_DOC["sim"], schedule=[[7.9, "needle"]])},
+                                    None, ["simulate"], 2,
+                                    "sim schedule[0] cycle must be an integer, got 7.9"),
     "kb_rule_key_typo": ({}, within_first_minute, ["simulate"], 2,
                          "knowledge base rules[1]: unknown keys: ['within_first_minute']"),
     "missing_unknown_key": ({"missing": {"bogus": True}}, None, ["simulate"], 2,
