@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.ndimage import median_filter
+from scipy.ndimage import maximum_filter1d, median_filter
 from scipy.special import gammaincinv
 
 from .knowledge import BLOCKING, KnowledgeBase, _instances, envelope_breaches
@@ -151,9 +151,9 @@ def drop_intervals(frame: TimeSeriesFrame, report: GapReport) -> TimeSeriesFrame
     n = len(t)
     first = np.searchsorted(t, np.array([g.start for g in delete], dtype="M8"), "left")
     stop = np.searchsorted(t, np.array([g.end for g in delete], dtype="M8"), "right")
-    cover = np.cumsum(np.bincount(first, minlength=n + 1)
-                      - np.bincount(stop, minlength=n + 1))
-    return frame.take(np.flatnonzero(cover[:n] <= 0))
+    keep = np.cumsum(np.bincount(first, minlength=n + 1)
+                     - np.bincount(stop, minlength=n + 1))[:n] <= 0
+    return frame.take(np.flatnonzero(keep))
 
 
 _QUARTILES = np.array([0.25, 0.75])
@@ -218,7 +218,9 @@ def detect_outliers_ics(X: np.ndarray, m: int = 2, alpha: float = 0.025) -> np.n
         raise ValueError("covariance scatter is singular") from None
     # squared Mahalanobis distances via the Cholesky factor
     w = np.linalg.solve(chol, centered.T)
-    d2 = np.sum(w * w, axis=0)
+    w *= w
+    d2 = np.sum(w, axis=0)
+    del w
     cov4 = (centered * d2[:, None]).T @ centered / (n * (d + 2))
     try:
         eigvals, eigvecs = eigh(cov4, cov)
@@ -247,6 +249,8 @@ def _span_medians(x: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     Interior rows come from one median filter over the whole array (the
     window is odd, so each median is one selected element); the clipped
     edge windows of all spans are sorted together in one padded block.
+    Only the edge rows get window bounds of their own: whether an interior
+    window holds NaN comes from one running maximum of the missing mask.
     """
     n = len(x)
     half = window // 2
@@ -254,19 +258,18 @@ def _span_medians(x: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     filled = np.where(missing, 0.0, x)
     med = median_filter(filled, size=window, mode="nearest")
 
-    rows = np.arange(n)
-    lo = np.maximum(rows - half, 0)
-    hi = np.minimum(rows + half + 1, n)
+    # the edge rows and their windows, clipped at the span's ends
     offsets = np.arange(half)
     head = (starts[:, None] + offsets).ravel()
     tail = (stops[:, None] - half + offsets).ravel()
-    lo[head] = np.repeat(starts, half)
-    hi[tail] = np.repeat(stops, half)
-
     edge = np.concatenate([head, tail])
-    count = hi[edge] - lo[edge]
-    cells = lo[edge][:, None] + np.arange(window - 1)
-    block = np.where(cells < hi[edge][:, None], filled[np.minimum(cells, n - 1)], np.inf)
+    lo = np.concatenate([np.repeat(starts, half), tail - half])
+    hi = np.concatenate([head + half + 1, np.repeat(stops, half)])
+    count = hi - lo
+    cells = lo[:, None] + np.arange(window - 1)
+    inside = cells < hi[:, None]
+    cells = np.minimum(cells, n - 1)
+    block = np.where(inside, filled[cells], np.inf)
     block.sort(axis=1)
     r = np.arange(len(edge))
     mid = block[r, (count - 1) // 2]
@@ -274,8 +277,11 @@ def _span_medians(x: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     mid[even] = (mid[even] + block[r[even], count[even] // 2]) / 2
     med[edge] = mid
 
-    missing_before = _prefix_counts(missing)
-    med[missing_before[hi] > missing_before[lo]] = np.nan
+    # a window holds NaN where the running maximum of the missing mask is 1;
+    # the edge rows' clipped windows are checked cell by cell
+    holds_nan = maximum_filter1d(missing.view(np.uint8), window, mode="constant").view(bool)
+    holds_nan[edge] = (missing[cells] & inside).any(axis=1)
+    med[holds_nan] = np.nan
     med += 0.0      # np.median sums from +0.0, so it never returns -0.0
     return med
 
@@ -300,7 +306,8 @@ def detrended_iqr_flags(frame: TimeSeriesFrame, k: float, window: int = 31):
     starts, stops = np.array(spans, dtype=np.int64).T
     flags = []
     for name, values in frame.channels.items():
-        resid = values - _span_medians(values, starts, stops, window)
+        resid = _span_medians(values, starts, stops, window)
+        np.subtract(values, resid, out=resid)
         # each instance's observed residuals are one slice of ``flat``
         kept = ~np.isnan(resid)
         flat = resid[kept]
@@ -333,15 +340,22 @@ def _prefix_counts(mask: np.ndarray) -> np.ndarray:
 def ics_flags(frame: TimeSeriesFrame, m: int, alpha: float):
     """Whole-row candidates per sequence id, pooled across cycles."""
     names = list(frame.channels)
-    X = np.column_stack([frame.channels[c] for c in names])
-    seq = frame.sequence
+    ids, group = np.unique(frame.sequence, return_inverse=True)
+    # the rows of each id, ascending, as consecutive slices of one ordering
+    order = np.argsort(group, kind="stable")
+    counts = np.bincount(group, minlength=len(ids))
+    del group
+    ends = np.cumsum(counts)
     flags = []
-    for sid in np.unique(seq):
-        rows = np.flatnonzero(seq == sid)
-        sub = X[rows]
+    for sid, lo, hi in zip(ids, ends - counts, ends):
+        rows = order[lo:hi]
+        sub = np.empty((len(rows), len(names)))
+        for j, name in enumerate(names):
+            sub[:, j] = frame.channels[name][rows]
         complete = ~np.isnan(sub).any(axis=1)
-        rows = rows[complete]
-        sub = sub[complete]
+        if not complete.all():
+            rows = rows[complete]
+            sub = sub[complete]
         if len(rows) < 10 * len(names):
             log.info("skipping ICS on %s: only %d complete rows", sid, len(rows))
             continue
@@ -426,23 +440,36 @@ def verify_outliers(frame: TimeSeriesFrame, flags, kb: KnowledgeBase, events,
 
 
 def apply_verdicts(frame: TimeSeriesFrame, verdicts) -> TimeSeriesFrame:
-    """Correct or drop rows per the verdict list; tagged points pass through."""
-    channels = {k: v.copy() for k, v in frame.channels.items()}
-    drop = set()
-    for v in verdicts:
-        if v.verdict == VERDICT_CORRECTED:
-            if v.channel is not None:
-                channels[v.channel][v.index] = v.replacement
-            else:
-                for name in channels:
-                    left = channels[name][v.index - 1]
-                    right = channels[name][v.index + 1]
-                    channels[name][v.index] = (left + right) / 2
-        elif v.verdict == VERDICT_DROPPED:
-            drop.add(v.index)
-    out = replace(frame, channels=channels)
+    """Correct or drop rows per the verdict list; tagged points pass through.
+
+    A correction reads and writes one channel (a whole-row one, each
+    channel in turn), so the channels are handled one at a time: a channel
+    is copied only when a correction writes to it, and cut to the kept
+    rows before the next one. A channel that is neither corrected nor cut
+    is shared with ``frame``, whose arrays are never written.
+    """
+    corrected = [v for v in verdicts if v.verdict == VERDICT_CORRECTED]
+    drop = [v.index for v in verdicts if v.verdict == VERDICT_DROPPED]
+    keep = None
     if drop:
-        keep = np.ones(len(frame), dtype=bool)
-        keep[list(drop)] = False
-        out = out.take(np.flatnonzero(keep))
-    return out
+        mask = np.ones(len(frame), dtype=bool)
+        mask[drop] = False
+        keep = np.flatnonzero(mask)
+    unknown = {v.channel for v in corrected} - {None, *frame.channels}
+    if unknown:
+        raise ValueError(f"verdict for unknown channel {sorted(unknown)[0]!r}")
+    channels = {}
+    for name, values in frame.channels.items():
+        own = [v for v in corrected if v.channel in (name, None)]
+        if own:
+            values = values.copy()
+            for v in own:
+                if v.channel is None:
+                    values[v.index] = (values[v.index - 1] + values[v.index + 1]) / 2
+                else:
+                    values[v.index] = v.replacement
+        channels[name] = values if keep is None else values[keep]
+    rest = replace(frame, channels={})
+    if keep is not None:
+        rest = rest.take(keep)
+    return replace(rest, channels=channels)

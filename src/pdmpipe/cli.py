@@ -52,8 +52,10 @@ def cmd_simulate(config: PipelineConfig, kb, out_dir: str) -> int:
 
 
 def cmd_preprocess(config: PipelineConfig, kb, scenario: str, out_dir: str) -> int:
-    frame, gt = _generate(config, kb)
-    ds = build_dataset(frame, kb, scenario, config.preprocess, config.split[0])
+    # No name here holds the raw frame. CPython 3.11 and later hand a call's
+    # arguments to the callee, so build_dataset frees it once it has a cleaned copy.
+    ds = build_dataset(_generate(config, kb)[0], kb, scenario, config.preprocess,
+                       config.split[0])
     os.makedirs(out_dir, exist_ok=True)
     ds.to_files(os.path.join(out_dir, f"curated_{scenario}.csv"),
                 os.path.join(out_dir, f"curated_{scenario}.json"))

@@ -182,17 +182,14 @@ def _build_sim(seed: int, section) -> SimConfig:
         for key, value in kwargs[name].items():
             if key not in defaults:
                 raise ConfigError(f"unknown {what} key {key!r} in {name}")
-            try:
-                merged[key] = float(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"sim {name} {key!r} must be a number, "
-                                  f"got {value!r}") from None
+            merged[key] = _number(value, float, f"sim {name} {key!r}")
             if not merged[key] >= 0:
                 raise ConfigError(f"sim {name} {key!r} must be >= 0, got {value!r}")
         kwargs[name] = merged
-    for key in ("cycles", "idle_minutes"):
+    for key, number in (("cycles", int), ("idle_minutes", int),
+                        ("logging_probability", float)):
         if key in kwargs:
-            kwargs[key] = _number(kwargs[key], int, f"sim {key}")
+            kwargs[key] = _number(kwargs[key], number, f"sim {key}")
     schedule = kwargs.get("schedule")
     if schedule is not None:
         try:

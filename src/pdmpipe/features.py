@@ -42,6 +42,7 @@ log = logging.getLogger(__name__)
 
 BALANCE_SEQUENCES = ("S09", "S10")
 STAT_FEATURES = ("stat_mean", "stat_median", "stat_variance")
+_STAT_BLOCK_ROWS = 1 << 12
 TARGET = "target"
 
 
@@ -141,18 +142,21 @@ def standardize(frame: TimeSeriesFrame, fit_mask: np.ndarray):
         raise ValueError("fit mask must be a boolean row mask")
     if not fit_mask.any():
         raise ValueError("fit mask selects no rows")
-    out = frame
+    channels = {}
     scaler = {}
-    for name in frame.channels:
-        values = frame.channels[name]
-        mean = float(np.mean(values[fit_mask]))
-        std = float(np.std(values[fit_mask]))
+    for name, values in frame.channels.items():
+        fit = values[fit_mask]
+        mean = float(np.mean(fit))
+        std = float(np.std(fit))
         if std == 0.0:
             log.warning("channel %s has zero variance on fit rows", name)
             std = 1.0
         scaler[name] = (mean, std)
-        out = out.with_channel(name, (values - mean) / std, "z")
-    return out, scaler
+        z = values - mean
+        z /= std
+        channels[name] = z
+    units = {**frame.units, **dict.fromkeys(channels, "z")}
+    return replace(frame, channels=channels, units=units), scaler
 
 
 def add_statistical_features(frame: TimeSeriesFrame, over=None) -> TimeSeriesFrame:
@@ -161,10 +165,16 @@ def add_statistical_features(frame: TimeSeriesFrame, over=None) -> TimeSeriesFra
     missing = [n for n in names if n not in frame.channels]
     if missing:
         raise ValueError(f"unknown channels {missing}")
-    stack = np.column_stack([frame.channels[n] for n in names])
-    out = frame.with_channel("stat_mean", stack.mean(axis=1), "z")
-    out = out.with_channel("stat_median", np.median(stack, axis=1), "z")
-    out = out.with_channel("stat_variance", stack.var(axis=1), "z")
+    stats = np.empty((len(STAT_FEATURES), len(frame)))
+    # each row's statistics depend on that row alone, so a block of rows at
+    # a time gives the same bits and bounds the stacked copy and its temporaries
+    for lo in range(0, len(frame), _STAT_BLOCK_ROWS):
+        block = slice(lo, lo + _STAT_BLOCK_ROWS)
+        stack = np.column_stack([frame.channels[n][block] for n in names])
+        stats[:, block] = stack.mean(axis=1), np.median(stack, axis=1), stack.var(axis=1)
+    out = frame
+    for name, values in zip(STAT_FEATURES, stats):
+        out = out.with_channel(name, values, "z")
     return out
 
 
@@ -269,6 +279,15 @@ def encode_sequence(sequence: np.ndarray) -> np.ndarray:
     return codes.astype(np.int64)
 
 
+def _cycle_minutes(frame: TimeSeriesFrame) -> np.ndarray:
+    """Within-cycle position of each row, in minutes since its cycle's first
+    row; it survives row deletion and resamples to the bucket's end minute."""
+    t_sec = frame.timestamps.astype(np.int64)
+    _, first_idx, inverse = np.unique(frame.cycle, return_index=True,
+                                      return_inverse=True)
+    return (t_sec - t_sec[first_idx][inverse]) // 60
+
+
 @dataclass(frozen=True)
 class PreprocessParams:
     resample_minutes: int = 15
@@ -359,13 +378,7 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     kb = kb if scenario == "s2" else None
     notes = []
 
-    # within-cycle position, in minutes since the cycle's first raw row;
-    # survives row deletion and resamples to the bucket's end minute
-    t_sec = frame.timestamps.astype(np.int64)
-    _, first_idx, inverse = np.unique(frame.cycle, return_index=True,
-                                      return_inverse=True)
-    frame = replace(frame, logs={**frame.logs,
-                                 "cycle_minute": (t_sec - t_sec[first_idx][inverse]) // 60})
+    frame = replace(frame, logs={**frame.logs, "cycle_minute": _cycle_minutes(frame)})
 
     # cleaning: oversparse columns, then gaps, then outliers
     fractions = {name: float(np.isnan(values).mean())
@@ -406,14 +419,16 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     if len(frame) == 0:
         raise ValueError("outlier handling removed every row")
 
-    # reduction on internally standardized channels
+    # reduction on internally standardized channels, in place in one matrix
     names = list(frame.channels)
-    X_all = np.column_stack([frame.channels[n] for n in names])
-    std = X_all.std(axis=0)
+    X = np.column_stack([frame.channels[n] for n in names])
+    std = X.std(axis=0)
     std[std == 0] = 1.0
-    X_std = (X_all - X_all.mean(axis=0)) / std
-    selection = select_features(names, pca(X_std, params.variance_threshold), kb,
-                                params.tau)
+    X -= X.mean(axis=0)
+    X /= std
+    reduction = pca(X, params.variance_threshold)
+    del X
+    selection = select_features(names, reduction, kb, params.tau)
     frame = frame.drop_channels([n for n in names if n not in selection.selected])
 
     # knowledge integration: the target, and with a knowledge base the

@@ -1,11 +1,12 @@
 """Synthetic telemetry generator for the cyclic sampling equipment.
 
 Signals are piecewise-deterministic per sequence plus white noise and a
-slow AR(1) wander ``y[t] = e[t] + phi * y[t-1]``. The wander of every
-channel comes from one LAPACK tridiagonal solve (``dgtsv``) of the
-lower-bidiagonal system ``(I - phi L) y = e``, one column per channel.
-With ``0 <= phi < 1`` the solve swaps no rows, so each step rounds as the
-recurrence does and the paths are bit-identical to it.
+slow AR(1) wander ``y[t] = e[t] + phi * y[t-1]``. The wander of a
+channel comes from a LAPACK tridiagonal solve (``dgtsv``) of the
+lower-bidiagonal system ``(I - phi L) y = e``. With ``0 <= phi < 1`` the
+solve swaps no rows, so each step rounds as the recurrence does and the
+paths are bit-identical to it. The channels are built one at a time, so
+one channel's temporaries are alive at once.
 
 Injected faults reproduce exactly the symptom each monitoring rule
 watches, with clipped margins wide enough that the rule engine fires on
@@ -240,11 +241,13 @@ def _wander(seed: int, n: int, scales: dict, phi: float) -> dict:
     paths = np.zeros((n, len(scales)), order="F")
     for j, (name, scale) in enumerate(scales.items()):
         if scale > 0:
-            paths[:, j] = substream(seed, "wander", name).standard_normal(n) * scale
+            substream(seed, "wander", name).standard_normal(out=paths[:, j])
+            paths[:, j] *= scale
     if n > 1:
-        # dgtsv refuses a 1 x 1 system; there the path is its innovation
+        # dgtsv refuses a 1 x 1 system; there the path is its innovation. The
+        # diagonals are made for this call, so the factorization may overwrite them
         paths = dgtsv(np.full(n - 1, -float(phi)), np.ones(n), np.zeros(n - 1), paths,
-                      overwrite_b=1)[3]
+                      overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[3]
     return {name: paths[:, j] for j, name in enumerate(scales)}
 
 
@@ -308,99 +311,98 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
     in_s10 = (m >= s10a) & (m < s10b)
     in_s11 = (m >= s11a) & (m < s11b)
     in_tail = (m >= s11b) & (m < active_end)
-    in_prep = m < s9a
-    in_idle = m >= active_end
     m9 = m - s9a
     m10 = m - s10a
     m11 = m - s11a
+    onset_minute = {key: layout.start[seq] + offset
+                    for key, (_, _, seq, offset) in FAULT_KINDS.items() if offset is not None}
 
-    # --- internal temperature -------------------------------------------
-    heat_hot = row_fault["heating_temp"]
-    plateau = np.where(heat_hot, 322.0, 300.0)
-    t_int = np.full(n, 22.0)
-    ramp9 = 22.0 + 278.0 * np.minimum(m9 / 120.0, 1.0)
-    t_int[in_s09] = np.where(heat_hot & (m9 >= 890), 322.0, np.minimum(ramp9, 300.0))[in_s09]
-    t_int[in_s10] = plateau[in_s10]
-    t_int[in_s11] = (22.0 + (plateau - 22.0) * np.exp(-m11 / 300.0))[in_s11]
-    t_int[in_tail] = 24.0
+    # Each channel is built, noised and clipped before the next one starts,
+    # so one channel's temporaries are alive at a time. Every draw comes
+    # from a substream keyed by name, so the build order changes no value.
+    twin_shared = substream(seed, "noise-shared-be").standard_normal(n)
+
+    def noisy(name: str, base: np.ndarray) -> np.ndarray:
+        """``base`` plus the channel's white noise, then its AR(1) wander, in place."""
+        white = substream(seed, "noise", name).standard_normal(n)
+        white *= config.noise[name]
+        if name in ("temp_external_b", "temp_external_e"):
+            # redundancy twins share most of their noise
+            white = 0.9 * config.noise[name] * twin_shared + 0.35 * white
+        base += white
+        del white
+        base += _wander(seed, n, {name: config.wander.get(name, 0.0)},
+                        config.wander_phi)[name]
+        return base
+
+    channels = {}
 
     # --- internal pressures ----------------------------------------------
+    heat_press = row_fault["heating_pressure"] & (m9 >= 610)
     p_a = np.full(n, 1000.0)
     p_a[in_s09] = (1000.0 + 1950.0 * np.minimum(m9 / 480.0, 1.0))[in_s09]
-    p_a[in_s09 & row_fault["heating_pressure"] & (m9 >= 610)] = 3200.0
+    p_a[in_s09 & heat_press] = 3200.0
     vacuum = 25.0 + 975.0 * np.exp(-np.maximum(m10, 0) / 0.7)
     p_a[in_s10] = np.where(row_fault["needle"], 750.0, vacuum)[in_s10]
+    pa = channels["pressure_internal_a"] = noisy("pressure_internal_a", p_a)
+    # hard margins so rule firing matches injection exactly
+    needle_rows = in_s10 & row_fault["needle"]
+    pa[needle_rows] = np.maximum(pa[needle_rows], 700.0)
+    memory_rows = in_s10 & ~row_fault["needle"] & (m10 >= 3)
+    pa[memory_rows] = np.minimum(pa[memory_rows], 46.0)
+    hp_rows = in_s09 & heat_press
+    pa[hp_rows] = np.maximum(pa[hp_rows], 3160.0)
+    pa[in_s09 & ~heat_press] = np.minimum(pa[in_s09 & ~heat_press], 3100.0)
 
     # secondary loop holds reservoir pressure; runs high on degraded cycles
     p_b = np.full(n, 1005.0)
     p_b += np.where(row_blocking & (m < active_end), SHIFT_PRESSURE_B, 0.0)
+    channels["pressure_internal_b"] = noisy("pressure_internal_b", p_b)
 
-    onset_minute = {key: layout.start[seq] + offset
-                    for key, (_, _, seq, offset) in FAULT_KINDS.items() if offset is not None}
-    # magnitude-scaled pre-onset ramp, held until the cycle aborts
-    ramp_total = np.zeros(n)
-    for key in BLOCKING_KEYS:
-        contribution = _ramp(m, onset_minute[key], RAMP_EXT_D_PER_MU, s10b)
-        contribution *= row_mu * row_fault[key]
-        np.maximum(ramp_total, contribution, out=ramp_total)
+    # --- internal temperature -------------------------------------------
+    heat_hot = row_fault["heating_temp"] & (m9 >= 890)
+    plateau = np.where(row_fault["heating_temp"], 322.0, 300.0)
+    t_int = np.full(n, 22.0)
+    ramp9 = 22.0 + 278.0 * np.minimum(m9 / 120.0, 1.0)
+    t_int[in_s09] = np.where(heat_hot, 322.0, np.minimum(ramp9, 300.0))[in_s09]
+    t_int[in_s10] = plateau[in_s10]
+    t_int[in_s11] = (22.0 + (plateau - 22.0) * np.exp(-m11 / 300.0))[in_s11]
+    t_int[in_tail] = 24.0
+    del plateau
+    ti = channels["temp_internal"] = noisy("temp_internal", t_int)
+    hot_rows = in_s09 & heat_hot
+    ti[hot_rows] = np.maximum(ti[hot_rows], 318.0)
+    cool_rows = in_s09 & ~heat_hot
+    ti[cool_rows] = np.minimum(ti[cool_rows], 312.0)
 
     # --- external casing temperatures -------------------------------------
     t_nominal = np.full(n, 22.0)
     t_nominal[in_s09] = np.minimum(ramp9, 300.0)[in_s09]
+    del ramp9
     t_nominal[in_s10] = 300.0
     t_nominal[in_s11] = (22.0 + 278.0 * np.exp(-m11 / 300.0))[in_s11]
     t_nominal[in_tail] = 24.0
     follow = {"temp_external_a": 0.10, "temp_external_b": 0.12,
               "temp_external_c": 0.08, "temp_external_d": 0.11,
               "temp_external_e": 0.12}
-    ext = {name: 22.0 + k * (t_nominal - 22.0) for name, k in follow.items()}
-    ext["temp_external_d"] = ext["temp_external_d"] + ramp_total
+    for name, k in follow.items():
+        t_ext = 22.0 + k * (t_nominal - 22.0)
+        if name == "temp_external_d":
+            # magnitude-scaled pre-onset ramp, held until the cycle aborts
+            ramp_total = np.zeros(n)
+            for key in BLOCKING_KEYS:
+                ramp = _ramp(m, onset_minute[key], RAMP_EXT_D_PER_MU, s10b)
+                ramp *= row_mu * row_fault[key]
+                np.maximum(ramp_total, ramp, out=ramp_total)
+            t_ext += ramp_total
+            del ramp, ramp_total
+        channels[name] = noisy(name, t_ext)
+    del t_nominal, twin_shared
 
     # --- platform angle ---------------------------------------------------
     angle = np.zeros(n)
     angle[in_s10 & row_fault["angle"]] = 46.0
-
-    # --- noise, wander, clips ----------------------------------------------
-    base = {
-        "pressure_internal_a": p_a,
-        "pressure_internal_b": p_b,
-        "temp_internal": t_int,
-        "temp_external_a": ext["temp_external_a"],
-        "temp_external_b": ext["temp_external_b"],
-        "temp_external_c": ext["temp_external_c"],
-        "temp_external_d": ext["temp_external_d"],
-        "temp_external_e": ext["temp_external_e"],
-        "angle_platform": angle,
-    }
-    twin_shared = substream(seed, "noise-shared-be").standard_normal(n)
-    drift = _wander(seed, n, {name: config.wander.get(name, 0.0) for name in CHANNEL_UNITS},
-                    config.wander_phi)
-    channels = {}
-    for name in CHANNEL_UNITS:
-        white = substream(seed, "noise", name).standard_normal(n) * config.noise[name]
-        if name in ("temp_external_b", "temp_external_e"):
-            # redundancy twins share most of their noise
-            white = 0.9 * config.noise[name] * twin_shared + 0.35 * white
-        channels[name] = base[name] + white + drift[name]
-
-    # hard margins so rule firing matches injection exactly
-    pa = channels["pressure_internal_a"]
-    needle_rows = in_s10 & row_fault["needle"]
-    pa[needle_rows] = np.maximum(pa[needle_rows], 700.0)
-    memory_rows = in_s10 & ~row_fault["needle"] & (m10 >= 3)
-    pa[memory_rows] = np.minimum(pa[memory_rows], 46.0)
-    hp_rows = in_s09 & row_fault["heating_pressure"] & (m9 >= 610)
-    pa[hp_rows] = np.maximum(pa[hp_rows], 3160.0)
-    pa[in_s09 & ~(row_fault["heating_pressure"] & (m9 >= 610))] = np.minimum(
-        pa[in_s09 & ~(row_fault["heating_pressure"] & (m9 >= 610))], 3100.0)
-
-    ti = channels["temp_internal"]
-    hot_rows = in_s09 & heat_hot & (m9 >= 890)
-    ti[hot_rows] = np.maximum(ti[hot_rows], 318.0)
-    cool_rows = in_s09 & ~(heat_hot & (m9 >= 890))
-    ti[cool_rows] = np.minimum(ti[cool_rows], 312.0)
-
-    ang = channels["angle_platform"]
+    ang = channels["angle_platform"] = noisy("angle_platform", angle)
     bad_rows = in_s10 & row_fault["angle"]
     ang[bad_rows] = np.maximum(ang[bad_rows], 44.0)
     ok_rows = in_s10 & ~row_fault["angle"]
@@ -554,7 +556,9 @@ def inject_outliers(frame: TimeSeriesFrame, gt: GroundTruth, scenario):
     """
     if not scenario:
         return frame, gt
-    channels = {k: v.copy() for k, v in frame.channels.items()}
+    # only the channels a point lands on are copied; the others are shared
+    touched = {spec["channel"] for spec in scenario}
+    channels = {k: v.copy() if k in touched else v for k, v in frame.channels.items()}
     points = list(gt.outliers)
     cyc = frame.cycle
     minutes = frame.elapsed_minutes()

@@ -222,9 +222,11 @@ def resample(frame: TimeSeriesFrame, interval_minutes: int) -> TimeSeriesFrame:
             f"native step {frame.step_minutes} min"
         )
 
-    offsets = frame.elapsed_minutes()
-    bucket_of_row = offsets // interval_minutes
-    bucket_ids, starts = np.unique(bucket_of_row, return_index=True)
+    # timestamps increase, so each bucket is one run of rows
+    bucket_of_row = frame.elapsed_minutes() // interval_minutes
+    starts = np.flatnonzero(np.diff(bucket_of_row, prepend=-1))
+    bucket_ids = bucket_of_row[starts]
+    del bucket_of_row
     last = np.append(starts[1:], len(frame)) - 1
 
     out_ts = frame.timestamps[0] + (bucket_ids * interval_minutes).astype("timedelta64[m]")
@@ -233,7 +235,7 @@ def resample(frame: TimeSeriesFrame, interval_minutes: int) -> TimeSeriesFrame:
     for name, values in frame.channels.items():
         ok = ~np.isnan(values)
         sums = np.add.reduceat(np.where(ok, values, 0.0), starts)
-        counts = np.add.reduceat(ok.astype(np.float64), starts)
+        counts = np.add.reduceat(ok, starts, dtype=np.float64)
         with np.errstate(invalid="ignore"):
             out_channels[name] = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 

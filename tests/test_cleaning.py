@@ -385,6 +385,50 @@ class TestScreeningFlags:
         assert (int(rows[200]), None) in flags
 
 
+def oracle_ics_flags(frame, m, alpha, screened=None):
+    """The ICS screen as it was: one stacked matrix of every channel, and per
+    sequence id one full-length comparison to find its rows. Each matrix it
+    screens is appended to ``screened``."""
+    names = list(frame.channels)
+    X = np.column_stack([frame.channels[c] for c in names])
+    flags = []
+    for sid in np.unique(frame.sequence):
+        rows = np.flatnonzero(frame.sequence == sid)
+        sub = X[rows]
+        complete = ~np.isnan(sub).any(axis=1)
+        rows, sub = rows[complete], sub[complete]
+        if len(rows) < 10 * len(names) or (np.ptp(sub, axis=0) == 0).any():
+            continue
+        if screened is not None:
+            screened.append(sub)
+        try:
+            local = detect_outliers_ics(sub, m=m, alpha=alpha)
+        except ValueError:
+            continue
+        flags.extend((int(rows[i]), None) for i in local)
+    flags.sort(key=lambda f: f[0])
+    return flags
+
+
+def interleaved_case(seed):
+    """One cycle whose rows take their sequence id at random, so the rows of
+    every id interleave with those of every other. Heavy-tailed noise, gross
+    rows, NaN cells; S05 has too few rows to screen and S06 a constant channel."""
+    rng = np.random.default_rng(seed)
+    frame = quiet_frame()
+    n = len(frame)
+    sequence = rng.choice(np.array(["S01", "S02", "S03", "S04", "S06", "IDLE"]), n)
+    sequence[rng.choice(n, 30, replace=False)] = "S05"
+    frame = replace(frame, logs={**frame.logs, "sequence_id": sequence})
+    for name in frame.channels:
+        x = rng.standard_t(3, n)
+        x[rng.choice(n, 8, replace=False)] += 25.0
+        x[rng.random(n) < 0.01] = np.nan
+        frame.channels[name][:] = x
+    frame.channels["temp_internal"][sequence == "S06"] = 1.5
+    return frame
+
+
 def oracle_running_median(x, window):
     """The per-instance running median the screen used to call: centered
     windows, shrinking at the edges, one np.median per edge row."""
@@ -510,10 +554,31 @@ def branch_case(seed):
     return frame, window
 
 
+def edge_nan_case(seed):
+    """A screening case with NaN cells at and next to instance edges: the
+    first and last rows, the rows about half a window in, and the rows just
+    outside, where a window clipped at the edge and the full window differ."""
+    frame, window = screening_case(seed)
+    rng = np.random.default_rng(1000 + seed)
+    half = window // 2
+    near = []
+    for s, e in _instances(frame):
+        near += [s - 1, s, s + half - 1, s + half, s + half + 1,
+                 e - half - 2, e - half - 1, e - half, e - 1, e]
+    near = np.unique(np.clip(near, 0, len(frame) - 1))
+    for name in frame.channels:
+        frame.channels[name][rng.choice(near, len(near) // 5, replace=False)] = np.nan
+    return frame, window
+
+
 class TestScreeningOracle:
     @pytest.mark.parametrize("seed", range(36))
     def test_matches_the_per_instance_loop(self, seed):
         self.check_against_the_loop(*screening_case(seed))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_nan_at_instance_edges_matches_the_per_instance_loop(self, seed):
+        self.check_against_the_loop(*edge_nan_case(seed))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_branch_cases_match_the_per_instance_loop(self, seed):
@@ -560,6 +625,29 @@ class TestScreeningOracle:
     def test_window_must_be_odd_and_at_least_three(self, window):
         with pytest.raises(ValueError, match="window"):
             detrended_iqr_flags(quiet_frame(), k=4.0, window=window)
+
+
+class TestIcsFlags:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_per_id_comparison_on_interleaved_ids(self, seed, monkeypatch):
+        frame = interleaved_case(seed)
+        screened = []
+
+        def recording(X, m, alpha):
+            screened.append(X.copy())
+            return detect_outliers_ics(X, m=m, alpha=alpha)
+
+        monkeypatch.setattr(cleaning, "detect_outliers_ics", recording)
+        for m, alpha in ((2, 2e-5), (1, 0.01), (3, 0.05)):
+            screened.clear()
+            flags = ics_flags(frame, m, alpha)
+            want = []
+            assert flags == oracle_ics_flags(frame, m, alpha, want)
+            # every id's rows reach the detector in the same order, bit for bit
+            assert len(screened) == len(want) == 5
+            for got, expected in zip(screened, want):
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert flags    # the loosest cutoff flags rows
 
 
 class TestVerifyOutliers:
@@ -794,6 +882,30 @@ class TestApplyVerdicts:
         assert out.channels["pressure_internal_a"][idx] == 1000.0
         idx = np.flatnonzero(t_out == frame.timestamps[tagged].astype("int64"))[0]
         assert out.channels["pressure_internal_a"][idx] == 1123.0
+
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_input_is_untouched_and_uncorrected_channels_are_shared(self, drop):
+        frame = quiet_frame()
+        rows = segment_rows(frame, 1, "S11")
+        frame.channels["pressure_internal_a"][rows[600]] += 800.0
+        before = {name: values.copy() for name, values in frame.channels.items()}
+        verdicts = [OutlierVerdict(int(rows[600]), "pressure_internal_a",
+                                   "CorrectedFalsePositive", replacement=1000.0)]
+        if drop:
+            verdicts.append(OutlierVerdict(int(rows[700]), "temp_internal",
+                                           "DroppedTrueIrrelevant"))
+        out = apply_verdicts(frame, verdicts)
+        for name, values in frame.channels.items():
+            assert np.array_equal(values, before[name]), name
+            assert not np.shares_memory(out.channels["pressure_internal_a"], values)
+        assert len(out) == len(frame) - drop
+        assert list(out.channels) == list(frame.channels)
+        # the dropped row lies after the corrected one
+        assert out.channels["pressure_internal_a"][rows[600]] == 1000.0
+        shared = [name for name in frame.channels
+                  if out.channels[name] is frame.channels[name]]
+        assert shared == ([] if drop else [n for n in frame.channels
+                                           if n != "pressure_internal_a"])
 
     def test_whole_row_correction_interpolates_every_channel(self):
         frame = quiet_frame()

@@ -602,6 +602,18 @@ BAD_INPUTS = {
                                   "missing.blanket[0] start_minute must be an integer, got True"),
     "outlier_delta_bool": ({"outliers": [dict(OUTLIER, delta=True)]}, None, ["simulate"], 2,
                            "outliers[0] delta must be a number, got True"),
+    "logging_probability_not_a_number": ({"sim": dict(CLI_DOC["sim"], logging_probability="x")},
+                                         None, ["simulate"], 2,
+                                         "sim logging_probability must be a number, got 'x'"),
+    "logging_probability_bool": ({"sim": dict(CLI_DOC["sim"], logging_probability=True)},
+                                 None, ["simulate"], 2,
+                                 "sim logging_probability must be a number, got True"),
+    "injection_bool": ({"sim": dict(CLI_DOC["sim"], injection={"needle": True})}, None,
+                       ["simulate"], 2, "sim injection 'needle' must be a number, got True"),
+    "noise_bool": ({"sim": dict(CLI_DOC["sim"], noise={"temp_internal": False})}, None,
+                   ["simulate"], 2, "sim noise 'temp_internal' must be a number, got False"),
+    "wander_bool": ({"sim": dict(CLI_DOC["sim"], wander={"angle_platform": True})}, None,
+                    ["simulate"], 2, "sim wander 'angle_platform' must be a number, got True"),
 }
 
 

@@ -93,6 +93,15 @@ class TestWander:
             assert paths[name].shape == (n,)
             assert np.array_equal(paths[name].view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("phi", [0.5, 0.97])
+    def test_one_channel_at_a_time_gives_the_joint_bits(self, phi):
+        # simulate solves each channel on its own
+        n = 160_050
+        joint = _wander(23, n, self.SCALES, phi)
+        for name, scale in self.SCALES.items():
+            alone = _wander(23, n, {name: scale}, phi)[name]
+            assert np.array_equal(alone.view(np.int64), joint[name].view(np.int64))
+
 
 class TestLoggingGate:
     def test_lossless_logging_logs_everything(self, sim_small):
