@@ -18,7 +18,7 @@ from scipy.linalg import eigh
 from scipy.ndimage import maximum_filter1d, median_filter
 from scipy.special import gammaincinv
 
-from .knowledge import BLOCKING, KnowledgeBase, _instances, envelope_breaches
+from .knowledge import BLOCKING, KnowledgeBase, _event_rows, _instances, envelope_breaches
 from .timeseries import IDLE, TimeSeriesFrame, _runs
 
 log = logging.getLogger(__name__)
@@ -59,7 +59,6 @@ class OutlierVerdict:
     index: int
     channel: str
     verdict: str
-    replacement: float = None
 
 
 def classify_gaps(frame: TimeSeriesFrame, reconstruct: bool) -> GapReport:
@@ -376,24 +375,18 @@ def verify_outliers(frame: TimeSeriesFrame, flags, kb: KnowledgeBase, events,
                     window_minutes: int = 60):
     """Judge each flagged point against the fault picture.
 
-    Points within the pre-onset window of a blocking event, or inside
-    its active sequence, are true precursors and kept. Isolated points
-    whose neighbors sit inside their operating envelopes are corrected
-    by interpolation. Everything else is dropped as irrelevant.
+    Points from ``window_minutes`` before a blocking onset to the end of
+    that fault's run are true precursors and kept. A point is corrected by
+    interpolation when neither neighbor is flagged on its channel or
+    row-wide and both sit inside their operating envelopes. Everything
+    else is dropped as irrelevant.
     """
     t_int = frame.timestamps.astype("int64")
-    instances = list(_instances(frame))
+    blocking = [e for e in events if e.severity == BLOCKING]
     windows = []
-    for e in events:
-        if e.severity != BLOCKING:
-            continue
+    for e, span in zip(blocking, _event_rows(frame, blocking)):
         onset = e.onset.astype("int64")
-        end = onset
-        for s, stop in instances:
-            if (frame.cycle[s] == e.cycle and frame.sequence[s] == e.sequence_id
-                    and t_int[s] <= onset < t_int[stop - 1] + 60):
-                end = t_int[stop - 1]
-                break
+        end = onset if span is None else t_int[span[1] - 1]
         windows.append((onset - window_minutes * 60, end))
 
     flagged_rows = {}
@@ -427,13 +420,7 @@ def verify_outliers(frame: TimeSeriesFrame, flags, kb: KnowledgeBase, events,
         if is_relevant(row):
             verdicts.append(OutlierVerdict(row, channel, VERDICT_TAGGED))
         elif neighbor_ok(row - 1, channel) and neighbor_ok(row + 1, channel):
-            if channel is None:
-                verdicts.append(OutlierVerdict(row, None, VERDICT_CORRECTED))
-            else:
-                left = frame.channels[channel][row - 1]
-                right = frame.channels[channel][row + 1]
-                verdicts.append(OutlierVerdict(
-                    row, channel, VERDICT_CORRECTED, replacement=float((left + right) / 2)))
+            verdicts.append(OutlierVerdict(row, channel, VERDICT_CORRECTED))
         else:
             verdicts.append(OutlierVerdict(row, channel, VERDICT_DROPPED))
     return verdicts
@@ -442,11 +429,14 @@ def verify_outliers(frame: TimeSeriesFrame, flags, kb: KnowledgeBase, events,
 def apply_verdicts(frame: TimeSeriesFrame, verdicts) -> TimeSeriesFrame:
     """Correct or drop rows per the verdict list; tagged points pass through.
 
-    A correction reads and writes one channel (a whole-row one, each
-    channel in turn), so the channels are handled one at a time: a channel
-    is copied only when a correction writes to it, and cut to the kept
-    rows before the next one. A channel that is neither corrected nor cut
-    is shared with ``frame``, whose arrays are never written.
+    A corrected cell takes the mean of its two neighbours. ``verify_outliers``
+    corrects a point only where neither neighbour is flagged on that
+    channel or row-wide, so no correction reads another one's result. A
+    correction reads and writes one channel (a whole-row one, each channel
+    in turn), so the channels are handled one at a time: a channel is
+    copied only when a correction writes to it, and cut to the kept rows
+    before the next one. A channel that is neither corrected nor cut is
+    shared with ``frame``, whose arrays are never written.
     """
     corrected = [v for v in verdicts if v.verdict == VERDICT_CORRECTED]
     drop = [v.index for v in verdicts if v.verdict == VERDICT_DROPPED]
@@ -464,10 +454,7 @@ def apply_verdicts(frame: TimeSeriesFrame, verdicts) -> TimeSeriesFrame:
         if own:
             values = values.copy()
             for v in own:
-                if v.channel is None:
-                    values[v.index] = (values[v.index - 1] + values[v.index + 1]) / 2
-                else:
-                    values[v.index] = v.replacement
+                values[v.index] = (values[v.index - 1] + values[v.index + 1]) / 2
         channels[name] = values if keep is None else values[keep]
     rest = replace(frame, channels={})
     if keep is not None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import yaml
 
 from .features import PreprocessParams
-from .models import ForestParams, GbdtParams, SvmParams
+from .models import FAMILY_PARAMS
 from .simulator import (CHANNEL_UNITS, DEFAULT_INJECTION, DEFAULT_NOISE, DEFAULT_WANDER,
                         SimConfig)
 
@@ -24,8 +24,6 @@ class ConfigError(ValueError):
 
 DEFAULT_HORIZONS = (180, 720, 1440)
 DEFAULT_SPLIT = (0.6, 0.2, 0.2)
-
-GRID_PARAMS = {"forest": ForestParams, "gbdt": GbdtParams, "svm": SvmParams}
 
 DEFAULT_GRIDS = {
     "forest": ({"trees": 30, "max_depth": 10}, {"trees": 60, "max_depth": 10}),
@@ -81,18 +79,18 @@ class PipelineConfig:
                 or min(self.split) <= 0):
             raise ConfigError("split must be three positive fractions summing to 1")
         for family, grid in self.grids.items():
-            if family not in GRID_PARAMS:
+            if family not in FAMILY_PARAMS:
                 raise ConfigError(f"unknown model family {family!r}")
             if not grid:
                 raise ConfigError(f"empty grid for {family}")
             for entry in grid:
-                _keys(entry, f"{family} grid", _fields(GRID_PARAMS[family]),
+                _keys(entry, f"{family} grid", _fields(FAMILY_PARAMS[family]),
                       context=f" in {entry}")
                 try:
-                    GRID_PARAMS[family](**entry)
+                    FAMILY_PARAMS[family](**entry)
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"bad {family} grid entry {entry}: {exc}") from None
-        for family in GRID_PARAMS:
+        for family in FAMILY_PARAMS:
             if family not in self.grids:
                 raise ConfigError(f"missing grid for {family}")
 

@@ -19,19 +19,12 @@ import numpy as np
 from ._seeding import substream
 from .features import CuratedDataset, build_dataset
 from .knowledge import BLOCKING, KnowledgeBase, evaluate_rules
-from .models import (
-    ForestParams,
-    GbdtParams,
-    SvmParams,
-    fit_forest,
-    fit_gbdt,
-    fit_svm,
-)
+from .models import FAMILY_PARAMS, fit_forest, fit_gbdt, fit_svm
 from .timeseries import _write_json
 
 log = logging.getLogger(__name__)
 
-FAMILY_ORDER = ("forest", "gbdt", "svm")
+FAMILY_ORDER = tuple(FAMILY_PARAMS)
 
 FLAG_NO_POSITIVE_TRUTH = "no_positive_truth"
 FLAG_NO_POSITIVE_PREDICTIONS = "no_positive_predictions"
@@ -174,14 +167,13 @@ def _check_labels_within_parts(ds: CuratedDataset, split: Split,
             f"in the {names[part[onsets[last[i]]]]} part")
 
 
-def _fit_family(family: str, X, y, params: dict, seed: int):
+def _fit_family(family: str, X, y, params, seed: int):
+    """Fit one family on its parameter record."""
     if family == "forest":
-        return fit_forest(X, y, ForestParams(**params), seed=seed)
+        return fit_forest(X, y, params, seed=seed)
     if family == "gbdt":
-        return fit_gbdt(X, y, GbdtParams(**params))
-    if family == "svm":
-        return fit_svm(X, y, SvmParams(**params))
-    raise ValueError(f"unknown model family {family!r}")
+        return fit_gbdt(X, y, params)
+    return fit_svm(X, y, params)
 
 
 @dataclass
@@ -190,13 +182,6 @@ class TunedModel:
     params: dict
     model: object
     val_metrics: MetricsReport
-
-
-def _capacity(params: dict):
-    for key in ("trees", "iterations"):
-        if key in params:
-            return params[key]
-    return 0
 
 
 def tune_and_fit(X_train, y_train, X_val, y_val, family: str, grid,
@@ -209,13 +194,16 @@ def tune_and_fit(X_train, y_train, X_val, y_val, family: str, grid,
     """
     if not grid:
         raise ValueError("empty parameter grid")
+    if family not in FAMILY_PARAMS:
+        raise ValueError(f"unknown model family {family!r}")
     best = None
     for idx, params in enumerate(grid):
+        record = FAMILY_PARAMS[family](**params)
         child_seed = int(substream(seed, "fit", family, idx).integers(2 ** 31))
-        model = _fit_family(family, X_train, y_train, dict(params), child_seed)
+        model = _fit_family(family, X_train, y_train, record, child_seed)
         metrics = compute_metrics(y_val, model.predict(X_val))
-        depth = params.get("max_depth")
-        key = (-metrics.f1, _capacity(params),
+        depth = getattr(record, "max_depth", None)
+        key = (-metrics.f1, getattr(record, "trees", getattr(record, "iterations", 0)),
                math.inf if depth is None else depth, idx)
         if best is None or key < best[0]:
             best = (key, TunedModel(family=family, params=dict(params),
@@ -339,9 +327,8 @@ def _cell_rows(report: ScenarioReport):
                 continue
             yield [report.scenario, cell["model"], cell["horizon_minutes"], part,
                    metrics["tp"], metrics["fp"], metrics["fn"], metrics["tn"],
-                   repr(metrics["accuracy"]), repr(metrics["precision"]),
-                   repr(metrics["recall"]), repr(metrics["f1"]),
-                   "|".join(metrics["flags"])]
+                   metrics["accuracy"], metrics["precision"], metrics["recall"],
+                   metrics["f1"], "|".join(metrics["flags"])]
 
 
 def write_report(report: ScenarioReport, out_dir: str) -> None:
@@ -378,14 +365,9 @@ def write_comparison(result: dict, out_dir: str) -> None:
         write_report(report, out_dir)
     _write_json(os.path.join(out_dir, "comparison.json"),
                 {"comparison": result["comparison"], "reports": result["reports"]})
+    # csv writes a float as its repr and None as an empty cell
+    columns = ["scenario", "best_model", "best_horizon_minutes", "accuracy", "f1", "reason"]
     with open(os.path.join(out_dir, "comparison.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["scenario", "best_model", "best_horizon_minutes",
-                         "accuracy", "f1", "reason"])
-        for row in result["comparison"]:
-            writer.writerow([
-                row["scenario"], row["best_model"],
-                row["best_horizon_minutes"],
-                "" if row["accuracy"] is None else repr(row["accuracy"]),
-                "" if row["f1"] is None else repr(row["f1"]),
-                row["reason"] or ""])
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in result["comparison"])

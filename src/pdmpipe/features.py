@@ -27,7 +27,7 @@ from .cleaning import (
     impute_single_sensor,
     verify_outliers,
 )
-from .knowledge import BLOCKING, CYCLE_STOP, KnowledgeBase, _instances, evaluate_rules
+from .knowledge import BLOCKING, CYCLE_STOP, KnowledgeBase, _event_rows, evaluate_rules
 from .timeseries import (
     IDLE,
     SEQUENCE_IDS,
@@ -115,9 +115,7 @@ def select_features(names, pca_result: PcaResult, kb: KnowledgeBase = None,
         for group in kb.redundancy:
             present = [n for n in group if n in keep]
             if len(present) > 1:
-                best = max(present, key=lambda n: (max_loading[n], n))
-                tied = [n for n in present if max_loading[n] == max_loading[best]]
-                best = sorted(tied)[0]
+                best = min(present, key=lambda n: (-max_loading[n], n))
                 for n in present:
                     if n != best:
                         keep.discard(n)
@@ -230,20 +228,13 @@ def annotate_faults(frame: TimeSeriesFrame, events, kb: KnowledgeBase) -> TimeSe
     consequence = np.zeros(n, dtype=np.int64)
     priority = np.zeros(n, dtype=np.int64)
 
-    t = frame.timestamps
-    instances = list(_instances(frame))
-    for e in events:
+    for e, span in zip(events, _event_rows(frame, events)):
         if e.cause not in cause_of:
             log.warning("event cause %r not in the knowledge base; one-hot left zero", e.cause)
-        rows = None
-        for s, stop in instances:
-            if (frame.cycle[s] == e.cycle and frame.sequence[s] == e.sequence_id
-                    and t[stop - 1] >= e.onset):
-                rows = np.arange(s, stop)[t[s:stop] >= e.onset]
-                break
-        if rows is None or rows.size == 0:
+        if span is None:
             log.info("event %s in cycle %d covers no surviving rows", e.fault_name, e.cycle)
             continue
+        rows = slice(*span)
         if e.severity == BLOCKING:
             severity[rows] = 1
         if e.consequence == CYCLE_STOP:

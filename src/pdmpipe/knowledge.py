@@ -438,6 +438,26 @@ def _instances(frame: TimeSeriesFrame):
         yield int(s), int(e)
 
 
+def _event_rows(frame: TimeSeriesFrame, events) -> list:
+    """Per event, the ``(first, stop)`` rows of its (cycle, sequence) run
+    from its onset on, or None when the run is absent or ends before it.
+
+    Each (cycle, sequence) pair is one run: a simulated cycle runs S01..S13
+    and then IDLE once, and deleting or resampling rows keeps row order.
+    """
+    runs = {(int(frame.cycle[s]), str(frame.sequence[s])): (s, e)
+            for s, e in _instances(frame)}
+    spans = []
+    for event in events:
+        run = runs.get((event.cycle, event.sequence_id))
+        if run is not None:
+            start, stop = run
+            first = start + int(np.searchsorted(frame.timestamps[start:stop], event.onset))
+            run = (first, stop) if first < stop else None
+        spans.append(run)
+    return spans
+
+
 def _onset_offset(frame: TimeSeriesFrame, rule: MonitoringRule, start: int, end: int,
                   elapsed: np.ndarray):
     """Local row offset at which the rule fires within one instance, or None."""

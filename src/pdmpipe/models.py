@@ -79,6 +79,10 @@ class SvmParams:
             raise ValueError("reg must be positive")
 
 
+# each model family's parameter record, in the family order of every report
+FAMILY_PARAMS = {"forest": ForestParams, "gbdt": GbdtParams, "svm": SvmParams}
+
+
 class Tree:
     """Flat-array decision tree; node 0 is the root, -1 marks a leaf child."""
 

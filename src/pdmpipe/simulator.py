@@ -52,9 +52,6 @@ CHANNEL_UNITS = {
     "angle_platform": "deg",
 }
 
-LOG_NAMES = ("sequence_id", "cycle_number", "fault_log",
-             "valve_0001", "valve_0002", "brewing_fan", "door_z013")
-
 FAULT_LOG = "fault_log"
 
 # fault key -> (fault name, cause, sequence, onset offset in minutes from
@@ -230,25 +227,24 @@ class CycleLayout:
         self.sequence_of_minute = codes
 
 
-def _wander(seed: int, n: int, scales: dict, phi: float) -> dict:
-    """AR(1) wander of length ``n`` for each channel in ``scales``.
+def _wander(seed: int, name: str, n: int, scale: float, phi: float) -> np.ndarray:
+    """AR(1) wander of length ``n`` for the channel ``name``.
 
-    A channel with a positive scale draws its innovations from its own
-    ``substream(seed, "wander", name)``; any other channel stays all zeros.
-    The columns are solved together in place, as the system
-    ``(I - phi L) y = e`` with ``L`` the subdiagonal shift.
+    With a positive scale the innovations come from the channel's own
+    ``substream(seed, "wander", name)``; otherwise the path is all zeros.
+    The path is solved in place, as the system ``(I - phi L) y = e`` with
+    ``L`` the subdiagonal shift.
     """
-    paths = np.zeros((n, len(scales)), order="F")
-    for j, (name, scale) in enumerate(scales.items()):
-        if scale > 0:
-            substream(seed, "wander", name).standard_normal(out=paths[:, j])
-            paths[:, j] *= scale
+    path = np.zeros(n)
+    if scale > 0:
+        substream(seed, "wander", name).standard_normal(out=path)
+        path *= scale
     if n > 1:
         # dgtsv refuses a 1 x 1 system; there the path is its innovation. The
         # diagonals are made for this call, so the factorization may overwrite them
-        paths = dgtsv(np.full(n - 1, -float(phi)), np.ones(n), np.zeros(n - 1), paths,
-                      overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[3]
-    return {name: paths[:, j] for j, name in enumerate(scales)}
+        path = dgtsv(np.full(n - 1, -float(phi)), np.ones(n), np.zeros(n - 1), path,
+                     overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[3]
+    return path
 
 
 def _ramp(m: np.ndarray, onset: int, amplitude: float, hold_until: int) -> np.ndarray:
@@ -331,8 +327,7 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
             white = 0.9 * config.noise[name] * twin_shared + 0.35 * white
         base += white
         del white
-        base += _wander(seed, n, {name: config.wander.get(name, 0.0)},
-                        config.wander_phi)[name]
+        base += _wander(seed, name, n, config.wander.get(name, 0.0), config.wander_phi)
         return base
 
     channels = {}

@@ -676,7 +676,8 @@ class TestVerifyOutliers:
         assert len(verdicts) == 1
         v = verdicts[0]
         assert v.verdict == "CorrectedFalsePositive"
-        assert v.replacement == 1000.0   # mean of the untouched neighbors
+        # the mean of the untouched neighbors
+        assert apply_verdicts(frame, verdicts).channels["pressure_internal_a"][row] == 1000.0
 
     def test_point_with_suspect_neighbor_is_dropped(self, kb):
         frame = quiet_frame()
@@ -768,12 +769,7 @@ def oracle_verify_outliers(frame, flags, kb, events, window_minutes=60):
         if any(lo <= t_int[row] <= hi for lo, hi in windows):
             verdicts.append(OutlierVerdict(row, channel, "TaggedTrueRelevant"))
         elif neighbor_ok(row - 1, channel) and neighbor_ok(row + 1, channel):
-            replacement = None
-            if channel is not None:
-                values = frame.channels[channel]
-                replacement = float((values[row - 1] + values[row + 1]) / 2)
-            verdicts.append(OutlierVerdict(row, channel, "CorrectedFalsePositive",
-                                           replacement))
+            verdicts.append(OutlierVerdict(row, channel, "CorrectedFalsePositive"))
         else:
             verdicts.append(OutlierVerdict(row, channel, "DroppedTrueIrrelevant"))
     return verdicts
@@ -831,6 +827,18 @@ class TestVerifyOutliersOracle:
         assert (verify_outliers(frame, flags, case_kb, events, 20)
                 == oracle_verify_outliers(frame, flags, case_kb, events, 20))
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_a_corrected_cell_is_the_mean_of_its_original_neighbours(self, kb, seed):
+        frame, flags, case_kb, events = verify_case(seed, kb)
+        corrected = [v for v in verify_outliers(frame, flags, case_kb, events, 20)
+                     if v.verdict == "CorrectedFalsePositive"]
+        out = apply_verdicts(frame, corrected)
+        for v in corrected:
+            for name in [v.channel] if v.channel else frame.channels:
+                values = frame.channels[name]
+                np.testing.assert_equal(out.channels[name][v.index],
+                                        (values[v.index - 1] + values[v.index + 1]) / 2)
+
     def test_cases_cover_edges_nan_and_row_wide_flags(self, kb):
         seen = set()
         for seed in range(24):
@@ -867,8 +875,7 @@ class TestApplyVerdicts:
         frame.channels["pressure_internal_a"][spike] += 800.0
         frame.channels["pressure_internal_a"][tagged] += 123.0
         verdicts = [
-            OutlierVerdict(spike, "pressure_internal_a",
-                           "CorrectedFalsePositive", replacement=1000.0),
+            OutlierVerdict(spike, "pressure_internal_a", "CorrectedFalsePositive"),
             OutlierVerdict(doomed, "pressure_internal_a",
                            "DroppedTrueIrrelevant"),
             OutlierVerdict(tagged, "pressure_internal_a",
@@ -890,7 +897,7 @@ class TestApplyVerdicts:
         frame.channels["pressure_internal_a"][rows[600]] += 800.0
         before = {name: values.copy() for name, values in frame.channels.items()}
         verdicts = [OutlierVerdict(int(rows[600]), "pressure_internal_a",
-                                   "CorrectedFalsePositive", replacement=1000.0)]
+                                   "CorrectedFalsePositive")]
         if drop:
             verdicts.append(OutlierVerdict(int(rows[700]), "temp_internal",
                                            "DroppedTrueIrrelevant"))

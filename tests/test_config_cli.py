@@ -15,8 +15,8 @@ import yaml
 from pdmpipe import ConfigError, PreprocessParams, SimConfig, load_config, make_config
 from pdmpipe import features
 from pdmpipe.cli import main
-from pdmpipe.config import (GRID_PARAMS, _ENTRY_KEYS, _MISSING_KEYS, _TOP_KEYS, _fields,
-                             _from_doc)
+from pdmpipe.config import _ENTRY_KEYS, _MISSING_KEYS, _TOP_KEYS, _fields, _from_doc
+from pdmpipe.models import FAMILY_PARAMS
 from pdmpipe.simulator import DEFAULT_INJECTION, DEFAULT_NOISE, DEFAULT_WANDER
 from helpers import run_pdm, run_python, stock_doc
 
@@ -59,7 +59,7 @@ class TestMakeConfig:
             assert all(set(e) == set(_ENTRY_KEYS[kind]) for e in doc["missing"][kind])
         assert all(set(o) == {*_ENTRY_KEYS["outliers"], "delta"} for o in doc["outliers"])
         assert set(doc["preprocess"]) == _fields(PreprocessParams)
-        assert set(doc["models"]) == set(GRID_PARAMS)
+        assert set(doc["models"]) == set(FAMILY_PARAMS)
 
     def test_null_sections_get_the_defaults(self):
         assert make_config(7, sim=None, preprocess=None) == make_config(7)

@@ -221,6 +221,14 @@ class TestTuneAndFit:
                               {"trees": 3, "max_depth": 2}], seed=0)
         assert tuned.params["max_depth"] == 2
 
+    def test_an_entry_without_trees_counts_its_default_trees(self):
+        # the second entry fits ForestParams' default 40 trees, more than 30
+        Xt, yt, Xv, yv = self.make_data()
+        tuned = tune_and_fit(Xt, yt, Xv, yv, "forest",
+                             [{"trees": 30, "max_depth": 10}, {"max_depth": 10}], seed=0)
+        assert tuned.params == {"trees": 30, "max_depth": 10}
+        assert tuned.val_metrics.f1 == 1.0
+
     def test_validation(self):
         Xt, yt, Xv, yv = self.make_data()
         with pytest.raises(ValueError, match="empty"):

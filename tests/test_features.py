@@ -89,6 +89,12 @@ class TestSelectFeatures:
         assert "temp_external_e" in sel.selected
         assert "temp_external_b" not in sel.selected
 
+    def test_tied_redundant_pair_keeps_the_lower_name(self, kb):
+        names = ["temp_external_e", "temp_external_b", "x"]
+        result = self.make_result([[0.8], [-0.8], [0.9]])
+        sel = select_features(names, result, kb=kb, tau=0.30)
+        assert sel.selected == ("temp_external_b", "x")
+
     def test_blocking_rule_channels_kept_despite_low_loading(self, kb):
         names = ["angle_platform", "x"]
         result = self.make_result([[0.05], [0.9]])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from pdmpipe import envelope_breaches, evaluate_rules, load_kb
+from pdmpipe import envelope_breaches, evaluate_rules, load_kb, resample
 from pdmpipe.knowledge import (
     ACKNOWLEDGE,
     BLOCKING,
@@ -21,6 +21,8 @@ from pdmpipe.knowledge import (
     MonitoringRule,
     OperatingEnvelope,
     SensorPredicate,
+    _event_rows,
+    _instances,
 )
 from pdmpipe.timeseries import _write_json
 from helpers import quiet_frame, segment_rows, stock_doc
@@ -330,3 +332,81 @@ class TestRuleEngine:
         frame = quiet_frame().drop_channels(["angle_platform"])
         with pytest.raises(ValueError, match="lacks channel"):
             evaluate_rules(frame, kb)
+
+
+def needle_event(cycle, onset):
+    return FaultEvent(onset=onset, cycle=cycle, sequence_id="S10",
+                      fault_name="Needle Valve Fault", cause="needle valve clogging",
+                      severity=BLOCKING, consequence=CYCLE_STOP)
+
+
+def oracle_event_rows(frame, event):
+    """The per-run scan fault annotation made: the first run of the event's
+    (cycle, sequence) pair whose last row reaches the onset, from the onset on."""
+    t = frame.timestamps
+    for s, stop in _instances(frame):
+        if (frame.cycle[s] == event.cycle and frame.sequence[s] == event.sequence_id
+                and t[stop - 1] >= event.onset):
+            rows = np.arange(s, stop)[t[s:stop] >= event.onset]
+            return int(rows[0]), int(rows[-1]) + 1
+    return None
+
+
+def without(frame, rows):
+    keep = np.ones(len(frame), dtype=bool)
+    keep[rows] = False
+    return frame.take(keep)
+
+
+class TestEventRows:
+    def test_span_runs_from_the_onset_row_to_the_end_of_the_run(self):
+        frame = quiet_frame()
+        s10 = segment_rows(frame, 1, "S10")
+        event = needle_event(1, frame.timestamps[s10[5]])
+        assert _event_rows(frame, [event]) == [(int(s10[5]), int(s10[-1]) + 1)]
+
+    def test_deleted_onset_row_starts_the_span_at_the_first_later_row(self):
+        frame = quiet_frame()
+        s10 = segment_rows(frame, 1, "S10")
+        event = needle_event(1, frame.timestamps[s10[5]])
+        survived = without(frame, s10[5:8])
+        later = segment_rows(survived, 1, "S10")[5:]
+        assert survived.timestamps[later[0]] == frame.timestamps[s10[8]]
+        assert _event_rows(survived, [event]) == [(int(later[0]), int(later[-1]) + 1)]
+
+    def test_no_row_of_the_run_at_or_after_the_onset_gives_none(self):
+        frame = quiet_frame()
+        s10 = segment_rows(frame, 1, "S10")
+        event = needle_event(1, frame.timestamps[s10[5]])
+        survived = without(frame, s10[5:])
+        assert len(segment_rows(survived, 1, "S10")) == 5    # the run's head survives
+        assert _event_rows(survived, [event]) == [None]
+
+    def test_absent_cycle_and_sequence_pair_gives_none(self):
+        frame = quiet_frame(cycles=2)
+        event = needle_event(1, frame.timestamps[segment_rows(frame, 1, "S10")[5]])
+        # cycle 2 still runs S10, after the onset
+        survived = without(frame, segment_rows(frame, 1, "S10"))
+        assert _event_rows(survived, [event, needle_event(3, event.onset)]) == [None, None]
+
+    def test_each_cycle_and_sequence_is_one_run(self, sim_small):
+        frame, _ = sim_small
+        for f in (frame, resample(frame, 15)):
+            pairs = [(int(f.cycle[s]), str(f.sequence[s])) for s, _ in _instances(f)]
+            assert len(pairs) == len(set(pairs))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_per_run_scan_after_row_deletion(self, seed):
+        rng = np.random.default_rng(seed)
+        frame = quiet_frame(cycles=2)
+        n = len(frame)
+        survived = without(frame, np.flatnonzero(rng.random(n) < rng.uniform(0.1, 0.9)))
+        events = []
+        for _ in range(20):
+            row = int(rng.integers(n))
+            cycle = int(rng.integers(1, 4))
+            events.append(replace(needle_event(cycle, frame.timestamps[row]),
+                                  sequence_id=str(rng.choice(["S09", "S10", "IDLE"]))))
+        spans = _event_rows(survived, events)
+        assert spans == [oracle_event_rows(survived, e) for e in events]
+        assert None in spans and any(s is not None for s in spans)
