@@ -9,12 +9,13 @@ from pdmpipe import (
     classify_gaps,
     default_kb,
     drop_intervals,
+    impute_single_sensor,
     inject_missing,
     inject_outliers,
     simulate,
     verify_outliers,
 )
-from pdmpipe.cleaning import detrended_iqr_flags, ics_flags
+from pdmpipe.cleaning import DISPOSITION_RECONSTRUCT, detrended_iqr_flags, ics_flags
 
 kb = default_kb()
 config = SimConfig(seed=77, cycles=8, logging_probability=1.0)
@@ -42,6 +43,11 @@ for gap in report.intervals:
     print(f"  {gap.cause:<20} {gap.disposition:<12} {channel:<16}"
           f" {gap.start} .. {gap.end}")
 
+# the screens take a complete frame: rebuild the reconstruct-class gaps,
+# then drop the delete-class ones
+for gap in report.intervals:
+    if gap.disposition == DISPOSITION_RECONSTRUCT:
+        frame = impute_single_sensor(frame, gap)
 frame = drop_intervals(frame, report)
 print(f"\nafter dropping delete-class intervals: {len(frame)} rows")
 

@@ -1,11 +1,13 @@
 """Gap classification, imputation, and outlier screening for raw telemetry.
 
 Gaps are classified by cause and either deleted or reconstructed from
-past cycles; outlier candidates come from a running-median spike screen
-and an invariant-coordinate row screen, and are judged against the
-detected faults so that flagged points lining up with a fault are kept.
-The caller chooses which gaps to reconstruct and whether to judge the
-candidates at all.
+past cycles. Gap handling is the only step that deals with missing
+cells: outlier candidates come from a running-median spike screen and an
+invariant-coordinate row screen, which both take the complete frame it
+leaves and refuse a NaN or infinite cell. The candidates are judged
+against the detected faults so that flagged points lining up with a
+fault are kept. The caller chooses which gaps to reconstruct and whether
+to judge the candidates at all.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.ndimage import maximum_filter1d, median_filter
+from scipy.ndimage import median_filter
 from scipy.special import gammaincinv
 
 from .knowledge import BLOCKING, KnowledgeBase, _event_rows, _instances, envelope_breaches
@@ -242,20 +244,16 @@ def _span_medians(x: np.ndarray, starts: np.ndarray, stops: np.ndarray,
                   window: int) -> np.ndarray:
     """Centered running median of ``x`` inside each [start, stop) span.
 
-    Windows shrink at a span's edges, and a window holding NaN gives NaN,
-    as ``np.median`` over each window would. Every span must be longer
-    than ``window``; rows outside the spans get unspecified values.
+    Windows shrink at a span's edges, as ``np.median`` over each window
+    would. Every span must be longer than ``window``; rows outside the
+    spans get unspecified values.
     Interior rows come from one median filter over the whole array (the
     window is odd, so each median is one selected element); the clipped
     edge windows of all spans are sorted together in one padded block.
-    Only the edge rows get window bounds of their own: whether an interior
-    window holds NaN comes from one running maximum of the missing mask.
     """
     n = len(x)
     half = window // 2
-    missing = np.isnan(x)
-    filled = np.where(missing, 0.0, x)
-    med = median_filter(filled, size=window, mode="nearest")
+    med = median_filter(x, size=window, mode="nearest")
 
     # the edge rows and their windows, clipped at the span's ends
     offsets = np.arange(half)
@@ -268,21 +266,23 @@ def _span_medians(x: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     cells = lo[:, None] + np.arange(window - 1)
     inside = cells < hi[:, None]
     cells = np.minimum(cells, n - 1)
-    block = np.where(inside, filled[cells], np.inf)
+    block = np.where(inside, x[cells], np.inf)
     block.sort(axis=1)
     r = np.arange(len(edge))
     mid = block[r, (count - 1) // 2]
     even = count % 2 == 0
     mid[even] = (mid[even] + block[r[even], count[even] // 2]) / 2
     med[edge] = mid
-
-    # a window holds NaN where the running maximum of the missing mask is 1;
-    # the edge rows' clipped windows are checked cell by cell
-    holds_nan = maximum_filter1d(missing.view(np.uint8), window, mode="constant").view(bool)
-    holds_nan[edge] = (missing[cells] & inside).any(axis=1)
-    med[holds_nan] = np.nan
     med += 0.0      # np.median sums from +0.0, so it never returns -0.0
     return med
+
+
+def _require_finite(frame: TimeSeriesFrame) -> None:
+    """Raise naming the first channel that holds a NaN or infinite cell."""
+    for name, values in frame.channels.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"channel {name!r} holds NaN or infinite cells; "
+                             "handle the gaps before screening")
 
 
 def detrended_iqr_flags(frame: TimeSeriesFrame, k: float, window: int = 31):
@@ -298,6 +298,7 @@ def detrended_iqr_flags(frame: TimeSeriesFrame, k: float, window: int = 31):
         raise ValueError(f"window must be odd and >= 3, got {window}")
     if k < 0:
         raise ValueError("k must be >= 0")
+    _require_finite(frame)
     half = window // 2
     spans = [(s, e) for s, e in _instances(frame) if e - s > window]
     if not spans:
@@ -307,37 +308,23 @@ def detrended_iqr_flags(frame: TimeSeriesFrame, k: float, window: int = 31):
     for name, values in frame.channels.items():
         resid = _span_medians(values, starts, stops, window)
         np.subtract(values, resid, out=resid)
-        # each instance's observed residuals are one slice of ``flat``
-        kept = ~np.isnan(resid)
-        flat = resid[kept]
-        resid_before = _prefix_counts(kept)
-        values_before = _prefix_counts(~np.isnan(values))
-        # instances with fewer than 4 observed values, or no observed residual, are skipped
-        use = ((values_before[stops] - values_before[starts] >= 4)
-               & (resid_before[stops] > resid_before[starts]))
-        s, e = starts[use], stops[use]
-        lo, hi = _iqr_fences([flat[a:b] for a, b in zip(resid_before[s], resid_before[e])], k)
+        lo, hi = _iqr_fences([resid[s:e] for s, e in spans], k)
         # per row, its instance's fences inside the screened interiors and
         # NaN, which no residual crosses, everywhere else
         fences = np.full((2, 2 * len(lo) + 1), np.nan)
         fences[:, 1::2] = lo, hi
-        sizes = np.diff(np.column_stack([s + half, e - half]).ravel(),
+        sizes = np.diff(np.column_stack([starts + half, stops - half]).ravel(),
                         prepend=0, append=len(values))
         row_lo, row_hi = np.repeat(fences, sizes, axis=1)
-        with np.errstate(invalid="ignore"):
-            crossed = (resid < row_lo) | (resid > row_hi)
+        crossed = (resid < row_lo) | (resid > row_hi)
         flags.extend((row, name) for row in np.flatnonzero(crossed).tolist())
     flags.sort(key=lambda f: (f[0], f[1]))
     return flags
 
 
-def _prefix_counts(mask: np.ndarray) -> np.ndarray:
-    """``out[i]`` is the number of True cells in ``mask[:i]``, for i = 0 .. len(mask)."""
-    return np.concatenate(([0], np.cumsum(mask)))
-
-
 def ics_flags(frame: TimeSeriesFrame, m: int, alpha: float):
     """Whole-row candidates per sequence id, pooled across cycles."""
+    _require_finite(frame)
     names = list(frame.channels)
     ids, group = np.unique(frame.sequence, return_inverse=True)
     # the rows of each id, ascending, as consecutive slices of one ordering
@@ -351,13 +338,6 @@ def ics_flags(frame: TimeSeriesFrame, m: int, alpha: float):
         sub = np.empty((len(rows), len(names)))
         for j, name in enumerate(names):
             sub[:, j] = frame.channels[name][rows]
-        complete = ~np.isnan(sub).any(axis=1)
-        if not complete.all():
-            rows = rows[complete]
-            sub = sub[complete]
-        if len(rows) < 10 * len(names):
-            log.info("skipping ICS on %s: only %d complete rows", sid, len(rows))
-            continue
         if any(np.ptp(sub[:, j]) == 0 for j in range(sub.shape[1])):
             log.info("skipping ICS on %s: constant channel", sid)
             continue

@@ -8,6 +8,7 @@ default is worse than an error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import yaml
@@ -153,8 +154,9 @@ def _entries(items, name: str, required, optional=()) -> tuple:
 
 
 def _number(value, number, name: str):
-    """``value`` converted by ``number`` (``int`` or ``float``). A bool, or a
-    non-integral value for ``int``, is refused with an error naming ``name``."""
+    """``value`` converted by ``number`` (``int`` or ``float``). A bool, a
+    non-integral value for ``int``, or NaN or an infinity for ``float``, is
+    refused with an error naming ``name``."""
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -165,6 +167,8 @@ def _number(value, number, name: str):
     except (TypeError, ValueError, OverflowError):
         kind = "an integer" if number is int else "a number"
         raise ConfigError(f"{name} must be {kind}, got {value!r}") from None
+    if number is float and not math.isfinite(converted):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return converted
 
 

@@ -48,7 +48,6 @@ TARGET = "target"
 
 @dataclass(frozen=True)
 class PcaResult:
-    mean: np.ndarray
     loadings: np.ndarray        # (channels, retained components)
     explained: np.ndarray       # fraction per component, descending
     retained: int
@@ -62,8 +61,7 @@ def pca(X: np.ndarray, variance_threshold: float = 0.95) -> PcaResult:
         raise ValueError("need at least two rows")
     if not 0.0 < variance_threshold <= 1.0:
         raise ValueError("variance threshold must be in (0, 1]")
-    mean = X.mean(axis=0)
-    centered = X - mean
+    centered = X - X.mean(axis=0)
     cov = centered.T @ centered / (X.shape[0] - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
@@ -81,7 +79,7 @@ def pca(X: np.ndarray, variance_threshold: float = 0.95) -> PcaResult:
     cumulative = np.cumsum(explained)
     retained = int(np.searchsorted(cumulative, variance_threshold - 1e-12) + 1)
     retained = min(retained, len(eigvals))
-    return PcaResult(mean=mean, loadings=eigvecs[:, :retained],
+    return PcaResult(loadings=eigvecs[:, :retained],
                      explained=explained, retained=retained)
 
 

@@ -384,20 +384,30 @@ class TestScreeningFlags:
         flags = ics_flags(frame, m=2, alpha=2e-5)
         assert (int(rows[200]), None) in flags
 
+    @pytest.mark.parametrize("screen", [
+        lambda frame: detrended_iqr_flags(frame, k=4.0),
+        lambda frame: ics_flags(frame, m=2, alpha=2e-5),
+    ], ids=["spike", "ics"])
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_cell_is_refused_naming_the_channel(self, screen, cell):
+        frame = quiet_frame()
+        rows = segment_rows(frame, 1, "S11")
+        frame.channels["temp_internal"][rows[600]] = cell
+        frame.channels["angle_platform"][rows[5]] = cell
+        with pytest.raises(ValueError, match="channel 'temp_internal' holds NaN or infinite"):
+            screen(frame)
+
 
 def oracle_ics_flags(frame, m, alpha, screened=None):
     """The ICS screen as it was: one stacked matrix of every channel, and per
     sequence id one full-length comparison to find its rows. Each matrix it
-    screens is appended to ``screened``."""
-    names = list(frame.channels)
-    X = np.column_stack([frame.channels[c] for c in names])
+    passes to the detector is appended to ``screened``."""
+    X = np.column_stack(list(frame.channels.values()))
     flags = []
     for sid in np.unique(frame.sequence):
         rows = np.flatnonzero(frame.sequence == sid)
         sub = X[rows]
-        complete = ~np.isnan(sub).any(axis=1)
-        rows, sub = rows[complete], sub[complete]
-        if len(rows) < 10 * len(names) or (np.ptp(sub, axis=0) == 0).any():
+        if (np.ptp(sub, axis=0) == 0).any():
             continue
         if screened is not None:
             screened.append(sub)
@@ -413,7 +423,7 @@ def oracle_ics_flags(frame, m, alpha, screened=None):
 def interleaved_case(seed):
     """One cycle whose rows take their sequence id at random, so the rows of
     every id interleave with those of every other. Heavy-tailed noise, gross
-    rows, NaN cells; S05 has too few rows to screen and S06 a constant channel."""
+    rows; S05 has too few rows for the detector and S06 a constant channel."""
     rng = np.random.default_rng(seed)
     frame = quiet_frame()
     n = len(frame)
@@ -423,7 +433,6 @@ def interleaved_case(seed):
     for name in frame.channels:
         x = rng.standard_t(3, n)
         x[rng.choice(n, 8, replace=False)] += 25.0
-        x[rng.random(n) < 0.01] = np.nan
         frame.channels[name][:] = x
     frame.channels["temp_internal"][sequence == "S06"] = 1.5
     return frame
@@ -457,8 +466,6 @@ def oracle_detrended_iqr_flags(frame, k, window):
             continue
         for name in frame.channels:
             x = frame.channels[name][s:e]
-            if (~np.isnan(x)).sum() < 4:
-                continue
             resid = x - oracle_running_median(x, window)
             for i in oracle_iqr_outliers(resid, k):
                 if half <= i < (e - s) - half:
@@ -470,42 +477,29 @@ def oracle_detrended_iqr_flags(frame, k, window):
 def oracle_iqr_outliers(x, k):
     """Indices outside the fences from np.quantile, as the screen computed
     them per (instance, channel) before the fences were batched."""
-    observed = ~np.isnan(x)
-    if not observed.any():
-        return []
-    q1, q3 = np.quantile(x[observed], [0.25, 0.75], method="linear")
+    q1, q3 = np.quantile(x, [0.25, 0.75], method="linear")
     lo, hi = q1 - k * (q3 - q1), q3 + k * (q3 - q1)
-    with np.errstate(invalid="ignore"):
-        return np.flatnonzero((x < lo) | (x > hi))
+    return np.flatnonzero((x < lo) | (x > hi))
 
 
 def fence_branches(frame, window):
     """The interpolation branches the quartiles of a screening case take,
-    one per screened (instance, channel) and quartile: ``single`` when one
-    residual is observed, ``whole`` when the virtual index (m-1)*q is an
-    integer, ``upper`` when its fraction is at least 0.5, else ``lower``."""
+    one per screened instance of m rows and quartile: ``whole`` when the
+    virtual index (m-1)*q is an integer, ``upper`` when its fraction is at
+    least 0.5, else ``lower``."""
     seen = set()
     for s, e in _instances(frame):
         if e - s <= window:
             continue
-        for x in frame.channels.values():
-            x = x[s:e]
-            if (~np.isnan(x)).sum() < 4:
-                continue
-            with np.errstate(invalid="ignore"):     # inf - inf
-                m = int((~np.isnan(x - oracle_running_median(x, window))).sum())
-            if m == 1:
-                seen.add("single")
-            elif m > 1:
-                for q in (0.25, 0.75):
-                    t = (m - 1) * q % 1
-                    seen.add("whole" if t == 0 else "upper" if t >= 0.5 else "lower")
+        for q in (0.25, 0.75):
+            t = (e - s - 1) * q % 1
+            seen.add("whole" if t == 0 else "upper" if t >= 0.5 else "lower")
     return seen
 
 
 def screening_case(seed):
-    """Two cycles of instances around the window length, with tied values,
-    constant runs, spikes and scattered NaN."""
+    """Two cycles of instances around the window length and one shorter than
+    it, with tied values, signed zeros, constant runs and spikes."""
     rng = np.random.default_rng(seed)
     window = (3, 5, 31)[seed % 3]
     lengths = [window + 1, window + 2, window + 3,
@@ -515,59 +509,29 @@ def screening_case(seed):
     segments = tuple((f"S{i + 1:02d}", m) for i, m in enumerate(lengths))
     frame = quiet_frame(cycles=2, segments=segments)
     n = len(frame)
-    for j, name in enumerate(frame.channels):
+    for name in frame.channels:
         scale = float(rng.choice([0.5, 3.0, 40.0]))
         x = np.round(rng.normal(0.0, scale, n), int(rng.integers(0, 2)))
         for start in rng.integers(0, n, size=2):
             x[start:start + int(rng.integers(window // 2, 2 * window))] = x[start]
         x[rng.integers(0, n, size=3)] += 60.0 * scale
-        if j > 0:       # the first channel stays complete
-            x[rng.random(n) < float(rng.choice([0.01, 0.05]))] = np.nan
         frame.channels[name][:] = x
     return frame, window
 
 
 def branch_case(seed):
-    """Short instances whose observed residual counts m make the virtual
-    index (m-1)*q whole, or give it a fraction of 0.25, 0.5 or 0.75, plus
-    instances with a single observed residual and with none."""
+    """Short instances whose lengths m make the virtual index (m-1)*q
+    whole, or give it a fraction of 0.25, 0.5 or 0.75."""
     rng = np.random.default_rng(seed)
     window = 3
-    lengths = [5, 6, 7, 8, 9, 13, 40, 11, 11]
+    lengths = [5, 6, 7, 8, 9, 13, 40, 11]
     segments = tuple((f"S{i + 1:02d}", m) for i, m in enumerate(lengths))
     frame = quiet_frame(cycles=2, segments=segments)
     n = len(frame)
-    starts = np.cumsum([0] + lengths[:-1])
-    for j, name in enumerate(frame.channels):
+    for name in frame.channels:
         x = np.round(rng.normal(0.0, 2.0, n), int(rng.integers(0, 2)))
         x[rng.integers(0, n, size=4)] += 50.0
-        if j == 1:
-            x[rng.integers(0, n, size=2)] = np.inf
-        for c in range(2):
-            # S08: x observed at rows 0, 1, 3, 5, 7 and 9, so only row 0's
-            # window is complete; S09: no complete window
-            s = c * sum(lengths) + starts[7]
-            x[s + 2:s + 11:2] = np.nan
-            s = c * sum(lengths) + starts[8]
-            x[s:s + 11:2] = np.nan
         frame.channels[name][:] = x
-    return frame, window
-
-
-def edge_nan_case(seed):
-    """A screening case with NaN cells at and next to instance edges: the
-    first and last rows, the rows about half a window in, and the rows just
-    outside, where a window clipped at the edge and the full window differ."""
-    frame, window = screening_case(seed)
-    rng = np.random.default_rng(1000 + seed)
-    half = window // 2
-    near = []
-    for s, e in _instances(frame):
-        near += [s - 1, s, s + half - 1, s + half, s + half + 1,
-                 e - half - 2, e - half - 1, e - half, e - 1, e]
-    near = np.unique(np.clip(near, 0, len(frame) - 1))
-    for name in frame.channels:
-        frame.channels[name][rng.choice(near, len(near) // 5, replace=False)] = np.nan
     return frame, window
 
 
@@ -576,14 +540,9 @@ class TestScreeningOracle:
     def test_matches_the_per_instance_loop(self, seed):
         self.check_against_the_loop(*screening_case(seed))
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_nan_at_instance_edges_matches_the_per_instance_loop(self, seed):
-        self.check_against_the_loop(*edge_nan_case(seed))
-
     @pytest.mark.parametrize("seed", range(4))
     def test_branch_cases_match_the_per_instance_loop(self, seed):
-        with np.errstate(invalid="ignore"):     # residuals of inf - inf
-            self.check_against_the_loop(*branch_case(seed))
+        self.check_against_the_loop(*branch_case(seed))
 
     @staticmethod
     def check_against_the_loop(frame, window):
@@ -593,7 +552,7 @@ class TestScreeningOracle:
             med = cleaning._span_medians(x, starts, stops, window)
             for s, e in spans:
                 expected = oracle_running_median(x[s:e], window)
-                assert np.array_equal(med[s:e], expected, equal_nan=True), (name, s, e)
+                assert np.array_equal(med[s:e], expected), (name, s, e)
         for k in (0.0, 1.5, 4.0):
             assert (detrended_iqr_flags(frame, k, window)
                     == oracle_detrended_iqr_flags(frame, k, window))
@@ -602,24 +561,18 @@ class TestScreeningOracle:
         seen = set()
         for seed in range(4):
             seen |= fence_branches(*branch_case(seed))
-        assert seen == {"single", "whole", "upper", "lower"}
+        assert seen == {"whole", "upper", "lower"}
 
-    def test_cases_cover_ties_nan_and_flags(self):
-        nan_windows = flagged = 0
+    def test_cases_cover_ties_signed_zeros_short_instances_and_flags(self):
+        tied = signed_zeros = short = flagged = 0
         for seed in range(36):
             frame, window = screening_case(seed)
-            nan_windows += sum(np.isnan(oracle_running_median(x, window)).any()
-                               for x in frame.channels.values())
+            x = np.column_stack(list(frame.channels.values()))
+            tied += (np.diff(x, axis=0) == 0).any()
+            signed_zeros += ((x == 0) & np.signbit(x)).any() and ((x == 0) & ~np.signbit(x)).any()
+            short += any(e - s <= window for s, e in _instances(frame))
             flagged += len(oracle_detrended_iqr_flags(frame, 1.5, window)) > 0
-        assert nan_windows > 0 and flagged == 36
-
-    def test_window_holding_nan_has_nan_median(self):
-        x = np.arange(20.0)
-        x[10] = np.nan
-        med = cleaning._span_medians(x, np.array([0]), np.array([20]), 5)
-        assert np.isnan(med[8:13]).all()
-        assert not np.isnan(med[:8]).any() and not np.isnan(med[13:]).any()
-        assert med[0] == 1.0 and med[1] == 1.5 and med[19] == 18.0
+        assert tied == signed_zeros == short == flagged == 36
 
     @pytest.mark.parametrize("window", [0, 1, 2, 30])
     def test_window_must_be_odd_and_at_least_three(self, window):
@@ -643,8 +596,9 @@ class TestIcsFlags:
             flags = ics_flags(frame, m, alpha)
             want = []
             assert flags == oracle_ics_flags(frame, m, alpha, want)
-            # every id's rows reach the detector in the same order, bit for bit
-            assert len(screened) == len(want) == 5
+            # every id's rows reach the detector in the same order, bit for bit;
+            # S06's constant channel keeps it away, and the detector refuses S05
+            assert len(screened) == len(want) == 6
             for got, expected in zip(screened, want):
                 assert np.array_equal(got.view(np.int64), expected.view(np.int64))
         assert flags    # the loosest cutoff flags rows

@@ -127,7 +127,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("name", ["noise", "wander"])
     @pytest.mark.parametrize("value, match", [
-        (-0.5, "must be >= 0"), (float("nan"), "must be >= 0"),
+        (-0.5, "must be >= 0"), (float("nan"), "must be a finite number, got nan"),
+        (float("inf"), "must be a finite number, got inf"),
         ("loud", "must be a number"), (None, "must be a number"),
     ])
     def test_bad_channel_scales_rejected(self, name, value, match):
@@ -614,6 +615,21 @@ BAD_INPUTS = {
                    ["simulate"], 2, "sim noise 'temp_internal' must be a number, got False"),
     "wander_bool": ({"sim": dict(CLI_DOC["sim"], wander={"angle_platform": True})}, None,
                     ["simulate"], 2, "sim wander 'angle_platform' must be a number, got True"),
+    "outlier_value_nan": ({"outliers": [dict(entry_without(OUTLIER, "delta"),
+                                             value=float("nan"))]},
+                          None, ["simulate"], 2, "outliers[0] value must be a finite number, got nan"),
+    "outlier_delta_infinite": ({"outliers": [dict(OUTLIER, delta=float("inf"))]}, None,
+                               ["simulate"], 2,
+                               "outliers[0] delta must be a finite number, got inf"),
+    "outlier_delta_minus_infinite": ({"outliers": [dict(OUTLIER, delta=float("-inf"))]}, None,
+                                     ["preprocess", "--scenario", "s1"], 2,
+                                     "outliers[0] delta must be a finite number, got -inf"),
+    "noise_infinite": ({"sim": dict(CLI_DOC["sim"], noise={"temp_internal": float("inf")})},
+                       None, ["preprocess", "--scenario", "s1"], 2,
+                       "sim noise 'temp_internal' must be a finite number, got inf"),
+    "logging_probability_nan": ({"sim": dict(CLI_DOC["sim"], logging_probability=float("nan"))},
+                                None, ["simulate"], 2,
+                                "sim logging_probability must be a finite number, got nan"),
 }
 
 

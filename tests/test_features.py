@@ -71,7 +71,7 @@ class TestSelectFeatures:
     def make_result(self, loadings):
         loadings = np.asarray(loadings, dtype=float)
         k = loadings.shape[1]
-        return PcaResult(mean=np.zeros(len(loadings)), loadings=loadings,
+        return PcaResult(loadings=loadings,
                          explained=np.full(len(loadings), 1.0 / len(loadings)),
                          retained=k)
 
