@@ -4,15 +4,19 @@ A config must carry an explicit seed; there is no implicit randomness
 anywhere downstream. Unknown keys are rejected loudly, in every section
 and list entry, since a typoed parameter silently falling back to a
 default is worse than an error.
+
+Every number goes through ``_spec.number``. The parameter records state
+each field's type and range and convert themselves; this module converts
+the list entries, ``seed``, ``horizons_minutes`` and ``split``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import yaml
 
+from ._spec import number
 from .features import PreprocessParams
 from .models import FAMILY_PARAMS
 from .simulator import (CHANNEL_UNITS, DEFAULT_INJECTION, DEFAULT_NOISE, DEFAULT_WANDER,
@@ -70,8 +74,6 @@ class PipelineConfig:
         if not self.horizons_minutes:
             raise ConfigError("need at least one horizon")
         for h in self.horizons_minutes:
-            if h < 0:
-                raise ConfigError("horizons must be >= 0")
             if h % self.preprocess.resample_minutes != 0:
                 raise ConfigError(
                     f"horizon {h} is not a multiple of the "
@@ -146,30 +148,19 @@ def _entries(items, name: str, required, optional=()) -> tuple:
     entries = []
     for i, item in enumerate(items):
         entry = dict(_keys(item, f"{name}[{i}]", (*required, *optional), required))
-        for key, number in _ENTRY_NUMBERS.items():
+        for key, kind in _ENTRY_NUMBERS.items():
             if key in entry:
-                entry[key] = _number(entry[key], number, f"{name}[{i}] {key}")
+                entry[key] = _number(entry[key], kind, f"{name}[{i}] {key}")
         entries.append(entry)
     return tuple(entries)
 
 
-def _number(value, number, name: str):
-    """``value`` converted by ``number`` (``int`` or ``float``). A bool, a
-    non-integral value for ``int``, or NaN or an infinity for ``float``, is
-    refused with an error naming ``name``."""
+def _number(value, kind, name: str, span: str = None):
+    """``_spec.number`` with its error raised as a ``ConfigError``."""
     try:
-        if isinstance(value, bool):
-            raise TypeError
-        converted = number(value)
-        # an integer key takes 7.0 as 7 but refuses 7.9
-        if number is int and isinstance(value, float) and converted != value:
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if number is int else "a number"
-        raise ConfigError(f"{name} must be {kind}, got {value!r}") from None
-    if number is float and not math.isfinite(converted):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return converted
+        return number(value, kind, name, span)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _build_sim(seed: int, section) -> SimConfig:
@@ -180,18 +171,10 @@ def _build_sim(seed: int, section) -> SimConfig:
             continue
         if not isinstance(kwargs[name], dict):
             raise ConfigError(f"sim {name} must be a mapping")
-        merged = dict(defaults)
-        for key, value in kwargs[name].items():
+        for key in kwargs[name]:
             if key not in defaults:
                 raise ConfigError(f"unknown {what} key {key!r} in {name}")
-            merged[key] = _number(value, float, f"sim {name} {key!r}")
-            if not merged[key] >= 0:
-                raise ConfigError(f"sim {name} {key!r} must be >= 0, got {value!r}")
-        kwargs[name] = merged
-    for key, number in (("cycles", int), ("idle_minutes", int),
-                        ("logging_probability", float)):
-        if key in kwargs:
-            kwargs[key] = _number(kwargs[key], number, f"sim {key}")
+        kwargs[name] = {**defaults, **kwargs[name]}
     schedule = kwargs.get("schedule")
     if schedule is not None:
         try:
@@ -218,10 +201,7 @@ def _from_doc(doc: dict) -> PipelineConfig:
     _keys(doc, "configuration", _TOP_KEYS)
     if "seed" not in doc or doc["seed"] is None:
         raise ConfigError("seed is required; no implicit randomness")
-    try:
-        seed = int(doc["seed"])
-    except (TypeError, ValueError):
-        raise ConfigError("seed must be an integer") from None
+    seed = _number(doc["seed"], int, "seed", ">= 0")
 
     sim = _build_sim(seed, _section(doc, "sim"))
     pp_section = _keys(_section(doc, "preprocess"), "preprocess", _fields(PreprocessParams))
@@ -263,23 +243,18 @@ def _from_doc(doc: dict) -> PipelineConfig:
             if not any(key in outlier for key in _OUTLIER_VALUES):
                 raise ConfigError(f"outliers[{i}] needs a delta or a value key")
 
-    try:
-        return PipelineConfig(
-            seed=seed,
-            out_dir=str(doc.get("out", "out")),
-            kb_path=doc.get("kb"),
-            sim=sim,
-            missing=missing,
-            outliers=outliers,
-            preprocess=preprocess,
-            grids=grids,
-            horizons_minutes=_list(doc, "horizons_minutes", DEFAULT_HORIZONS),
-            split=_list(doc, "split", DEFAULT_SPLIT),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    return PipelineConfig(
+        seed=seed,
+        out_dir=str(doc.get("out", "out")),
+        kb_path=doc.get("kb"),
+        sim=sim,
+        missing=missing,
+        outliers=outliers,
+        preprocess=preprocess,
+        grids=grids,
+        horizons_minutes=_list(doc, "horizons_minutes", DEFAULT_HORIZONS, int, ">= 0"),
+        split=_list(doc, "split", DEFAULT_SPLIT, float),
+    )
 
 
 def _section(doc: dict, key: str):
@@ -288,13 +263,14 @@ def _section(doc: dict, key: str):
     return {} if section is None else section
 
 
-def _list(doc: dict, key: str, default: tuple) -> tuple:
-    """``doc[key]`` as a tuple, or ``default`` when the key is absent."""
+def _list(doc: dict, key: str, default: tuple, kind, span: str = None) -> tuple:
+    """``doc[key]`` as a tuple of numbers converted by ``kind`` within
+    ``span``, or ``default`` when the key is absent."""
     if key not in doc:
         return default
     if not isinstance(doc[key], (list, tuple)):
         raise ConfigError(f"{key} must be a list, got {doc[key]!r}")
-    return tuple(doc[key])
+    return tuple(_number(value, kind, f"{key}[{i}]", span) for i, value in enumerate(doc[key]))
 
 
 def load_config(path) -> PipelineConfig:

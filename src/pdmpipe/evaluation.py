@@ -206,7 +206,8 @@ def tune_and_fit(X_train, y_train, X_val, y_val, family: str, grid,
         key = (-metrics.f1, getattr(record, "trees", getattr(record, "iterations", 0)),
                math.inf if depth is None else depth, idx)
         if best is None or key < best[0]:
-            best = (key, TunedModel(family=family, params=dict(params),
+            best = (key, TunedModel(family=family,
+                                    params={name: getattr(record, name) for name in params},
                                     model=model, val_metrics=metrics))
     return best[1]
 

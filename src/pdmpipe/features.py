@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._spec import bounded, check_fields
 from .cleaning import (
     DISPOSITION_RECONSTRUCT,
     GapReport,
@@ -279,41 +280,22 @@ def _cycle_minutes(frame: TimeSeriesFrame) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PreprocessParams:
-    resample_minutes: int = 15
-    variance_threshold: float = 0.95
-    tau: float = 0.30
-    top_n: int = 10
-    iqr_k: float = 4.0
-    iqr_window: int = 31
-    ics_m: int = 2
-    ics_alpha: float = 2e-5
-    impute_k: int = 3
-    verify_window_minutes: int = 60
-    column_drop_missing_fraction: float = 0.5
+    resample_minutes: int = bounded(">= 1", default=15)
+    variance_threshold: float = bounded("(0, 1]", default=0.95)
+    tau: float = bounded("[0, 1]", default=0.30)
+    top_n: int = bounded(">= 1", default=10)
+    iqr_k: float = bounded(">= 0", default=4.0)
+    iqr_window: int = bounded(">= 3", default=31)
+    ics_m: int = bounded(">= 1", default=2)
+    ics_alpha: float = bounded("(0, 1)", default=2e-5)
+    impute_k: int = bounded(">= 1", default=3)
+    verify_window_minutes: int = bounded(">= 0", default=60)
+    column_drop_missing_fraction: float = bounded("[0, 1]", default=0.5)
 
     def __post_init__(self):
-        if self.resample_minutes < 1:
-            raise ValueError("resample_minutes must be >= 1")
-        if not 0 < self.variance_threshold <= 1:
-            raise ValueError("variance_threshold must be in (0, 1]")
-        if not 0 <= self.tau <= 1:
-            raise ValueError("tau must be in [0, 1]")
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
-        if self.iqr_k < 0:
-            raise ValueError("iqr_k must be >= 0")
-        if self.iqr_window < 3 or self.iqr_window % 2 == 0:
+        check_fields(self)
+        if self.iqr_window % 2 == 0:
             raise ValueError(f"iqr_window must be odd and >= 3, got {self.iqr_window}")
-        if self.ics_m < 1:
-            raise ValueError("ics_m must be >= 1")
-        if not 0 < self.ics_alpha < 1:
-            raise ValueError("ics_alpha must be in (0, 1)")
-        if self.impute_k < 1:
-            raise ValueError("impute_k must be >= 1")
-        if self.verify_window_minutes < 0:
-            raise ValueError("verify_window_minutes must be >= 0")
-        if not 0 <= self.column_drop_missing_fraction <= 1:
-            raise ValueError("column_drop_missing_fraction must be in [0, 1]")
 
 
 @dataclass(frozen=True)

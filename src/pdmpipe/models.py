@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._seeding import substream
+from ._spec import bounded, check_fields
 
 _EPS = 1e-12
 # primal Newton SVM: stop once half the squared Newton decrement is below
@@ -35,48 +36,33 @@ _SEARCH_ELEMENTS = 1 << 14
 
 @dataclass(frozen=True)
 class ForestParams:
-    trees: int = 40
-    max_depth: int = None
-    min_leaf: int = 1
+    trees: int = bounded(">= 1", default=40)
+    max_depth: int = bounded(">= 1", default=None)
+    min_leaf: int = bounded(">= 1", default=1)
 
     def __post_init__(self):
-        if self.trees < 1:
-            raise ValueError("trees must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class GbdtParams:
-    iterations: int = 80
-    learning_rate: float = 0.1
-    max_depth: int = 3
-    min_leaf: int = 5
-    bins: int = 32
-    reg_lambda: float = 1.0
+    iterations: int = bounded(">= 1", default=80)
+    learning_rate: float = bounded("(0, 1]", default=0.1)
+    max_depth: int = bounded(">= 1", default=3)
+    min_leaf: int = bounded(">= 1", default=5)
+    bins: int = bounded(">= 2", default=32)
+    reg_lambda: float = bounded(">= 0", default=1.0)
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not 0 < self.learning_rate <= 1:
-            raise ValueError("learning rate must be in (0, 1]")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
-        if self.bins < 2:
-            raise ValueError("need at least 2 bins")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class SvmParams:
-    reg: float = 1e-3
+    reg: float = bounded("> 0", default=1e-3)
 
     def __post_init__(self):
-        if self.reg <= 0:
-            raise ValueError("reg must be positive")
+        check_fields(self)
 
 
 # each model family's parameter record, in the family order of every report

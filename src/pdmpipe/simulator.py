@@ -24,13 +24,13 @@ test suite checks the pipeline against.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
-from numbers import Real
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from ._seeding import substream
+from ._spec import bounded, check_fields
 from .knowledge import (
     SOURCE_GROUND_TRUTH,
     FaultEvent,
@@ -116,22 +116,19 @@ RAMP_MINUTES = 150
 class SimConfig:
     """Everything the generator needs; a fixed seed fixes every byte."""
 
-    seed: int
-    cycles: int = 55
-    idle_minutes: int = 210
+    seed: int = bounded(">= 0")
+    cycles: int = bounded(">= 1", default=55)
+    idle_minutes: int = bounded(">= 0", default=210)
     start: str = "2025-01-05T00:00:00"
-    noise: dict = field(default_factory=lambda: dict(DEFAULT_NOISE))
-    wander: dict = field(default_factory=lambda: dict(DEFAULT_WANDER))
-    wander_phi: float = 0.97
-    injection: dict = field(default_factory=lambda: dict(DEFAULT_INJECTION))
+    noise: dict = bounded(">= 0", default_factory=DEFAULT_NOISE.copy)
+    wander: dict = bounded(">= 0", default_factory=DEFAULT_WANDER.copy)
+    wander_phi: float = bounded("[0, 1)", default=0.97)
+    injection: dict = bounded("[0, 1]", default_factory=DEFAULT_INJECTION.copy)
     schedule: tuple = None                  # ((cycle, fault key), ...) overrides injection
-    logging_probability: float = 0.25
+    logging_probability: float = bounded("[0, 1]", default=0.25)
 
     def __post_init__(self):
-        if self.cycles < 1:
-            raise ValueError("cycles must be >= 1")
-        if self.idle_minutes < 0:
-            raise ValueError(f"idle_minutes must be >= 0, got {self.idle_minutes}")
+        check_fields(self)
         try:
             if isinstance(self.start, (int, float)):
                 raise TypeError
@@ -139,16 +136,9 @@ class SimConfig:
         except (TypeError, ValueError):
             raise ValueError(f"start must be an ISO date and time, "
                              f"got {self.start!r}") from None
-        if (isinstance(self.wander_phi, bool) or not isinstance(self.wander_phi, Real)
-                or not 0.0 <= self.wander_phi < 1.0):
-            raise ValueError(f"wander_phi must be a number in [0, 1), got {self.wander_phi!r}")
-        if not 0.0 <= self.logging_probability <= 1.0:
-            raise ValueError("logging probability must be in [0, 1]")
-        for key, p in self.injection.items():
+        for key in self.injection:
             if key not in FAULT_KINDS:
                 raise ValueError(f"unknown fault key {key!r}")
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"injection probability for {key!r} must be in [0, 1]")
         if self.schedule is not None:
             for cycle, key in self.schedule:
                 if key not in FAULT_KINDS:

@@ -16,7 +16,7 @@ from pdmpipe import ConfigError, PreprocessParams, SimConfig, load_config, make_
 from pdmpipe import features
 from pdmpipe.cli import main
 from pdmpipe.config import _ENTRY_KEYS, _MISSING_KEYS, _TOP_KEYS, _fields, _from_doc
-from pdmpipe.models import FAMILY_PARAMS
+from pdmpipe.models import FAMILY_PARAMS, GbdtParams
 from pdmpipe.simulator import DEFAULT_INJECTION, DEFAULT_NOISE, DEFAULT_WANDER
 from helpers import run_pdm, run_python, stock_doc
 
@@ -89,6 +89,19 @@ class TestMakeConfig:
         assert all(type(v) is int for v in (config.sim.cycles, config.sim.idle_minutes,
                                             config.sim.schedule[0][0]))
 
+    def test_integral_float_horizons_load_as_integers(self):
+        # the tuning substream is keyed by the horizon's text, so 180.0 would fit
+        # another model than 180
+        horizons = make_config(7, horizons_minutes=[180.0]).horizons_minutes
+        assert horizons == (180,) and type(horizons[0]) is int
+
+    def test_records_convert_and_refuse_on_direct_construction(self):
+        assert type(GbdtParams(iterations=80.0).iterations) is int
+        with pytest.raises(ValueError, match="iqr_k must be a number >= 0, got nan"):
+            PreprocessParams(iqr_k=float("nan"))
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got 7.9"):
+            SimConfig(seed=7.9)
+
     def test_unquoted_yaml_start_loads(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text("seed: 7\nsim:\n  start: 2025-01-05T00:00:00\n")
@@ -127,12 +140,13 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("name", ["noise", "wander"])
     @pytest.mark.parametrize("value, match", [
-        (-0.5, "must be >= 0"), (float("nan"), "must be a finite number, got nan"),
-        (float("inf"), "must be a finite number, got inf"),
-        ("loud", "must be a number"), (None, "must be a number"),
+        (-0.5, "must be a number >= 0, got -0.5"), (float("nan"), "must be a number >= 0, got nan"),
+        (float("inf"), "must be a number >= 0, got inf"),
+        ("loud", "must be a number >= 0, got 'loud'"), (None, "must be a number >= 0, got None"),
     ])
     def test_bad_channel_scales_rejected(self, name, value, match):
-        with pytest.raises(ConfigError, match=f"sim {name} 'temp_internal' {match}"):
+        with pytest.raises(ConfigError,
+                           match=f"bad sim section: {name} 'temp_internal' {match}"):
             make_config(7, sim={name: {"temp_internal": value}})
         with pytest.raises(ConfigError, match=f"sim {name} must be a mapping"):
             make_config(7, sim={name: [1.0]})
@@ -384,9 +398,9 @@ class TestCliFailures:
 
     @pytest.mark.parametrize("section, message", [
         ({"preprocess": {"iqr_window": 30}}, "iqr_window must be odd and >= 3, got 30"),
-        ({"preprocess": {"resample_minutes": 0}}, "resample_minutes must be >= 1"),
+        ({"preprocess": {"resample_minutes": 0}}, "resample_minutes must be an integer >= 1, got 0"),
         ({"models": dict(CLI_DOC["models"], gbdt=[{"min_leaf": 0}])},
-         "min_leaf must be >= 1"),
+         "min_leaf must be an integer >= 1, got 0"),
         ({"preprocess": {"train_fraction": 0.6}},
          "configuration error: unknown preprocess keys: ['train_fraction']"),
         ({"models": dict(CLI_DOC["models"], gbdt=[{"depth": 3}])},
@@ -398,7 +412,7 @@ class TestCliFailures:
         ({"split": 0.6}, "split must be a list, got 0.6"),
         ({"missing": 5}, "missing must be a mapping, got 5"),
         ({"sim": dict(CLI_DOC["sim"], idle_minutes=-5)},
-         "bad sim section: idle_minutes must be >= 0, got -5"),
+         "bad sim section: idle_minutes must be an integer >= 0, got -5"),
         ({"sim": []}, "sim must be a mapping, got []"),
         ({"preprocess": []}, "preprocess must be a mapping, got []"),
         ({"preprocess": 0}, "preprocess must be a mapping, got 0"),
@@ -408,10 +422,12 @@ class TestCliFailures:
          "bad sim section: wander_phi must be a number in [0, 1), got 1.5"),
         ({"sim": dict(CLI_DOC["sim"], wander_phi=-2)},
          "bad sim section: wander_phi must be a number in [0, 1), got -2"),
-        ({"sim": dict(CLI_DOC["sim"], cycles=7.9)}, "sim cycles must be an integer, got 7.9"),
-        ({"sim": dict(CLI_DOC["sim"], cycles=True)}, "sim cycles must be an integer, got True"),
+        ({"sim": dict(CLI_DOC["sim"], cycles=7.9)},
+         "bad sim section: cycles must be an integer >= 1, got 7.9"),
+        ({"sim": dict(CLI_DOC["sim"], cycles=True)},
+         "bad sim section: cycles must be an integer >= 1, got True"),
         ({"sim": dict(CLI_DOC["sim"], idle_minutes=10.5)},
-         "sim idle_minutes must be an integer, got 10.5"),
+         "bad sim section: idle_minutes must be an integer >= 0, got 10.5"),
         ({"sim": dict(CLI_DOC["sim"], start="tomorrow")},
          "bad sim section: start must be an ISO date and time, got 'tomorrow'"),
     ])
@@ -605,31 +621,71 @@ BAD_INPUTS = {
                            "outliers[0] delta must be a number, got True"),
     "logging_probability_not_a_number": ({"sim": dict(CLI_DOC["sim"], logging_probability="x")},
                                          None, ["simulate"], 2,
-                                         "sim logging_probability must be a number, got 'x'"),
+                                         "bad sim section: logging_probability must be a "
+                                         "number in [0, 1], got 'x'"),
     "logging_probability_bool": ({"sim": dict(CLI_DOC["sim"], logging_probability=True)},
                                  None, ["simulate"], 2,
-                                 "sim logging_probability must be a number, got True"),
+                                 "bad sim section: logging_probability must be a number "
+                                 "in [0, 1], got True"),
     "injection_bool": ({"sim": dict(CLI_DOC["sim"], injection={"needle": True})}, None,
-                       ["simulate"], 2, "sim injection 'needle' must be a number, got True"),
+                       ["simulate"], 2,
+                       "bad sim section: injection 'needle' must be a number in [0, 1], got True"),
     "noise_bool": ({"sim": dict(CLI_DOC["sim"], noise={"temp_internal": False})}, None,
-                   ["simulate"], 2, "sim noise 'temp_internal' must be a number, got False"),
+                   ["simulate"], 2,
+                   "bad sim section: noise 'temp_internal' must be a number >= 0, got False"),
     "wander_bool": ({"sim": dict(CLI_DOC["sim"], wander={"angle_platform": True})}, None,
-                    ["simulate"], 2, "sim wander 'angle_platform' must be a number, got True"),
+                    ["simulate"], 2,
+                    "bad sim section: wander 'angle_platform' must be a number >= 0, got True"),
     "outlier_value_nan": ({"outliers": [dict(entry_without(OUTLIER, "delta"),
                                              value=float("nan"))]},
-                          None, ["simulate"], 2, "outliers[0] value must be a finite number, got nan"),
+                          None, ["simulate"], 2, "outliers[0] value must be a number, got nan"),
     "outlier_delta_infinite": ({"outliers": [dict(OUTLIER, delta=float("inf"))]}, None,
                                ["simulate"], 2,
-                               "outliers[0] delta must be a finite number, got inf"),
+                               "outliers[0] delta must be a number, got inf"),
     "outlier_delta_minus_infinite": ({"outliers": [dict(OUTLIER, delta=float("-inf"))]}, None,
                                      ["preprocess", "--scenario", "s1"], 2,
-                                     "outliers[0] delta must be a finite number, got -inf"),
+                                     "outliers[0] delta must be a number, got -inf"),
     "noise_infinite": ({"sim": dict(CLI_DOC["sim"], noise={"temp_internal": float("inf")})},
                        None, ["preprocess", "--scenario", "s1"], 2,
-                       "sim noise 'temp_internal' must be a finite number, got inf"),
+                       "bad sim section: noise 'temp_internal' must be a number >= 0, got inf"),
     "logging_probability_nan": ({"sim": dict(CLI_DOC["sim"], logging_probability=float("nan"))},
                                 None, ["simulate"], 2,
-                                "sim logging_probability must be a finite number, got nan"),
+                                "bad sim section: logging_probability must be a number in "
+                                "[0, 1], got nan"),
+    "seed_not_integral": ({"seed": 7.9}, None, ["simulate"], 2,
+                          "seed must be an integer >= 0, got 7.9"),
+    "seed_bool": ({"seed": True}, None, ["simulate"], 2, "seed must be an integer >= 0, got True"),
+    "seed_negative": ({"seed": -1}, None, ["simulate"], 2, "seed must be an integer >= 0, got -1"),
+    "iqr_k_nan": ({"preprocess": {"iqr_k": float("nan")}}, None, ["simulate"], 2,
+                  "bad preprocess section: iqr_k must be a number >= 0, got nan"),
+    "verify_window_infinite": ({"preprocess": {"verify_window_minutes": float("inf")}}, None,
+                               ["simulate"], 2, "bad preprocess section: verify_window_minutes "
+                                                "must be an integer >= 0, got inf"),
+    "top_n_bool": ({"preprocess": {"top_n": True}}, None, ["simulate"], 2,
+                   "bad preprocess section: top_n must be an integer >= 1, got True"),
+    "gbdt_iterations_not_integral": ({"models": dict(CLI_DOC["models"],
+                                                     gbdt=[{"iterations": 80.5}])},
+                                     None, ["simulate"], 2,
+                                     "bad gbdt grid entry {'iterations': 80.5}: iterations "
+                                     "must be an integer >= 1, got 80.5"),
+    "gbdt_reg_lambda_negative": ({"models": dict(CLI_DOC["models"],
+                                                 gbdt=[{"reg_lambda": -1.0}])},
+                                 None, ["simulate"], 2,
+                                 "bad gbdt grid entry {'reg_lambda': -1.0}: reg_lambda "
+                                 "must be a number >= 0, got -1.0"),
+    "svm_reg_nan": ({"models": dict(CLI_DOC["models"], svm=[{"reg": float("nan")}])}, None,
+                    ["simulate"], 2,
+                    "bad svm grid entry {'reg': nan}: reg must be a number > 0, got nan"),
+    "forest_trees_bool": ({"models": dict(CLI_DOC["models"], forest=[{"trees": True}])}, None,
+                          ["simulate"], 2, "bad forest grid entry {'trees': True}: trees "
+                                           "must be an integer >= 1, got True"),
+    "forest_max_depth_not_integral": ({"models": dict(CLI_DOC["models"],
+                                                      forest=[{"max_depth": 2.5}])},
+                                      None, ["simulate"], 2,
+                                      "bad forest grid entry {'max_depth': 2.5}: max_depth "
+                                      "must be an integer >= 1, got 2.5"),
+    "split_nan": ({"split": [0.6, 0.2, float("nan")]}, None, ["simulate"], 2,
+                  "split[2] must be a number, got nan"),
 }
 
 

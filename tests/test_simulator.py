@@ -141,7 +141,7 @@ class TestLoggingGate:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(seed=1, cycles=0)
-        with pytest.raises(ValueError, match="idle_minutes must be >= 0, got -5"):
+        with pytest.raises(ValueError, match="idle_minutes must be an integer >= 0, got -5"):
             SimConfig(seed=1, cycles=2, idle_minutes=-5)
         with pytest.raises(ValueError):
             SimConfig(seed=1, logging_probability=1.5)
