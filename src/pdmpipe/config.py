@@ -18,6 +18,7 @@ import yaml
 
 from ._spec import number
 from .features import PreprocessParams
+from .knowledge import _load_yaml
 from .models import FAMILY_PARAMS
 from .simulator import (CHANNEL_UNITS, DEFAULT_INJECTION, DEFAULT_NOISE, DEFAULT_WANDER,
                         SimConfig)
@@ -276,8 +277,8 @@ def _list(doc: dict, key: str, default: tuple, kind, span: str = None) -> tuple:
 def load_config(path) -> PipelineConfig:
     """Read and validate a YAML run configuration."""
     try:
-        with open(path) as fh:
-            doc = yaml.safe_load(fh)
+        with open(path, "rb") as fh:
+            doc = _load_yaml(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read configuration: {exc}") from None
     except yaml.YAMLError as exc:

@@ -9,13 +9,22 @@ The frame carries three kinds of columns:
 - ``timestamps``: strictly increasing instants at a nominal fixed step.
 
 Frames are immutable by convention: every operation returns a new frame.
+
+CSV tables, the telemetry (``write_csv``) and the curated dataset, are
+written in contiguous parts of rows on the available CPUs, and the bytes
+are the same for any CPU count.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 import re
+import shutil
+import signal
+import tempfile
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -133,6 +142,9 @@ def write_csv(frame: TimeSeriesFrame, path) -> dict:
 # high-water of ``simulate`` on 320k telemetry rows rose by about 4.5 MB over
 # writing rows with ``csv.writer``; with 512 it stays level, at the same speed.
 _BLOCK_ROWS = 512
+# Blocks in the shortest part a table is split into, so that a short table is
+# written without a fork.
+_PART_BLOCKS = 4
 _QUOTED = re.compile(r'[,"\r\n]')   # cells ``csv.QUOTE_MINIMAL`` wraps in quotes
 
 
@@ -140,7 +152,15 @@ def _write_table(path, header, timestamps, columns) -> None:
     """Write the header, then per row the ISO-second timestamp and one cell per
     column, CRLF-terminated as ``csv.writer`` writes them. The header names the
     timestamp, then each column, and every column has one cell per timestamp;
-    anything else is an error before the file is opened."""
+    anything else is an error before the file is opened.
+
+    The rows are written in contiguous parts, one per available CPU
+    (``_part_starts``), and the bytes are the same for any number of parts.
+    Every part after the first is written by a forked child (``_RowPart``);
+    this process writes the header and the first part, then waits for each
+    child in row order and appends its rows. A child that fails raises a
+    ``RuntimeError`` naming the path, and no child outlives the call.
+    """
     if len(header) != len(columns) + 1:
         raise ValueError(f"{path}: header has {len(header)} names for the "
                          f"timestamp and {len(columns)} columns")
@@ -148,13 +168,94 @@ def _write_table(path, header, timestamps, columns) -> None:
         if len(col) != len(timestamps):
             raise ValueError(f"{path}: column {name!r} has {len(col)} rows, "
                              f"there are {len(timestamps)} timestamps")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)   # column names may need quoting
-        for lo in range(0, len(timestamps), _BLOCK_ROWS):
-            block = slice(lo, lo + _BLOCK_ROWS)
-            rows = zip(np.datetime_as_string(timestamps[block], unit="s").tolist(),
-                       *(_cells(col[block]) for col in columns))
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+    starts = _part_starts(len(timestamps))
+    head = io.StringIO()
+    csv.writer(head).writerow(header)   # column names may need quoting
+    with open(path, "wb") as out:
+        out.write(head.getvalue().encode())
+        out.flush()   # a child must inherit no unwritten bytes
+        parts = []
+        try:
+            for lo, hi in zip(starts[1:-1], starts[2:]):
+                parts.append(_RowPart(path, timestamps, columns, lo, hi))
+            _write_rows(out, timestamps, columns, starts[0], starts[1])
+            for part in parts:
+                part.append_to(out)
+        finally:
+            for part in parts:
+                part.close()
+
+
+def _cpus() -> int:
+    """CPUs this process may run on, or 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _part_starts(n: int) -> list:
+    """First rows of the parts a table of ``n`` rows is written in, then ``n``:
+    one part per CPU, each a whole number of ``_BLOCK_ROWS`` blocks (the last
+    may end in a short one) and at least ``_PART_BLOCKS`` blocks long."""
+    blocks = -(-n // _BLOCK_ROWS)
+    parts = max(1, min(_cpus(), blocks // _PART_BLOCKS))
+    return [k * blocks // parts * _BLOCK_ROWS for k in range(parts)] + [n]
+
+
+def _write_rows(out, timestamps, columns, lo, hi) -> None:
+    """Write rows ``lo:hi`` to the binary file ``out``, one block at a time."""
+    for start in range(lo, hi, _BLOCK_ROWS):
+        block = slice(start, min(start + _BLOCK_ROWS, hi))
+        rows = zip(np.datetime_as_string(timestamps[block], unit="s").tolist(),
+                   *(_cells(col[block]) for col in columns))
+        out.write(("\r\n".join(map(",".join, rows)) + "\r\n").encode())
+
+
+class _RowPart:
+    """Rows ``lo:hi`` of a table, written by a forked child into an unlinked
+    temporary file in the directory of the table's ``path``.
+
+    The child writes nothing else, and ends with ``os._exit``: it flushes no
+    file it shares with the parent and runs no exit handler. The parent
+    reaps it in ``append_to``, or kills and reaps it in ``close``.
+    """
+
+    def __init__(self, path, timestamps, columns, lo, hi):
+        self.path, self.lo, self.hi = path, lo, hi
+        self.file = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            self.file.close()
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                _write_rows(self.file, timestamps, columns, lo, hi)
+                self.file.flush()
+                status = 0
+            finally:
+                os._exit(status)
+
+    def append_to(self, out) -> None:
+        """Wait for the child, then copy its rows to the end of ``out``."""
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if status:
+            raise RuntimeError(f"{self.path}: the process writing rows {self.lo} "
+                               f"to {self.hi} exited with status {status}")
+        self.file.seek(0)
+        shutil.copyfileobj(self.file, out)
+
+    def close(self) -> None:
+        """Kill and reap the child unless it was reaped, and drop its file."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self.file.close()
 
 
 def _write_json(path, doc) -> None:

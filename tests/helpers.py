@@ -86,19 +86,20 @@ def stock_doc() -> dict:
     return yaml.safe_load(text)
 
 
-def run_python(*args: str, timeout: float, cwd=None) -> subprocess.CompletedProcess:
-    """Run ``python *args`` in a fresh interpreter.
+def run_python(*args: str, timeout: float, cwd=None, env=None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter, with ``env`` over this
+    process's environment.
 
     The checked-out ``src`` goes first on ``PYTHONPATH``, so the run never
     picks up an installed copy of the package.
     """
-    env = dict(os.environ)
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=timeout)
 
 
-def run_pdm(*args: str, timeout: float) -> subprocess.CompletedProcess:
+def run_pdm(*args: str, timeout: float, env=None) -> subprocess.CompletedProcess:
     """Run ``python -m pdmpipe *args`` in a fresh interpreter (see run_python)."""
-    return run_python("-m", "pdmpipe", *args, timeout=timeout)
+    return run_python("-m", "pdmpipe", *args, timeout=timeout, env=env)

@@ -372,6 +372,16 @@ class TestCliFailures:
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_config_is_read_as_utf8_in_an_ascii_locale(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        doc = dict(CLI_DOC, sim=dict(CLI_DOC["sim"], cycles=1, schedule=[]))
+        path.write_text("# café, 5 °C\n" + yaml.safe_dump(doc), encoding="utf-8")
+        proc = run_pdm("simulate", "--config", str(path), "--out", str(tmp_path / "sim"),
+                       timeout=60, env={"LC_ALL": "C", "PYTHONUTF8": "0",
+                                        "PYTHONCOERCECLOCALE": "0"})
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "sim" / "telemetry.csv").exists()
+
     def test_module_entry_point_exits_with_mains_code(self, tmp_path):
         proc = run_pdm("compare", "--config", str(tmp_path / "nope.yaml"),
                        timeout=60)

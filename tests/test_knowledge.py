@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +23,15 @@ from pdmpipe.knowledge import (
     OperatingEnvelope,
     SensorPredicate,
     _event_rows,
+    _YAML_LOADER,
     _instances,
+    _load_yaml,
 )
 from pdmpipe.timeseries import _write_json
 from helpers import quiet_frame, segment_rows, stock_doc
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGED_KB = REPO / "src" / "pdmpipe" / "data" / "knowledge_base.yaml"
 
 
 def load_doc(doc, tmp_path):
@@ -112,6 +118,14 @@ class TestLoading:
         doc["mode_model"]["durations"]["S14"] = 30
         with pytest.raises(ValueError, match=r"mode_model.*unknown sequence ids \['S14'\]"):
             load_doc(doc, tmp_path)
+
+    @pytest.mark.parametrize("path", [*sorted(REPO.glob("configs/*.yaml")), PACKAGED_KB],
+                             ids=lambda p: p.name)
+    def test_libyaml_gives_the_python_loaders_document(self, path):
+        if yaml.__with_libyaml__:
+            assert _YAML_LOADER is yaml.CSafeLoader
+        data = path.read_bytes()
+        assert _load_yaml(data) == yaml.load(data, Loader=yaml.SafeLoader)
 
     def test_invalid_yaml_rejected(self, tmp_path):
         path = tmp_path / "kb.yaml"

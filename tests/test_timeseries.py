@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import re
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdmpipe import TimeSeriesFrame, resample, slice_by_sequence, write_csv
+from pdmpipe import TimeSeriesFrame, resample, slice_by_sequence, timeseries, write_csv
 from pdmpipe.timeseries import SEQUENCE_IDS, SEQUENCE_VOCAB, _write_json, _write_table
 
 
@@ -236,11 +239,13 @@ TEXT_CELLS = np.array(["", "plain", "a,b", 'say "hi"', '"', ",", "x\ry",
 ROW_COUNTS = (0, 1, 511, 512, 513, 4095, 4096, 4097)
 
 
-def table_case(seed):
+def table_case(seed, n=None):
     """Header, timestamps and columns of every kind the writer meets, with
-    float specials mixed into random floats near the format's switch points."""
+    float specials mixed into random floats near the format's switch points;
+    ``n`` rows, or a count that ``seed`` picks."""
     rng = np.random.default_rng(seed)
-    n = ROW_COUNTS[seed] if seed < len(ROW_COUNTS) else int(rng.integers(2, 1500))
+    if n is None:
+        n = ROW_COUNTS[seed] if seed < len(ROW_COUNTS) else int(rng.integers(2, 1500))
     scale = 10.0 ** rng.integers(-8, 20, size=n)
     near = rng.choice([1.0, 1e16, 1e-4, 1e-5], size=n)
     x = np.where(near == 1.0, rng.standard_normal(n) * scale,
@@ -272,6 +277,20 @@ class TestTableWriterOracle:
         oracle_write_table(tmp_path / "old.csv", header, timestamps, columns)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    # 7-row blocks, so a part is at least 4 blocks long; each table splits into
+    # exactly `parts`: 4 blocks a part, one row less or more, or 250 rows more
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 250])
+    def test_forced_parts_match_csv_writer_rows(self, parts, offset, tmp_path, monkeypatch):
+        n = 7 * timeseries._PART_BLOCKS * parts + offset
+        monkeypatch.setattr(timeseries, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(timeseries, "_cpus", lambda: parts)
+        assert len(timeseries._part_starts(n)) == parts + 1
+        header, timestamps, columns = table_case(100 + parts, n)
+        _write_table(tmp_path / "new.csv", header, timestamps, columns)
+        oracle_write_table(tmp_path / "old.csv", header, timestamps, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_cases_cover_specials_and_quoting(self):
         floats, text = set(), set()
         for seed in range(36):
@@ -297,6 +316,80 @@ class TestTableWriterShape:
             _write_table(path, ["timestamp", "a", "b"], minutes(4),
                          [np.arange(4.0), np.arange(2)])
         assert not path.exists()
+
+
+class TestTableWriterParts:
+    """The forked row parts: every child is reaped and every temporary file
+    dropped, on success and on failure."""
+
+    @pytest.fixture
+    def four_parts(self, monkeypatch):
+        monkeypatch.setattr(timeseries, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(timeseries, "_cpus", lambda: 4)
+        return table_case(7, 7 * timeseries._PART_BLOCKS * 4)
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_parts_are_cut_at_blocks(self, monkeypatch):
+        monkeypatch.setattr(timeseries, "_cpus", lambda: 3)
+        assert timeseries._part_starts(0) == [0, 0]
+        assert timeseries._part_starts(4 * 512) == [0, 2048]
+        assert timeseries._part_starts(8 * 512 + 1) == [0, 2048, 8 * 512 + 1]
+        assert timeseries._part_starts(320100) == [0, 208 * 512, 417 * 512, 320100]
+
+    def test_write_leaves_no_child_and_no_file(self, four_parts, tmp_path):
+        _write_table(tmp_path / "t.csv", *four_parts)
+        self.assert_no_child()
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_failed_child_names_the_path(self, four_parts, tmp_path, monkeypatch):
+        write_rows = timeseries._write_rows
+
+        def fail_in_children(out, timestamps, columns, lo, hi):
+            if lo:
+                raise OSError("no space left")
+            write_rows(out, timestamps, columns, lo, hi)
+
+        monkeypatch.setattr(timeseries, "_write_rows", fail_in_children)
+        path = tmp_path / "t.csv"
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"{path}: the process writing rows 28 to 56 exited with status 1")):
+            _write_table(path, *four_parts)
+        self.assert_no_child()
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_children_are_killed_when_the_first_part_fails(self, four_parts, tmp_path,
+                                                           monkeypatch):
+        def children_hang(out, timestamps, columns, lo, hi):
+            if not lo:
+                raise OSError("no space left")
+            time.sleep(120)
+
+        monkeypatch.setattr(timeseries, "_write_rows", children_hang)
+        start = time.monotonic()
+        with pytest.raises(OSError, match="no space left"):
+            _write_table(tmp_path / "t.csv", *four_parts)
+        assert time.monotonic() - start < 60
+        self.assert_no_child()
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_one_cpu_never_forks(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", no_fork)
+        header, timestamps, columns = table_case(3, 9000)
+        _write_table(tmp_path / "new.csv", header, timestamps, columns)
+        oracle_write_table(tmp_path / "old.csv", header, timestamps, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_no_fork_writes_in_one_part(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert timeseries._part_starts(320100) == [0, 320100]
 
 
 @dataclass(frozen=True)
