@@ -198,7 +198,12 @@ def detect_outliers_ics(X: np.ndarray, m: int = 2, alpha: float = 0.025) -> np.n
     flags rows whose squared score exceeds the chi-square(m) quantile
     at level alpha.
     """
-    X = np.asarray(X, dtype=float)
+    return _ics_in_place(np.array(X, dtype=float), m, alpha)
+
+
+def _ics_in_place(X: np.ndarray, m: int, alpha: float) -> np.ndarray:
+    """``detect_outliers_ics`` of a float matrix the caller gives up: it is
+    centered in place."""
     if X.ndim != 2:
         raise ValueError("X must be 2-dimensional")
     n, d = X.shape
@@ -211,27 +216,46 @@ def detect_outliers_ics(X: np.ndarray, m: int = 2, alpha: float = 0.025) -> np.n
     if np.isnan(X).any():
         raise ValueError("X must not contain missing values")
 
-    centered = X - X.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
+    X -= X.mean(axis=0)
+    cov = X.T @ X / (n - 1)
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise ValueError("covariance scatter is singular") from None
-    # squared Mahalanobis distances via the Cholesky factor
-    w = np.linalg.solve(chol, centered.T)
-    w *= w
-    d2 = np.sum(w, axis=0)
-    del w
-    cov4 = (centered * d2[:, None]).T @ centered / (n * (d + 2))
+    # squared Mahalanobis distances via the Cholesky factor; the scaled
+    # product stays one gemm over all rows, which blocks would sum otherwise
+    d2 = _mahalanobis_sq(X, chol)
+    cov4 = (X * d2[:, None]).T @ X / (n * (d + 2))
     try:
         eigvals, eigvecs = eigh(cov4, cov)
     except np.linalg.LinAlgError:
         raise ValueError("scatter pair is not jointly diagonalizable") from None
     order = np.argsort(eigvals)[::-1]       # most kurtotic directions first
     V = eigvecs[:, order[:m]]
-    scores = centered @ V
+    scores = X @ V
     dist = np.sum(scores * scores, axis=1)
     return np.flatnonzero(dist > _chi2_quantile(1.0 - alpha, m))
+
+
+_SOLVE_BLOCK_ROWS = 1 << 12
+
+
+def _mahalanobis_sq(X: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Squared norm of ``np.linalg.solve(chol, X.T)``'s columns, bit for bit,
+    solved for a block of rows at a time.
+
+    A row's solve and column sum come out the same in any block of two or
+    more rows; LAPACK solves a single right-hand side by another path, so no
+    block is one row.
+    """
+    n = X.shape[0]
+    d2 = np.empty(n)
+    bounds = [*range(0, n - 1, _SOLVE_BLOCK_ROWS), n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        w = np.linalg.solve(chol, X[lo:hi].T)
+        w *= w
+        d2[lo:hi] = np.sum(w, axis=0)
+    return d2
 
 
 def _chi2_quantile(q: float, df: int) -> float:
@@ -342,7 +366,7 @@ def ics_flags(frame: TimeSeriesFrame, m: int, alpha: float):
             log.info("skipping ICS on %s: constant channel", sid)
             continue
         try:
-            local = detect_outliers_ics(sub, m=m, alpha=alpha)
+            local = _ics_in_place(sub, m, alpha)    # sub is not read again
         except ValueError as exc:
             log.info("skipping ICS on %s: %s", sid, exc)
             continue

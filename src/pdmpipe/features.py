@@ -43,7 +43,7 @@ log = logging.getLogger(__name__)
 
 BALANCE_SEQUENCES = ("S09", "S10")
 STAT_FEATURES = ("stat_mean", "stat_median", "stat_variance")
-_STAT_BLOCK_ROWS = 1 << 12
+_BLOCK_ROWS = 1 << 12
 TARGET = "target"
 
 
@@ -57,13 +57,17 @@ class PcaResult:
 def pca(X: np.ndarray, variance_threshold: float = 0.95) -> PcaResult:
     """Eigendecomposition of the covariance, keeping the smallest prefix
     of components that explains the requested variance fraction."""
-    X = np.asarray(X, dtype=float)
+    return _pca_in_place(np.array(X, dtype=float), variance_threshold)
+
+
+def _pca_in_place(X: np.ndarray, variance_threshold: float) -> PcaResult:
+    """``pca`` of a float matrix the caller gives up: it is centered in place."""
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need at least two rows")
     if not 0.0 < variance_threshold <= 1.0:
         raise ValueError("variance threshold must be in (0, 1]")
-    centered = X - X.mean(axis=0)
-    cov = centered.T @ centered / (X.shape[0] - 1)
+    X -= X.mean(axis=0)
+    cov = X.T @ X / (X.shape[0] - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = np.maximum(eigvals[order], 0.0)
@@ -82,6 +86,43 @@ def pca(X: np.ndarray, variance_threshold: float = 0.95) -> PcaResult:
     retained = min(retained, len(eigvals))
     return PcaResult(loadings=eigvecs[:, :retained],
                      explained=explained, retained=retained)
+
+
+def _channel_pca(frame: TimeSeriesFrame, variance_threshold: float) -> PcaResult:
+    """``pca`` of the frame's channels, each standardized over all rows, in
+    one matrix that is stacked once and then only written in place."""
+    X = np.column_stack(list(frame.channels.values()))
+    mean, std = _column_moments(X)
+    std[std == 0] = 1.0
+    X -= mean
+    X /= std
+    return _pca_in_place(X, variance_threshold)
+
+
+def _column_moments(X: np.ndarray):
+    """``X.mean(axis=0)`` and ``X.std(axis=0)`` of a C-ordered matrix, bit for
+    bit, with the temporaries of one block of rows at a time.
+
+    numpy sums such a matrix of two or more columns over axis 0 one row at a
+    time into a row of running sums, so a block's sums that start from the
+    sums so far, stacked on as its first row, carry that order on. A single
+    column is summed pairwise instead; it is small, and takes numpy's path.
+    """
+    if X.shape[1] == 1:
+        return X.mean(axis=0), X.std(axis=0)
+    n = X.shape[0]
+    starts = range(0, n, _BLOCK_ROWS)
+    mean = _carried_sum(X[lo:lo + _BLOCK_ROWS] for lo in starts) / n
+    squares = (np.square(X[lo:lo + _BLOCK_ROWS] - mean) for lo in starts)
+    return mean, np.sqrt(_carried_sum(squares) / n)
+
+
+def _carried_sum(blocks) -> np.ndarray:
+    """Axis-0 sum of the blocks, each summed with the sums of those before it."""
+    total = None
+    for block in blocks:
+        total = np.add.reduce(block if total is None else np.vstack((total, block)), axis=0)
+    return total
 
 
 @dataclass(frozen=True)
@@ -165,8 +206,8 @@ def add_statistical_features(frame: TimeSeriesFrame, over=None) -> TimeSeriesFra
     stats = np.empty((len(STAT_FEATURES), len(frame)))
     # each row's statistics depend on that row alone, so a block of rows at
     # a time gives the same bits and bounds the stacked copy and its temporaries
-    for lo in range(0, len(frame), _STAT_BLOCK_ROWS):
-        block = slice(lo, lo + _STAT_BLOCK_ROWS)
+    for lo in range(0, len(frame), _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
         stack = np.column_stack([frame.channels[n][block] for n in names])
         stats[:, block] = stack.mean(axis=1), np.median(stack, axis=1), stack.var(axis=1)
     out = frame
@@ -390,15 +431,9 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     if len(frame) == 0:
         raise ValueError("outlier handling removed every row")
 
-    # reduction on internally standardized channels, in place in one matrix
+    # reduction on internally standardized channels
     names = list(frame.channels)
-    X = np.column_stack([frame.channels[n] for n in names])
-    std = X.std(axis=0)
-    std[std == 0] = 1.0
-    X -= X.mean(axis=0)
-    X /= std
-    reduction = pca(X, params.variance_threshold)
-    del X
+    reduction = _channel_pca(frame, params.variance_threshold)
     selection = select_features(names, reduction, kb, params.tau)
     frame = frame.drop_channels([n for n in names if n not in selection.selected])
 

@@ -160,6 +160,10 @@ def _write_table(path, header, timestamps, columns) -> None:
     this process writes the header and the first part, then waits for each
     child in row order and appends its rows. A child that fails raises a
     ``RuntimeError`` naming the path, and no child outlives the call.
+
+    The rows go to a new file beside ``path``, which replaces ``path`` once
+    the table is whole and is removed if the call fails, so no partial table
+    ever stands under its final name.
     """
     if len(header) != len(columns) + 1:
         raise ValueError(f"{path}: header has {len(header)} names for the "
@@ -171,19 +175,38 @@ def _write_table(path, header, timestamps, columns) -> None:
     starts = _part_starts(len(timestamps))
     head = io.StringIO()
     csv.writer(head).writerow(header)   # column names may need quoting
-    with open(path, "wb") as out:
-        out.write(head.getvalue().encode())
-        out.flush()   # a child must inherit no unwritten bytes
-        parts = []
+    partial, out = _create_beside(path)
+    try:
+        with out:
+            out.write(head.getvalue().encode())
+            out.flush()   # a child must inherit no unwritten bytes
+            parts = []
+            try:
+                for lo, hi in zip(starts[1:-1], starts[2:]):
+                    parts.append(_RowPart(path, timestamps, columns, lo, hi))
+                _write_rows(out, timestamps, columns, starts[0], starts[1])
+                for part in parts:
+                    part.append_to(out)
+            finally:
+                for part in parts:
+                    part.close()
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise
+
+
+def _create_beside(path):
+    """A new file in the directory of ``path``, under a hidden name made from
+    it, open for binary writing and created with the permissions ``open``
+    gives; returns its name and the file."""
+    folder, name = os.path.split(os.path.abspath(path))
+    while True:
+        partial = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.part")
         try:
-            for lo, hi in zip(starts[1:-1], starts[2:]):
-                parts.append(_RowPart(path, timestamps, columns, lo, hi))
-            _write_rows(out, timestamps, columns, starts[0], starts[1])
-            for part in parts:
-                part.append_to(out)
-        finally:
-            for part in parts:
-                part.close()
+            return partial, open(partial, "xb")
+        except FileExistsError:
+            continue
 
 
 def _cpus() -> int:

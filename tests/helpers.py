@@ -1,12 +1,13 @@
 """Hand-built telemetry frames with known, rule-silent nominal values, the
-stock knowledge-base document, and a runner for the ``pdm`` command line in
-a fresh interpreter."""
+stock knowledge-base document, a runner for the ``pdm`` command line in a
+fresh interpreter, and a traced-memory probe."""
 
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -103,3 +104,18 @@ def run_python(*args: str, timeout: float, cwd=None, env=None) -> subprocess.Com
 def run_pdm(*args: str, timeout: float, env=None) -> subprocess.CompletedProcess:
     """Run ``python -m pdmpipe *args`` in a fresh interpreter (see run_python)."""
     return run_python("-m", "pdmpipe", *args, timeout=timeout, env=env)
+
+
+def traced_peak(call) -> int:
+    """Traced bytes allocated above the level at entry while ``call()`` runs."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()

@@ -32,7 +32,7 @@ from pdmpipe.knowledge import (
     OperatingEnvelope,
     _instances,
 )
-from helpers import quiet_frame, segment_rows
+from helpers import quiet_frame, segment_rows, traced_peak
 
 
 def blank(frame, rows, channels=None):
@@ -320,6 +320,35 @@ class TestIcsDetector:
         with pytest.raises(ValueError, match="singular"):
             detect_outliers_ics(np.hstack([Y, Y]), m=1)
 
+    def test_leaves_its_input_unchanged(self):
+        X = np.random.default_rng(3).standard_normal((400, 3)) + 50.0
+        before = X.tobytes()
+        detect_outliers_ics(X, m=2, alpha=0.01)
+        assert X.tobytes() == before
+
+    def test_screen_centers_its_matrix_in_place(self):
+        # the scaled product and the missing-cell mask: 1.12 of the matrix,
+        # where a centered copy beside them made 2.12
+        X = np.random.default_rng(12).standard_normal((100_000, 9)) * 3.0 + 5.0
+        assert traced_peak(lambda: cleaning._ics_in_place(X, 2, 0.01)) < 1.25 * X.nbytes
+
+    @pytest.mark.parametrize("n", [2, 4095, 4096, 4097, 4098, 3 * 4096 + 17])
+    def test_distances_in_row_blocks_match_one_solve(self, n):
+        # a last block of one row would take LAPACK's single right-hand side
+        # path; 4097 rows is where it changes low bits
+        rng = np.random.default_rng(n)
+        for d in (1, 2, 9, 12, 13):
+            X = rng.standard_normal((n, d)) @ rng.standard_normal((d, d))
+            X *= 10.0 ** rng.integers(-3, 4, d)
+            X += 10.0 ** rng.integers(-2, 7, d)
+            X -= X.mean(axis=0)
+            chol = np.linalg.cholesky(X.T @ X / (n - 1) + 1e-9 * np.eye(d))
+            w = np.linalg.solve(chol, X.T)
+            w *= w
+            want = np.sum(w, axis=0)
+            got = cleaning._mahalanobis_sq(X, chol)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), d
+
 
 # scipy.stats.chi2.ppf(1 - alpha, df=m) for m = 1..9 and each alpha in
 # CHI2_ALPHAS, recorded with scipy 1.17.1
@@ -585,17 +614,19 @@ class TestIcsFlags:
     def test_matches_the_per_id_comparison_on_interleaved_ids(self, seed, monkeypatch):
         frame = interleaved_case(seed)
         screened = []
+        detect = cleaning._ics_in_place
 
         def recording(X, m, alpha):
             screened.append(X.copy())
-            return detect_outliers_ics(X, m=m, alpha=alpha)
+            return detect(X, m, alpha)
 
-        monkeypatch.setattr(cleaning, "detect_outliers_ics", recording)
+        monkeypatch.setattr(cleaning, "_ics_in_place", recording)
         for m, alpha in ((2, 2e-5), (1, 0.01), (3, 0.05)):
+            want = []
+            expected = oracle_ics_flags(frame, m, alpha, want)
             screened.clear()
             flags = ics_flags(frame, m, alpha)
-            want = []
-            assert flags == oracle_ics_flags(frame, m, alpha, want)
+            assert flags == expected
             # every id's rows reach the detector in the same order, bit for bit;
             # S06's constant channel keeps it away, and the detector refuses S05
             assert len(screened) == len(want) == 6

@@ -359,7 +359,7 @@ class TestTableWriterParts:
                 f"{path}: the process writing rows 28 to 56 exited with status 1")):
             _write_table(path, *four_parts)
         self.assert_no_child()
-        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_children_are_killed_when_the_first_part_fails(self, four_parts, tmp_path,
                                                            monkeypatch):
@@ -374,7 +374,32 @@ class TestTableWriterParts:
             _write_table(tmp_path / "t.csv", *four_parts)
         assert time.monotonic() - start < 60
         self.assert_no_child()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_keeps_the_earlier_table(self, four_parts, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"earlier\r\n")
+
+        def fail(out, timestamps, columns, lo, hi):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(timeseries, "_write_rows", fail)
+        with pytest.raises(OSError, match="no space left"):
+            _write_table(path, *four_parts)
+        self.assert_no_child()
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+        assert path.read_bytes() == b"earlier\r\n"
+
+    def test_table_replaces_a_file_with_the_mode_open_gives(self, four_parts, tmp_path):
+        (tmp_path / "plain.csv").write_bytes(b"")
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"earlier\r\n")
+        os.chmod(path, 0o600)
+        _write_table(path, *four_parts)
+        oracle_write_table(tmp_path / "old.csv", *four_parts)
+        assert path.read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert path.stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv", "plain.csv", "t.csv"]
 
     def test_one_cpu_never_forks(self, tmp_path, monkeypatch):
         def no_fork():
