@@ -1,10 +1,11 @@
-"""Typed ranges for the numeric fields of the parameter records.
+"""Typed ranges for the fields of the parameter and knowledge-base records.
 
-A field's annotation gives its type (``int``, ``float``, or ``dict`` for a
-mapping of floats) and ``bounded`` its range, written as the README writes
-it: ``"[0, 1)"``, ``"(0, 1]"``, ``">= 1"`` or ``"> 0"``. Each record's
-``__post_init__`` calls ``check_fields``, so direct construction and a
-loaded configuration are converted and refused alike.
+A field's annotation gives its type (``int``, ``float``, ``dict`` for a
+mapping of floats, or ``tuple`` for a list of names) and ``bounded`` its
+range, written as the README writes it: ``"[0, 1)"``, ``"(0, 1]"``,
+``">= 1"`` or ``"> 0"``, or no range at all. Each record's
+``__post_init__`` calls ``check_fields``, so direct construction, a loaded
+configuration and a loaded knowledge base are converted and refused alike.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import math
 from dataclasses import MISSING, field, fields
 
 
-def bounded(span: str, default=MISSING, *, default_factory=MISSING):
-    """A dataclass field whose value, or each of whose values, lies in ``span``."""
+def bounded(span: str = None, default=MISSING, *, default_factory=MISSING):
+    """A typed dataclass field whose value, or each of whose values, lies in
+    ``span``; without a span any value of the type will do."""
     return field(default=default, default_factory=default_factory, metadata={"span": span})
 
 
@@ -22,17 +24,27 @@ def check_fields(record) -> None:
     """Set every ``bounded`` field of the frozen dataclass ``record`` to its
     converted value; a field whose default is None may stay None."""
     for f in fields(record):
-        span = f.metadata.get("span")
         value = getattr(record, f.name)
-        if span is None or (value is None and f.default is None):
+        if "span" not in f.metadata or (value is None and f.default is None):
             continue
+        span = f.metadata["span"]
         kind = getattr(f.type, "__name__", f.type)  # a string under PEP 563
         if kind == "dict":
             value = {key: number(v, float, f"{f.name} {key!r}", span)
                      for key, v in value.items()}
+        elif kind == "tuple":
+            value = names(value, f.name)
         else:
             value = number(value, int if kind == "int" else float, f.name, span)
         object.__setattr__(record, f.name, value)
+
+
+def names(value, name: str) -> tuple:
+    """``value``, a list of strings, as a tuple. A bare string or an item
+    that is not a string raises a ``ValueError`` naming ``name``."""
+    if not (isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"{name} must be a list of names, got {value!r}")
+    return tuple(value)
 
 
 def number(value, kind, name: str, span: str = None):

@@ -246,8 +246,8 @@ def _from_doc(doc: dict) -> PipelineConfig:
 
     return PipelineConfig(
         seed=seed,
-        out_dir=str(doc.get("out", "out")),
-        kb_path=doc.get("kb"),
+        out_dir=_path(doc, "out", "out"),
+        kb_path=_path(doc, "kb", None),
         sim=sim,
         missing=missing,
         outliers=outliers,
@@ -262,6 +262,16 @@ def _section(doc: dict, key: str):
     """``doc[key]``, or an empty mapping when the key is absent or null."""
     section = doc.get(key)
     return {} if section is None else section
+
+
+def _path(doc: dict, key: str, default):
+    """``doc[key]``, a path string, or ``default`` when the key is absent or null."""
+    value = doc.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a path, got {value!r}")
+    return value
 
 
 def _list(doc: dict, key: str, default: tuple, kind, span: str = None) -> tuple:

@@ -379,8 +379,9 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     the data-driven one (s1) gets no knowledge base, and every later step
     asks only whether one is present. Without it, gaps and flagged rows
     are deleted and the automation fault log is the target. The final
-    scaler is fitted on the leading ``train_fraction`` of the cycles, the
-    share the chronological split trains on.
+    scaler is fitted on the leading ``train_fraction`` of the cycles that
+    keep rows in the balance window, the ones the chronological split
+    trains on.
     """
     params = params or PreprocessParams()
     if scenario not in ("s1", "s2"):
@@ -451,8 +452,15 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
         kb_columns = ["severity", "consequence",
                       *[name for name, _ in _cause_columns(kb)], "priority"]
 
-    # transform: scaler fitted on the leading train cycles only
-    unique_cycles = np.unique(frame.cycle)
+    # transform: scaler fitted on the cycles the chronological split trains
+    # on, the leading ones of those the balance window keeps after
+    # resampling, which labels each bucket by its last row
+    bucket = frame.elapsed_minutes() // params.resample_minutes
+    last = np.flatnonzero(np.diff(bucket, append=bucket[-1] + 1))
+    kept = last[np.isin(frame.sequence[last], BALANCE_SEQUENCES)]
+    if kept.size == 0:
+        raise ValueError("balance window removed every row")
+    unique_cycles = np.unique(frame.cycle[kept])
     n_train = max(1, math.floor(train_fraction * len(unique_cycles)))
     train_cycles = set(unique_cycles[:n_train].tolist())
     fit_mask = np.isin(frame.cycle, list(train_cycles))
@@ -461,8 +469,6 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
 
     frame = resample(frame, params.resample_minutes)
     frame = slice_by_sequence(frame, BALANCE_SEQUENCES)
-    if len(frame) == 0:
-        raise ValueError("balance window removed every row")
 
     # the cycle number stays split metadata, not a feature: a chronological
     # split makes it a row id the trees would memorize

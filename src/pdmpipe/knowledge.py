@@ -17,12 +17,13 @@ cycle carry no information.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
 import numpy as np
 import yaml
 
+from ._spec import bounded, check_fields, names, number
 from .timeseries import SEQUENCE_IDS, TimeSeriesFrame
 
 log = logging.getLogger(__name__)
@@ -65,11 +66,12 @@ def _check_pairing(severity: str, consequence: str, where: str) -> None:
 class ModeModel:
     """Operating modes in cycle order and the nominal minutes per sequence."""
 
-    modes: tuple
+    modes: tuple = bounded()
     sequences: dict      # mode name -> tuple of sequence ids
     durations: dict      # sequence id -> minutes
 
     def __post_init__(self):
+        check_fields(self)
         canon = tuple((m, tuple(s)) for m, s in CANONICAL_MODES)
         got = tuple((m, tuple(self.sequences.get(m, ()))) for m in self.modes)
         if got != canon:
@@ -80,9 +82,11 @@ class ModeModel:
         unknown = set(self.durations) - set(SEQUENCE_IDS)
         if unknown:
             raise ValueError(f"durations for unknown sequence ids {sorted(unknown, key=str)}")
-        for seq in SEQUENCE_IDS:
-            if self.durations[seq] <= 0:
-                raise ValueError(f"duration of {seq} must be positive")
+        # the layout just checked, so each mode's sequences are a tuple
+        object.__setattr__(self, "sequences", dict(got))
+        object.__setattr__(self, "durations", {
+            seq: number(v, int, f"duration of {seq}", ">= 1")
+            for seq, v in self.durations.items()})
 
     def mode_of(self, sequence_id: str) -> str:
         for mode in self.modes:
@@ -106,15 +110,18 @@ class SensorPredicate:
     unit: str
 
     def __post_init__(self):
+        thr = self.threshold
         if self.comparator in ("<", "<=", ">", ">="):
-            if not isinstance(self.threshold, (int, float)):
-                raise ValueError(f"comparator {self.comparator!r} needs a scalar threshold")
+            thr = number(thr, float, "threshold")
         elif self.comparator == "outside":
-            thr = self.threshold
-            if not (isinstance(thr, tuple) and len(thr) == 2 and thr[0] < thr[1]):
+            if not (isinstance(thr, (list, tuple)) and len(thr) == 2):
+                raise ValueError(f"'outside' needs a [low, high] threshold range, got {thr!r}")
+            thr = tuple(number(v, float, "threshold") for v in thr)
+            if not thr[0] < thr[1]:
                 raise ValueError("'outside' needs a (low, high) range with low < high")
         else:
             raise ValueError(f"unknown comparator {self.comparator!r}")
+        object.__setattr__(self, "threshold", thr)
 
     def holds(self, values: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore"):
@@ -134,10 +141,11 @@ class SensorPredicate:
 class LogPredicate:
     """Equality condition over one or more discrete logs, OR-combined."""
 
-    logs: tuple
-    value: int
+    logs: tuple = bounded()
+    value: int = bounded()
 
     def __post_init__(self):
+        check_fields(self)
         if not self.logs:
             raise ValueError("log predicate needs at least one log name")
 
@@ -156,7 +164,7 @@ class MonitoringRule:
       "pressure never reached vacuum in time" style checks.
     """
 
-    id: int
+    id: int = bounded()
     mode: str
     sequence_id: str
     fault_name: str
@@ -165,22 +173,25 @@ class MonitoringRule:
     cause: str = None
     sensor: SensorPredicate = None
     log: LogPredicate = None
-    step_minute: int = 0
-    within_first_minutes: int = None
-    no_memory_first_minutes: int = None
+    step_minute: int = bounded(">= 0", default=0)
+    within_first_minutes: int = bounded(">= 1", default=None)
+    no_memory_first_minutes: int = bounded(">= 1", default=None)
 
     def __post_init__(self):
+        check_fields(self)
         if self.sequence_id not in SEQUENCE_IDS:
             raise ValueError(f"rule {self.id}: unknown sequence id {self.sequence_id!r}")
         if self.sensor is None and self.log is None:
             raise ValueError(f"rule {self.id}: needs a sensor or log predicate")
-        if self.no_memory_first_minutes is not None:
-            if self.step_minute or self.within_first_minutes is not None:
-                raise ValueError(
-                    f"rule {self.id}: no-memory qualifier excludes other temporal qualifiers"
-                )
-            if self.no_memory_first_minutes <= 0:
-                raise ValueError(f"rule {self.id}: no-memory window must be positive")
+        if self.no_memory_first_minutes is not None and (
+                self.step_minute or self.within_first_minutes is not None):
+            raise ValueError(
+                f"rule {self.id}: no-memory qualifier excludes other temporal qualifiers")
+        if (self.within_first_minutes is not None
+                and self.within_first_minutes <= self.step_minute):
+            raise ValueError(
+                f"rule {self.id}: within_first_minutes {self.within_first_minutes} must "
+                f"exceed step_minute {self.step_minute}, or the rule never fires")
         _check_pairing(self.severity, self.consequence, f"rule {self.id}")
 
 
@@ -189,12 +200,13 @@ class FmecaEntry:
     """Failure mode record: what can cause it and how bad it is."""
 
     fault_name: str
-    causes: tuple
+    causes: tuple = bounded()
     severity: str
     consequence: str
     corrective_action: str = ""
 
     def __post_init__(self):
+        check_fields(self)
         if not self.causes:
             raise ValueError(f"FMECA entry {self.fault_name!r} needs at least one cause")
         _check_pairing(self.severity, self.consequence, f"FMECA entry {self.fault_name!r}")
@@ -207,10 +219,11 @@ class OperatingEnvelope:
     channel: str
     mode: str
     sequence_id: str
-    min: float
-    max: float
+    min: float = bounded()
+    max: float = bounded()
 
     def __post_init__(self):
+        check_fields(self)
         if self.sequence_id not in SEQUENCE_IDS:
             raise ValueError(f"envelope {self.channel}: unknown sequence {self.sequence_id!r}")
         if not self.min < self.max:
@@ -297,59 +310,40 @@ class FaultEvent:
 
 
 def _known(entry, keys, where: str = "") -> dict:
-    """``entry`` after checking that it is a mapping whose keys are all in
-    ``keys``, the field names when ``keys`` is a dataclass; ``where`` names
-    a nested entry in the error."""
+    """``entry`` after checking that it is a mapping with every key of
+    ``keys`` and no other; when ``keys`` is a dataclass, its fields are
+    allowed and those without a default required. ``where`` names a nested
+    entry in the error."""
     if not isinstance(entry, dict):
         raise TypeError(f"expected a mapping{where}, got {entry!r}")
+    required = keys
     if isinstance(keys, type):
+        required = [f.name for f in fields(keys)
+                    if f.default is MISSING and f.default_factory is MISSING]
         keys = [f.name for f in fields(keys)]
     unknown = sorted(set(entry) - set(keys), key=str)
     if unknown:
         raise ValueError(f"unknown keys{where}: {unknown}")
+    for key in required:
+        if key not in entry:
+            raise KeyError(key)
     return entry
 
 
 def _mode_model(mm: dict) -> ModeModel:
     modes = [_known(m, ("name", "sequences"), f" in modes[{i}]")
              for i, m in enumerate(mm["modes"])]
-    return ModeModel(
-        modes=tuple(m["name"] for m in modes),
-        sequences={m["name"]: tuple(m["sequences"]) for m in modes},
-        durations={str(k): int(v) for k, v in mm["durations"].items()},
-    )
+    return ModeModel(modes=[m["name"] for m in modes],
+                     sequences={m["name"]: m["sequences"] for m in modes},
+                     durations=mm["durations"])
 
 
 def _rule(r: dict) -> MonitoringRule:
-    sensor = None
-    if "sensor" in r:
-        s = _known(r["sensor"], SensorPredicate, " in sensor")
-        thr = s["threshold"]
-        if isinstance(thr, (list, tuple)):
-            thr = (float(thr[0]), float(thr[1]))
-        else:
-            thr = float(thr)
-        sensor = SensorPredicate(
-            channel=s["channel"], comparator=s["comparator"], threshold=thr, unit=s["unit"]
-        )
-    logp = None
-    if "log" in r:
-        lp = _known(r["log"], LogPredicate, " in log")
-        logp = LogPredicate(logs=tuple(lp["logs"]), value=int(lp["value"]))
-    return MonitoringRule(
-        id=int(r["id"]),
-        mode=r["mode"],
-        sequence_id=r["sequence_id"],
-        fault_name=r["fault_name"],
-        severity=r["severity"],
-        consequence=r["consequence"],
-        cause=r.get("cause"),
-        sensor=sensor,
-        log=logp,
-        step_minute=int(r.get("step_minute", 0)),
-        within_first_minutes=r.get("within_first_minutes"),
-        no_memory_first_minutes=r.get("no_memory_first_minutes"),
-    )
+    """The rule ``r``, its sensor and log predicates built first."""
+    nested = {key: kind(**_known(r[key], kind, f" in {key}"))
+              for key, kind in (("sensor", SensorPredicate), ("log", LogPredicate))
+              if key in r}
+    return MonitoringRule(**{**r, **nested})
 
 
 def _parse(where: str, build, item, keys=None):
@@ -381,26 +375,14 @@ def _build_kb(doc: dict) -> KnowledgeBase:
 
     mode_model = _parse("mode_model", _mode_model, doc["mode_model"], ("modes", "durations"))
     rules = _entries(doc, "rules", _rule, MonitoringRule)
-    fmeca = _entries(doc, "fmeca", lambda e: FmecaEntry(
-        fault_name=e["fault_name"],
-        causes=tuple(e["causes"]),
-        severity=e["severity"],
-        consequence=e["consequence"],
-        corrective_action=e.get("corrective_action", ""),
-    ), FmecaEntry)
-    envelopes = _entries(doc, "envelopes", lambda e: OperatingEnvelope(
-        channel=e["channel"],
-        mode=e["mode"],
-        sequence_id=e["sequence_id"],
-        min=float(e["min"]),
-        max=float(e["max"]),
-    ), OperatingEnvelope)
+    fmeca = _entries(doc, "fmeca", lambda e: FmecaEntry(**e), FmecaEntry)
+    envelopes = _entries(doc, "envelopes", lambda e: OperatingEnvelope(**e), OperatingEnvelope)
     kb = KnowledgeBase(
         mode_model=mode_model,
         rules=rules,
         fmeca=fmeca,
         envelopes=envelopes,
-        redundancy=_entries(doc, "redundancy", frozenset),
+        redundancy=_entries(doc, "redundancy", lambda group: frozenset(names(group, "group"))),
     )
     log.info("knowledge base loaded: %d rules, %d FMECA entries, %d envelopes",
              len(kb.rules), len(kb.fmeca), len(kb.envelopes))

@@ -62,7 +62,7 @@ class TestMakeConfig:
         assert set(doc["models"]) == set(FAMILY_PARAMS)
 
     def test_null_sections_get_the_defaults(self):
-        assert make_config(7, sim=None, preprocess=None) == make_config(7)
+        assert make_config(7, sim=None, preprocess=None, out=None, kb=None) == make_config(7)
 
     def test_entry_numbers_are_converted_at_load(self):
         config = make_config(7, missing={"blanket": [{"cycle": "7", "start_minute": 1500.0,
@@ -531,6 +531,14 @@ def bar_unit(doc):
     rule["sensor"]["unit"] = "bar"
 
 
+def threshold_nan(doc):
+    doc["rules"][0]["sensor"]["threshold"] = float("nan")
+
+
+def qualifier_text(doc):
+    doc["rules"][1]["within_first_minutes"] = "soon"
+
+
 def within_first_minute(doc):
     rule = doc["rules"][1]
     rule["within_first_minute"] = rule.pop("within_first_minutes")
@@ -696,6 +704,14 @@ BAD_INPUTS = {
                                       "must be an integer >= 1, got 2.5"),
     "split_nan": ({"split": [0.6, 0.2, float("nan")]}, None, ["simulate"], 2,
                   "split[2] must be a number, got nan"),
+    "kb_threshold_nan": ({}, threshold_nan, ["evaluate", "--scenario", "baseline"], 2,
+                         "knowledge base rules[0]: threshold must be a number, got nan"),
+    "kb_qualifier_text": ({}, qualifier_text, ["simulate"], 2,
+                          "knowledge base rules[1]: within_first_minutes must be an "
+                          "integer >= 1, got 'soon'"),
+    "kb_not_a_path": ({"kb": ["a"]}, None, ["simulate"], 2, "kb must be a path, got ['a']"),
+    "kb_file_descriptor": ({"kb": 0}, None, ["simulate"], 2, "kb must be a path, got 0"),
+    "out_not_a_path": ({"out": True}, None, ["simulate"], 2, "out must be a path, got True"),
 }
 
 

@@ -13,10 +13,14 @@ from pdmpipe import (
     add_statistical_features,
     build_dataset,
     encode_sequence,
+    inject_missing,
+    make_config,
     pca,
     prioritize,
     reconstruct_target,
     select_features,
+    simulate,
+    split_chronological,
     standardize,
 )
 from pdmpipe import features
@@ -451,6 +455,31 @@ class TestBuildDataset:
         heating = col[ds.sequences == "S09"]
         sampling = col[ds.sequences == "S10"]
         assert heating.max() < sampling.min()
+
+    # The blanket deletes all of cycle 9's S09 and S10 rows, or all but five
+    # S10 minutes that share a 15-minute bucket with S11, which resampling
+    # labels S11. Either way the balance window keeps nine cycles and the
+    # split trains on the first five.
+    @pytest.mark.parametrize("idle_minutes, minutes", [(210, 1200), (205, 1195)],
+                             ids=["rows-deleted", "rows-resampled-away"])
+    def test_scaler_fits_the_cycles_the_split_trains_on(self, kb, monkeypatch,
+                                                        idle_minutes, minutes):
+        config = make_config(7, sim={"cycles": 10, "idle_minutes": idle_minutes},
+                             outliers=[], missing={"non_use": True, "blanket": [
+                                 {"cycle": 9, "start_minute": 120, "minutes": minutes}]})
+        frame, _ = inject_missing(*simulate(config.sim, kb), config.missing)
+        fitted = []
+
+        def spy(frame, fit_mask):
+            fitted.append(tuple(np.unique(frame.cycle[fit_mask]).tolist()))
+            return real(frame, fit_mask)
+
+        real = features.standardize
+        monkeypatch.setattr(features, "standardize", spy)
+        for scenario in ("s1", "s2"):
+            ds = build_dataset(frame, kb, scenario, config.preprocess, config.split[0])
+            assert len(np.unique(ds.cycles)) == 9
+            assert fitted.pop() == split_chronological(ds, config.split).train_cycles
 
     def test_unknown_scenario_rejected(self, sim_mid, kb):
         with pytest.raises(ValueError, match="scenario"):

@@ -86,7 +86,8 @@ class TestLoading:
             fmeca={e["fault_name"]: e for e in doc["fmeca"]})),
         ("rules", "sequence_id", lambda doc: doc["rules"][0].pop("sequence_id")),
         ("mode_model", "durations", lambda doc: doc["mode_model"].pop("durations")),
-        ("envelopes", "float", lambda doc: doc["envelopes"][0].update(min="zero")),
+        ("envelopes", "min must be a number, got 'zero'",
+         lambda doc: doc["envelopes"][0].update(min="zero")),
         (r"rules\[1\]", r"unknown keys: \['within_first_minute'\]",
          lambda doc: doc["rules"][1].update(within_first_minute=1)),
         (r"rules\[0\]", r"unknown keys in sensor: \['chanel'\]",
@@ -102,16 +103,67 @@ class TestLoading:
         ("mode_model", r"unknown keys in modes\[0\]: \['sequence'\]",
          lambda doc: doc["mode_model"]["modes"][0].update(sequence="S01")),
         (r"rules\[6\]", "expected a mapping, got 3", lambda doc: doc["rules"].append(3)),
+        (r"rules\[0\]", "threshold must be a number, got nan",
+         lambda doc: doc["rules"][0]["sensor"].update(threshold=float("nan"))),
+        (r"rules\[2\]", "threshold must be a number, got inf",
+         lambda doc: doc["rules"][2]["sensor"].update(threshold=float("inf"))),
+        (r"rules\[0\]", "id must be an integer, got True",
+         lambda doc: doc["rules"][0].update(id=True)),
+        (r"rules\[3\]", "step_minute must be an integer >= 0, got 610.7",
+         lambda doc: doc["rules"][3].update(step_minute=610.7)),
+        (r"rules\[2\]", "step_minute must be an integer >= 0, got -5",
+         lambda doc: doc["rules"][2].update(step_minute=-5)),
+        (r"rules\[1\]", "within_first_minutes must be an integer >= 1, got 0",
+         lambda doc: doc["rules"][1].update(within_first_minutes=0)),
+        (r"rules\[1\]", "within_first_minutes must be an integer >= 1, got 1.5",
+         lambda doc: doc["rules"][1].update(within_first_minutes=1.5)),
+        (r"rules\[0\]", "no_memory_first_minutes must be an integer >= 1, got True",
+         lambda doc: doc["rules"][0].update(no_memory_first_minutes=True)),
+        (r"rules\[1\]", "value must be an integer, got 1.5",
+         lambda doc: doc["rules"][1]["log"].update(value=1.5)),
+        ("mode_model", "duration of S10 must be an integer >= 1, got 240.9",
+         lambda doc: doc["mode_model"]["durations"].update(S10=240.9)),
+        (r"envelopes\[0\]", "max must be a number, got inf",
+         lambda doc: doc["envelopes"][0].update(max=float("inf"))),
+        (r"rules\[4\]", r"'outside' needs a \[low, high\] threshold range, got \[1, 2, 3\]",
+         lambda doc: doc["rules"][4]["sensor"].update(threshold=[1, 2, 3])),
+        (r"rules\[1\]", "logs must be a list of names, got 'valve_0001'",
+         lambda doc: doc["rules"][1]["log"].update(logs="valve_0001")),
+        (r"rules\[1\]", r"logs must be a list of names, got \['valve_0001', 2\]",
+         lambda doc: doc["rules"][1]["log"].update(logs=["valve_0001", 2])),
+        (r"fmeca\[0\]", "causes must be a list of names, got 'needle valve clogging'",
+         lambda doc: doc["fmeca"][0].update(causes="needle valve clogging")),
+        (r"redundancy\[0\]",
+         "group must be a list of names, got 'temp_external_b, temp_external_e'",
+         lambda doc: doc["redundancy"].__setitem__(0, "temp_external_b, temp_external_e")),
+        (r"rules\[1\]", "rule 2: within_first_minutes 1 must exceed step_minute 1",
+         lambda doc: doc["rules"][1].update(step_minute=1)),
     ], ids=["envelope-without-min", "fmeca-as-mapping", "rule-without-sequence-id",
             "mode-model-without-durations", "envelope-min-not-a-number",
             "rule-key-typo", "sensor-key-typo", "log-key-typo", "fmeca-key-typo",
             "envelope-key-typo", "mode-model-key-typo", "mode-key-typo",
-            "rule-not-a-mapping"])
+            "rule-not-a-mapping", "threshold-nan", "threshold-infinite", "id-bool",
+            "step-minute-not-integral", "step-minute-negative", "within-zero",
+            "within-not-integral", "no-memory-bool", "log-value-not-integral",
+            "duration-not-integral", "envelope-max-infinite", "outside-three-values",
+            "logs-a-string", "logs-item-not-a-name", "causes-a-string",
+            "redundancy-group-a-string", "rule-never-fires"])
     def test_malformed_entry_names_section_and_key(self, tmp_path, section, detail, damage):
         doc = stock_doc()
         damage(doc)
         with pytest.raises(ValueError, match=rf"{section}.*{detail}"):
             load_doc(doc, tmp_path)
+
+    def test_numeric_strings_convert(self, tmp_path):
+        doc = stock_doc()
+        doc["rules"][1]["within_first_minutes"] = "1"
+        doc["rules"][0]["sensor"]["threshold"] = "50"
+        doc["mode_model"]["durations"]["S10"] = "240"
+        kb = load_doc(doc, tmp_path)
+        assert kb.rules[1].within_first_minutes == 1
+        assert type(kb.rules[1].within_first_minutes) is int
+        assert kb.rules[0].sensor.threshold == 50.0
+        assert kb.mode_model.durations["S10"] == 240
 
     def test_duration_of_unknown_sequence_rejected(self, tmp_path):
         doc = stock_doc()
