@@ -190,20 +190,15 @@ def _iqr_fences(samples, k: float):
     return q[:, 0] - k * iqr, q[:, 1] + k * iqr
 
 
-def detect_outliers_ics(X: np.ndarray, m: int = 2, alpha: float = 0.025) -> np.ndarray:
-    """Row indices unusual under an invariant-coordinate projection.
+def _ics_in_place(X: np.ndarray, m: int, alpha: float) -> np.ndarray:
+    """Row indices of a float matrix unusual under an invariant-coordinate
+    projection. The caller gives ``X`` up: it is centered in place.
 
     Pairs the covariance with the fourth-moment scatter, solves the
     generalized eigenproblem, keeps the m most kurtotic components, and
     flags rows whose squared score exceeds the chi-square(m) quantile
     at level alpha.
     """
-    return _ics_in_place(np.array(X, dtype=float), m, alpha)
-
-
-def _ics_in_place(X: np.ndarray, m: int, alpha: float) -> np.ndarray:
-    """``detect_outliers_ics`` of a float matrix the caller gives up: it is
-    centered in place."""
     if X.ndim != 2:
         raise ValueError("X must be 2-dimensional")
     n, d = X.shape

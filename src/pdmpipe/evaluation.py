@@ -244,11 +244,14 @@ class ScenarioReport:
 def _baseline_report(frame, gt, kb: KnowledgeBase, seed: int) -> ScenarioReport:
     """Rule detections scored against ground-truth blocking events.
 
-    The universe is every (cycle, blocking fault name) pair; detection
-    happens at occurrence, so the cell sits at horizon 0.
+    The universe is every (cycle, blocking fault name) pair, the names
+    taken from the ground truth and the rules together, so a fault no rule
+    covers still counts as missed; detection happens at occurrence, so the
+    cell sits at horizon 0.
     """
     events = evaluate_rules(frame, kb)
-    blocking_names = sorted({r.fault_name for r in kb.rules if r.severity == BLOCKING})
+    blocking_names = sorted({g.event.fault_name for g in gt.blocking_events()}
+                            | {r.fault_name for r in kb.rules if r.severity == BLOCKING})
     cycles = np.unique(frame.cycle)
     truth = {(g.event.cycle, g.event.fault_name) for g in gt.blocking_events()}
     predicted = {(e.cycle, e.fault_name) for e in events if e.severity == BLOCKING}

@@ -54,14 +54,10 @@ class PcaResult:
     retained: int
 
 
-def pca(X: np.ndarray, variance_threshold: float = 0.95) -> PcaResult:
-    """Eigendecomposition of the covariance, keeping the smallest prefix
-    of components that explains the requested variance fraction."""
-    return _pca_in_place(np.array(X, dtype=float), variance_threshold)
-
-
 def _pca_in_place(X: np.ndarray, variance_threshold: float) -> PcaResult:
-    """``pca`` of a float matrix the caller gives up: it is centered in place."""
+    """Eigendecomposition of the covariance of a float matrix, keeping the
+    smallest prefix of components that explains the requested variance
+    fraction. The caller gives ``X`` up: it is centered in place."""
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need at least two rows")
     if not 0.0 < variance_threshold <= 1.0:
@@ -89,8 +85,8 @@ def _pca_in_place(X: np.ndarray, variance_threshold: float) -> PcaResult:
 
 
 def _channel_pca(frame: TimeSeriesFrame, variance_threshold: float) -> PcaResult:
-    """``pca`` of the frame's channels, each standardized over all rows, in
-    one matrix that is stacked once and then only written in place."""
+    """Principal components of the frame's channels, each standardized over
+    all rows, in one matrix that is stacked once and then only written in place."""
     X = np.column_stack(list(frame.channels.values()))
     mean, std = _column_moments(X)
     std[std == 0] = 1.0

@@ -260,6 +260,13 @@ class KnowledgeBase:
                 raise ValueError(f"rule {rule.id}: cause {rule.cause!r} not in FMECA causes")
             if self.mode_model.mode_of(rule.sequence_id) != rule.mode:
                 raise ValueError(f"rule {rule.id}: mode does not own sequence {rule.sequence_id}")
+            duration = self.mode_model.durations[rule.sequence_id]
+            for key in ("step_minute", "no_memory_first_minutes"):
+                minute = getattr(rule, key)
+                if minute is not None and minute >= duration:
+                    raise ValueError(
+                        f"rule {rule.id}: {key} {minute} is at or past the {duration} "
+                        f"minutes {rule.sequence_id} lasts, so the rule never fires")
             if rule.sensor is not None:
                 seen = units.setdefault(rule.sensor.channel, rule.sensor.unit)
                 if seen != rule.sensor.unit:

@@ -79,12 +79,6 @@ class Tree:
         self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(value, dtype=float)
 
-    def predict_value(self, X: np.ndarray) -> np.ndarray:
-        return _tree_values([self], X)[0]
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_value(X).astype(np.int8)
-
     def to_dict(self) -> dict:
         return {"family": "tree",
                 "feature": self.feature.tolist(),
@@ -521,7 +515,7 @@ def fit_gbdt(X: np.ndarray, y: np.ndarray, params: GbdtParams = None) -> Gbdt:
         g = p - y
         h = np.maximum(p * (1.0 - p), _EPS)
         tree, leaf = _fit_hist_tree(flat, edges, g, h, params)
-        # a training row's leaf is where predict_value(X) routes it, because
+        # a training row's leaf is where _tree_values routes X's row, because
         # code <= b iff x <= edges[b]
         step = tree.value[leaf] * params.learning_rate
         scale = 1.0

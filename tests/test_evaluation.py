@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -10,24 +11,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdmpipe import evaluation
 from pdmpipe import (
-    CuratedDataset,
     compare,
     compute_metrics,
+    evaluation,
     label_horizon,
     make_config,
-    run_scenario,
-    select_best,
     split_chronological,
-    tune_and_fit,
-    write_comparison,
-    write_report,
 )
 from pdmpipe.evaluation import (
     FLAG_NO_POSITIVE_PREDICTIONS,
     FLAG_NO_POSITIVE_TRUTH,
+    run_scenario,
+    select_best,
+    tune_and_fit,
+    write_comparison,
+    write_report,
 )
+from pdmpipe.features import CuratedDataset
 
 TINY_MODELS = {
     "forest": [{"trees": 5, "max_depth": 5}],
@@ -259,6 +260,15 @@ class TestRunScenario:
         counts = report.counts
         assert counts["rule_detections_blocking"] == counts["ground_truth_blocking"]
         assert counts["logged_events"] == counts["ground_truth_events"]
+
+    def test_baseline_counts_faults_no_rule_covers(self, sim_mid, kb, mid_config):
+        # the telemetry holds needle faults; without rule 1 the rules miss them
+        frame, gt = sim_mid
+        without_rule_1 = dataclasses.replace(kb, rules=kb.rules[1:])
+        report = run_scenario(frame, gt, without_rule_1, "baseline", mid_config)
+        test = report.cells[0]["test"]
+        assert test["fn"] == 3 and test["fp"] == 0
+        assert test["f1"] < 1.0
 
     @pytest.mark.parametrize("scenario", ["s1", "s2"])
     def test_learned_scenarios_produce_full_grids(self, mid_comparison, scenario):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from pdmpipe import envelope_breaches, evaluate_rules, load_kb, resample
+from pdmpipe import evaluate_rules, load_kb
 from pdmpipe.knowledge import (
     ACKNOWLEDGE,
     BLOCKING,
@@ -26,8 +26,9 @@ from pdmpipe.knowledge import (
     _YAML_LOADER,
     _instances,
     _load_yaml,
+    envelope_breaches,
 )
-from pdmpipe.timeseries import _write_json
+from pdmpipe.timeseries import _write_json, resample
 from helpers import quiet_frame, segment_rows, stock_doc
 
 REPO = Path(__file__).resolve().parent.parent
@@ -164,6 +165,29 @@ class TestLoading:
         assert type(kb.rules[1].within_first_minutes) is int
         assert kb.rules[0].sensor.threshold == 50.0
         assert kb.mode_model.durations["S10"] == 240
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda doc: doc["rules"][2].update(step_minute=960),
+         "rule 3: step_minute 960 is at or past the 960 minutes S09 lasts"),
+        (lambda doc: doc["rules"][2].update(step_minute=5000),
+         "rule 3: step_minute 5000 is at or past the 960 minutes S09 lasts"),
+        (lambda doc: doc["mode_model"]["durations"].update(S10=5),
+         "rule 1: no_memory_first_minutes 5 is at or past the 5 minutes S10 lasts"),
+    ], ids=["step-at-duration", "step-past-duration", "no-memory-at-duration"])
+    def test_qualifier_past_its_sequence_rejected(self, tmp_path, damage, message):
+        # elapsed minutes in a sequence run from 0 to its duration - 1, so
+        # such a rule would load and never fire
+        doc = stock_doc()
+        damage(doc)
+        with pytest.raises(ValueError, match=message):
+            load_doc(doc, tmp_path)
+
+    def test_qualifier_on_the_last_minute_of_its_sequence_loads(self, tmp_path):
+        doc = stock_doc()
+        doc["rules"][2]["step_minute"] = 959
+        doc["rules"][0]["no_memory_first_minutes"] = 239
+        kb = load_doc(doc, tmp_path)
+        assert (kb.rules[2].step_minute, kb.rules[0].no_memory_first_minutes) == (959, 239)
 
     def test_duration_of_unknown_sequence_rejected(self, tmp_path):
         doc = stock_doc()

@@ -10,20 +10,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pdmpipe import models
+from pdmpipe import GbdtParams, fit_gbdt, models
 from pdmpipe._seeding import substream
-from pdmpipe import (
-    Forest,
-    ForestParams,
-    Gbdt,
-    GbdtParams,
-    Svm,
-    SvmParams,
-    Tree,
-    fit_forest,
-    fit_gbdt,
-    fit_svm,
-)
+from pdmpipe.models import Forest, ForestParams, Gbdt, Svm, SvmParams, Tree, fit_forest, fit_svm
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
@@ -95,7 +84,7 @@ def oracle_hist_tree(codes, edges, g, h, rows, params):
 
 
 def oracle_fit_gbdt(X, y, params):
-    """fit_gbdt driven by the per-feature search, stepping through predict_value."""
+    """fit_gbdt driven by the per-feature search, stepping through one-tree walks."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     edges, codes = models._bin_features(X, params.bins)
@@ -111,7 +100,7 @@ def oracle_fit_gbdt(X, y, params):
         g = p - y
         h = np.maximum(p * (1.0 - p), models._EPS)
         tree = oracle_hist_tree(codes, edges, g, h, rows, params)
-        step = tree.predict_value(X) * params.learning_rate
+        step = oracle_predict_value(tree, X) * params.learning_rate
         scale = 1.0
         for _ in range(12):
             candidate = models._log_loss(y, score + scale * step)
@@ -303,26 +292,26 @@ def oracle_case(seed):
 class TestTree:
     def test_xor_fits_exactly_at_depth_two(self):
         model = grow_tree(XOR_X, XOR_Y, max_depth=2)
-        assert model.predict(XOR_X).tolist() == XOR_Y.tolist()
+        assert models._tree_values([model], XOR_X)[0].tolist() == XOR_Y.tolist()
 
     def test_depth_one_stump_cannot_fit_xor(self):
         model = grow_tree(XOR_X, XOR_Y, max_depth=1)
-        assert model.predict(XOR_X).tolist() != XOR_Y.tolist()
+        assert models._tree_values([model], XOR_X)[0].tolist() != XOR_Y.tolist()
 
     def test_pure_labels_collapse_to_a_leaf(self):
         model = grow_tree(XOR_X, np.ones(4, dtype=np.int64))
         assert len(model.feature) == 1
-        assert model.predict(XOR_X).tolist() == [1, 1, 1, 1]
+        assert models._tree_values([model], XOR_X)[0].tolist() == [1, 1, 1, 1]
 
     def test_large_min_leaf_forces_majority_vote(self):
         model = grow_tree(XOR_X, np.array([0, 0, 0, 1]), min_leaf=4)
-        assert model.predict(XOR_X).tolist() == [0, 0, 0, 0]
+        assert models._tree_values([model], XOR_X)[0].tolist() == [0, 0, 0, 0]
 
     def test_unseen_points_route_through_thresholds(self):
         X, y = blobs(0)
         model = grow_tree(X, y, max_depth=4)
         Xt, yt = blobs(1)
-        assert (model.predict(Xt) == yt).mean() > 0.95
+        assert (models._tree_values([model], Xt)[0] == yt).mean() > 0.95
 
     @pytest.mark.parametrize("seed", range(36))
     def test_matches_the_one_node_search(self, seed):
@@ -348,7 +337,7 @@ class TestTree:
         y = np.array([0, 1, 1, 1])
         model = grow_tree(np.zeros((4, 0)), y)
         assert model.to_dict() == oracle_fit_tree(np.zeros((4, 0)), y).to_dict()
-        assert model.predict(np.zeros((2, 0))).tolist() == [1, 1]
+        assert models._tree_values([model], np.zeros((2, 0)))[0].tolist() == [1, 1]
 
     def test_non_finite_x_rejected(self):
         for bad in (np.nan, np.inf):
@@ -569,7 +558,6 @@ class TestOnePassPrediction:
             got = models._tree_values(trees, rows)
             for t, tree in enumerate(trees):
                 assert self.bits(got[t]) == self.bits(oracle_predict_value(tree, rows))
-            assert self.bits(trees[2].predict_value(rows)) == self.bits(got[2])
 
     def test_a_gbdt_without_trees_scores_its_base(self):
         model = Gbdt(-0.4, [], GbdtParams(), [0.7])

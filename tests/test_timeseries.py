@@ -14,8 +14,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdmpipe import TimeSeriesFrame, resample, slice_by_sequence, timeseries, write_csv
-from pdmpipe.timeseries import SEQUENCE_IDS, SEQUENCE_VOCAB, _write_json, _write_table
+from pdmpipe import TimeSeriesFrame, timeseries
+from pdmpipe.timeseries import (
+    SEQUENCE_IDS,
+    SEQUENCE_VOCAB,
+    _write_json,
+    _write_table,
+    resample,
+    slice_by_sequence,
+    write_csv,
+)
 
 
 def minutes(n, start="2025-03-01T00:00:00"):
