@@ -16,6 +16,7 @@ from pdmpipe import (
     verify_outliers,
 )
 from pdmpipe.cleaning import DISPOSITION_RECONSTRUCT, detrended_iqr_flags, ics_flags
+from pdmpipe.simulator import Blanket, Dropout, MissingScenario, Outlier
 
 kb = default_kb()
 config = SimConfig(seed=77, cycles=8, logging_probability=1.0)
@@ -23,17 +24,16 @@ frame, gt = simulate(config, kb)
 
 # dirty it up: one maintenance blackout, one sensor dropout, idle blanks,
 # and two spikes
-frame, gt = inject_missing(frame, gt, {
-    "non_use": True,
-    "blanket": [{"cycle": 3, "start_minute": 1500, "minutes": 120}],
-    "dropout": [{"cycle": 5, "channel": "temp_external_a",
-                 "start_minute": 300, "minutes": 90}],
-})
+frame, gt = inject_missing(frame, gt, MissingScenario(
+    non_use=True,
+    blanket=(Blanket(cycle=3, start_minute=1500, minutes=120),),
+    dropout=(Dropout(cycle=5, channel="temp_external_a", start_minute=300, minutes=90),),
+))
 frame, gt = inject_outliers(frame, gt, [
-    {"cycle": 2, "channel": "pressure_internal_b", "minute": 1900,
-     "kind": "FalseSpike", "delta": 400.0},
-    {"cycle": 4, "channel": "temp_external_c", "minute": 700,
-     "kind": "TrueIrrelevant", "delta": 80.0},
+    Outlier(cycle=2, channel="pressure_internal_b", minute=1900,
+            kind="FalseSpike", delta=400.0),
+    Outlier(cycle=4, channel="temp_external_c", minute=700,
+            kind="TrueIrrelevant", delta=80.0),
 ])
 
 report = classify_gaps(frame, reconstruct=True)   # the knowledge-informed disposition

@@ -28,9 +28,9 @@ log = logging.getLogger(__name__)
 
 
 def _knowledge(config: PipelineConfig):
-    if config.kb_path is None:
+    if config.kb is None:
         return default_kb()
-    return load_kb(config.kb_path)
+    return load_kb(config.kb)
 
 
 def _generate(config: PipelineConfig, kb):
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = args.out or config.out_dir
+    out_dir = args.out or config.out
     try:
         if args.command == "simulate":
             return cmd_simulate(config, kb, out_dir)

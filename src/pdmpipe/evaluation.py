@@ -294,7 +294,7 @@ def run_scenario(frame, gt, kb: KnowledgeBase, scenario: str, config) -> Scenari
             seed = int(substream(config.seed, "tune", scenario, family,
                                  horizon).integers(2 ** 31))
             tuned = tune_and_fit(ds.X[tr], labels[tr], ds.X[va], labels[va],
-                                 family, config.grids[family], seed)
+                                 family, config.models[family], seed)
             test_metrics = compute_metrics(labels[te], tuned.model.predict(ds.X[te]))
             cells.append({
                 "model": family, "horizon_minutes": horizon,

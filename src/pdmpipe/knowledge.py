@@ -17,13 +17,13 @@ cycle carry no information.
 from __future__ import annotations
 
 import logging
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 import yaml
 
-from ._spec import bounded, check_fields, names, number
+from ._spec import at, bounded, check_fields, names, number, record, records
 from .timeseries import SEQUENCE_IDS, TimeSeriesFrame
 
 log = logging.getLogger(__name__)
@@ -63,14 +63,33 @@ def _check_pairing(severity: str, consequence: str, where: str) -> None:
 
 
 @dataclass(frozen=True)
+class Mode:
+    """One entry of the document's ``mode_model.modes``."""
+
+    name: str
+    sequences: tuple = bounded()
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+@dataclass(frozen=True)
 class ModeModel:
-    """Operating modes in cycle order and the nominal minutes per sequence."""
+    """Operating modes in cycle order and the nominal minutes per sequence.
+
+    Given ``sequences=None``, ``modes`` is the document's list of ``Mode``
+    mappings, and the mode names and their sequences are taken from it.
+    """
 
     modes: tuple = bounded()
     sequences: dict      # mode name -> tuple of sequence ids
     durations: dict      # sequence id -> minutes
 
     def __post_init__(self):
+        if self.sequences is None:
+            modes = records(Mode, self.modes, "modes")
+            object.__setattr__(self, "modes", [m.name for m in modes])
+            object.__setattr__(self, "sequences", {m.name: m.sequences for m in modes})
         check_fields(self)
         canon = tuple((m, tuple(s)) for m, s in CANONICAL_MODES)
         got = tuple((m, tuple(self.sequences.get(m, ()))) for m in self.modes)
@@ -179,6 +198,9 @@ class MonitoringRule:
 
     def __post_init__(self):
         check_fields(self)
+        for key, kind in (("sensor", SensorPredicate), ("log", LogPredicate)):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, record(kind, getattr(self, key), key))
         if self.sequence_id not in SEQUENCE_IDS:
             raise ValueError(f"rule {self.id}: unknown sequence id {self.sequence_id!r}")
         if self.sensor is None and self.log is None:
@@ -316,80 +338,26 @@ class FaultEvent:
         _check_pairing(self.severity, self.consequence, f"event {self.fault_name!r}")
 
 
-def _known(entry, keys, where: str = "") -> dict:
-    """``entry`` after checking that it is a mapping with every key of
-    ``keys`` and no other; when ``keys`` is a dataclass, its fields are
-    allowed and those without a default required. ``where`` names a nested
-    entry in the error."""
-    if not isinstance(entry, dict):
-        raise TypeError(f"expected a mapping{where}, got {entry!r}")
-    required = keys
-    if isinstance(keys, type):
-        required = [f.name for f in fields(keys)
-                    if f.default is MISSING and f.default_factory is MISSING]
-        keys = [f.name for f in fields(keys)]
-    unknown = sorted(set(entry) - set(keys), key=str)
-    if unknown:
-        raise ValueError(f"unknown keys{where}: {unknown}")
-    for key in required:
-        if key not in entry:
-            raise KeyError(key)
-    return entry
-
-
-def _mode_model(mm: dict) -> ModeModel:
-    modes = [_known(m, ("name", "sequences"), f" in modes[{i}]")
-             for i, m in enumerate(mm["modes"])]
-    return ModeModel(modes=[m["name"] for m in modes],
-                     sequences={m["name"]: m["sequences"] for m in modes},
-                     durations=mm["durations"])
-
-
-def _rule(r: dict) -> MonitoringRule:
-    """The rule ``r``, its sensor and log predicates built first."""
-    nested = {key: kind(**_known(r[key], kind, f" in {key}"))
-              for key, kind in (("sensor", SensorPredicate), ("log", LogPredicate))
-              if key in r}
-    return MonitoringRule(**{**r, **nested})
-
-
-def _parse(where: str, build, item, keys=None):
-    """``build(item)``, after ``_known`` checks ``item`` against ``keys`` if given;
-    a missing key or a misshaped entry becomes a ValueError naming ``where``."""
-    try:
-        return build(item if keys is None else _known(item, keys))
-    except KeyError as exc:
-        raise ValueError(f"knowledge base {where}: missing key {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ValueError(f"knowledge base {where}: {exc}") from None
-    except (TypeError, AttributeError, IndexError) as exc:
-        raise ValueError(f"knowledge base {where}: malformed entry ({exc})") from None
-
-
-def _entries(doc: dict, section: str, build, keys=None) -> tuple:
-    items = doc[section]
-    if not isinstance(items, list):
-        raise ValueError(f"knowledge base section {section!r} must be a list, "
-                         f"got {type(items).__name__}")
-    return tuple(_parse(f"{section}[{i}]", build, item, keys) for i, item in enumerate(items))
-
-
 def _build_kb(doc: dict) -> KnowledgeBase:
     required = ("mode_model", "rules", "fmeca", "envelopes", "redundancy")
     missing = [k for k in required if k not in doc]
     if missing:
         raise ValueError(f"knowledge base document missing sections: {missing}")
 
-    mode_model = _parse("mode_model", _mode_model, doc["mode_model"], ("modes", "durations"))
-    rules = _entries(doc, "rules", _rule, MonitoringRule)
-    fmeca = _entries(doc, "fmeca", lambda e: FmecaEntry(**e), FmecaEntry)
-    envelopes = _entries(doc, "envelopes", lambda e: OperatingEnvelope(**e), OperatingEnvelope)
+    where = "knowledge base redundancy"
+    if not isinstance(doc["redundancy"], list):
+        raise ValueError(f"{where}: must be a list, got {doc['redundancy']!r}")
+    redundancy = []
+    for i, group in enumerate(doc["redundancy"]):
+        with at(f"{where}[{i}]"):
+            redundancy.append(frozenset(names(group, "group")))
     kb = KnowledgeBase(
-        mode_model=mode_model,
-        rules=rules,
-        fmeca=fmeca,
-        envelopes=envelopes,
-        redundancy=_entries(doc, "redundancy", lambda group: frozenset(names(group, "group"))),
+        mode_model=record(ModeModel, doc["mode_model"], "knowledge base mode_model",
+                          sequences=None),
+        rules=records(MonitoringRule, doc["rules"], "knowledge base rules"),
+        fmeca=records(FmecaEntry, doc["fmeca"], "knowledge base fmeca"),
+        envelopes=records(OperatingEnvelope, doc["envelopes"], "knowledge base envelopes"),
+        redundancy=tuple(redundancy),
     )
     log.info("knowledge base loaded: %d rules, %d FMECA entries, %d envelopes",
              len(kb.rules), len(kb.fmeca), len(kb.envelopes))

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from ._seeding import substream
-from ._spec import bounded, check_fields
+from ._spec import bounded, check_fields, number, records
 from .knowledge import (
     SOURCE_GROUND_TRUTH,
     FaultEvent,
@@ -114,7 +114,11 @@ RAMP_MINUTES = 150
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything the generator needs; a fixed seed fixes every byte."""
+    """Everything the generator needs; a fixed seed fixes every byte.
+
+    A ``noise``, ``wander`` or ``injection`` mapping overrides only the keys
+    it names of the defaults above.
+    """
 
     seed: int = bounded(">= 0")
     cycles: int = bounded(">= 1", default=55)
@@ -136,15 +140,18 @@ class SimConfig:
         except (TypeError, ValueError):
             raise ValueError(f"start must be an ISO date and time, "
                              f"got {self.start!r}") from None
-        for key in self.injection:
-            if key not in FAULT_KINDS:
-                raise ValueError(f"unknown fault key {key!r}")
         if self.schedule is not None:
-            for cycle, key in self.schedule:
+            try:
+                pairs = [(cycle, str(key)) for cycle, key in self.schedule]
+            except (TypeError, ValueError):
+                raise ValueError(f"schedule must be a list of [cycle, fault key] pairs, "
+                                 f"got {self.schedule!r}") from None
+            for cycle, key in pairs:
                 if key not in FAULT_KINDS:
                     raise ValueError(f"schedule references unknown fault key {key!r}")
-                if not 1 <= cycle <= self.cycles:
-                    raise ValueError(f"schedule cycle {cycle} out of range")
+            object.__setattr__(self, "schedule", tuple(
+                (number(cycle, int, f"schedule[{i}] cycle", f"[1, {self.cycles}]"), key)
+                for i, (cycle, key) in enumerate(pairs)))
 
 
 @dataclass(frozen=True)
@@ -269,8 +276,7 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
             injected[key][cycle - 1] = True
     else:
         for key in FAULT_KINDS:
-            p = config.injection.get(key, 0.0)
-            injected[key] = substream(seed, "inject", key).random(cycles) < p
+            injected[key] = substream(seed, "inject", key).random(cycles) < config.injection[key]
 
     mu_cycle = MU_LOW + (1 - MU_LOW) * substream(seed, "magnitude").random(cycles)
     door_mu = MU_LOW + (1 - MU_LOW) * substream(seed, "door-magnitude").random(cycles)
@@ -317,7 +323,7 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
             white = 0.9 * config.noise[name] * twin_shared + 0.35 * white
         base += white
         del white
-        base += _wander(seed, name, n, config.wander.get(name, 0.0), config.wander_phi)
+        base += _wander(seed, name, n, config.wander[name], config.wander_phi)
         return base
 
     channels = {}
@@ -471,15 +477,82 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
     return frame, truth
 
 
-def inject_missing(frame: TimeSeriesFrame, gt: GroundTruth, scenario: dict):
+def _simulated(channel) -> None:
+    if channel not in CHANNEL_UNITS:
+        raise ValueError(f"channel must be a simulated channel, got {channel!r}")
+
+
+@dataclass(frozen=True)
+class Blanket:
+    """Every channel blanked for ``minutes`` from ``start_minute`` of ``cycle``."""
+
+    cycle: int = bounded(">= 1")
+    start_minute: int = bounded(">= 0")
+    minutes: int = bounded(">= 1")
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+@dataclass(frozen=True)
+class Dropout:
+    """One channel blanked for ``minutes`` from ``start_minute`` of ``cycle``."""
+
+    cycle: int = bounded(">= 1")
+    channel: str
+    start_minute: int = bounded(">= 0")
+    minutes: int = bounded(">= 1")
+
+    def __post_init__(self):
+        check_fields(self)
+        _simulated(self.channel)
+
+
+@dataclass(frozen=True)
+class MissingScenario:
+    """The gaps ``inject_missing`` makes: every idle stretch when
+    ``non_use``, and each ``Blanket`` and ``Dropout``; a mapping in
+    ``blanket`` or ``dropout`` is built into its record."""
+
+    non_use: bool = bounded(default=False)
+    blanket: tuple = ()
+    dropout: tuple = ()
+
+    def __post_init__(self):
+        check_fields(self)
+        object.__setattr__(self, "blanket", records(Blanket, self.blanket, "blanket"))
+        object.__setattr__(self, "dropout", records(Dropout, self.dropout, "dropout"))
+
+
+@dataclass(frozen=True)
+class Outlier:
+    """A point of ``kind`` planted on ``channel`` at ``minute`` of ``cycle``:
+    ``value``, or else the reading plus ``delta``."""
+
+    cycle: int = bounded(">= 1")
+    channel: str
+    minute: int = bounded(">= 0")
+    kind: str
+    delta: float = bounded(default=None)
+    value: float = bounded(default=None)
+
+    def __post_init__(self):
+        check_fields(self)
+        _simulated(self.channel)
+        if self.kind not in OUTLIER_KINDS:
+            raise ValueError(f"kind must be one of {', '.join(OUTLIER_KINDS)}, "
+                             f"got {self.kind!r}")
+        if self.delta is None and self.value is None:
+            raise ValueError("needs a delta or a value key")
+
+
+def inject_missing(frame: TimeSeriesFrame, gt: GroundTruth, scenario: MissingScenario):
     """Blank cells per the missing-data scenario and record the intervals.
 
-    Scenario keys: ``non_use`` (blank every idle stretch), ``blanket``
-    (rows with every channel blanked), ``dropout`` (one channel blanked).
     Blanket intervals must not overlap. Minutes are relative to the start
     of the named cycle.
     """
-    if not scenario:
+    if not (scenario.non_use or scenario.blanket or scenario.dropout):
         return frame, gt
     channels = {k: v.copy() for k, v in frame.channels.items()}
     intervals = list(gt.missing)
@@ -499,8 +572,8 @@ def inject_missing(frame: TimeSeriesFrame, gt: GroundTruth, scenario: dict):
         return rows
 
     blanket_spans = []
-    for spec in scenario.get("blanket", ()):
-        rows = rows_for(int(spec["cycle"]), int(spec["start_minute"]), int(spec["minutes"]))
+    for spec in scenario.blanket:
+        rows = rows_for(spec.cycle, spec.start_minute, spec.minutes)
         span = (rows[0], rows[-1])
         for other in blanket_spans:
             if span[0] <= other[1] and other[0] <= span[1]:
@@ -512,17 +585,15 @@ def inject_missing(frame: TimeSeriesFrame, gt: GroundTruth, scenario: dict):
             start=frame.timestamps[rows[0]], end=frame.timestamps[rows[-1]],
             cause="BlanketMaintenance"))
 
-    for spec in scenario.get("dropout", ()):
-        name = spec["channel"]
-        if name not in channels:
-            raise ValueError(f"dropout references unknown channel {name!r}")
-        rows = rows_for(int(spec["cycle"]), int(spec["start_minute"]), int(spec["minutes"]))
+    for spec in scenario.dropout:
+        name = spec.channel
+        rows = rows_for(spec.cycle, spec.start_minute, spec.minutes)
         channels[name][rows] = np.nan
         intervals.append(MissingInterval(
             start=frame.timestamps[rows[0]], end=frame.timestamps[rows[-1]],
             cause="SingleSensorDropout", channel=name))
 
-    if scenario.get("non_use"):
+    if scenario.non_use:
         idle = frame.sequence == IDLE
         if np.any(idle):
             for name in channels:
@@ -535,27 +606,21 @@ def inject_missing(frame: TimeSeriesFrame, gt: GroundTruth, scenario: dict):
 
 
 def inject_outliers(frame: TimeSeriesFrame, gt: GroundTruth, scenario):
-    """Plant labeled outlier points; each must land on an observed cell.
-
-    Scenario entries: {cycle, channel, minute, kind, delta | value}.
-    """
+    """Plant the ``Outlier`` points of ``scenario``; each must land on an observed cell."""
     if not scenario:
         return frame, gt
     # only the channels a point lands on are copied; the others are shared
-    touched = {spec["channel"] for spec in scenario}
+    touched = {spec.channel for spec in scenario}
     channels = {k: v.copy() if k in touched else v for k, v in frame.channels.items()}
     points = list(gt.outliers)
     cyc = frame.cycle
     minutes = frame.elapsed_minutes()
     for spec in scenario:
-        name = spec["channel"]
-        if name not in channels:
-            raise ValueError(f"outlier references unknown channel {name!r}")
-        kind = spec["kind"]
-        base = np.flatnonzero(cyc == int(spec["cycle"]))
+        name = spec.channel
+        base = np.flatnonzero(cyc == spec.cycle)
         if base.size == 0:
-            raise ValueError(f"outlier references absent cycle {spec['cycle']}")
-        target = minutes[base[0]] + int(spec["minute"])
+            raise ValueError(f"outlier references absent cycle {spec.cycle}")
+        target = minutes[base[0]] + spec.minute
         rows = base[minutes[base] == target]
         if rows.size == 0:
             raise ValueError("outlier point outside frame span")
@@ -563,9 +628,9 @@ def inject_outliers(frame: TimeSeriesFrame, gt: GroundTruth, scenario):
         original = channels[name][row]
         if np.isnan(original):
             raise ValueError("outlier point lands on a missing cell")
-        value = float(spec["value"]) if "value" in spec else original + float(spec["delta"])
+        value = spec.value if spec.value is not None else original + spec.delta
         channels[name][row] = value
         points.append(OutlierPoint(
-            timestamp=frame.timestamps[row], channel=name, kind=kind,
+            timestamp=frame.timestamps[row], channel=name, kind=spec.kind,
             value=float(value), original=float(original)))
     return replace(frame, channels=channels), replace(gt, outliers=tuple(points))

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from pdmpipe import (
     GbdtParams,
@@ -30,10 +31,11 @@ from pdmpipe import (
     split_chronological,
 )
 from pdmpipe import cleaning, features
+from pdmpipe.cli import main
 from pdmpipe.evaluation import select_best
 from pdmpipe.features import CuratedDataset, standardize
 from pdmpipe.timeseries import resample
-from helpers import quiet_frame, run_pdm
+from helpers import quiet_frame, run_pdm, stock_doc
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = ROOT / "configs" / "default.yaml"
@@ -278,3 +280,30 @@ def test_split_integrity_on_the_full_cycle_count():
     assert not (split.train & split.validation).any()
     assert not (split.validation & split.test).any()
     assert not (split.train & split.test).any()
+
+
+# the three lines ``pdm compare --config configs/default.yaml`` prints for the
+# scenarios' best cells
+REFERENCE_HEADLINE = (
+    "baseline: rules at 0 min, F1 1.000, accuracy 1.000",
+    "s1: gbdt at 180 min, F1 0.526, accuracy 0.979",
+    "s2: forest at 1440 min, F1 1.000, accuracy 1.000",
+)
+
+
+def test_reversed_knowledge_base_keeps_the_headline(tmp_path, capsys):
+    # the FMECA order sets the order of the cause columns, so the s2 bytes
+    # move with it; the headline must not
+    doc = stock_doc()
+    doc["rules"].reverse()
+    doc["fmeca"].reverse()
+    kb_path = tmp_path / "kb.yaml"
+    kb_path.write_text(yaml.safe_dump(doc))
+    config = yaml.safe_load(DEFAULT_CONFIG.read_text())
+    config["kb"] = str(kb_path)
+    config_path = tmp_path / "run.yaml"
+    config_path.write_text(yaml.safe_dump(config))
+    assert main(["compare", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if line.startswith(("baseline:", "s1:", "s2:"))] == \
+        list(REFERENCE_HEADLINE)

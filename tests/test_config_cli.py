@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,13 +17,18 @@ import yaml
 import pdmpipe
 from pdmpipe import SimConfig, features, load_config, make_config
 from pdmpipe.cli import main
-from pdmpipe.config import _ENTRY_KEYS, _MISSING_KEYS, _TOP_KEYS, ConfigError, _fields, _from_doc
+from pdmpipe.config import ConfigError, PipelineConfig, _from_doc
 from pdmpipe.features import PreprocessParams
 from pdmpipe.models import FAMILY_PARAMS, GbdtParams
-from pdmpipe.simulator import DEFAULT_INJECTION, DEFAULT_NOISE, DEFAULT_WANDER
+from pdmpipe.simulator import (DEFAULT_INJECTION, DEFAULT_NOISE, DEFAULT_WANDER, Blanket,
+                               Dropout, MissingScenario, Outlier)
 from helpers import run_pdm, run_python, stock_doc
 
 DEFAULT_YAML = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
+
+
+def field_names(record, *leave_out) -> set:
+    return {f.name for f in dataclasses.fields(record)} - set(leave_out)
 
 
 class TestMakeConfig:
@@ -33,7 +39,7 @@ class TestMakeConfig:
         assert config.sim.cycles == 55
         assert config.horizons_minutes == (180, 720, 1440)
         assert config.split == (0.6, 0.2, 0.2)
-        assert set(config.grids) == {"forest", "gbdt", "svm"}
+        assert set(config.models) == {"forest", "gbdt", "svm"}
 
     def test_yaml_file_round_trips(self, tmp_path):
         doc = {"seed": 9, "horizons_minutes": [180, 360],
@@ -51,16 +57,16 @@ class TestMakeConfig:
     def test_default_yaml_spells_out_every_key(self):
         doc = yaml.safe_load(DEFAULT_YAML.read_text())
         load_config(DEFAULT_YAML)
-        assert set(doc) == set(_TOP_KEYS)
-        assert set(doc["sim"]) == _fields(SimConfig) - {"seed"}
+        assert set(doc) == field_names(PipelineConfig)
+        assert set(doc["sim"]) == field_names(SimConfig, "seed")
         for name, defaults in (("injection", DEFAULT_INJECTION), ("noise", DEFAULT_NOISE),
                                ("wander", DEFAULT_WANDER)):
             assert set(doc["sim"][name]) == set(defaults)
-        assert set(doc["missing"]) == set(_MISSING_KEYS)
-        for kind in ("blanket", "dropout"):
-            assert all(set(e) == set(_ENTRY_KEYS[kind]) for e in doc["missing"][kind])
-        assert all(set(o) == {*_ENTRY_KEYS["outliers"], "delta"} for o in doc["outliers"])
-        assert set(doc["preprocess"]) == _fields(PreprocessParams)
+        assert set(doc["missing"]) == field_names(MissingScenario)
+        for kind, entry in (("blanket", Blanket), ("dropout", Dropout)):
+            assert all(set(e) == field_names(entry) for e in doc["missing"][kind])
+        assert all(set(o) == field_names(Outlier, "value") for o in doc["outliers"])
+        assert set(doc["preprocess"]) == field_names(PreprocessParams)
         assert set(doc["models"]) == set(FAMILY_PARAMS)
 
     def test_null_sections_get_the_defaults(self):
@@ -71,21 +77,22 @@ class TestMakeConfig:
                                                       "minutes": 180}]},
                              outliers=[{"cycle": 9, "channel": "temp_internal", "minute": 10,
                                         "kind": "FalseSpike", "delta": 5}])
-        blanket, = config.missing["blanket"]
-        assert blanket == {"cycle": 7, "start_minute": 1500, "minutes": 180}
-        assert all(type(v) is int for v in blanket.values())
-        assert type(config.outliers[0]["delta"]) is float
+        blanket, = config.missing.blanket
+        assert blanket == Blanket(cycle=7, start_minute=1500, minutes=180)
+        assert all(type(v) is int for v in vars(blanket).values())
+        assert type(config.outliers[0].delta) is float
 
     def test_integral_floats_load_as_integers(self):
         config = make_config(7, missing={"blanket": [{"cycle": 7.0, "start_minute": 1500,
                                                       "minutes": 180.0}]})
-        blanket, = config.missing["blanket"]
-        assert blanket == {"cycle": 7, "start_minute": 1500, "minutes": 180}
-        assert all(type(v) is int for v in blanket.values())
+        blanket, = config.missing.blanket
+        assert blanket == Blanket(cycle=7, start_minute=1500, minutes=180)
+        assert all(type(v) is int for v in vars(blanket).values())
 
     def test_integral_float_sim_keys_load_as_integers(self):
         config = make_config(7, sim={"cycles": 7.0, "idle_minutes": 10.0,
-                                     "schedule": [[7.0, "needle"]]})
+                                     "schedule": [[7.0, "needle"]]},
+                             missing={"non_use": True}, outliers=[])
         assert (config.sim.cycles, config.sim.idle_minutes) == (7, 10)
         assert config.sim.schedule == ((7, "needle"),)
         assert all(type(v) is int for v in (config.sim.cycles, config.sim.idle_minutes,
@@ -127,17 +134,19 @@ class TestConfigValidation:
             _from_doc({"seed": "lots"})
 
     def test_unknown_keys_rejected_loudly(self):
-        with pytest.raises(ConfigError, match="unknown configuration keys"):
+        with pytest.raises(ConfigError, match=r"^unknown keys: \['seeed'\]$"):
             make_config(7, seeed=8)
-        with pytest.raises(ConfigError, match="unknown sim keys"):
+        with pytest.raises(ConfigError, match=r"^sim: unknown keys: \['cycels'\]$"):
             make_config(7, sim={"cycels": 10})
-        with pytest.raises(ConfigError, match="unknown fault key"):
+        with pytest.raises(ConfigError, match=r"^sim: unknown keys: \['seed'\]$"):
+            make_config(7, sim={"seed": 8})
+        with pytest.raises(ConfigError, match=r"^sim.injection: unknown keys: \['gremlin'\]$"):
             make_config(7, sim={"injection": {"gremlin": 0.1}})
-        with pytest.raises(ConfigError, match="unknown channel key 'bogus' in noise"):
+        with pytest.raises(ConfigError, match=r"^sim.noise: unknown keys: \['bogus'\]$"):
             make_config(7, sim={"noise": {"bogus": 1.0}})
-        with pytest.raises(ConfigError, match="unknown channel key 'bogus' in wander"):
+        with pytest.raises(ConfigError, match=r"^sim.wander: unknown keys: \['bogus'\]$"):
             make_config(7, sim={"wander": {"bogus": 1.0}})
-        with pytest.raises(ConfigError, match="preprocess must be a mapping"):
+        with pytest.raises(ConfigError, match="^preprocess: must be a mapping"):
             make_config(7, preprocess=[{"tau": 0.3}])
 
     @pytest.mark.parametrize("name", ["noise", "wander"])
@@ -148,9 +157,9 @@ class TestConfigValidation:
     ])
     def test_bad_channel_scales_rejected(self, name, value, match):
         with pytest.raises(ConfigError,
-                           match=f"bad sim section: {name} 'temp_internal' {match}"):
+                           match=f"^sim.{name}: temp_internal {match}"):
             make_config(7, sim={name: {"temp_internal": value}})
-        with pytest.raises(ConfigError, match=f"sim {name} must be a mapping"):
+        with pytest.raises(ConfigError, match=f"^sim.{name}: must be a mapping"):
             make_config(7, sim={name: [1.0]})
         with pytest.raises(ConfigError, match="preprocess"):
             make_config(7, preprocess={"tua": 0.3})
@@ -172,7 +181,7 @@ class TestConfigValidation:
             make_config(7, models={"forest": [{"trees": 5}]})
         with pytest.raises(ConfigError, match="empty grid"):
             make_config(7, models={"forest": (), "gbdt": [{}], "svm": [{}]})
-        with pytest.raises(ConfigError, match="list of parameter mappings"):
+        with pytest.raises(ConfigError, match=r"^models.forest\[0\]: must be a mapping, got 3$"):
             make_config(7, models={"forest": [3], "gbdt": [{}], "svm": [{}]})
 
     @pytest.mark.parametrize("key, value", [
@@ -183,7 +192,7 @@ class TestConfigValidation:
         ("verify_window_minutes", -1), ("column_drop_missing_fraction", 1.5),
     ])
     def test_preprocess_ranges(self, key, value):
-        with pytest.raises(ConfigError, match=f"bad preprocess section: {key}"):
+        with pytest.raises(ConfigError, match=f"^preprocess: {key}"):
             make_config(7, preprocess={key: value})
 
     @pytest.mark.parametrize("family, entry, match", [
@@ -195,7 +204,7 @@ class TestConfigValidation:
     def test_grid_entries_are_built_at_load(self, family, entry, match):
         grids = {"forest": [{}], "gbdt": [{}], "svm": [{}]}
         grids[family] = [{}, entry]
-        with pytest.raises(ConfigError, match=f"bad {family} grid entry .*{match}"):
+        with pytest.raises(ConfigError, match=rf"^models.{family}\[1\]: {match}"):
             make_config(7, models=grids)
 
     def test_file_level_failures(self, tmp_path):
@@ -395,7 +404,7 @@ class TestCliFailures:
         path.write_text(yaml.safe_dump({"seed": 1, "bogus": True}))
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
         assert rc == 2
-        assert "unknown configuration keys" in capsys.readouterr().err
+        assert "configuration error: unknown keys: ['bogus']" in capsys.readouterr().err
 
     def test_malformed_kb_is_usage_error(self, tmp_path, capsys):
         kb_path = tmp_path / "kb.yaml"
@@ -414,34 +423,34 @@ class TestCliFailures:
         ({"models": dict(CLI_DOC["models"], gbdt=[{"min_leaf": 0}])},
          "min_leaf must be an integer >= 1, got 0"),
         ({"preprocess": {"train_fraction": 0.6}},
-         "configuration error: unknown preprocess keys: ['train_fraction']"),
+         "configuration error: preprocess: unknown keys: ['train_fraction']"),
         ({"models": dict(CLI_DOC["models"], gbdt=[{"depth": 3}])},
-         "configuration error: unknown gbdt grid keys: ['depth'] in {'depth': 3}"),
+         "configuration error: models.gbdt[0]: unknown keys: ['depth']"),
         ({"preprocess": {"ics_m": 50}},
-         "bad preprocess section: ics_m must be at most 9, the number of channels, got 50"),
-        ({"outliers": 5}, "outliers must be a list of mappings, got 5"),
+         "preprocess: ics_m must be at most 9, the number of channels, got 50"),
+        ({"outliers": 5}, "outliers: must be a list of mappings, got 5"),
         ({"horizons_minutes": 180}, "horizons_minutes must be a list, got 180"),
         ({"split": 0.6}, "split must be a list, got 0.6"),
-        ({"missing": 5}, "missing must be a mapping, got 5"),
+        ({"missing": 5}, "missing: must be a mapping, got 5"),
         ({"sim": dict(CLI_DOC["sim"], idle_minutes=-5)},
-         "bad sim section: idle_minutes must be an integer >= 0, got -5"),
-        ({"sim": []}, "sim must be a mapping, got []"),
-        ({"preprocess": []}, "preprocess must be a mapping, got []"),
-        ({"preprocess": 0}, "preprocess must be a mapping, got 0"),
+         "sim: idle_minutes must be an integer >= 0, got -5"),
+        ({"sim": []}, "sim: must be a mapping, got []"),
+        ({"preprocess": []}, "preprocess: must be a mapping, got []"),
+        ({"preprocess": 0}, "preprocess: must be a mapping, got 0"),
         ({"sim": dict(CLI_DOC["sim"], wander_phi="x")},
-         "bad sim section: wander_phi must be a number in [0, 1), got 'x'"),
+         "sim: wander_phi must be a number in [0, 1), got 'x'"),
         ({"sim": dict(CLI_DOC["sim"], wander_phi=1.5)},
-         "bad sim section: wander_phi must be a number in [0, 1), got 1.5"),
+         "sim: wander_phi must be a number in [0, 1), got 1.5"),
         ({"sim": dict(CLI_DOC["sim"], wander_phi=-2)},
-         "bad sim section: wander_phi must be a number in [0, 1), got -2"),
+         "sim: wander_phi must be a number in [0, 1), got -2"),
         ({"sim": dict(CLI_DOC["sim"], cycles=7.9)},
-         "bad sim section: cycles must be an integer >= 1, got 7.9"),
+         "sim: cycles must be an integer >= 1, got 7.9"),
         ({"sim": dict(CLI_DOC["sim"], cycles=True)},
-         "bad sim section: cycles must be an integer >= 1, got True"),
+         "sim: cycles must be an integer >= 1, got True"),
         ({"sim": dict(CLI_DOC["sim"], idle_minutes=10.5)},
-         "bad sim section: idle_minutes must be an integer >= 0, got 10.5"),
+         "sim: idle_minutes must be an integer >= 0, got 10.5"),
         ({"sim": dict(CLI_DOC["sim"], start="tomorrow")},
-         "bad sim section: start must be an ISO date and time, got 'tomorrow'"),
+         "sim: start must be an ISO date and time, got 'tomorrow'"),
     ])
     def test_bad_parameters_exit_two_before_simulating(self, tmp_path, capsys,
                                                        section, message):
@@ -478,7 +487,7 @@ class TestCliFailures:
         rc = main(["compare", "--config", str(path), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "configuration error: unknown svm grid keys: ['epochs']" in err
+        assert "configuration error: models.svm[0]: unknown keys: ['epochs']" in err
         assert not out.exists()
 
     def test_unknown_noise_channel_is_usage_error(self, tmp_path, capsys):
@@ -492,14 +501,15 @@ class TestCliFailures:
         assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_exits_three(self, tmp_path, capsys):
+        # the config loads; inject_missing refuses the overlap after simulating
         doc = dict(CLI_DOC,
-                   missing={"blanket": [{"cycle": 9, "start_minute": 100,
-                                         "minutes": 30}]})
+                   missing={"blanket": [{"cycle": 2, "start_minute": 0, "minutes": 100},
+                                        {"cycle": 2, "start_minute": 50, "minutes": 100}]})
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump(doc))
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
         assert rc == 3
-        assert "pipeline error" in capsys.readouterr().err
+        assert "pipeline error: blanket maintenance intervals overlap" in capsys.readouterr().err
 
     def test_argparse_usage_errors(self):
         with pytest.raises(SystemExit) as exc:
@@ -576,142 +586,149 @@ BAD_INPUTS = {
                        None, ["evaluate", "--scenario", "s1"], 0,
                        "no cell exceeded accuracy 0.7 with nonzero F1"),
     "schedule_not_a_list": ({"sim": dict(CLI_DOC["sim"], schedule=5)}, None, ["simulate"], 2,
-                            "sim schedule must be a list of [cycle, fault key] pairs, got 5"),
+                            "sim: schedule must be a list of [cycle, fault key] pairs, got 5"),
     "schedule_entry_not_a_pair": ({"sim": dict(CLI_DOC["sim"], schedule=[[2]])}, None,
-                                  ["simulate"], 2, "sim schedule must be a list"),
+                                  ["simulate"], 2, "sim: schedule must be a list"),
     "schedule_cycle_not_integral": ({"sim": dict(CLI_DOC["sim"], schedule=[[7.9, "needle"]])},
                                     None, ["simulate"], 2,
-                                    "sim schedule[0] cycle must be an integer, got 7.9"),
+                                    "sim: schedule[0] cycle must be an integer in [1, 6], "
+                                    "got 7.9"),
     "kb_rule_key_typo": ({}, within_first_minute, ["simulate"], 2,
                          "knowledge base rules[1]: unknown keys: ['within_first_minute']"),
     "missing_unknown_key": ({"missing": {"bogus": True}}, None, ["simulate"], 2,
-                            "unknown missing keys: ['bogus']"),
+                            "missing: unknown keys: ['bogus']"),
     "missing_dropouts_typo": ({"missing": {"dropouts": [DROPOUT]}}, None, ["simulate"], 2,
-                              "unknown missing keys: ['dropouts']"),
+                              "missing: unknown keys: ['dropouts']"),
     "blanket_not_a_list": ({"missing": {"blanket": 5}}, None, ["simulate"], 2,
-                           "missing.blanket must be a list of mappings, got 5"),
+                           "missing.blanket: must be a list of mappings, got 5"),
     "dropout_not_a_list": ({"missing": {"dropout": DROPOUT}}, None, ["simulate"], 2,
-                           "missing.dropout must be a list of mappings"),
+                           "missing.dropout: must be a list of mappings"),
     "dropout_entry_not_a_mapping": ({"missing": {"dropout": [DROPOUT, 3]}}, None,
-                                    ["simulate"], 2, "missing.dropout[1] must be a mapping, got 3"),
+                                    ["simulate"], 2,
+                                    "missing.dropout[1]: must be a mapping, got 3"),
     "dropout_without_channel": ({"missing": {"dropout": [entry_without(DROPOUT, "channel")]}},
                                 None, ["simulate"], 2,
-                                "missing.dropout[0] lacks required keys: ['channel']"),
+                                "missing.dropout[0]: lacks required keys: ['channel']"),
     "blanket_without_minutes": ({"missing": {"blanket": [{"cycle": 3, "start_minute": 100}]}},
                                 None, ["simulate"], 2,
-                                "missing.blanket[0] lacks required keys: ['minutes']"),
+                                "missing.blanket[0]: lacks required keys: ['minutes']"),
     "blanket_unknown_key": ({"missing": {"blanket": [dict(entry_without(DROPOUT, "channel"),
                                                           length=30)]}},
-                            None, ["simulate"], 2, "unknown missing.blanket[0] keys: ['length']"),
+                            None, ["simulate"], 2, "missing.blanket[0]: unknown keys: ['length']"),
     "outlier_without_channel": ({"outliers": [entry_without(OUTLIER, "channel")]}, None,
-                                ["simulate"], 2, "outliers[0] lacks required keys: ['channel']"),
+                                ["simulate"], 2, "outliers[0]: lacks required keys: ['channel']"),
     "outlier_without_minute_and_kind": ({"outliers": [OUTLIER, {"cycle": 3, "channel": "x",
                                                                 "delta": 1.0}]},
                                         None, ["simulate"], 2,
-                                        "outliers[1] lacks required keys: ['minute', 'kind']"),
+                                        "outliers[1]: lacks required keys: ['minute', 'kind']"),
     "outlier_without_delta_or_value": ({"outliers": [entry_without(OUTLIER, "delta")]}, None,
-                                       ["simulate"], 2, "outliers[0] needs a delta or a value key"),
+                                       ["simulate"], 2,
+                                       "outliers[0]: needs a delta or a value key"),
     "outlier_unknown_key": ({"outliers": [dict(OUTLIER, size=3)]}, None, ["simulate"], 2,
-                            "unknown outliers[0] keys: ['size']"),
+                            "outliers[0]: unknown keys: ['size']"),
     "outlier_not_a_mapping": ({"outliers": [[3, "temp_internal"]]}, None, ["simulate"], 2,
-                              "outliers[0] must be a mapping, got [3, 'temp_internal']"),
+                              "outliers[0]: must be a mapping, got [3, 'temp_internal']"),
     "blanket_cycle_not_a_number": ({"missing": {"blanket": [{"cycle": "x", "start_minute": 0,
                                                              "minutes": 5}]}},
                                    None, ["simulate"], 2,
-                                   "missing.blanket[0] cycle must be an integer, got 'x'"),
+                                   "missing.blanket[0]: cycle must be an integer >= 1, got 'x'"),
     "dropout_minutes_not_a_number": ({"missing": {"dropout": [DROPOUT,
                                                               dict(DROPOUT, minutes="long")]}},
                                      None, ["simulate"], 2,
-                                     "missing.dropout[1] minutes must be an integer, got 'long'"),
+                                     "missing.dropout[1]: minutes must be an integer >= 1, "
+                                     "got 'long'"),
     "outlier_minute_null": ({"outliers": [dict(OUTLIER, minute=None)]}, None, ["simulate"], 2,
-                            "outliers[0] minute must be an integer, got None"),
+                            "outliers[0]: minute must be an integer >= 0, got None"),
     "outlier_minute_infinite": ({"outliers": [dict(OUTLIER, minute=float("inf"))]}, None,
-                                ["simulate"], 2, "outliers[0] minute must be an integer, got inf"),
+                                ["simulate"], 2,
+                                "outliers[0]: minute must be an integer >= 0, got inf"),
     "outlier_delta_not_a_number": ({"outliers": [dict(OUTLIER, delta="big")]}, None,
-                                   ["simulate"], 2, "outliers[0] delta must be a number, got 'big'"),
+                                   ["simulate"], 2,
+                                   "outliers[0]: delta must be a number, got 'big'"),
     "outlier_value_not_a_number": ({"outliers": [dict(entry_without(OUTLIER, "delta"),
                                                       value=[1.0])]},
                                    None, ["simulate"], 2,
-                                   "outliers[0] value must be a number, got [1.0]"),
+                                   "outliers[0]: value must be a number, got [1.0]"),
     "blanket_cycle_not_integral": ({"missing": {"blanket": [{"cycle": 7.9, "start_minute": 0,
                                                              "minutes": 5}]}},
                                    None, ["simulate"], 2,
-                                   "missing.blanket[0] cycle must be an integer, got 7.9"),
+                                   "missing.blanket[0]: cycle must be an integer >= 1, got 7.9"),
     "blanket_start_minute_bool": ({"missing": {"blanket": [{"cycle": 3, "start_minute": True,
                                                             "minutes": 5}]}},
                                   None, ["simulate"], 2,
-                                  "missing.blanket[0] start_minute must be an integer, got True"),
+                                  "missing.blanket[0]: start_minute must be an integer >= 0, "
+                                  "got True"),
     "outlier_delta_bool": ({"outliers": [dict(OUTLIER, delta=True)]}, None, ["simulate"], 2,
-                           "outliers[0] delta must be a number, got True"),
+                           "outliers[0]: delta must be a number, got True"),
     "logging_probability_not_a_number": ({"sim": dict(CLI_DOC["sim"], logging_probability="x")},
                                          None, ["simulate"], 2,
-                                         "bad sim section: logging_probability must be a "
+                                         "sim: logging_probability must be a "
                                          "number in [0, 1], got 'x'"),
     "logging_probability_bool": ({"sim": dict(CLI_DOC["sim"], logging_probability=True)},
                                  None, ["simulate"], 2,
-                                 "bad sim section: logging_probability must be a number "
+                                 "sim: logging_probability must be a number "
                                  "in [0, 1], got True"),
     "injection_bool": ({"sim": dict(CLI_DOC["sim"], injection={"needle": True})}, None,
                        ["simulate"], 2,
-                       "bad sim section: injection 'needle' must be a number in [0, 1], got True"),
+                       "sim.injection: needle must be a number in [0, 1], got True"),
     "noise_bool": ({"sim": dict(CLI_DOC["sim"], noise={"temp_internal": False})}, None,
                    ["simulate"], 2,
-                   "bad sim section: noise 'temp_internal' must be a number >= 0, got False"),
+                   "sim.noise: temp_internal must be a number >= 0, got False"),
     "wander_bool": ({"sim": dict(CLI_DOC["sim"], wander={"angle_platform": True})}, None,
                     ["simulate"], 2,
-                    "bad sim section: wander 'angle_platform' must be a number >= 0, got True"),
+                    "sim.wander: angle_platform must be a number >= 0, got True"),
     "outlier_value_nan": ({"outliers": [dict(entry_without(OUTLIER, "delta"),
                                              value=float("nan"))]},
-                          None, ["simulate"], 2, "outliers[0] value must be a number, got nan"),
+                          None, ["simulate"], 2, "outliers[0]: value must be a number, got nan"),
     "outlier_delta_infinite": ({"outliers": [dict(OUTLIER, delta=float("inf"))]}, None,
                                ["simulate"], 2,
-                               "outliers[0] delta must be a number, got inf"),
+                               "outliers[0]: delta must be a number, got inf"),
     "outlier_delta_minus_infinite": ({"outliers": [dict(OUTLIER, delta=float("-inf"))]}, None,
                                      ["preprocess", "--scenario", "s1"], 2,
-                                     "outliers[0] delta must be a number, got -inf"),
+                                     "outliers[0]: delta must be a number, got -inf"),
     "noise_infinite": ({"sim": dict(CLI_DOC["sim"], noise={"temp_internal": float("inf")})},
                        None, ["preprocess", "--scenario", "s1"], 2,
-                       "bad sim section: noise 'temp_internal' must be a number >= 0, got inf"),
+                       "sim.noise: temp_internal must be a number >= 0, got inf"),
     "logging_probability_nan": ({"sim": dict(CLI_DOC["sim"], logging_probability=float("nan"))},
                                 None, ["simulate"], 2,
-                                "bad sim section: logging_probability must be a number in "
+                                "sim: logging_probability must be a number in "
                                 "[0, 1], got nan"),
     "seed_not_integral": ({"seed": 7.9}, None, ["simulate"], 2,
                           "seed must be an integer >= 0, got 7.9"),
     "seed_bool": ({"seed": True}, None, ["simulate"], 2, "seed must be an integer >= 0, got True"),
     "seed_negative": ({"seed": -1}, None, ["simulate"], 2, "seed must be an integer >= 0, got -1"),
     "iqr_k_nan": ({"preprocess": {"iqr_k": float("nan")}}, None, ["simulate"], 2,
-                  "bad preprocess section: iqr_k must be a number >= 0, got nan"),
+                  "preprocess: iqr_k must be a number >= 0, got nan"),
     "verify_window_infinite": ({"preprocess": {"verify_window_minutes": float("inf")}}, None,
-                               ["simulate"], 2, "bad preprocess section: verify_window_minutes "
+                               ["simulate"], 2, "preprocess: verify_window_minutes "
                                                 "must be an integer >= 0, got inf"),
     "top_n_bool": ({"preprocess": {"top_n": True}}, None, ["simulate"], 2,
-                   "bad preprocess section: top_n must be an integer >= 1, got True"),
+                   "preprocess: top_n must be an integer >= 1, got True"),
     "gbdt_iterations_not_integral": ({"models": dict(CLI_DOC["models"],
                                                      gbdt=[{"iterations": 80.5}])},
                                      None, ["simulate"], 2,
-                                     "bad gbdt grid entry {'iterations': 80.5}: iterations "
+                                     "models.gbdt[0]: iterations "
                                      "must be an integer >= 1, got 80.5"),
     "gbdt_reg_lambda_negative": ({"models": dict(CLI_DOC["models"],
                                                  gbdt=[{"reg_lambda": -1.0}])},
                                  None, ["simulate"], 2,
-                                 "bad gbdt grid entry {'reg_lambda': -1.0}: reg_lambda "
+                                 "models.gbdt[0]: reg_lambda "
                                  "must be a number >= 0, got -1.0"),
     "svm_reg_nan": ({"models": dict(CLI_DOC["models"], svm=[{"reg": float("nan")}])}, None,
                     ["simulate"], 2,
-                    "bad svm grid entry {'reg': nan}: reg must be a number > 0, got nan"),
+                    "models.svm[0]: reg must be a number > 0, got nan"),
     "forest_trees_bool": ({"models": dict(CLI_DOC["models"], forest=[{"trees": True}])}, None,
-                          ["simulate"], 2, "bad forest grid entry {'trees': True}: trees "
+                          ["simulate"], 2, "models.forest[0]: trees "
                                            "must be an integer >= 1, got True"),
     "forest_max_depth_not_integral": ({"models": dict(CLI_DOC["models"],
                                                       forest=[{"max_depth": 2.5}])},
                                       None, ["simulate"], 2,
-                                      "bad forest grid entry {'max_depth': 2.5}: max_depth "
+                                      "models.forest[0]: max_depth "
                                       "must be an integer >= 1, got 2.5"),
     "split_nan": ({"split": [0.6, 0.2, float("nan")]}, None, ["simulate"], 2,
                   "split[2] must be a number, got nan"),
     "kb_threshold_nan": ({}, threshold_nan, ["evaluate", "--scenario", "baseline"], 2,
-                         "knowledge base rules[0]: threshold must be a number, got nan"),
+                         "knowledge base rules[0].sensor: threshold must be a number, got nan"),
     "kb_qualifier_text": ({}, qualifier_text, ["simulate"], 2,
                           "knowledge base rules[1]: within_first_minutes must be an "
                           "integer >= 1, got 'soon'"),
@@ -719,6 +736,42 @@ BAD_INPUTS = {
                               ["evaluate", "--scenario", "baseline"], 2,
                               "rule 3: step_minute 5000 is at or past the 960 minutes "
                               "S09 lasts"),
+    "builtin_scenario_past_cycles": ({"sim": dict(CLI_DOC["sim"], cycles=12), "missing": None},
+                                     None, ["simulate"], 2,
+                                     "missing.blanket[1]: cycle 23 is past sim.cycles, 12; the "
+                                     "entry is from the built-in scenario, which names cycles "
+                                     "up to 31: set missing in the configuration"),
+    "outlier_past_cycles": ({"outliers": [dict(OUTLIER, cycle=9)]}, None, ["simulate"], 2,
+                            "outliers[0]: cycle 9 is past sim.cycles, 6"),
+    "blanket_start_negative": ({"missing": {"blanket": [{"cycle": 3, "start_minute": -100,
+                                                         "minutes": 180}]}},
+                               None, ["simulate"], 2,
+                               "missing.blanket[0]: start_minute must be an integer >= 0, "
+                               "got -100"),
+    "dropout_minutes_zero": ({"missing": {"dropout": [dict(DROPOUT, minutes=0)]}}, None,
+                             ["simulate"], 2,
+                             "missing.dropout[0]: minutes must be an integer >= 1, got 0"),
+    "blanket_cycle_zero": ({"missing": {"blanket": [{"cycle": 0, "start_minute": 100,
+                                                     "minutes": 30}]}},
+                           None, ["simulate"], 2,
+                           "missing.blanket[0]: cycle must be an integer >= 1, got 0"),
+    "outlier_minute_negative": ({"outliers": [dict(OUTLIER, minute=-5)]}, None, ["simulate"], 2,
+                                "outliers[0]: minute must be an integer >= 0, got -5"),
+    "outlier_unknown_kind": ({"outliers": [dict(OUTLIER, kind="Spike")]}, None, ["simulate"], 2,
+                             "outliers[0]: kind must be one of FalseSpike, "
+                             "TruePrecursorRelevant, TrueIrrelevant, got 'Spike'"),
+    "outlier_unknown_channel": ({"outliers": [dict(OUTLIER, channel="temp_inside")]}, None,
+                                ["simulate"], 2,
+                                "outliers[0]: channel must be a simulated channel, "
+                                "got 'temp_inside'"),
+    "dropout_unknown_channel": ({"missing": {"dropout": [dict(DROPOUT, channel="temp_inside")]}},
+                                None, ["simulate"], 2,
+                                "missing.dropout[0]: channel must be a simulated channel, "
+                                "got 'temp_inside'"),
+    "non_use_quoted": ({"missing": {"non_use": "no"}}, None, ["simulate"], 2,
+                       "missing: non_use must be true or false, got 'no'"),
+    "horizons_repeated": ({"horizons_minutes": [180, 180]}, None, ["simulate"], 2,
+                          "horizons_minutes[1]: 180 is given twice"),
     "kb_not_a_path": ({"kb": ["a"]}, None, ["simulate"], 2, "kb must be a path, got ['a']"),
     "kb_file_descriptor": ({"kb": 0}, None, ["simulate"], 2, "kb must be a path, got 0"),
     "out_not_a_path": ({"out": True}, None, ["simulate"], 2, "out must be a path, got True"),
@@ -746,6 +799,7 @@ class TestCliBadInputs:
         else:
             prefix = "configuration error" if code == 2 else "pipeline error"
             assert f"{prefix}: " in err and message in err
+            assert code == 3 or not out.exists()
 
 
 IMPORT_SURFACE = """

@@ -91,9 +91,9 @@ class TestLoading:
          lambda doc: doc["envelopes"][0].update(min="zero")),
         (r"rules\[1\]", r"unknown keys: \['within_first_minute'\]",
          lambda doc: doc["rules"][1].update(within_first_minute=1)),
-        (r"rules\[0\]", r"unknown keys in sensor: \['chanel'\]",
+        (r"rules\[0\]\.sensor", r": unknown keys: \['chanel'\]",
          lambda doc: doc["rules"][0]["sensor"].update(chanel="temp_internal")),
-        (r"rules\[1\]", r"unknown keys in log: \['values'\]",
+        (r"rules\[1\]\.log", r": unknown keys: \['values'\]",
          lambda doc: doc["rules"][1]["log"].update(values=1)),
         (r"fmeca\[0\]", r"unknown keys: \['cause'\]",
          lambda doc: doc["fmeca"][0].update(cause="x")),
@@ -101,9 +101,9 @@ class TestLoading:
          lambda doc: doc["envelopes"][0].update(maximum=1.0)),
         ("mode_model", r"unknown keys: \['mode'\]",
          lambda doc: doc["mode_model"].update(mode=[])),
-        ("mode_model", r"unknown keys in modes\[0\]: \['sequence'\]",
+        (r"mode_model\.modes\[0\]", r": unknown keys: \['sequence'\]",
          lambda doc: doc["mode_model"]["modes"][0].update(sequence="S01")),
-        (r"rules\[6\]", "expected a mapping, got 3", lambda doc: doc["rules"].append(3)),
+        (r"rules\[6\]", ": must be a mapping, got 3", lambda doc: doc["rules"].append(3)),
         (r"rules\[0\]", "threshold must be a number, got nan",
          lambda doc: doc["rules"][0]["sensor"].update(threshold=float("nan"))),
         (r"rules\[2\]", "threshold must be a number, got inf",

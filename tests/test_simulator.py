@@ -10,7 +10,8 @@ import pytest
 
 from pdmpipe import SimConfig, evaluate_rules, inject_missing, inject_outliers, simulate
 from pdmpipe._seeding import substream
-from pdmpipe.simulator import MU_LOW, _wander
+from pdmpipe.simulator import (DEFAULT_INJECTION, DEFAULT_NOISE, MU_LOW, Blanket, Dropout,
+                               MissingScenario, Outlier, _wander)
 from pdmpipe.timeseries import _write_json
 
 GATE_AT_QUARTER = MU_LOW + (1 - MU_LOW) * 0.75
@@ -153,13 +154,63 @@ class TestLoggingGate:
             with pytest.raises(ValueError, match=r"wander_phi must be a number in \[0, 1\)"):
                 SimConfig(seed=1, wander_phi=phi)
 
+    def test_partial_mappings_override_only_their_keys(self, kb):
+        config = SimConfig(seed=1, cycles=1, injection={"needle": 0.5},
+                           noise={"temp_internal": 2.0})
+        assert config.injection == dict(DEFAULT_INJECTION, needle=0.5)
+        assert config.noise == dict(DEFAULT_NOISE, temp_internal=2.0)
+        frame, _ = simulate(config, kb)
+        assert len(frame) == 2910
+        with pytest.raises(ValueError, match=r"^noise: unknown keys: \['bogus'\]$"):
+            SimConfig(seed=1, noise={"bogus": 1.0})
+
+    def test_schedule_is_converted(self):
+        config = SimConfig(seed=1, cycles=3, schedule=[[3.0, "needle"]])
+        assert config.schedule == ((3, "needle"),) and type(config.schedule[0][0]) is int
+        with pytest.raises(ValueError, match=r"schedule\[0\] cycle must be an integer "
+                                             r"in \[1, 3\], got 4"):
+            SimConfig(seed=1, cycles=3, schedule=[[4, "needle"]])
+
+
+class TestScenarioRecords:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Blanket(cycle=0, start_minute=0, minutes=5),
+         "cycle must be an integer >= 1, got 0"),
+        (lambda: Blanket(cycle=3, start_minute=-100, minutes=180),
+         "start_minute must be an integer >= 0, got -100"),
+        (lambda: Dropout(cycle=3, channel="temp_internal", start_minute=0, minutes=0),
+         "minutes must be an integer >= 1, got 0"),
+        (lambda: Dropout(cycle=3, channel="temp_inside", start_minute=0, minutes=5),
+         "channel must be a simulated channel, got 'temp_inside'"),
+        (lambda: Outlier(cycle=3, channel="temp_internal", minute=-5, kind="FalseSpike",
+                         delta=1.0),
+         "minute must be an integer >= 0, got -5"),
+        (lambda: Outlier(cycle=3, channel="temp_internal", minute=5, kind="FalseSpike",
+                         value=float("inf")),
+         "value must be a number, got inf"),
+        (lambda: Outlier(cycle=3, channel="temp_internal", minute=5, kind="FalseSpike"),
+         "needs a delta or a value key"),
+        (lambda: MissingScenario(non_use="no"), "non_use must be true or false, got 'no'"),
+        (lambda: MissingScenario(blanket=[{"cycle": 3, "start_minute": 0}]),
+         r"^blanket\[0\]: lacks required keys: \['minutes'\]$"),
+    ])
+    def test_out_of_range_entries_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_mappings_are_built_into_records(self):
+        scenario = MissingScenario(non_use=True, blanket=[
+            {"cycle": "3", "start_minute": 10.0, "minutes": 5}])
+        assert scenario.blanket == (Blanket(cycle=3, start_minute=10, minutes=5),)
+        assert MissingScenario(blanket=scenario.blanket).blanket == scenario.blanket
+
 
 class TestInjectMissing:
     def test_blanket_blanks_every_channel(self, sim_small):
         frame, gt = sim_small
         out, gt2 = inject_missing(
-            frame, gt, {"blanket": [{"cycle": 2, "start_minute": 100,
-                                     "minutes": 120}]})
+            frame, gt, MissingScenario(blanket=(Blanket(cycle=2, start_minute=100,
+                                                        minutes=120),)))
         rows = slice(2910 + 100, 2910 + 220)
         for name in out.channels:
             assert np.isnan(out.channels[name][rows]).all()
@@ -172,8 +223,8 @@ class TestInjectMissing:
     def test_dropout_blanks_one_channel(self, sim_small):
         frame, gt = sim_small
         out, gt2 = inject_missing(
-            frame, gt, {"dropout": [{"cycle": 3, "channel": "temp_external_a",
-                                     "start_minute": 50, "minutes": 30}]})
+            frame, gt, MissingScenario(dropout=(Dropout(cycle=3, channel="temp_external_a",
+                                                        start_minute=50, minutes=30),)))
         rows = slice(2 * 2910 + 50, 2 * 2910 + 80)
         assert np.isnan(out.channels["temp_external_a"][rows]).all()
         assert not np.isnan(out.channels["temp_external_b"][rows]).any()
@@ -182,7 +233,7 @@ class TestInjectMissing:
 
     def test_non_use_blanks_idle_stretches(self, sim_small):
         frame, gt = sim_small
-        out, gt2 = inject_missing(frame, gt, {"non_use": True})
+        out, gt2 = inject_missing(frame, gt, MissingScenario(non_use=True))
         idle = out.sequence == "IDLE"
         assert np.isnan(out.channels["temp_internal"][idle]).all()
         assert not np.isnan(out.channels["temp_internal"][~idle]).any()
@@ -190,20 +241,20 @@ class TestInjectMissing:
 
     def test_overlapping_blankets_rejected(self, sim_small):
         frame, gt = sim_small
-        spec = {"blanket": [{"cycle": 1, "start_minute": 0, "minutes": 100},
-                            {"cycle": 1, "start_minute": 50, "minutes": 100}]}
+        spec = MissingScenario(blanket=(Blanket(cycle=1, start_minute=0, minutes=100),
+                                        Blanket(cycle=1, start_minute=50, minutes=100)))
         with pytest.raises(ValueError, match="overlap"):
             inject_missing(frame, gt, spec)
 
     def test_absent_cycle_rejected(self, sim_small):
         frame, gt = sim_small
         with pytest.raises(ValueError, match="absent cycle"):
-            inject_missing(frame, gt, {"blanket": [
-                {"cycle": 99, "start_minute": 0, "minutes": 10}]})
+            inject_missing(frame, gt, MissingScenario(blanket=(
+                Blanket(cycle=99, start_minute=0, minutes=10),)))
 
     def test_empty_scenario_is_identity(self, sim_small):
         frame, gt = sim_small
-        out, gt2 = inject_missing(frame, gt, {})
+        out, gt2 = inject_missing(frame, gt, MissingScenario())
         assert out is frame
         assert gt2 is gt
 
@@ -212,8 +263,8 @@ class TestInjectOutliers:
     def test_delta_applied_and_original_recorded(self, sim_small):
         frame, gt = sim_small
         out, gt2 = inject_outliers(frame, gt, [
-            {"cycle": 1, "channel": "pressure_internal_b", "minute": 1900,
-             "kind": "FalseSpike", "delta": 500.0}])
+            Outlier(cycle=1, channel="pressure_internal_b", minute=1900,
+                    kind="FalseSpike", delta=500.0)])
         point = gt2.outliers[-1]
         assert point.channel == "pressure_internal_b"
         assert point.kind == "FalseSpike"
@@ -224,26 +275,21 @@ class TestInjectOutliers:
     def test_absolute_value_spec(self, sim_small):
         frame, gt = sim_small
         out, gt2 = inject_outliers(frame, gt, [
-            {"cycle": 2, "channel": "angle_platform", "minute": 1100,
-             "kind": "TrueIrrelevant", "value": 80.0}])
+            Outlier(cycle=2, channel="angle_platform", minute=1100,
+                    kind="TrueIrrelevant", value=80.0)])
         assert out.channels["angle_platform"][2910 + 1100] == 80.0
 
     def test_point_on_missing_cell_rejected(self, sim_small):
         frame, gt = sim_small
-        blanked, gt2 = inject_missing(frame, gt, {"blanket": [
-            {"cycle": 1, "start_minute": 100, "minutes": 10}]})
+        blanked, gt2 = inject_missing(frame, gt, MissingScenario(blanket=(
+            Blanket(cycle=1, start_minute=100, minutes=10),)))
         with pytest.raises(ValueError, match="missing cell"):
             inject_outliers(blanked, gt2, [
-                {"cycle": 1, "channel": "temp_internal", "minute": 105,
-                 "kind": "FalseSpike", "delta": 50.0}])
+                Outlier(cycle=1, channel="temp_internal", minute=105,
+                        kind="FalseSpike", delta=50.0)])
 
-    def test_unknown_channel_and_kind_rejected(self, sim_small):
-        frame, gt = sim_small
-        with pytest.raises(ValueError, match="unknown channel"):
-            inject_outliers(frame, gt, [
-                {"cycle": 1, "channel": "bogus", "minute": 5,
-                 "kind": "FalseSpike", "delta": 1.0}])
-        with pytest.raises(ValueError, match="outlier kind"):
-            inject_outliers(frame, gt, [
-                {"cycle": 1, "channel": "temp_internal", "minute": 5,
-                 "kind": "Whoops", "delta": 1.0}])
+    def test_unknown_channel_and_kind_rejected(self):
+        with pytest.raises(ValueError, match="channel must be a simulated channel, got 'bogus'"):
+            Outlier(cycle=1, channel="bogus", minute=5, kind="FalseSpike", delta=1.0)
+        with pytest.raises(ValueError, match="kind must be one of .*, got 'Whoops'"):
+            Outlier(cycle=1, channel="temp_internal", minute=5, kind="Whoops", delta=1.0)
