@@ -1,11 +1,12 @@
 """Declarative equipment knowledge and the rule engine that applies it.
 
-The knowledge base bundles four things: the mode/sequence model of the
+The knowledge base bundles five things: the mode/sequence model of the
 cyclic equipment, IF-THEN monitoring rules with thresholds and temporal
 qualifiers, an FMECA catalog (fault names, causes, severity, consequence,
-corrective action), and nominal operating envelopes per channel and
-sequence. It is loaded from a YAML document and is immutable afterwards,
-so one instance can be shared freely.
+corrective action), nominal operating envelopes per channel and
+sequence, and groups of redundant channels. It is one record built from
+a YAML document and is immutable afterwards, so one instance can be
+shared freely.
 
 ``evaluate_rules`` walks a telemetry frame sequence instance by sequence
 instance and emits one fault event per (rule, cycle) that fires, which is
@@ -23,7 +24,7 @@ from importlib import resources
 import numpy as np
 import yaml
 
-from ._spec import at, bounded, check_fields, names, number, record, records
+from ._spec import EntryError, at, bounded, check_fields, names, number, record, records
 from .timeseries import SEQUENCE_IDS, TimeSeriesFrame
 
 log = logging.getLogger(__name__)
@@ -50,6 +51,7 @@ CANONICAL_MODES = (
     ("Cooling", SEQUENCE_IDS[10:11]),
     ("Disconnection", SEQUENCE_IDS[11:13]),
 )
+_MODE_OF = {seq: mode for mode, sequences in CANONICAL_MODES for seq in sequences}
 
 
 def _check_pairing(severity: str, consequence: str, where: str) -> None:
@@ -77,23 +79,16 @@ class Mode:
 class ModeModel:
     """Operating modes in cycle order and the nominal minutes per sequence.
 
-    Given ``sequences=None``, ``modes`` is the document's list of ``Mode``
-    mappings, and the mode names and their sequences are taken from it.
+    ``modes`` is the document's list of ``Mode`` mappings, built into
+    ``Mode`` records; they must give the canonical layout.
     """
 
-    modes: tuple = bounded()
-    sequences: dict      # mode name -> tuple of sequence ids
+    modes: tuple
     durations: dict      # sequence id -> minutes
 
     def __post_init__(self):
-        if self.sequences is None:
-            modes = records(Mode, self.modes, "modes")
-            object.__setattr__(self, "modes", [m.name for m in modes])
-            object.__setattr__(self, "sequences", {m.name: m.sequences for m in modes})
-        check_fields(self)
-        canon = tuple((m, tuple(s)) for m, s in CANONICAL_MODES)
-        got = tuple((m, tuple(self.sequences.get(m, ()))) for m in self.modes)
-        if got != canon:
+        modes = records(Mode, self.modes, "modes")
+        if tuple((m.name, m.sequences) for m in modes) != CANONICAL_MODES:
             raise ValueError("mode model must assign S01..S13 to the five canonical modes")
         missing = set(SEQUENCE_IDS) - set(self.durations)
         if missing:
@@ -101,17 +96,13 @@ class ModeModel:
         unknown = set(self.durations) - set(SEQUENCE_IDS)
         if unknown:
             raise ValueError(f"durations for unknown sequence ids {sorted(unknown, key=str)}")
-        # the layout just checked, so each mode's sequences are a tuple
-        object.__setattr__(self, "sequences", dict(got))
+        object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "durations", {
             seq: number(v, int, f"duration of {seq}", ">= 1")
             for seq, v in self.durations.items()})
 
     def mode_of(self, sequence_id: str) -> str:
-        for mode in self.modes:
-            if sequence_id in self.sequences[mode]:
-                return mode
-        raise KeyError(sequence_id)
+        return _MODE_OF[sequence_id]
 
 
 @dataclass(frozen=True)
@@ -254,23 +245,35 @@ class OperatingEnvelope:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """Immutable bundle of mode model, rules, FMECA, envelopes, redundancy."""
+    """The knowledge-base document as one immutable record. Its fields are
+    the document's five sections, each built into its records; a record
+    already built is kept as it is."""
 
     mode_model: ModeModel
     rules: tuple
     fmeca: tuple
     envelopes: tuple
-    redundancy: tuple    # tuple of frozensets of mutually redundant channels
+    redundancy: tuple    # name tuples of mutually redundant channels, in document order
 
     def __post_init__(self):
+        if not isinstance(self.redundancy, (list, tuple)):
+            raise EntryError("redundancy", f"must be a list, got {self.redundancy!r}")
+        groups = []
+        for i, group in enumerate(self.redundancy):
+            with at(f"redundancy[{i}]"):
+                groups.append(names(group, "group"))
+        object.__setattr__(self, "redundancy", tuple(groups))
+        object.__setattr__(self, "mode_model", record(ModeModel, self.mode_model, "mode_model"))
+        for key, kind in (("rules", MonitoringRule), ("fmeca", FmecaEntry),
+                          ("envelopes", OperatingEnvelope)):
+            object.__setattr__(self, key, records(kind, getattr(self, key), key))
         ids = [r.id for r in self.rules]
         dupes = {i for i in ids if ids.count(i) > 1}
         if dupes:
             raise ValueError(f"duplicate rule ids: {sorted(dupes)}")
-        names = [e.fault_name for e in self.fmeca]
-        if len(names) != len(set(names)):
-            raise ValueError("FMECA fault names must be unique")
         entries = {e.fault_name: e for e in self.fmeca}
+        if len(entries) != len(self.fmeca):
+            raise ValueError("FMECA fault names must be unique")
         units = {}
         for rule in self.rules:
             entry = entries.get(rule.fault_name)
@@ -338,27 +341,11 @@ class FaultEvent:
         _check_pairing(self.severity, self.consequence, f"event {self.fault_name!r}")
 
 
-def _build_kb(doc: dict) -> KnowledgeBase:
-    required = ("mode_model", "rules", "fmeca", "envelopes", "redundancy")
-    missing = [k for k in required if k not in doc]
-    if missing:
-        raise ValueError(f"knowledge base document missing sections: {missing}")
-
-    where = "knowledge base redundancy"
-    if not isinstance(doc["redundancy"], list):
-        raise ValueError(f"{where}: must be a list, got {doc['redundancy']!r}")
-    redundancy = []
-    for i, group in enumerate(doc["redundancy"]):
-        with at(f"{where}[{i}]"):
-            redundancy.append(frozenset(names(group, "group")))
-    kb = KnowledgeBase(
-        mode_model=record(ModeModel, doc["mode_model"], "knowledge base mode_model",
-                          sequences=None),
-        rules=records(MonitoringRule, doc["rules"], "knowledge base rules"),
-        fmeca=records(FmecaEntry, doc["fmeca"], "knowledge base fmeca"),
-        envelopes=records(OperatingEnvelope, doc["envelopes"], "knowledge base envelopes"),
-        redundancy=tuple(redundancy),
-    )
+def _build_kb(doc) -> KnowledgeBase:
+    try:
+        kb = record(KnowledgeBase, doc, "")
+    except EntryError as exc:
+        raise EntryError(f"knowledge base {exc.path}".rstrip(), exc.reason) from None
     log.info("knowledge base loaded: %d rules, %d FMECA entries, %d envelopes",
              len(kb.rules), len(kb.fmeca), len(kb.envelopes))
     return kb
@@ -384,8 +371,6 @@ def load_kb(path) -> KnowledgeBase:
             doc = _load_yaml(fh)
         except yaml.YAMLError as exc:
             raise ValueError(f"{path}: knowledge base is not valid YAML: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: knowledge base document must be a mapping")
     return _build_kb(doc)
 
 

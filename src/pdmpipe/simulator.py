@@ -1,12 +1,12 @@
 """Synthetic telemetry generator for the cyclic sampling equipment.
 
 Signals are piecewise-deterministic per sequence plus white noise and a
-slow AR(1) wander ``y[t] = e[t] + phi * y[t-1]``. The wander of a
-channel comes from a LAPACK tridiagonal solve (``dgtsv``) of the
-lower-bidiagonal system ``(I - phi L) y = e``. With ``0 <= phi < 1`` the
-solve swaps no rows, so each step rounds as the recurrence does and the
-paths are bit-identical to it. The channels are built one at a time, so
-one channel's temporaries are alive at once.
+slow AR(1) wander ``y[t] = e[t] + phi * y[t-1]``, solved block by block
+with LAPACK's ``dgttrs`` from one ``dgttrf`` factorization of the system
+``(I - phi L) y = e``. With ``0 <= phi < 1`` it swaps no rows, so each
+step rounds as the recurrence does and the paths are bit-identical to
+it. The channels are built one at a time, so one channel's temporaries
+are alive at once.
 
 Injected faults reproduce exactly the symptom each monitoring rule
 watches, with clipped margins wide enough that the rule engine fires on
@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from ._seeding import substream
 from ._spec import bounded, check_fields, number, records
@@ -224,24 +225,37 @@ class CycleLayout:
         self.sequence_of_minute = codes
 
 
+WANDER_BLOCK = 4096   # rows per wander solve; factors at a run's length would hold MBs
+
+
+@lru_cache(maxsize=4)
+def _wander_factors(phi: float) -> tuple:
+    """``dgttrf``'s LU factors of ``I - phi L`` at order ``WANDER_BLOCK``."""
+    return dgttrf(np.full(WANDER_BLOCK - 1, -float(phi)), np.ones(WANDER_BLOCK),
+                  np.zeros(WANDER_BLOCK - 1))[:5]
+
+
 def _wander(seed: int, name: str, n: int, scale: float, phi: float) -> np.ndarray:
     """AR(1) wander of length ``n`` for the channel ``name``.
 
     With a positive scale the innovations come from the channel's own
     ``substream(seed, "wander", name)``; otherwise the path is all zeros.
     The path is solved in place, as the system ``(I - phi L) y = e`` with
-    ``L`` the subdiagonal shift.
+    ``L`` the subdiagonal shift, one block of ``WANDER_BLOCK`` rows at a
+    time: a block's first innovation takes ``phi`` times the last value
+    of the block before.
     """
-    path = np.zeros(n)
+    # whole blocks; the padding rows come after the path, so they change none of it
+    path = np.zeros(-(-n // WANDER_BLOCK) * WANDER_BLOCK)
     if scale > 0:
-        substream(seed, "wander", name).standard_normal(out=path)
+        substream(seed, "wander", name).standard_normal(out=path[:n])
         path *= scale
-    if n > 1:
-        # dgtsv refuses a 1 x 1 system; there the path is its innovation. The
-        # diagonals are made for this call, so the factorization may overwrite them
-        path = dgtsv(np.full(n - 1, -float(phi)), np.ones(n), np.zeros(n - 1), path,
-                     overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[3]
-    return path
+    blocks = path.reshape(-1, WANDER_BLOCK)
+    for i, block in enumerate(blocks):
+        if i:
+            block[0] += phi * blocks[i - 1, -1]
+        block[:] = dgttrs(*_wander_factors(phi), block, overwrite_b=1)[0]
+    return path[:n]
 
 
 def _ramp(m: np.ndarray, onset: int, amplitude: float, hold_until: int) -> np.ndarray:

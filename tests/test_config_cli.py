@@ -560,6 +560,10 @@ def within_first_minute(doc):
     rule["within_first_minute"] = rule.pop("within_first_minutes")
 
 
+def rules_misspelled(doc):
+    doc["rulez"] = []
+
+
 OUTLIER = {"cycle": 3, "channel": "temp_internal", "minute": 100, "kind": "FalseSpike",
            "delta": 50.0}
 DROPOUT = {"cycle": 3, "channel": "temp_internal", "start_minute": 100, "minutes": 30}
@@ -595,6 +599,8 @@ BAD_INPUTS = {
                                     "got 7.9"),
     "kb_rule_key_typo": ({}, within_first_minute, ["simulate"], 2,
                          "knowledge base rules[1]: unknown keys: ['within_first_minute']"),
+    "kb_unknown_section": ({}, rules_misspelled, ["simulate"], 2,
+                           "knowledge base: unknown keys: ['rulez']"),
     "missing_unknown_key": ({"missing": {"bogus": True}}, None, ["simulate"], 2,
                             "missing: unknown keys: ['bogus']"),
     "missing_dropouts_typo": ({"missing": {"dropouts": [DROPOUT]}}, None, ["simulate"], 2,

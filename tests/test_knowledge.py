@@ -29,7 +29,7 @@ from pdmpipe.knowledge import (
     envelope_breaches,
 )
 from pdmpipe.timeseries import _write_json, resample
-from helpers import quiet_frame, segment_rows, stock_doc
+from helpers import quiet_frame, run_python, segment_rows, stock_doc
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGED_KB = REPO / "src" / "pdmpipe" / "data" / "knowledge_base.yaml"
@@ -41,13 +41,30 @@ def load_doc(doc, tmp_path):
     return load_kb(path)
 
 
+# the redundancy notes of one knowledge base, every channel loading 0.9,
+# and the packaged knowledge base's repr
+HASH_SEED_PROBE = """
+import json, sys
+import numpy as np
+from pdmpipe import default_kb, load_kb
+from pdmpipe.features import PcaResult, select_features
+from pdmpipe.simulator import CHANNEL_UNITS
+
+names = list(CHANNEL_UNITS)
+loadings = np.full((len(names), 1), 0.9)
+result = PcaResult(loadings=loadings, explained=np.ones(1), retained=1)
+notes = select_features(names, result, kb=load_kb(sys.argv[1])).notes
+print(json.dumps({"notes": [n for n in notes if "redundant" in n],
+                  "repr": repr(default_kb())}))
+"""
+
+
 class TestLoading:
     def test_stock_kb_shape(self, kb):
         assert len(kb.rules) == 6
         assert len({r.fault_name for r in kb.rules}) == 5
         assert len(kb.fmeca) == 5
-        assert kb.redundancy == (frozenset({"temp_external_b",
-                                            "temp_external_e"}),)
+        assert kb.redundancy == (("temp_external_b", "temp_external_e"),)
 
     def test_mode_model(self, kb):
         mm = kb.mode_model
@@ -218,8 +235,27 @@ class TestLoading:
     def test_missing_section_rejected(self, tmp_path):
         doc = stock_doc()
         del doc["fmeca"]
-        with pytest.raises(ValueError, match="missing sections"):
+        with pytest.raises(ValueError, match="lacks required keys"):
             load_doc(doc, tmp_path)
+
+    def test_redundancy_notes_and_repr_ignore_the_hash_seed(self, tmp_path):
+        # a group keeps its document order, so no run's string hashing
+        # reorders the notes of a curated dataset
+        doc = stock_doc()
+        doc["redundancy"] = [["temp_external_b", "temp_external_e", "temp_external_c",
+                              "temp_external_a"]]
+        path = tmp_path / "kb.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        runs = []
+        for seed in ("0", "1", "2"):
+            proc = run_python("-c", HASH_SEED_PROBE, str(path), timeout=120,
+                              env={"PYTHONHASHSEED": seed})
+            assert proc.returncode == 0, proc.stderr
+            runs.append(json.loads(proc.stdout.splitlines()[-1]))
+        for run in runs:
+            assert run["notes"] == [f"dropped temp_external_{c}: redundant with temp_external_a"
+                                    for c in "bec"]
+            assert run["repr"] == runs[0]["repr"]
 
     def test_duplicate_rule_id_rejected(self, tmp_path):
         doc = stock_doc()
@@ -261,8 +297,7 @@ class TestTypes:
 
     def test_canonical_mode_layout_enforced(self):
         with pytest.raises(ValueError, match="canonical"):
-            ModeModel(modes=("Preparation",),
-                      sequences={"Preparation": ("S01",)},
+            ModeModel(modes=[{"name": "Preparation", "sequences": ["S01"]}],
                       durations={f"S{i:02d}": 1 for i in range(1, 14)})
 
     def test_envelope_needs_known_sequence(self):

@@ -11,7 +11,7 @@ import pytest
 from pdmpipe import SimConfig, evaluate_rules, inject_missing, inject_outliers, simulate
 from pdmpipe._seeding import substream
 from pdmpipe.simulator import (DEFAULT_INJECTION, DEFAULT_NOISE, MU_LOW, Blanket, Dropout,
-                               MissingScenario, Outlier, _wander)
+                               MissingScenario, Outlier, WANDER_BLOCK, _wander)
 from pdmpipe.timeseries import _write_json
 
 GATE_AT_QUARTER = MU_LOW + (1 - MU_LOW) * 0.75
@@ -79,7 +79,10 @@ class TestGenerator:
 class TestWander:
     SCALES = {"pressure_internal_a": 1.5, "angle_platform": 0.0, "temp_internal": 0.45}
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 160_050])
+    # short paths, paths that end one and two rows into a block of
+    # WANDER_BLOCK rows, one that fills two blocks, and the reference run's rows
+    @pytest.mark.parametrize("n", [1, 2, 3, WANDER_BLOCK + 1, WANDER_BLOCK + 2,
+                                   2 * WANDER_BLOCK, 160_050])
     @pytest.mark.parametrize("phi", [0.0, 0.5, 0.97, 0.999])
     def test_is_the_ar1_recurrence_bit_for_bit(self, phi, n):
         for name, scale in self.SCALES.items():
