@@ -4,10 +4,10 @@ Gaps are classified by cause and either deleted or reconstructed from
 past cycles. Gap handling is the only step that deals with missing
 cells: outlier candidates come from a running-median spike screen and an
 invariant-coordinate row screen, which both take the complete frame it
-leaves and refuse a NaN or infinite cell. The candidates are judged
-against the detected faults so that flagged points lining up with a
-fault are kept. The caller chooses which gaps to reconstruct and whether
-to judge the candidates at all.
+leaves and refuse a NaN or infinite cell, as resampling does. The
+candidates are judged against the detected faults so that flagged points
+lining up with a fault are kept. The caller chooses which gaps to
+reconstruct and whether to judge the candidates at all.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from scipy.ndimage import median_filter
 from scipy.special import gammaincinv
 
 from .knowledge import BLOCKING, KnowledgeBase, _event_rows, _instances, envelope_breaches
-from .timeseries import IDLE, TimeSeriesFrame, _runs
+from .timeseries import IDLE, TimeSeriesFrame, _require_finite, _runs
 
 log = logging.getLogger(__name__)
 
@@ -208,8 +208,6 @@ def _ics_in_place(X: np.ndarray, m: int, alpha: float) -> np.ndarray:
         raise ValueError("m must be between 1 and the number of channels")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if np.isnan(X).any():
-        raise ValueError("X must not contain missing values")
 
     X -= X.mean(axis=0)
     cov = X.T @ X / (n - 1)
@@ -294,14 +292,6 @@ def _span_medians(x: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     med[edge] = mid
     med += 0.0      # np.median sums from +0.0, so it never returns -0.0
     return med
-
-
-def _require_finite(frame: TimeSeriesFrame) -> None:
-    """Raise naming the first channel that holds a NaN or infinite cell."""
-    for name, values in frame.channels.items():
-        if not np.isfinite(values).all():
-            raise ValueError(f"channel {name!r} holds NaN or infinite cells; "
-                             "handle the gaps before screening")
 
 
 def detrended_iqr_flags(frame: TimeSeriesFrame, k: float, window: int = 31):

@@ -33,6 +33,7 @@ from .timeseries import (
     IDLE,
     SEQUENCE_IDS,
     TimeSeriesFrame,
+    _buckets,
     _write_json,
     _write_table,
     resample,
@@ -86,39 +87,23 @@ def _pca_in_place(X: np.ndarray, variance_threshold: float) -> PcaResult:
 
 def _channel_pca(frame: TimeSeriesFrame, variance_threshold: float) -> PcaResult:
     """Principal components of the frame's channels, each standardized over
-    all rows, in one matrix that is stacked once and then only written in place."""
-    X = np.column_stack(list(frame.channels.values()))
-    mean, std = _column_moments(X)
-    std[std == 0] = 1.0
-    X -= mean
-    X /= std
-    return _pca_in_place(X, variance_threshold)
+    all rows, in one matrix that is stacked once and then only written in place.
 
-
-def _column_moments(X: np.ndarray):
-    """``X.mean(axis=0)`` and ``X.std(axis=0)`` of a C-ordered matrix, bit for
-    bit, with the temporaries of one block of rows at a time.
-
-    numpy sums such a matrix of two or more columns over axis 0 one row at a
-    time into a row of running sums, so a block's sums that start from the
-    sums so far, stacked on as its first row, carry that order on. A single
-    column is summed pairwise instead; it is small, and takes numpy's path.
+    A channel's mean is the last ``cumsum`` of its cells over the row count,
+    and its deviation the root of the same for its centered squares:
+    ``cumsum`` adds in row order, as numpy sums a matrix of two or more
+    columns over axis 0, so they are ``X.mean(axis=0)`` and ``X.std(axis=0)``
+    bit for bit. A zero deviation is taken as 1.
     """
-    if X.shape[1] == 1:
-        return X.mean(axis=0), X.std(axis=0)
+    X = np.column_stack(list(frame.channels.values()))
     n = X.shape[0]
-    starts = range(0, n, _BLOCK_ROWS)
-    mean = _carried_sum(X[lo:lo + _BLOCK_ROWS] for lo in starts) / n
-    squares = (np.square(X[lo:lo + _BLOCK_ROWS] - mean) for lo in starts)
-    return mean, np.sqrt(_carried_sum(squares) / n)
-
-
-def _carried_sum(blocks) -> np.ndarray:
-    """Axis-0 sum of the blocks, each summed with the sums of those before it."""
-    total = None
-    for block in blocks:
-        total = np.add.reduce(block if total is None else np.vstack((total, block)), axis=0)
-    return total
+    running = np.empty(n)
+    for column in X.T:
+        # numpy's sum starts from +0.0, so a column of -0.0 has mean +0.0
+        column -= np.cumsum(column, out=running)[-1] / n + 0.0
+        np.square(column, out=running)
+        column /= math.sqrt(np.cumsum(running, out=running)[-1] / n) or 1.0
+    return _pca_in_place(X, variance_threshold)
 
 
 @dataclass(frozen=True)
@@ -451,8 +436,7 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     # transform: scaler fitted on the cycles the chronological split trains
     # on, the leading ones of those the balance window keeps after
     # resampling, which labels each bucket by its last row
-    bucket = frame.elapsed_minutes() // params.resample_minutes
-    last = np.flatnonzero(np.diff(bucket, append=bucket[-1] + 1))
+    last = _buckets(frame, params.resample_minutes)[2]
     kept = last[np.isin(frame.sequence[last], BALANCE_SEQUENCES)]
     if kept.size == 0:
         raise ValueError("balance window removed every row")

@@ -541,7 +541,7 @@ class MissingScenario:
 @dataclass(frozen=True)
 class Outlier:
     """A point of ``kind`` planted on ``channel`` at ``minute`` of ``cycle``:
-    ``value``, or else the reading plus ``delta``."""
+    ``value``, or the reading plus ``delta``; an entry gives exactly one."""
 
     cycle: int = bounded(">= 1")
     channel: str
@@ -558,6 +558,8 @@ class Outlier:
                              f"got {self.kind!r}")
         if self.delta is None and self.value is None:
             raise ValueError("needs a delta or a value key")
+        if self.delta is not None and self.value is not None:
+            raise ValueError("takes a delta or a value key, not both")
 
 
 def inject_missing(frame: TimeSeriesFrame, gt: GroundTruth, scenario: MissingScenario):

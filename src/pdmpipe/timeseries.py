@@ -3,7 +3,7 @@
 The frame carries three kinds of columns:
 
 - ``channels``: numeric sensor series (float64) with a unit tag each; missing
-  cells are NaN and are first-class (cleaning logic branches on them),
+  cells are NaN until gap handling, and resampling refuses NaN and infinity,
 - ``logs``: discrete series — the sequence id (S01..S13 or IDLE), the cycle
   number, and binary fault/valve/door flags,
 - ``timestamps``: strictly increasing instants at a nominal fixed step.
@@ -146,6 +146,7 @@ _BLOCK_ROWS = 512
 # written without a fork.
 _PART_BLOCKS = 4
 _QUOTED = re.compile(r'[,"\r\n]')   # cells ``csv.QUOTE_MINIMAL`` wraps in quotes
+_CAUSE_BYTES = 512   # of a failed row part's cause: an atomic write to an empty pipe
 
 
 def _write_table(path, header, timestamps, columns) -> None:
@@ -241,16 +242,24 @@ class _RowPart:
     temporary file in the directory of the table's ``path``.
 
     The child writes nothing else, and ends with ``os._exit``: it flushes no
-    file it shares with the parent and runs no exit handler. The parent
-    reaps it in ``append_to``, or kills and reaps it in ``close``.
+    file it shares with the parent and runs no exit handler. A child that
+    fails sends ``TypeName: message`` of its exception back through a pipe.
+    The parent reaps it in ``append_to``, or kills and reaps it in ``close``.
     """
 
     def __init__(self, path, timestamps, columns, lo, hi):
         self.path, self.lo, self.hi = path, lo, hi
         self.file = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
         try:
+            self.cause, report = os.pipe()
+        except BaseException:
+            self.file.close()
+            raise
+        try:
             self.pid = os.fork()
         except BaseException:
+            os.close(report)
+            os.close(self.cause)
             self.file.close()
             raise
         if self.pid == 0:
@@ -259,25 +268,31 @@ class _RowPart:
                 _write_rows(self.file, timestamps, columns, lo, hi)
                 self.file.flush()
                 status = 0
+            except Exception as exc:
+                os.write(report, f"{type(exc).__name__}: {exc}".encode()[:_CAUSE_BYTES])
             finally:
                 os._exit(status)
+        os.close(report)
 
     def append_to(self, out) -> None:
         """Wait for the child, then copy its rows to the end of ``out``."""
         status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         self.pid = None
         if status:
+            cause = os.read(self.cause, _CAUSE_BYTES).decode(errors="replace")
             raise RuntimeError(f"{self.path}: the process writing rows {self.lo} "
-                               f"to {self.hi} exited with status {status}")
+                               f"to {self.hi} exited with status {status}"
+                               + (f": {cause}" if cause else ""))
         self.file.seek(0)
         shutil.copyfileobj(self.file, out)
 
     def close(self) -> None:
-        """Kill and reap the child unless it was reaped, and drop its file."""
+        """Kill and reap the child unless it was reaped, and drop its pipe and file."""
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
+        os.close(self.cause)
         self.file.close()
 
 
@@ -323,11 +338,29 @@ def _cells(values: np.ndarray) -> list:
             for c in values.astype(str).tolist()]
 
 
+def _require_finite(frame: TimeSeriesFrame) -> None:
+    """Raise naming the first channel that holds a NaN or infinite cell."""
+    for name, values in frame.channels.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"channel {name!r} holds NaN or infinite cells; "
+                             "handle the gaps first")
+
+
+def _buckets(frame: TimeSeriesFrame, minutes: int):
+    """The ``minutes`` buckets that hold rows, anchored at the first timestamp:
+    each one's id (its start in intervals since the first timestamp), first
+    row and last row. Timestamps increase, so each bucket is one run of rows."""
+    bucket_of_row = frame.elapsed_minutes() // minutes
+    first = np.flatnonzero(np.diff(bucket_of_row, prepend=-1))
+    last = np.append(first[1:], len(frame)) - 1
+    return bucket_of_row[first], first, last
+
+
 def resample(frame: TimeSeriesFrame, interval_minutes: int) -> TimeSeriesFrame:
     """Aggregate the frame into ``interval_minutes`` buckets anchored at its first timestamp.
 
-    Numeric channels take the bucket mean, skipping missing cells (an
-    all-missing bucket stays missing). Binary logs take any-one, so a fault
+    Numeric channels take the bucket mean; a NaN or infinite cell raises a
+    ``ValueError`` naming its channel. Binary logs take any-one, so a fault
     pulse anywhere in a bucket survives. The sequence id and the cycle
     number take the bucket's last value.
 
@@ -345,23 +378,13 @@ def resample(frame: TimeSeriesFrame, interval_minutes: int) -> TimeSeriesFrame:
             f"interval {interval_minutes} min is not a multiple of the "
             f"native step {frame.step_minutes} min"
         )
+    _require_finite(frame)
 
-    # timestamps increase, so each bucket is one run of rows
-    bucket_of_row = frame.elapsed_minutes() // interval_minutes
-    starts = np.flatnonzero(np.diff(bucket_of_row, prepend=-1))
-    bucket_ids = bucket_of_row[starts]
-    del bucket_of_row
-    last = np.append(starts[1:], len(frame)) - 1
-
+    bucket_ids, starts, last = _buckets(frame, interval_minutes)
+    sizes = last - starts + 1
     out_ts = frame.timestamps[0] + (bucket_ids * interval_minutes).astype("timedelta64[m]")
-
-    out_channels = {}
-    for name, values in frame.channels.items():
-        ok = ~np.isnan(values)
-        sums = np.add.reduceat(np.where(ok, values, 0.0), starts)
-        counts = np.add.reduceat(ok, starts, dtype=np.float64)
-        with np.errstate(invalid="ignore"):
-            out_channels[name] = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    out_channels = {name: np.add.reduceat(values, starts) / sizes
+                    for name, values in frame.channels.items()}
 
     out_logs = {}
     for name, values in frame.logs.items():

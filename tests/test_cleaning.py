@@ -312,9 +312,6 @@ class TestIcsDetector:
             cleaning._ics_in_place(X.copy(), 4, 0.025)
         with pytest.raises(ValueError, match="alpha"):
             cleaning._ics_in_place(X.copy(), 2, 0.0)
-        X[5, 1] = np.nan
-        with pytest.raises(ValueError, match="missing"):
-            cleaning._ics_in_place(X, 2, 0.025)
         Y = rng.standard_normal((50, 1))
         with pytest.raises(ValueError, match="singular"):
             cleaning._ics_in_place(np.hstack([Y, Y]), 1, 0.025)

@@ -630,6 +630,9 @@ BAD_INPUTS = {
     "outlier_without_delta_or_value": ({"outliers": [entry_without(OUTLIER, "delta")]}, None,
                                        ["simulate"], 2,
                                        "outliers[0]: needs a delta or a value key"),
+    "outlier_with_delta_and_value": ({"outliers": [dict(OUTLIER, value=900.0)]}, None,
+                                     ["simulate"], 2,
+                                     "outliers[0]: takes a delta or a value key, not both"),
     "outlier_unknown_key": ({"outliers": [dict(OUTLIER, size=3)]}, None, ["simulate"], 2,
                             "outliers[0]: unknown keys: ['size']"),
     "outlier_not_a_mapping": ({"outliers": [[3, "temp_internal"]]}, None, ["simulate"], 2,

@@ -65,31 +65,52 @@ class TestPca:
             features._pca_in_place(np.zeros((10, 2)), 0.95)
 
 
+def channel_frame(X):
+    """A frame whose channels are the columns of ``X``, one minute apart."""
+    names = [f"c{j}" for j in range(X.shape[1])]
+    return TimeSeriesFrame(
+        timestamps=np.arange(len(X)).astype("datetime64[m]").astype("datetime64[s]"),
+        channels={name: X[:, j].copy() for j, name in enumerate(names)},
+        units=dict.fromkeys(names, "u"), logs={})
+
+
 class TestColumnMoments:
-    """The reduction step's channel means and deviations, summed from blocks
-    of 4096 rows, against numpy's over the whole matrix."""
+    """The reduction step standardizes each channel with its own cumulative
+    sums; the matrix it hands to PCA is numpy's over the whole matrix."""
 
-    @staticmethod
-    def assert_whole_matrix_bits(X):
-        mean, std = features._column_moments(X)
-        assert np.array_equal(mean.view(np.int64), X.mean(axis=0).view(np.int64))
-        assert np.array_equal(std.view(np.int64), X.std(axis=0).view(np.int64))
-
+    @pytest.mark.parametrize("d", [2, 3, 9])
     @pytest.mark.parametrize("n", [2, 4095, 4096, 4097, 3 * 4096 + 17])
-    def test_blocks_give_the_whole_matrix_bits(self, n):
-        rng = np.random.default_rng(n)
-        X = rng.standard_normal((n, 9))
-        X *= 10.0 ** rng.integers(-6, 7, 9)
-        X += 10.0 ** rng.integers(-3, 10, 9)
-        X[:, 3] = -2.5e7                    # a constant column
-        X[:, 4] = 0.0
-        X[::3, 4] = -0.0                    # zeros of both signs
-        X[:, 5] = -0.0
-        self.assert_whole_matrix_bits(X)
+    def test_standardized_matrix_has_the_whole_matrix_bits(self, n, d, monkeypatch):
+        rng = np.random.default_rng(n + d)
+        X = rng.standard_normal((n, d))
+        X *= 10.0 ** rng.integers(-6, 7, d)
+        X += 10.0 ** rng.integers(-3, 10, d)
+        X[:, 1] = -2.5e7                    # a constant column
+        if d > 2:
+            X[:, 2] = 0.0
+            X[::3, 2] = -0.0                # zeros of both signs
+        if d > 3:
+            X[:, 3] = -0.0
+        handed = []
+        pca = features._pca_in_place
 
-    def test_one_column_takes_numpys_path(self):
+        def recording(M, threshold):
+            handed.append(M.copy())
+            return pca(M, threshold)
+
+        monkeypatch.setattr(features, "_pca_in_place", recording)
+        features._channel_pca(channel_frame(X), 0.95)
+        std = X.std(axis=0)
+        std[std == 0] = 1.0
+        want = (X - X.mean(axis=0)) / std
+        assert np.array_equal(handed[0].view(np.int64), want.view(np.int64))
+
+    def test_one_channel_is_its_own_component(self):
         X = np.random.default_rng(4).standard_normal((3 * 4096 + 17, 1)) + 1e6
-        self.assert_whole_matrix_bits(X)
+        result = features._channel_pca(channel_frame(X), 0.95)
+        assert result.loadings.tolist() == [[1.0]]
+        assert result.explained.tolist() == [1.0]
+        assert result.retained == 1
 
     def test_reduction_holds_one_matrix(self):
         # the stacked channels, then blocks of rows and d x d products: 1.12

@@ -6,6 +6,7 @@ import csv
 import math
 import os
 import re
+import signal
 import time
 from dataclasses import dataclass
 
@@ -118,18 +119,31 @@ class TestResample:
         assert len(out) == math.ceil(n / interval)
 
     def test_native_interval_is_identity(self):
-        values = np.array([1.0, np.nan, 3.0, 4.0])
+        values = np.array([1.0, -0.0, 3.5, -4.0])
         frame = flat_frame(4, x=values)
         out = resample(frame, 1)
         assert np.array_equal(out.timestamps, frame.timestamps)
-        assert np.array_equal(out.channels["x"], values, equal_nan=True)
+        assert np.array_equal(out.channels["x"].view(np.int64), values.view(np.int64))
         assert np.array_equal(out.sequence, frame.sequence)
 
-    def test_mean_skips_missing_and_keeps_empty_bucket_missing(self):
-        frame = flat_frame(4, x=np.array([1.0, np.nan, np.nan, np.nan]))
-        out = resample(frame, 2)
-        assert out.channels["x"][0] == 1.0
-        assert np.isnan(out.channels["x"][1])
+    def test_mean_of_each_bucket(self):
+        frame = flat_frame(5, x=np.array([1.0, 2.0, 4.0, 8.0, 5.0]))
+        assert np.array_equal(resample(frame, 2).channels["x"], [1.5, 6.0, 5.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_missing_or_infinite_cell_refused_naming_its_channel(self, bad):
+        y = np.arange(4.0)
+        y[2] = bad
+        frame = flat_frame(4, x=np.arange(4.0), y=y)
+        with pytest.raises(ValueError, match="channel 'y' holds NaN or infinite cells"):
+            resample(frame, 2)
+
+    def test_buckets_are_runs_of_rows(self):
+        frame = flat_frame(45).take(np.r_[0:3, 14:20, 40:45])
+        ids, first, last = timeseries._buckets(frame, 15)
+        assert ids.tolist() == [0, 1, 2]
+        assert first.tolist() == [0, 4, 9]
+        assert last.tolist() == [3, 8, 13]
 
     def test_flag_any_keeps_pulse_anywhere_in_bucket(self):
         frame = flat_frame(30)
@@ -364,7 +378,24 @@ class TestTableWriterParts:
         monkeypatch.setattr(timeseries, "_write_rows", fail_in_children)
         path = tmp_path / "t.csv"
         with pytest.raises(RuntimeError, match=re.escape(
-                f"{path}: the process writing rows 28 to 56 exited with status 1")):
+                f"{path}: the process writing rows 28 to 56 exited with status 1: "
+                "OSError: no space left")):
+            _write_table(path, *four_parts)
+        self.assert_no_child()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_killed_child_names_its_signal(self, four_parts, tmp_path, monkeypatch):
+        write_rows = timeseries._write_rows
+
+        def children_killed(out, timestamps, columns, lo, hi):
+            if lo:
+                os.kill(os.getpid(), signal.SIGKILL)
+            write_rows(out, timestamps, columns, lo, hi)
+
+        monkeypatch.setattr(timeseries, "_write_rows", children_killed)
+        path = tmp_path / "t.csv"
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"{path}: the process writing rows 28 to 56 exited with status -9") + "$"):
             _write_table(path, *four_parts)
         self.assert_no_child()
         assert list(tmp_path.iterdir()) == []
