@@ -68,11 +68,10 @@ def cmd_evaluate(config: PipelineConfig, kb, scenario: str, out_dir: str) -> int
     frame, gt = _generate(config, kb)
     report = run_scenario(frame, gt, kb, scenario, config)
     write_report(report, out_dir)
-    if report.best:
-        best = report.best
-        print(f"{scenario}: best {best['model']} at {best['horizon_minutes']} min, "
-              f"test F1 {best['test']['f1']:.3f}, "
-              f"accuracy {best['test']['accuracy']:.3f} -> {out_dir}")
+    best = report.best
+    if best:
+        print(f"{scenario}: best {best.model} at {best.horizon_minutes} min, "
+              f"test F1 {best.test.f1:.3f}, accuracy {best.test.accuracy:.3f} -> {out_dir}")
     else:
         print(f"{scenario}: no model passed selection ({report.reason}) -> {out_dir}")
     return 0

@@ -12,7 +12,7 @@ import csv
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -176,21 +176,14 @@ def _fit_family(family: str, X, y, params, seed: int):
     return fit_svm(X, y, params)
 
 
-@dataclass
-class TunedModel:
-    family: str
-    params: dict
-    model: object
-    val_metrics: MetricsReport
-
-
 def tune_and_fit(X_train, y_train, X_val, y_val, family: str, grid,
-                 seed: int) -> TunedModel:
+                 seed: int) -> tuple:
     """Fit every grid entry on train, keep the best validation F1.
 
     Ties prefer fewer trees/iterations, then a shallower depth,
     then the earlier grid entry. The winning model stays fitted on the
-    train rows only.
+    train rows only. Returns (model, its parameters under the keys the grid
+    entry gives, its validation metrics).
     """
     if not grid:
         raise ValueError("empty parameter grid")
@@ -206,10 +199,19 @@ def tune_and_fit(X_train, y_train, X_val, y_val, family: str, grid,
         key = (-metrics.f1, getattr(record, "trees", getattr(record, "iterations", 0)),
                math.inf if depth is None else depth, idx)
         if best is None or key < best[0]:
-            best = (key, TunedModel(family=family,
-                                    params={name: getattr(record, name) for name in params},
-                                    model=model, val_metrics=metrics))
-    return best[1]
+            best = (key, model, {name: getattr(record, name) for name in params}, metrics)
+    return best[1:]
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One scored (model family, horizon) cell; ``validation`` holds the
+    metrics ``params`` won on, None for the rule baseline, which tunes nothing."""
+    model: str
+    horizon_minutes: int
+    params: dict
+    validation: MetricsReport | None
+    test: MetricsReport
 
 
 def select_best(cells, min_accuracy: float = 0.70):
@@ -220,13 +222,12 @@ def select_best(cells, min_accuracy: float = 0.70):
     wins; ties go to the longer horizon, then the fixed family order.
     Returns (cell, None) or (None, reason).
     """
-    survivors = [c for c in cells
-                 if c["test"]["accuracy"] > min_accuracy and c["test"]["f1"] > 0]
+    survivors = [c for c in cells if c.test.accuracy > min_accuracy and c.test.f1 > 0]
     if not survivors:
         return None, f"no cell exceeded accuracy {min_accuracy} with nonzero F1"
     order = {f: i for i, f in enumerate(FAMILY_ORDER)}
-    survivors.sort(key=lambda c: (-c["test"]["f1"], -c["horizon_minutes"],
-                                  order.get(c["model"], len(order))))
+    survivors.sort(key=lambda c: (-c.test.f1, -c.horizon_minutes,
+                                  order.get(c.model, len(order))))
     return survivors[0], None
 
 
@@ -234,7 +235,7 @@ def select_best(cells, min_accuracy: float = 0.70):
 class ScenarioReport:
     scenario: str
     cells: tuple
-    best: dict
+    best: Cell | None
     reason: str
     seed: int
     counts: dict = field(default_factory=dict)
@@ -260,9 +261,8 @@ def _baseline_report(frame, gt, kb: KnowledgeBase, seed: int) -> ScenarioReport:
         for name in blocking_names:
             y_true.append(int((int(c), name) in truth))
             y_pred.append(int((int(c), name) in predicted))
-    metrics = compute_metrics(y_true, y_pred)
-    cell = {"model": "rules", "horizon_minutes": 0, "params": {},
-            "validation": None, "test": asdict(metrics)}
+    cell = Cell(model="rules", horizon_minutes=0, params={}, validation=None,
+                test=compute_metrics(y_true, y_pred))
     best, reason = select_best([cell])
     counts = {
         "ground_truth_events": len(gt.events),
@@ -293,17 +293,13 @@ def run_scenario(frame, gt, kb: KnowledgeBase, scenario: str, config) -> Scenari
         for family in FAMILY_ORDER:
             seed = int(substream(config.seed, "tune", scenario, family,
                                  horizon).integers(2 ** 31))
-            tuned = tune_and_fit(ds.X[tr], labels[tr], ds.X[va], labels[va],
-                                 family, config.models[family], seed)
-            test_metrics = compute_metrics(labels[te], tuned.model.predict(ds.X[te]))
-            cells.append({
-                "model": family, "horizon_minutes": horizon,
-                "params": tuned.params,
-                "validation": asdict(tuned.val_metrics),
-                "test": asdict(test_metrics),
-            })
+            model, params, validation = tune_and_fit(
+                ds.X[tr], labels[tr], ds.X[va], labels[va], family,
+                config.models[family], seed)
+            test = compute_metrics(labels[te], model.predict(ds.X[te]))
+            cells.append(Cell(family, horizon, params, validation, test))
             log.info("%s %s @%dmin: val F1 %.3f test F1 %.3f", scenario, family,
-                     horizon, tuned.val_metrics.f1, test_metrics.f1)
+                     horizon, validation.f1, test.f1)
     best, reason = select_best(cells)
     dataset_info = {
         "rows": int(len(ds)),
@@ -319,20 +315,18 @@ def run_scenario(frame, gt, kb: KnowledgeBase, scenario: str, config) -> Scenari
                           reason=reason, seed=config.seed, dataset=dataset_info)
 
 
-_CSV_COLUMNS = ("scenario", "model", "horizon_minutes", "split", "tp", "fp",
-                "fn", "tn", "accuracy", "precision", "recall", "f1", "flags")
+# the metric columns are MetricsReport's fields; flags, the last, joins with "|"
+_METRICS = tuple(f.name for f in fields(MetricsReport))
+_CSV_COLUMNS = ("scenario", "model", "horizon_minutes", "split", *_METRICS)
 
 
 def _cell_rows(report: ScenarioReport):
     for cell in report.cells:
-        for part in ("validation", "test"):
-            metrics = cell.get(part)
-            if metrics is None:
-                continue
-            yield [report.scenario, cell["model"], cell["horizon_minutes"], part,
-                   metrics["tp"], metrics["fp"], metrics["fn"], metrics["tn"],
-                   metrics["accuracy"], metrics["precision"], metrics["recall"],
-                   metrics["f1"], "|".join(metrics["flags"])]
+        for part, metrics in (("validation", cell.validation), ("test", cell.test)):
+            if metrics is not None:
+                yield [report.scenario, cell.model, cell.horizon_minutes, part,
+                       *(getattr(metrics, name) for name in _METRICS[:-1]),
+                       "|".join(metrics.flags)]
 
 
 def write_report(report: ScenarioReport, out_dir: str) -> None:
@@ -354,10 +348,10 @@ def compare(frame, gt, kb: KnowledgeBase, config) -> dict:
         best = report.best
         rows.append({
             "scenario": name,
-            "best_model": best["model"] if best else None,
-            "best_horizon_minutes": best["horizon_minutes"] if best else None,
-            "accuracy": best["test"]["accuracy"] if best else None,
-            "f1": best["test"]["f1"] if best else None,
+            "best_model": best.model if best else None,
+            "best_horizon_minutes": best.horizon_minutes if best else None,
+            "accuracy": best.test.accuracy if best else None,
+            "f1": best.test.f1 if best else None,
             "reason": report.reason,
         })
     return {"reports": reports, "comparison": rows}

@@ -391,9 +391,6 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     frame = drop_intervals(frame, report)
     if len(frame) == 0:
         raise ValueError("gap handling removed every row")
-    for name, values in frame.channels.items():
-        if np.isnan(values).any():
-            raise ValueError(f"missing cells remain in {name} after cleaning")
 
     flags = detrended_iqr_flags(frame, params.iqr_k, params.iqr_window)
     flags.extend(ics_flags(frame, params.ics_m, params.ics_alpha))

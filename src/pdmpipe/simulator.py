@@ -33,6 +33,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from ._seeding import substream
 from ._spec import bounded, check_fields, number, records
 from .knowledge import (
+    BLOCKING,
     SOURCE_GROUND_TRUTH,
     FaultEvent,
     KnowledgeBase,
@@ -201,7 +202,7 @@ class GroundTruth:
         return [g for g in self.events if g.logged]
 
     def blocking_events(self) -> list:
-        return [g for g in self.events if g.event.severity == "Blocking"]
+        return [g for g in self.events if g.event.severity == BLOCKING]
 
 
 class CycleLayout:

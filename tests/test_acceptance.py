@@ -32,7 +32,7 @@ from pdmpipe import (
 )
 from pdmpipe import cleaning, features
 from pdmpipe.cli import main
-from pdmpipe.evaluation import select_best
+from pdmpipe.evaluation import Cell, MetricsReport, select_best
 from pdmpipe.features import CuratedDataset, standardize
 from pdmpipe.timeseries import resample
 from helpers import quiet_frame, run_pdm, stock_doc
@@ -58,9 +58,11 @@ REFERENCE_METRICS = {
 
 
 def reference_cells(scenario):
+    # selection reads only the test accuracy and F1
     return [
-        {"model": model, "horizon_minutes": hours * HOUR,
-         "test": {"accuracy": acc, "f1": f1}}
+        Cell(model, hours * HOUR, params={}, validation=None,
+             test=MetricsReport(tp=0, fp=0, fn=0, tn=0, accuracy=acc,
+                                precision=f1, recall=f1, f1=f1))
         for model, per_horizon in REFERENCE_METRICS[scenario].items()
         for hours, (acc, f1) in per_horizon.items()
     ]
@@ -155,22 +157,21 @@ def test_knowledge_scenario_dominates_at_the_long_horizon(pinned_comparison):
     reports = result["reports"]
 
     def best_f1_at(scenario, horizon):
-        return max(c["test"]["f1"] for c in reports[scenario].cells
-                   if c["horizon_minutes"] == horizon)
+        return max(c.test.f1 for c in reports[scenario].cells
+                   if c.horizon_minutes == horizon)
 
     margin = best_f1_at("s2", 24 * HOUR) - best_f1_at("s1", 24 * HOUR)
     assert margin >= 0.20, f"24 h F1 margin {margin:.3f} below 0.20"
-    assert reports["s2"].best["horizon_minutes"] >= \
-        reports["s1"].best["horizon_minutes"]
+    assert reports["s2"].best.horizon_minutes >= reports["s1"].best.horizon_minutes
 
 
 def test_selection_rule_agrees_with_the_reference_grid():
     best, reason = select_best(reference_cells("s2"))
     assert reason is None
-    assert (best["model"], best["horizon_minutes"]) == ("gbdt", 24 * HOUR)
+    assert (best.model, best.horizon_minutes) == ("gbdt", 24 * HOUR)
     best, reason = select_best(reference_cells("s1"))
     assert reason is None
-    assert (best["model"], best["horizon_minutes"]) == ("gbdt", 3 * HOUR)
+    assert (best.model, best.horizon_minutes) == ("gbdt", 3 * HOUR)
 
 
 def test_numerical_invariants_hold():
@@ -245,6 +246,21 @@ def test_comparison_outputs_are_byte_identical(tmp_path):
     digests = {name: hashlib.sha256((outputs[0] / name).read_bytes()).hexdigest()
                for name in names}
     assert digests == REFERENCE_DIGESTS
+
+
+def test_evaluate_reports_are_byte_identical_to_compare(tmp_path):
+    # ``pdm evaluate`` writes a scenario's report and cells with the bytes
+    # ``pdm compare`` writes for it
+    for scenario, line in (("baseline", "baseline: best rules at 0 min"),
+                           ("s2", "s2: best forest at 1440 min")):
+        out = tmp_path / scenario
+        proc = run_pdm("evaluate", "--config", str(DEFAULT_CONFIG), "--scenario", scenario,
+                       "--out", str(out), timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        for name in (f"{scenario}_report.json", f"{scenario}_cells.csv"):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
+                REFERENCE_DIGESTS[name], name
+        assert proc.stdout == f"{line}, test F1 1.000, accuracy 1.000 -> {out}\n"
 
 
 def test_positive_labels_nest_as_the_horizon_grows(kb):

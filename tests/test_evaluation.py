@@ -22,6 +22,8 @@ from pdmpipe import (
 from pdmpipe.evaluation import (
     FLAG_NO_POSITIVE_PREDICTIONS,
     FLAG_NO_POSITIVE_TRUTH,
+    Cell,
+    MetricsReport,
     run_scenario,
     select_best,
     tune_and_fit,
@@ -163,8 +165,10 @@ class TestSplit:
 
 
 def cell(model, horizon, acc, f1):
-    return {"model": model, "horizon_minutes": horizon,
-            "test": {"accuracy": acc, "f1": f1}}
+    # selection reads only the test accuracy and F1
+    test = MetricsReport(tp=0, fp=0, fn=0, tn=0, accuracy=acc, precision=f1,
+                         recall=f1, f1=f1)
+    return Cell(model, horizon, params={}, validation=None, test=test)
 
 
 class TestSelectBest:
@@ -174,12 +178,12 @@ class TestSelectBest:
         for ordering in (cells, cells[::-1], cells[1:] + cells[:1]):
             best, reason = select_best(list(ordering))
             assert reason is None
-            assert (best["model"], best["horizon_minutes"]) == ("gbdt", 720)
+            assert (best.model, best.horizon_minutes) == ("gbdt", 720)
 
     def test_accuracy_floor_is_strict(self):
         best, _ = select_best([cell("svm", 180, 0.70, 0.9),
                                cell("gbdt", 180, 0.71, 0.2)])
-        assert best["model"] == "gbdt"
+        assert best.model == "gbdt"
 
     def test_zero_f1_never_wins(self):
         best, reason = select_best([cell("forest", 180, 0.99, 0.0)])
@@ -189,13 +193,13 @@ class TestSelectBest:
     def test_f1_tie_prefers_the_longer_horizon(self):
         best, _ = select_best([cell("gbdt", 180, 0.9, 0.6),
                                cell("gbdt", 1440, 0.9, 0.6)])
-        assert best["horizon_minutes"] == 1440
+        assert best.horizon_minutes == 1440
 
     def test_full_tie_falls_back_on_family_order(self):
         best, _ = select_best([cell("svm", 720, 0.9, 0.6),
                                cell("forest", 720, 0.9, 0.6),
                                cell("gbdt", 720, 0.9, 0.6)])
-        assert best["model"] == "forest"
+        assert best.model == "forest"
 
 
 class TestTuneAndFit:
@@ -209,26 +213,27 @@ class TestTuneAndFit:
 
     def test_tied_f1_prefers_smaller_capacity(self):
         Xt, yt, Xv, yv = self.make_data()
-        tuned = tune_and_fit(Xt, yt, Xv, yv, "forest",
-                             [{"trees": 9, "max_depth": 3},
-                              {"trees": 3, "max_depth": 3}], seed=0)
-        assert tuned.params["trees"] == 3
-        assert tuned.val_metrics.f1 == 1.0
+        _, params, validation = tune_and_fit(Xt, yt, Xv, yv, "forest",
+                                             [{"trees": 9, "max_depth": 3},
+                                              {"trees": 3, "max_depth": 3}], seed=0)
+        assert params["trees"] == 3
+        assert validation.f1 == 1.0
 
     def test_then_shallower_depth(self):
         Xt, yt, Xv, yv = self.make_data()
-        tuned = tune_and_fit(Xt, yt, Xv, yv, "forest",
-                             [{"trees": 3, "max_depth": 8},
-                              {"trees": 3, "max_depth": 2}], seed=0)
-        assert tuned.params["max_depth"] == 2
+        _, params, _ = tune_and_fit(Xt, yt, Xv, yv, "forest",
+                                    [{"trees": 3, "max_depth": 8},
+                                     {"trees": 3, "max_depth": 2}], seed=0)
+        assert params["max_depth"] == 2
 
     def test_an_entry_without_trees_counts_its_default_trees(self):
         # the second entry fits ForestParams' default 40 trees, more than 30
         Xt, yt, Xv, yv = self.make_data()
-        tuned = tune_and_fit(Xt, yt, Xv, yv, "forest",
-                             [{"trees": 30, "max_depth": 10}, {"max_depth": 10}], seed=0)
-        assert tuned.params == {"trees": 30, "max_depth": 10}
-        assert tuned.val_metrics.f1 == 1.0
+        _, params, validation = tune_and_fit(
+            Xt, yt, Xv, yv, "forest", [{"trees": 30, "max_depth": 10}, {"max_depth": 10}],
+            seed=0)
+        assert params == {"trees": 30, "max_depth": 10}
+        assert validation.f1 == 1.0
 
     def test_validation(self):
         Xt, yt, Xv, yv = self.make_data()
@@ -253,10 +258,10 @@ class TestRunScenario:
     def test_baseline_scores_rule_hits_per_cycle(self, mid_comparison):
         report = mid_comparison["reports"]["baseline"]
         assert report.scenario == "baseline"
-        assert report.cells[0]["model"] == "rules"
-        assert report.cells[0]["horizon_minutes"] == 0
+        assert report.cells[0].model == "rules"
+        assert report.cells[0].horizon_minutes == 0
         # lossless logging and scheduled faults only: rules find everything
-        assert report.best["test"]["f1"] == 1.0
+        assert report.best.test.f1 == 1.0
         counts = report.counts
         assert counts["rule_detections_blocking"] == counts["ground_truth_blocking"]
         assert counts["logged_events"] == counts["ground_truth_events"]
@@ -266,19 +271,19 @@ class TestRunScenario:
         frame, gt = sim_mid
         without_rule_1 = dataclasses.replace(kb, rules=kb.rules[1:])
         report = run_scenario(frame, gt, without_rule_1, "baseline", mid_config)
-        test = report.cells[0]["test"]
-        assert test["fn"] == 3 and test["fp"] == 0
-        assert test["f1"] < 1.0
+        test = report.cells[0].test
+        assert test.fn == 3 and test.fp == 0
+        assert test.f1 < 1.0
 
     @pytest.mark.parametrize("scenario", ["s1", "s2"])
     def test_learned_scenarios_produce_full_grids(self, mid_comparison, scenario):
         report = mid_comparison["reports"][scenario]
-        assert {c["model"] for c in report.cells} == {"forest", "gbdt", "svm"}
-        assert all(c["horizon_minutes"] == 180 for c in report.cells)
+        assert {c.model for c in report.cells} == {"forest", "gbdt", "svm"}
+        assert all(c.horizon_minutes == 180 for c in report.cells)
         for c in report.cells:
-            for part in ("validation", "test"):
-                assert set(c[part]) == {"tp", "fp", "fn", "tn", "accuracy",
-                                        "precision", "recall", "f1", "flags"}
+            for metrics in (c.validation, c.test):
+                assert {f.name for f in dataclasses.fields(metrics)} == {
+                    "tp", "fp", "fn", "tn", "accuracy", "precision", "recall", "f1", "flags"}
         assert report.dataset["rows"] > 0
         assert report.dataset["features"] == len(report.dataset["feature_names"])
 
@@ -342,4 +347,4 @@ class TestReportFiles:
         report = mid_comparison["reports"]["s1"]
         first = rows[0].split(",")
         assert math.isclose(float(first[8]),
-                            report.cells[0]["validation"]["accuracy"])
+                            report.cells[0].validation.accuracy)

@@ -495,6 +495,18 @@ class TestBuildDataset:
         with pytest.raises(ValueError, match="scenario"):
             build_dataset(sim_mid[0], kb, "s9")
 
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    def test_infinite_cell_is_refused_by_the_first_screen(self, sim_small, kb, scenario):
+        # gap handling classifies only NaN cells, so an infinite one reaches
+        # the outlier screens, whose finiteness check names its channel
+        frame, _ = sim_small
+        name = next(iter(frame.channels))
+        values = frame.channels[name].copy()
+        values[100] = np.inf
+        frame = dataclasses.replace(frame, channels={**frame.channels, name: values})
+        with pytest.raises(ValueError, match=f"channel '{name}' holds NaN or infinite cells"):
+            build_dataset(frame, kb, scenario)
+
     def test_misshaped_dataset_is_not_written(self, curated, tmp_path):
         # 4 timestamps, 2 labels, and 3 feature columns under 2 names
         ds = curated["s2"]
