@@ -12,14 +12,14 @@ import csv
 import logging
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from ._seeding import substream
 from .features import CuratedDataset, build_dataset
 from .knowledge import BLOCKING, KnowledgeBase, evaluate_rules
-from .models import FAMILY_PARAMS, fit_forest, fit_gbdt, fit_svm
+from .models import FAMILY_PARAMS, Forest, fit_forest, fit_gbdt, fit_svm
 from .timeseries import _write_json
 
 log = logging.getLogger(__name__)
@@ -167,19 +167,15 @@ def _check_labels_within_parts(ds: CuratedDataset, split: Split,
             f"in the {names[part[onsets[last[i]]]]} part")
 
 
-def _fit_family(family: str, X, y, params, seed: int):
-    """Fit one family on its parameter record."""
-    if family == "forest":
-        return fit_forest(X, y, params, seed=seed)
-    if family == "gbdt":
-        return fit_gbdt(X, y, params)
-    return fit_svm(X, y, params)
-
-
 def tune_and_fit(X_train, y_train, X_val, y_val, family: str, grid,
                  seed: int) -> tuple:
     """Fit every grid entry on train, keep the best validation F1.
 
+    Entry ``idx`` is seeded from ``substream(seed, "fit", family, idx)``.
+    Forest entries that differ only in ``trees`` share one fit: a forest's
+    first k trees are the k-tree forest of its seed, so the shape (depth
+    and leaf size) is fitted once at its largest ``trees``, seeded as its
+    first entry, and each entry takes that many of its trees.
     Ties prefer fewer trees/iterations, then a shallower depth,
     then the earlier grid entry. The winning model stays fitted on the
     train rows only. Returns (model, its parameters under the keys the grid
@@ -189,11 +185,22 @@ def tune_and_fit(X_train, y_train, X_val, y_val, family: str, grid,
         raise ValueError("empty parameter grid")
     if family not in FAMILY_PARAMS:
         raise ValueError(f"unknown model family {family!r}")
+    records = [FAMILY_PARAMS[family](**params) for params in grid]
+    grown = {}                                  # forest shape -> its largest fit
     best = None
-    for idx, params in enumerate(grid):
-        record = FAMILY_PARAMS[family](**params)
+    for idx, (params, record) in enumerate(zip(grid, records)):
         child_seed = int(substream(seed, "fit", family, idx).integers(2 ** 31))
-        model = _fit_family(family, X_train, y_train, record, child_seed)
+        if family == "forest":
+            shape = (record.max_depth, record.min_leaf)
+            if shape not in grown:
+                trees = max(r.trees for r in records if (r.max_depth, r.min_leaf) == shape)
+                grown[shape] = fit_forest(X_train, y_train, replace(record, trees=trees),
+                                          seed=child_seed)
+            model = Forest(grown[shape].trees[:record.trees], record)
+        elif family == "gbdt":
+            model = fit_gbdt(X_train, y_train, record)
+        else:
+            model = fit_svm(X_train, y_train, record)
         metrics = compute_metrics(y_val, model.predict(X_val))
         depth = getattr(record, "max_depth", None)
         key = (-metrics.f1, getattr(record, "trees", getattr(record, "iterations", 0)),

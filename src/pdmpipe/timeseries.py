@@ -23,11 +23,11 @@ import json
 import os
 import re
 import shutil
-import signal
-import tempfile
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
+
+from ._fork import _children, _cpus
 
 SEQUENCE_IDS = tuple(f"S{i:02d}" for i in range(1, 14))
 IDLE = "IDLE"
@@ -146,7 +146,6 @@ _BLOCK_ROWS = 512
 # written without a fork.
 _PART_BLOCKS = 4
 _QUOTED = re.compile(r'[,"\r\n]')   # cells ``csv.QUOTE_MINIMAL`` wraps in quotes
-_CAUSE_BYTES = 512   # of a failed row part's cause: an atomic write to an empty pipe
 
 
 def _write_table(path, header, timestamps, columns) -> None:
@@ -157,9 +156,10 @@ def _write_table(path, header, timestamps, columns) -> None:
 
     The rows are written in contiguous parts, one per available CPU
     (``_part_starts``), and the bytes are the same for any number of parts.
-    Every part after the first is written by a forked child (``_RowPart``);
-    this process writes the header and the first part, then waits for each
-    child in row order and appends its rows. A child that fails raises a
+    Every part after the first is written by a forked child
+    (``_fork._children``) into a temporary file beside ``path``; this
+    process writes the header and the first part, then waits for each child
+    in row order and appends its rows. A child that fails raises a
     ``RuntimeError`` naming the path, and no child outlives the call.
 
     The rows go to a new file beside ``path``, which replaces ``path`` once
@@ -181,16 +181,13 @@ def _write_table(path, header, timestamps, columns) -> None:
         with out:
             out.write(head.getvalue().encode())
             out.flush()   # a child must inherit no unwritten bytes
-            parts = []
-            try:
-                for lo, hi in zip(starts[1:-1], starts[2:]):
-                    parts.append(_RowPart(path, timestamps, columns, lo, hi))
+            works = [(f"{path}: the process writing rows {lo} to {hi}",
+                      lambda file, lo=lo, hi=hi: _write_rows(file, timestamps, columns, lo, hi))
+                     for lo, hi in zip(starts[1:-1], starts[2:])]
+            with _children(works, os.path.dirname(partial)) as parts:
                 _write_rows(out, timestamps, columns, starts[0], starts[1])
                 for part in parts:
-                    part.append_to(out)
-            finally:
-                for part in parts:
-                    part.close()
+                    shutil.copyfileobj(part.join(), out)
         os.replace(partial, path)
     except BaseException:
         os.unlink(partial)
@@ -210,15 +207,6 @@ def _create_beside(path):
             continue
 
 
-def _cpus() -> int:
-    """CPUs this process may run on, or 1 where it cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _part_starts(n: int) -> list:
     """First rows of the parts a table of ``n`` rows is written in, then ``n``:
     one part per CPU, each a whole number of ``_BLOCK_ROWS`` blocks (the last
@@ -235,65 +223,6 @@ def _write_rows(out, timestamps, columns, lo, hi) -> None:
         rows = zip(np.datetime_as_string(timestamps[block], unit="s").tolist(),
                    *(_cells(col[block]) for col in columns))
         out.write(("\r\n".join(map(",".join, rows)) + "\r\n").encode())
-
-
-class _RowPart:
-    """Rows ``lo:hi`` of a table, written by a forked child into an unlinked
-    temporary file in the directory of the table's ``path``.
-
-    The child writes nothing else, and ends with ``os._exit``: it flushes no
-    file it shares with the parent and runs no exit handler. A child that
-    fails sends ``TypeName: message`` of its exception back through a pipe.
-    The parent reaps it in ``append_to``, or kills and reaps it in ``close``.
-    """
-
-    def __init__(self, path, timestamps, columns, lo, hi):
-        self.path, self.lo, self.hi = path, lo, hi
-        self.file = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
-        try:
-            self.cause, report = os.pipe()
-        except BaseException:
-            self.file.close()
-            raise
-        try:
-            self.pid = os.fork()
-        except BaseException:
-            os.close(report)
-            os.close(self.cause)
-            self.file.close()
-            raise
-        if self.pid == 0:
-            status = 1
-            try:
-                _write_rows(self.file, timestamps, columns, lo, hi)
-                self.file.flush()
-                status = 0
-            except Exception as exc:
-                os.write(report, f"{type(exc).__name__}: {exc}".encode()[:_CAUSE_BYTES])
-            finally:
-                os._exit(status)
-        os.close(report)
-
-    def append_to(self, out) -> None:
-        """Wait for the child, then copy its rows to the end of ``out``."""
-        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        if status:
-            cause = os.read(self.cause, _CAUSE_BYTES).decode(errors="replace")
-            raise RuntimeError(f"{self.path}: the process writing rows {self.lo} "
-                               f"to {self.hi} exited with status {status}"
-                               + (f": {cause}" if cause else ""))
-        self.file.seek(0)
-        shutil.copyfileobj(self.file, out)
-
-    def close(self) -> None:
-        """Kill and reap the child unless it was reaped, and drop its pipe and file."""
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        os.close(self.cause)
-        self.file.close()
 
 
 def _write_json(path, doc) -> None:

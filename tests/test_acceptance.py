@@ -221,11 +221,11 @@ REFERENCE_DIGESTS = {
     "baseline_cells.csv": "7bc05fae96cd0e62a032dd7a429e2f4a730a1ec1be785d11c8c486b445fc2b29",
     "baseline_report.json": "21372a1309767d1572ea9339d1499d45db266fb00d9ffd4a0936a72665119644",
     "comparison.csv": "1ae6a1e7cfd3c300827c9932f2f5df4125238734bda956d5a1bec5df3cff1520",
-    "comparison.json": "929dcfb253e3b5eb3617f220bf9229d1897a3830157b2f3f1fbb5e787f4de1c1",
+    "comparison.json": "83321ea94c97691b9f47b307a8e0f803f3addfa5e72dbc3b005b08e4c64bec2e",
     "s1_cells.csv": "0bc3ed6c4fa6ce92a8eafb8d6dacb0f521f9bf72952c51e949f7566aa7337911",
     "s1_report.json": "12c6937f0231109e994c566aff29d58247fb867cac976fefadfb44e7e62667b1",
-    "s2_cells.csv": "3a8f0d442f4841927a7d675ff3fea8aebdee9354666bbe08cf25ac62eb6c895a",
-    "s2_report.json": "d4c6d4779f25addaaccd560b265919693852fdf96608ff1f637dde3a11de419d",
+    "s2_cells.csv": "5bb1f7157cc0de26eb031eedb32f463aa8771cadd71de9368508bf85ac13d12d",
+    "s2_report.json": "686266ca8626423227b5e89646ac58d61c00b852649c9b1263b4092be1750b1a",
 }
 
 

@@ -860,7 +860,7 @@ class TestImportSurface:
                           timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [
-            "pdmpipe", "pdmpipe._seeding", "pdmpipe._spec", "pdmpipe.cleaning",
+            "pdmpipe", "pdmpipe._fork", "pdmpipe._seeding", "pdmpipe._spec", "pdmpipe.cleaning",
             "pdmpipe.config", "pdmpipe.evaluation", "pdmpipe.features",
             "pdmpipe.knowledge", "pdmpipe.models", "pdmpipe.simulator",
             "pdmpipe.timeseries",

@@ -19,6 +19,7 @@ from pdmpipe import (
     make_config,
     split_chronological,
 )
+from pdmpipe._seeding import substream
 from pdmpipe.evaluation import (
     FLAG_NO_POSITIVE_PREDICTIONS,
     FLAG_NO_POSITIVE_TRUTH,
@@ -31,6 +32,7 @@ from pdmpipe.evaluation import (
     write_report,
 )
 from pdmpipe.features import CuratedDataset
+from pdmpipe.models import ForestParams, fit_forest
 
 TINY_MODELS = {
     "forest": [{"trees": 5, "max_depth": 5}],
@@ -234,6 +236,44 @@ class TestTuneAndFit:
             seed=0)
         assert params == {"trees": 30, "max_depth": 10}
         assert validation.f1 == 1.0
+
+    @staticmethod
+    def count_forest_fits(monkeypatch):
+        calls = []
+        fit_forest = evaluation.fit_forest
+
+        def counted(X, y, params, seed):
+            calls.append((params.trees, params.max_depth, params.min_leaf, seed))
+            return fit_forest(X, y, params, seed=seed)
+
+        monkeypatch.setattr(evaluation, "fit_forest", counted)
+        return calls
+
+    @staticmethod
+    def entry_seed(seed, idx):
+        return int(substream(seed, "fit", "forest", idx).integers(2 ** 31))
+
+    def test_entries_differing_in_trees_share_one_fit(self, monkeypatch):
+        Xt, yt, Xv, yv = self.make_data()
+        calls = self.count_forest_fits(monkeypatch)
+        model, params, _ = tune_and_fit(Xt, yt, Xv, yv, "forest",
+                                        [{"trees": 3, "max_depth": 3},
+                                         {"trees": 9, "max_depth": 3}], seed=5)
+        assert calls == [(9, 3, 1, self.entry_seed(5, 0))]
+        # entry 0 wins the tie on fewer trees, and holds the trees it would
+        # hold fitted on its own
+        assert params == {"trees": 3, "max_depth": 3}
+        alone = fit_forest(Xt, yt, ForestParams(trees=3, max_depth=3),
+                           seed=self.entry_seed(5, 0))
+        assert model.to_dict() == alone.to_dict()
+
+    def test_each_shape_is_fitted_once_at_its_largest_size(self, monkeypatch):
+        Xt, yt, Xv, yv = self.make_data()
+        calls = self.count_forest_fits(monkeypatch)
+        tune_and_fit(Xt, yt, Xv, yv, "forest",
+                     [{"trees": 3, "max_depth": 3}, {"trees": 5, "max_depth": 2},
+                      {"trees": 9, "max_depth": 3}, {"trees": 4, "max_depth": 2}], seed=5)
+        assert calls == [(9, 3, 1, self.entry_seed(5, 0)), (5, 2, 1, self.entry_seed(5, 1))]
 
     def test_validation(self):
         Xt, yt, Xv, yv = self.make_data()

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
+import os
+import re
+import signal
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +18,7 @@ from pdmpipe import GbdtParams, fit_gbdt, models
 from pdmpipe._seeding import substream
 from pdmpipe.models import Forest, ForestParams, Gbdt, Svm, SvmParams, Tree, fit_forest, fit_svm
 
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
 
@@ -398,6 +403,17 @@ class TestForest:
         model = Forest([leaf(1.0), leaf(0.0)], ForestParams(trees=2))
         assert model.predict(np.zeros((3, 2))).tolist() == [0, 0, 0]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_trees_are_the_smaller_forest(self, seed):
+        X, y, params = forest_case(seed)
+        small = fit_forest(X, y, dataclasses.replace(params, trees=4), seed=seed)
+        large = fit_forest(X, y, dataclasses.replace(params, trees=11), seed=seed)
+        assert len(small.trees) == 4 and len(large.trees) == 11
+        for a, b in zip(small.trees, large.trees):
+            for name in TREE_ARRAYS:
+                assert getattr(a, name).dtype == getattr(b, name).dtype
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             ForestParams(trees=0)
@@ -405,6 +421,124 @@ class TestForest:
             ForestParams(min_leaf=0)
         with pytest.raises(ValueError, match="max_depth"):
             ForestParams(max_depth=0)
+
+
+class TestForestParts:
+    """Forked tree parts: the same trees for any CPU count, no fork below the
+    minimum part size, and every child reaped."""
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def count_forks(monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(1)         # appended in this process before the child exists
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    def test_parts_hold_the_minimum_rows(self, monkeypatch):
+        monkeypatch.setattr(models, "_cpus", lambda: 3)
+        rows = models._PART_ROWS
+        assert models._tree_parts(60, 2633) == [0, 20, 40, 60]
+        assert models._tree_parts(60, 473) == [0, 60]
+        assert models._tree_parts(2, rows) == [0, 1, 2]
+        assert models._tree_parts(5, rows // 2) == [0, 2, 5]
+        assert models._tree_parts(3, rows // 2) == [0, 3]
+        assert models._tree_parts(1, 10 * rows) == [0, 1]
+        monkeypatch.setattr(models, "_cpus", lambda: 1)
+        assert models._tree_parts(60, 2633) == [0, 60]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_same_trees_for_any_cpu_count(self, seed, monkeypatch):
+        X, y = blobs(seed, n=300)
+        params = ForestParams(trees=7, max_depth=6)
+        monkeypatch.setattr(models, "_PART_ROWS", 300)
+        forks = self.count_forks(monkeypatch)
+        fits = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(models, "_cpus", lambda cpus=cpus: cpus)
+            fits[cpus] = fit_forest(X, y, params, seed=seed).to_dict()
+            assert len(forks) == cpus - 1
+            forks.clear()
+        self.assert_no_child()
+        assert fits[1] == fits[2] == fits[3]
+        assert fits[1] == oracle_fit_forest(X, y, params, seed).to_dict()
+
+    def test_one_cpu_or_a_small_fit_never_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        X, y = blobs(5, n=400)
+        params = ForestParams(trees=150, max_depth=2)   # 60,000 bootstrap rows
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert models._cpus() == 1
+        assert fit_forest(X, y, params, seed=3).to_dict() == \
+            oracle_fit_forest(X, y, params, 3).to_dict()
+        # 4 CPUs, but a part needs 75 trees of 400 rows, so 149 trees make one part
+        monkeypatch.setattr(models, "_cpus", lambda: 4)
+        fit_forest(X, y, ForestParams(trees=149, max_depth=2), seed=3)
+
+    def test_failed_child_names_its_trees(self, monkeypatch):
+        X, y = blobs(6, n=120)
+        monkeypatch.setattr(models, "_PART_ROWS", 120)
+        monkeypatch.setattr(models, "_cpus", lambda: 2)
+        parent = os.getpid()
+        grow_trees = models._grow_trees
+
+        def fail_in_children(*args):
+            if os.getpid() != parent:
+                raise OSError("no space left")
+            return grow_trees(*args)
+
+        monkeypatch.setattr(models, "_grow_trees", fail_in_children)
+        with pytest.raises(RuntimeError, match=re.escape(
+                "the process growing trees 5 to 10 exited with status 1: "
+                "OSError: no space left")):
+            fit_forest(X, y, ForestParams(trees=10, max_depth=3), seed=0)
+        self.assert_no_child()
+
+    def test_killed_child_names_its_signal(self, monkeypatch):
+        X, y = blobs(6, n=120)
+        monkeypatch.setattr(models, "_PART_ROWS", 120)
+        monkeypatch.setattr(models, "_cpus", lambda: 3)
+        parent = os.getpid()
+        grow_trees = models._grow_trees
+
+        def children_killed(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return grow_trees(*args)
+
+        monkeypatch.setattr(models, "_grow_trees", children_killed)
+        with pytest.raises(RuntimeError, match=re.escape(
+                "the process growing trees 3 to 6 exited with status -9") + "$"):
+            fit_forest(X, y, ForestParams(trees=9, max_depth=3), seed=0)
+        self.assert_no_child()
+
+    def test_children_are_killed_when_the_first_part_fails(self, monkeypatch):
+        X, y = blobs(6, n=120)
+        monkeypatch.setattr(models, "_PART_ROWS", 120)
+        monkeypatch.setattr(models, "_cpus", lambda: 2)
+        parent = os.getpid()
+
+        def children_hang(*args):
+            if os.getpid() == parent:
+                raise OSError("no space left")
+            signal.pause()
+
+        monkeypatch.setattr(models, "_grow_trees", children_hang)
+        with pytest.raises(OSError, match="no space left"):
+            fit_forest(X, y, ForestParams(trees=4, max_depth=3), seed=0)
+        self.assert_no_child()
 
 
 class TestGbdt:
