@@ -1,8 +1,9 @@
 """Work split into parts, every part after the first done by a forked child.
 
 The table writer writes row parts and the forest fit grows tree parts this
-way. A child writes what it makes into a file, which the parent reads back
-in part order, so the result is the same for any number of parts.
+way: ``_bounds`` plans the parts and ``_children`` starts their children. A
+child writes what it makes into a file, which the parent reads back in part
+order, so the result is the same for any number of parts.
 """
 
 from __future__ import annotations
@@ -22,6 +23,14 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _bounds(units: int, least: int) -> list:
+    """Bounds of the parts ``units`` units of work are cut in, from 0 to
+    ``units``: one contiguous part per CPU, each of at least ``least``
+    units, or else one part."""
+    parts = max(1, min(_cpus(), units // least))
+    return [k * units // parts for k in range(parts + 1)]
 
 
 class _Child:
@@ -85,14 +94,17 @@ class _Child:
 
 
 @contextlib.contextmanager
-def _children(works, folder=None):
-    """Start one ``_Child`` per ``(name, work)`` pair, in order, and yield the
-    list; on leaving, every child is reaped (killed first if it still runs)
-    and its file dropped, also when the block or a fork fails."""
+def _children(bounds, what, work, folder=None):
+    """Start one ``_Child`` for every part of ``bounds`` after the first, in
+    order, and yield the list. The child of part ``lo:hi`` runs
+    ``work(file, lo, hi)`` and is named ``f"{what} {lo} to {hi}"``. On
+    leaving, every child is reaped (killed first if it still runs) and its
+    file dropped, also when the block or a fork fails."""
     children = []
     try:
-        for name, work in works:
-            children.append(_Child(name, work, folder))
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append(_Child(f"{what} {lo} to {hi}",
+                                   lambda file, lo=lo, hi=hi: work(file, lo, hi), folder))
         yield children
     finally:
         for child in children:

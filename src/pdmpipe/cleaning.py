@@ -368,8 +368,9 @@ def verify_outliers(frame: TimeSeriesFrame, flags, kb: KnowledgeBase, events,
     that fault's run are true precursors and kept. A point is corrected by
     interpolation when neither neighbor is flagged on its channel or
     row-wide and both sit inside their operating envelopes. Everything
-    else is dropped as irrelevant.
+    else is dropped as irrelevant. A NaN or infinite cell is an error.
     """
+    _require_finite(frame)
     t_int = frame.timestamps.astype("int64")
     blocking = [e for e in events if e.severity == BLOCKING]
     windows = []
@@ -395,7 +396,7 @@ def verify_outliers(frame: TimeSeriesFrame, flags, kb: KnowledgeBase, events,
             return False
         if channel is None:
             return not any_breach[row]
-        return not (np.isnan(frame.channels[channel][row]) or breaches[channel][row])
+        return not breaches[channel][row]
 
     verdicts = []
     seen = set()

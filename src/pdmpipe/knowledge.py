@@ -52,6 +52,8 @@ CANONICAL_MODES = (
     ("Disconnection", SEQUENCE_IDS[11:13]),
 )
 _MODE_OF = {seq: mode for mode, sequences in CANONICAL_MODES for seq in sequences}
+# a sensor predicate's scalar comparators; ``outside`` takes a (low, high) range
+_COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
 
 
 def _check_pairing(severity: str, consequence: str, where: str) -> None:
@@ -121,7 +123,7 @@ class SensorPredicate:
 
     def __post_init__(self):
         thr = self.threshold
-        if self.comparator in ("<", "<=", ">", ">="):
+        if self.comparator in _COMPARE:
             thr = number(thr, float, "threshold")
         elif self.comparator == "outside":
             if not (isinstance(thr, (list, tuple)) and len(thr) == 2):
@@ -135,14 +137,8 @@ class SensorPredicate:
 
     def holds(self, values: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore"):
-            if self.comparator == "<":
-                return values < self.threshold
-            if self.comparator == "<=":
-                return values <= self.threshold
-            if self.comparator == ">":
-                return values > self.threshold
-            if self.comparator == ">=":
-                return values >= self.threshold
+            if self.comparator in _COMPARE:
+                return _COMPARE[self.comparator](values, self.threshold)
             lo, hi = self.threshold
             return (values < lo) | (values > hi)
 

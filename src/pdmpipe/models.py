@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._fork import _children, _cpus
+from ._fork import _bounds, _children
 from ._seeding import substream
 from ._spec import bounded, check_fields
 
@@ -336,26 +336,18 @@ class Forest:
                 "trees": [t.to_dict() for t in self.trees]}
 
 
-def _tree_parts(trees: int, n: int) -> list:
-    """First trees of the parts a forest of ``trees`` trees on ``n`` rows grows
-    in, then ``trees``: one contiguous part per CPU, each of at least
-    ``_PART_ROWS`` bootstrap rows, or one part."""
-    least = -(-_PART_ROWS // n)                 # trees in the smallest part
-    parts = max(1, min(_cpus(), trees // least))
-    return [k * trees // parts for k in range(parts + 1)]
-
-
 def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams = None,
                seed: int = 0) -> Forest:
     """Bootstrap-bagged CART trees with per-node feature subsampling.
 
     Tree t draws its bootstrap, then its per-node features, from
     ``substream(seed, "tree", t)``, so the first k trees of a forest are
-    the k-tree forest of the same seed. The trees grow in parts
-    (``_tree_parts``), each part's trees in lock-step, one node of each per
-    step, which gives the same trees as growing them one by one. This
-    process grows the first part; a forked child grows each other part and
-    hands its trees back through a file. A child that fails raises a
+    the k-tree forest of the same seed. The trees grow in contiguous parts,
+    one per CPU, each of at least ``_PART_ROWS`` bootstrap rows
+    (``_fork._bounds``), and each part's trees grow in lock-step, one node
+    of each per step, which gives the same trees as growing them one by one.
+    This process grows the first part; a forked child grows each other part
+    and hands its trees back through a file. A child that fails raises a
     ``RuntimeError`` naming its trees, and no child outlives the call.
     """
     params = params or ForestParams()
@@ -369,12 +361,10 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams = None,
         return _grow_trees(X, y, rows[lo:hi], rngs[lo:hi], mtry, params.max_depth,
                            params.min_leaf)
 
-    starts = _tree_parts(params.trees, n)
-    works = [(f"the process growing trees {lo} to {hi}",
-              lambda file, lo=lo, hi=hi: pickle.dump(grow(lo, hi), file))
-             for lo, hi in zip(starts[1:-1], starts[2:])]
-    with _children(works) as parts:
-        trees = grow(starts[0], starts[1])
+    bounds = _bounds(params.trees, -(-_PART_ROWS // n))
+    with _children(bounds, "the process growing trees",
+                   lambda file, lo, hi: pickle.dump(grow(lo, hi), file)) as parts:
+        trees = grow(bounds[0], bounds[1])
         for part in parts:
             trees += pickle.load(part.join())
     return Forest(trees, params)

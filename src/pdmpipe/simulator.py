@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -205,35 +204,7 @@ class GroundTruth:
         return [g for g in self.events if g.event.severity == BLOCKING]
 
 
-class CycleLayout:
-    """Minute offsets of every sequence within one cycle, idle included."""
-
-    def __init__(self, durations: dict, idle_minutes: int):
-        self.start = {}
-        self.end = {}
-        offset = 0
-        for seq in SEQUENCE_IDS:
-            self.start[seq] = offset
-            offset += int(durations[seq])
-            self.end[seq] = offset
-        self.active_minutes = offset
-        self.idle_minutes = int(idle_minutes)
-        self.total_minutes = offset + self.idle_minutes
-        codes = np.empty(self.total_minutes, dtype="U4")
-        for seq in SEQUENCE_IDS:
-            codes[self.start[seq]:self.end[seq]] = seq
-        codes[self.active_minutes:] = IDLE
-        self.sequence_of_minute = codes
-
-
 WANDER_BLOCK = 4096   # rows per wander solve; factors at a run's length would hold MBs
-
-
-@lru_cache(maxsize=4)
-def _wander_factors(phi: float) -> tuple:
-    """``dgttrf``'s LU factors of ``I - phi L`` at order ``WANDER_BLOCK``."""
-    return dgttrf(np.full(WANDER_BLOCK - 1, -float(phi)), np.ones(WANDER_BLOCK),
-                  np.zeros(WANDER_BLOCK - 1))[:5]
 
 
 def _wander(seed: int, name: str, n: int, scale: float, phi: float) -> np.ndarray:
@@ -252,10 +223,13 @@ def _wander(seed: int, name: str, n: int, scale: float, phi: float) -> np.ndarra
         substream(seed, "wander", name).standard_normal(out=path[:n])
         path *= scale
     blocks = path.reshape(-1, WANDER_BLOCK)
+    # LU factors of ``I - phi L`` at order WANDER_BLOCK, shared by every block
+    factors = dgttrf(np.full(WANDER_BLOCK - 1, -float(phi)), np.ones(WANDER_BLOCK),
+                     np.zeros(WANDER_BLOCK - 1))[:5]
     for i, block in enumerate(blocks):
         if i:
             block[0] += phi * blocks[i - 1, -1]
-        block[:] = dgttrs(*_wander_factors(phi), block, overwrite_b=1)[0]
+        block[:] = dgttrs(*factors, block, overwrite_b=1)[0]
     return path[:n]
 
 
@@ -269,16 +243,22 @@ def _ramp(m: np.ndarray, onset: int, amplitude: float, hold_until: int) -> np.nd
 
 def simulate(config: SimConfig, kb: KnowledgeBase):
     """Generate (telemetry frame, ground truth) for the configured run."""
-    layout = CycleLayout(kb.mode_model.durations, config.idle_minutes)
+    # minute offsets of every sequence within one cycle, then the idle tail
+    durations = [int(kb.mode_model.durations[seq]) for seq in SEQUENCE_IDS]
+    bounds = np.cumsum([0, *durations]).tolist()
+    start = dict(zip(SEQUENCE_IDS, bounds))
+    end = dict(zip(SEQUENCE_IDS, bounds[1:]))
+    active_end = bounds[-1]
 
     cycles = config.cycles
-    total = layout.total_minutes
+    total = active_end + config.idle_minutes
     n = cycles * total
     seed = config.seed
 
     t0 = np.datetime64(config.start, "s")
     timestamps = t0 + (np.arange(n) * 60).astype("timedelta64[s]")
-    sequence = np.tile(layout.sequence_of_minute, cycles)
+    sequence = np.tile(np.repeat(np.array([*SEQUENCE_IDS, IDLE], dtype="U4"),
+                                 [*durations, config.idle_minutes]), cycles)
     cycle_number = np.repeat(np.arange(1, cycles + 1, dtype=np.int64), total)
     m = np.tile(np.arange(total, dtype=np.int64), cycles)   # minute within cycle
 
@@ -309,10 +289,9 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
     row_blocking = per_row(any_blocking)
     row_mu = np.repeat(mu_cycle, total)
 
-    s9a, s9b = layout.start["S09"], layout.end["S09"]
-    s10a, s10b = layout.start["S10"], layout.end["S10"]
-    s11a, s11b = layout.start["S11"], layout.end["S11"]
-    active_end = layout.active_minutes
+    s9a, s9b = start["S09"], end["S09"]
+    s10a, s10b = start["S10"], end["S10"]
+    s11a, s11b = start["S11"], end["S11"]
 
     in_s09 = (m >= s9a) & (m < s9b)
     in_s10 = (m >= s10a) & (m < s10b)
@@ -321,7 +300,7 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
     m9 = m - s9a
     m10 = m - s10a
     m11 = m - s11a
-    onset_minute = {key: layout.start[seq] + offset
+    onset_minute = {key: start[seq] + offset
                     for key, (_, _, seq, offset) in FAULT_KINDS.items() if offset is not None}
 
     # Each channel is built, noised and clipped before the next one starts,
@@ -425,7 +404,7 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
     valve1[stuck & (pick == 0)] = 1
     valve2[stuck & (pick == 1)] = 1
 
-    s4a = layout.start["S04"]
+    s4a = start["S04"]
     door = np.zeros(n, dtype=np.int64)
     row_door_minute = np.repeat(door_minute, total)
     door_open = per_row(injected["door"]) & (m >= s4a + row_door_minute) & \
@@ -469,7 +448,7 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
                 magnitude=mu,
             ))
             if logged:
-                fault_pulse[offset + onset:offset + layout.end[seq]] = 1
+                fault_pulse[offset + onset:offset + end[seq]] = 1
 
     frame = TimeSeriesFrame(
         timestamps=timestamps,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from ._fork import _children, _cpus
+from ._fork import _bounds, _children
 
 SEQUENCE_IDS = tuple(f"S{i:02d}" for i in range(1, 14))
 IDLE = "IDLE"
@@ -155,11 +155,12 @@ def _write_table(path, header, timestamps, columns) -> None:
     anything else is an error before the file is opened.
 
     The rows are written in contiguous parts, one per available CPU
-    (``_part_starts``), and the bytes are the same for any number of parts.
-    Every part after the first is written by a forked child
-    (``_fork._children``) into a temporary file beside ``path``; this
-    process writes the header and the first part, then waits for each child
-    in row order and appends its rows. A child that fails raises a
+    (``_fork._bounds``), each a whole number of ``_BLOCK_ROWS`` blocks (the
+    last may end in a short one) and at least ``_PART_BLOCKS`` blocks long;
+    the bytes are the same for any number of parts. Every part after the
+    first is written by a forked child (``_fork._children``) into a
+    temporary file beside ``path``; this process writes the header and the
+    first part, then waits for each child in row order and appends its rows. A child that fails raises a
     ``RuntimeError`` naming the path, and no child outlives the call.
 
     The rows go to a new file beside ``path``, which replaces ``path`` once
@@ -173,7 +174,9 @@ def _write_table(path, header, timestamps, columns) -> None:
         if len(col) != len(timestamps):
             raise ValueError(f"{path}: column {name!r} has {len(col)} rows, "
                              f"there are {len(timestamps)} timestamps")
-    starts = _part_starts(len(timestamps))
+    n = len(timestamps)
+    bounds = [min(b * _BLOCK_ROWS, n)
+              for b in _bounds(-(-n // _BLOCK_ROWS), _PART_BLOCKS)]
     head = io.StringIO()
     csv.writer(head).writerow(header)   # column names may need quoting
     partial, out = _create_beside(path)
@@ -181,11 +184,10 @@ def _write_table(path, header, timestamps, columns) -> None:
         with out:
             out.write(head.getvalue().encode())
             out.flush()   # a child must inherit no unwritten bytes
-            works = [(f"{path}: the process writing rows {lo} to {hi}",
-                      lambda file, lo=lo, hi=hi: _write_rows(file, timestamps, columns, lo, hi))
-                     for lo, hi in zip(starts[1:-1], starts[2:])]
-            with _children(works, os.path.dirname(partial)) as parts:
-                _write_rows(out, timestamps, columns, starts[0], starts[1])
+            with _children(bounds, f"{path}: the process writing rows",
+                           lambda file, lo, hi: _write_rows(file, timestamps, columns, lo, hi),
+                           os.path.dirname(partial)) as parts:
+                _write_rows(out, timestamps, columns, bounds[0], bounds[1])
                 for part in parts:
                     shutil.copyfileobj(part.join(), out)
         os.replace(partial, path)
@@ -205,15 +207,6 @@ def _create_beside(path):
             return partial, open(partial, "xb")
         except FileExistsError:
             continue
-
-
-def _part_starts(n: int) -> list:
-    """First rows of the parts a table of ``n`` rows is written in, then ``n``:
-    one part per CPU, each a whole number of ``_BLOCK_ROWS`` blocks (the last
-    may end in a short one) and at least ``_PART_BLOCKS`` blocks long."""
-    blocks = -(-n // _BLOCK_ROWS)
-    parts = max(1, min(_cpus(), blocks // _PART_BLOCKS))
-    return [k * blocks // parts * _BLOCK_ROWS for k in range(parts)] + [n]
 
 
 def _write_rows(out, timestamps, columns, lo, hi) -> None:

@@ -729,8 +729,6 @@ def oracle_verify_outliers(frame, flags, kb, events, window_minutes=60):
         verdicts = oracle_envelope_check(frame, row, kb)
         if channel is None:
             return "OutOfEnvelope" not in verdicts.values()
-        if np.isnan(frame.channels[channel][row]):
-            return False
         return verdicts.get(channel) != "OutOfEnvelope"
 
     verdicts = []
@@ -752,7 +750,7 @@ def oracle_verify_outliers(frame, flags, kb, events, window_minutes=60):
 
 def verify_case(seed, kb):
     """A short cycle whose enveloped readings sit at, just inside and just
-    past their bands' edges, with NaN cells, flags on neighbouring rows,
+    past their bands' edges, with flags on neighbouring rows,
     row-wide flags, and on odd seeds a second envelope that overrides a
     stock one."""
     rng = np.random.default_rng(seed)
@@ -776,7 +774,6 @@ def verify_case(seed, kb):
             values[i] = rng.choice([edge, np.nextafter(edge, outward),
                                     np.nextafter(edge, -outward),
                                     (env.min + env.max) / 2, (env.min + env.max) / 2])
-        values[rng.random(n) < 0.04] = np.nan
     names = list(frame.channels)
     flags = []
     for row in rng.integers(1, n - 1, size=int(rng.integers(10, 30))):
@@ -814,7 +811,7 @@ class TestVerifyOutliersOracle:
                 np.testing.assert_equal(out.channels[name][v.index],
                                         (values[v.index - 1] + values[v.index + 1]) / 2)
 
-    def test_cases_cover_edges_nan_and_row_wide_flags(self, kb):
+    def test_cases_cover_edges_and_row_wide_flags(self, kb):
         seen = set()
         for seed in range(24):
             frame, flags, case_kb, events = verify_case(seed, kb)
@@ -829,15 +826,20 @@ class TestVerifyOutliersOracle:
                     seen.update(judged.values())
                     for name, value in ((c, frame.channels[c][i]) for c in judged):
                         env = bands.get((name, str(frame.sequence[i])))
-                        if np.isnan(value):
-                            seen.add("NaN")
-                        elif env is not None and value in (env.min, env.max):
+                        if env is not None and value in (env.min, env.max):
                             seen.add("AtEdge")
         for whole_row in (False, True):
             for verdict in ("CorrectedFalsePositive", "DroppedTrueIrrelevant",
                             "TaggedTrueRelevant"):
                 assert (whole_row, verdict) in seen
-        assert {"InEnvelope", "OutOfEnvelope", "NoEnvelope", "NaN", "AtEdge"} <= seen
+        assert {"InEnvelope", "OutOfEnvelope", "NoEnvelope", "AtEdge"} <= seen
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_nan_or_infinite_cell_is_refused(self, kb, bad):
+        frame, flags, case_kb, events = verify_case(0, kb)
+        frame.channels["temp_internal"][len(frame) // 2] = bad
+        with pytest.raises(ValueError, match="channel 'temp_internal' holds NaN or infinite"):
+            verify_outliers(frame, flags, case_kb, events, 20)
 
 
 class TestApplyVerdicts:

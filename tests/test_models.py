@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pdmpipe import GbdtParams, fit_gbdt, models
+from pdmpipe import GbdtParams, _fork, fit_gbdt, models
 from pdmpipe._seeding import substream
 from pdmpipe.models import Forest, ForestParams, Gbdt, Svm, SvmParams, Tree, fit_forest, fit_svm
 
@@ -444,18 +444,6 @@ class TestForestParts:
         monkeypatch.setattr(os, "fork", fork)
         return forks
 
-    def test_parts_hold_the_minimum_rows(self, monkeypatch):
-        monkeypatch.setattr(models, "_cpus", lambda: 3)
-        rows = models._PART_ROWS
-        assert models._tree_parts(60, 2633) == [0, 20, 40, 60]
-        assert models._tree_parts(60, 473) == [0, 60]
-        assert models._tree_parts(2, rows) == [0, 1, 2]
-        assert models._tree_parts(5, rows // 2) == [0, 2, 5]
-        assert models._tree_parts(3, rows // 2) == [0, 3]
-        assert models._tree_parts(1, 10 * rows) == [0, 1]
-        monkeypatch.setattr(models, "_cpus", lambda: 1)
-        assert models._tree_parts(60, 2633) == [0, 60]
-
     @pytest.mark.parametrize("seed", [0, 7])
     def test_same_trees_for_any_cpu_count(self, seed, monkeypatch):
         X, y = blobs(seed, n=300)
@@ -464,7 +452,7 @@ class TestForestParts:
         forks = self.count_forks(monkeypatch)
         fits = {}
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(models, "_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(_fork, "_cpus", lambda cpus=cpus: cpus)
             fits[cpus] = fit_forest(X, y, params, seed=seed).to_dict()
             assert len(forks) == cpus - 1
             forks.clear()
@@ -479,18 +467,17 @@ class TestForestParts:
         monkeypatch.setattr(os, "fork", no_fork)
         X, y = blobs(5, n=400)
         params = ForestParams(trees=150, max_depth=2)   # 60,000 bootstrap rows
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert models._cpus() == 1
+        monkeypatch.setattr(_fork, "_cpus", lambda: 1)
         assert fit_forest(X, y, params, seed=3).to_dict() == \
             oracle_fit_forest(X, y, params, 3).to_dict()
         # 4 CPUs, but a part needs 75 trees of 400 rows, so 149 trees make one part
-        monkeypatch.setattr(models, "_cpus", lambda: 4)
+        monkeypatch.setattr(_fork, "_cpus", lambda: 4)
         fit_forest(X, y, ForestParams(trees=149, max_depth=2), seed=3)
 
     def test_failed_child_names_its_trees(self, monkeypatch):
         X, y = blobs(6, n=120)
         monkeypatch.setattr(models, "_PART_ROWS", 120)
-        monkeypatch.setattr(models, "_cpus", lambda: 2)
+        monkeypatch.setattr(_fork, "_cpus", lambda: 2)
         parent = os.getpid()
         grow_trees = models._grow_trees
 
@@ -509,7 +496,7 @@ class TestForestParts:
     def test_killed_child_names_its_signal(self, monkeypatch):
         X, y = blobs(6, n=120)
         monkeypatch.setattr(models, "_PART_ROWS", 120)
-        monkeypatch.setattr(models, "_cpus", lambda: 3)
+        monkeypatch.setattr(_fork, "_cpus", lambda: 3)
         parent = os.getpid()
         grow_trees = models._grow_trees
 
@@ -527,7 +514,7 @@ class TestForestParts:
     def test_children_are_killed_when_the_first_part_fails(self, monkeypatch):
         X, y = blobs(6, n=120)
         monkeypatch.setattr(models, "_PART_ROWS", 120)
-        monkeypatch.setattr(models, "_cpus", lambda: 2)
+        monkeypatch.setattr(_fork, "_cpus", lambda: 2)
         parent = os.getpid()
 
         def children_hang(*args):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdmpipe import TimeSeriesFrame, timeseries
+from pdmpipe import TimeSeriesFrame, _fork, timeseries
 from pdmpipe.timeseries import (
     SEQUENCE_IDS,
     SEQUENCE_VOCAB,
@@ -306,8 +306,7 @@ class TestTableWriterOracle:
     def test_forced_parts_match_csv_writer_rows(self, parts, offset, tmp_path, monkeypatch):
         n = 7 * timeseries._PART_BLOCKS * parts + offset
         monkeypatch.setattr(timeseries, "_BLOCK_ROWS", 7)
-        monkeypatch.setattr(timeseries, "_cpus", lambda: parts)
-        assert len(timeseries._part_starts(n)) == parts + 1
+        monkeypatch.setattr(_fork, "_cpus", lambda: parts)
         header, timestamps, columns = table_case(100 + parts, n)
         _write_table(tmp_path / "new.csv", header, timestamps, columns)
         oracle_write_table(tmp_path / "old.csv", header, timestamps, columns)
@@ -347,20 +346,13 @@ class TestTableWriterParts:
     @pytest.fixture
     def four_parts(self, monkeypatch):
         monkeypatch.setattr(timeseries, "_BLOCK_ROWS", 7)
-        monkeypatch.setattr(timeseries, "_cpus", lambda: 4)
+        monkeypatch.setattr(_fork, "_cpus", lambda: 4)
         return table_case(7, 7 * timeseries._PART_BLOCKS * 4)
 
     @staticmethod
     def assert_no_child():
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-
-    def test_parts_are_cut_at_blocks(self, monkeypatch):
-        monkeypatch.setattr(timeseries, "_cpus", lambda: 3)
-        assert timeseries._part_starts(0) == [0, 0]
-        assert timeseries._part_starts(4 * 512) == [0, 2048]
-        assert timeseries._part_starts(8 * 512 + 1) == [0, 2048, 8 * 512 + 1]
-        assert timeseries._part_starts(320100) == [0, 208 * 512, 417 * 512, 320100]
 
     def test_write_leaves_no_child_and_no_file(self, four_parts, tmp_path):
         _write_table(tmp_path / "t.csv", *four_parts)
@@ -444,16 +436,12 @@ class TestTableWriterParts:
         def no_fork():
             raise AssertionError("os.fork called")
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(_fork, "_cpus", lambda: 1)
         monkeypatch.setattr(os, "fork", no_fork)
         header, timestamps, columns = table_case(3, 9000)
         _write_table(tmp_path / "new.csv", header, timestamps, columns)
         oracle_write_table(tmp_path / "old.csv", header, timestamps, columns)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-    def test_no_fork_writes_in_one_part(self, monkeypatch):
-        monkeypatch.delattr(os, "fork")
-        assert timeseries._part_starts(320100) == [0, 320100]
 
 
 @dataclass(frozen=True)
