@@ -123,9 +123,8 @@ def impute_single_sensor(frame: TimeSeriesFrame, gap: GapInterval, k: int = 3) -
         raise ValueError(f"channel {gap.channel!r} has no observed cells")
     fallback = float(np.median(values[observed]))
 
-    offsets = np.empty(len(frame), dtype=np.int64)
-    for s, e in _instances(frame):
-        offsets[s:e] = np.arange(e - s)
+    starts, stops = _instances(frame)
+    offsets = np.arange(len(frame)) - np.repeat(starts, stops - starts)
     cyc = frame.cycle
     seq = frame.sequence
 
@@ -309,7 +308,7 @@ def detrended_iqr_flags(frame: TimeSeriesFrame, k: float, window: int = 31):
         raise ValueError("k must be >= 0")
     _require_finite(frame)
     half = window // 2
-    spans = [(s, e) for s, e in _instances(frame) if e - s > window]
+    spans = [(s, e) for s, e in zip(*_instances(frame)) if e - s > window]
     if not spans:
         return []
     starts, stops = np.array(spans, dtype=np.int64).T

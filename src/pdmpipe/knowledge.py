@@ -8,11 +8,13 @@ sequence, and groups of redundant channels. It is one record built from
 a YAML document and is immutable afterwards, so one instance can be
 shared freely.
 
-``evaluate_rules`` walks a telemetry frame sequence instance by sequence
-instance and emits one fault event per (rule, cycle) that fires, which is
-how the equipment automation latches: once a rule trips, the cycle is
-interrupted until someone intervenes, so repeat firings within the same
-cycle carry no information.
+``evaluate_rules`` makes one pass per rule over a telemetry frame: a row
+mask of where the rule fires, with elapsed time counted from the first
+row of each sequence instance that is present in the frame. It emits one
+fault event per (rule, cycle) that fires, at the cycle's first firing
+row, which is how the equipment automation latches: once a rule trips,
+the cycle is interrupted until someone intervenes, so repeat firings
+within the same cycle carry no information.
 """
 
 from __future__ import annotations
@@ -161,13 +163,15 @@ class MonitoringRule:
     """One IF-THEN monitoring rule bound to a sequence.
 
     The sensor and log predicates, when both present, must hold together.
-    Temporal qualifiers, all in elapsed minutes from sequence start:
+    Temporal qualifiers, all in elapsed minutes from the first row of the
+    sequence run present in the frame:
 
     - ``step_minute``: condition only applies from this offset on,
     - ``within_first_minutes``: condition only applies before this offset,
-    - ``no_memory_first_minutes``: inverted detection — the rule fires AT
-      minute N when the condition never held during [0, N); used for
-      "pressure never reached vacuum in time" style checks.
+    - ``no_memory_first_minutes``: inverted detection — the rule fires at
+      the first row at or after minute N when the condition never held
+      during [0, N); used for "pressure never reached vacuum in time"
+      style checks.
     """
 
     id: int = bounded()
@@ -377,16 +381,16 @@ def default_kb() -> KnowledgeBase:
 
 
 def _instances(frame: TimeSeriesFrame):
-    """Contiguous (start, end) runs of constant (sequence, cycle)."""
+    """Starts and stops (exclusive) of the contiguous runs of constant
+    (sequence, cycle), as two int64 arrays."""
     n = len(frame)
     if n == 0:
-        return
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     seq = frame.sequence
     cyc = frame.cycle
     change = np.flatnonzero((seq[1:] != seq[:-1]) | (cyc[1:] != cyc[:-1])) + 1
     bounds = np.concatenate(([0], change, [n]))
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        yield int(s), int(e)
+    return bounds[:-1], bounds[1:]
 
 
 def _event_rows(frame: TimeSeriesFrame, events) -> list:
@@ -397,7 +401,7 @@ def _event_rows(frame: TimeSeriesFrame, events) -> list:
     and then IDLE once, and deleting or resampling rows keeps row order.
     """
     runs = {(int(frame.cycle[s]), str(frame.sequence[s])): (s, e)
-            for s, e in _instances(frame)}
+            for s, e in zip(*_instances(frame))}
     spans = []
     for event in events:
         run = runs.get((event.cycle, event.sequence_id))
@@ -409,39 +413,15 @@ def _event_rows(frame: TimeSeriesFrame, events) -> list:
     return spans
 
 
-def _onset_offset(frame: TimeSeriesFrame, rule: MonitoringRule, start: int, end: int,
-                  elapsed: np.ndarray):
-    """Local row offset at which the rule fires within one instance, or None."""
-    cond = np.ones(end - start, dtype=bool)
-    if rule.sensor is not None:
-        cond &= rule.sensor.holds(frame.channels[rule.sensor.channel][start:end])
-    if rule.log is not None:
-        hit = np.zeros(end - start, dtype=bool)
-        for name in rule.log.logs:
-            hit |= frame.logs[name][start:end] == rule.log.value
-        cond &= hit
-
-    if rule.no_memory_first_minutes is not None:
-        n_min = rule.no_memory_first_minutes
-        if np.any(cond[elapsed < n_min]):
-            return None
-        later = np.flatnonzero(elapsed >= n_min)
-        return int(later[0]) if later.size else None
-
-    mask = elapsed >= rule.step_minute
-    if rule.within_first_minutes is not None:
-        mask &= elapsed < rule.within_first_minutes
-    hits = np.flatnonzero(cond & mask)
-    return int(hits[0]) if hits.size else None
-
-
 def evaluate_rules(frame: TimeSeriesFrame, kb: KnowledgeBase) -> list:
     """Apply every monitoring rule to the frame and collect fault events.
 
-    Evaluation is per sequence instance, with elapsed time measured from
-    the instance's first row. A rule fires at most once per cycle (the
-    automation latches); the event onset is the first timestamp at which
-    the rule condition is met. Events come back sorted by onset.
+    Each rule is one pass over the whole frame: a row mask of where it
+    fires, with elapsed time measured from the first row of the row's
+    sequence instance that is present in the frame. A rule fires at most
+    once per cycle (the automation latches), at the first firing row of
+    the cycle; the event onset is that row's timestamp. Events come back
+    sorted by onset.
     """
     for rule in kb.rules:
         if rule.sensor is not None:
@@ -457,38 +437,43 @@ def evaluate_rules(frame: TimeSeriesFrame, kb: KnowledgeBase) -> list:
             if absent:
                 raise ValueError(f"rule {rule.id}: frame lacks logs {absent}")
 
-    by_sequence = {}
-    for rule in kb.rules:
-        by_sequence.setdefault(rule.sequence_id, []).append(rule)
-
+    starts, stops = _instances(frame)
+    sizes = stops - starts
+    first = np.repeat(starts, sizes)     # per row, the first row of its instance
+    t = frame.timestamps.astype("datetime64[s]").astype(np.int64)
+    elapsed = (t - t[first]) // 60
     events = []
-    fired = set()
-    for start, end in _instances(frame):
-        seq = str(frame.sequence[start])
-        rules = by_sequence.get(seq)
-        if not rules:
-            continue
-        cycle = int(frame.cycle[start])
-        delta = (frame.timestamps[start:end] - frame.timestamps[start])
-        elapsed = delta.astype("timedelta64[s]").astype(np.int64) // 60
-        for rule in rules:
-            if (rule.id, cycle) in fired:
-                continue
-            offset = _onset_offset(frame, rule, start, end, elapsed)
-            if offset is None:
-                continue
-            fired.add((rule.id, cycle))
-            entry = kb.entry(rule.fault_name)
-            events.append(FaultEvent(
-                onset=frame.timestamps[start + offset],
-                cycle=cycle,
-                sequence_id=seq,
-                fault_name=rule.fault_name,
-                cause=rule.cause if rule.cause is not None else entry.causes[0],
-                severity=entry.severity,
-                consequence=entry.consequence,
-                source=SOURCE_RULE_ENGINE,
-            ))
+    for rule in kb.rules:
+        # one id per instance: comparing the string column row by row costs
+        # more than the rest of the rule's pass
+        own = np.repeat(frame.sequence[starts] == rule.sequence_id, sizes)
+        held = own
+        if rule.sensor is not None:
+            held = held & rule.sensor.holds(frame.channels[rule.sensor.channel])
+        if rule.log is not None:
+            held = held & np.any([frame.logs[name] == rule.log.value
+                                  for name in rule.log.logs], axis=0)
+        if rule.no_memory_first_minutes is not None:
+            # an instance whose condition held before minute N fires nowhere
+            early = elapsed < rule.no_memory_first_minutes
+            fires = own & ~early & ~np.isin(first, first[held & early])
+        else:
+            fires = held & (elapsed >= rule.step_minute)
+            if rule.within_first_minutes is not None:
+                fires &= elapsed < rule.within_first_minutes
+        rows = np.flatnonzero(fires)
+        rows = rows[np.unique(frame.cycle[rows], return_index=True)[1]]
+        entry = kb.entry(rule.fault_name)
+        events.extend(FaultEvent(
+            onset=frame.timestamps[row],
+            cycle=int(frame.cycle[row]),
+            sequence_id=rule.sequence_id,
+            fault_name=rule.fault_name,
+            cause=rule.cause if rule.cause is not None else entry.causes[0],
+            severity=entry.severity,
+            consequence=entry.consequence,
+            source=SOURCE_RULE_ENGINE,
+        ) for row in rows)
     events.sort(key=lambda e: (e.onset.astype("datetime64[s]").astype(np.int64),
                                e.cycle, e.fault_name))
     return events

@@ -542,6 +542,21 @@ class Outlier:
             raise ValueError("takes a delta or a value key, not both")
 
 
+def _cycle_rows(frame: TimeSeriesFrame, minutes: np.ndarray, cycle: int,
+                start_minute: int, length: int, what: str) -> np.ndarray:
+    """Rows of ``cycle`` in the ``length`` minutes from ``start_minute`` on,
+    counted from the cycle's first row; ``what`` names the caller's entry
+    in the errors."""
+    base = np.flatnonzero(frame.cycle == cycle)
+    if base.size == 0:
+        raise ValueError(f"{what} references absent cycle {cycle}")
+    lo = minutes[base[0]] + start_minute
+    rows = base[(minutes[base] >= lo) & (minutes[base] < lo + length)]
+    if rows.size == 0:
+        raise ValueError(f"{what} outside frame span (cycle {cycle})")
+    return rows
+
+
 def inject_missing(frame: TimeSeriesFrame, gt: GroundTruth, scenario: MissingScenario):
     """Blank cells per the missing-data scenario and record the intervals.
 
@@ -552,24 +567,11 @@ def inject_missing(frame: TimeSeriesFrame, gt: GroundTruth, scenario: MissingSce
         return frame, gt
     channels = {k: v.copy() for k, v in frame.channels.items()}
     intervals = list(gt.missing)
-    cyc = frame.cycle
     minutes = frame.elapsed_minutes()
-
-    def rows_for(cycle: int, start_minute: int, length: int) -> np.ndarray:
-        base = np.flatnonzero(cyc == cycle)
-        if base.size == 0:
-            raise ValueError(f"missing scenario references absent cycle {cycle}")
-        first = minutes[base[0]]
-        lo = first + start_minute
-        hi = lo + length
-        rows = base[(minutes[base] >= lo) & (minutes[base] < hi)]
-        if rows.size == 0:
-            raise ValueError(f"missing interval outside frame span (cycle {cycle})")
-        return rows
-
     blanket_spans = []
     for spec in scenario.blanket:
-        rows = rows_for(spec.cycle, spec.start_minute, spec.minutes)
+        rows = _cycle_rows(frame, minutes, spec.cycle, spec.start_minute, spec.minutes,
+                           "missing interval")
         span = (rows[0], rows[-1])
         for other in blanket_spans:
             if span[0] <= other[1] and other[0] <= span[1]:
@@ -583,7 +585,8 @@ def inject_missing(frame: TimeSeriesFrame, gt: GroundTruth, scenario: MissingSce
 
     for spec in scenario.dropout:
         name = spec.channel
-        rows = rows_for(spec.cycle, spec.start_minute, spec.minutes)
+        rows = _cycle_rows(frame, minutes, spec.cycle, spec.start_minute, spec.minutes,
+                           "missing interval")
         channels[name][rows] = np.nan
         intervals.append(MissingInterval(
             start=frame.timestamps[rows[0]], end=frame.timestamps[rows[-1]],
@@ -609,18 +612,10 @@ def inject_outliers(frame: TimeSeriesFrame, gt: GroundTruth, scenario):
     touched = {spec.channel for spec in scenario}
     channels = {k: v.copy() if k in touched else v for k, v in frame.channels.items()}
     points = list(gt.outliers)
-    cyc = frame.cycle
     minutes = frame.elapsed_minutes()
     for spec in scenario:
         name = spec.channel
-        base = np.flatnonzero(cyc == spec.cycle)
-        if base.size == 0:
-            raise ValueError(f"outlier references absent cycle {spec.cycle}")
-        target = minutes[base[0]] + spec.minute
-        rows = base[minutes[base] == target]
-        if rows.size == 0:
-            raise ValueError("outlier point outside frame span")
-        row = int(rows[0])
+        row = int(_cycle_rows(frame, minutes, spec.cycle, spec.minute, 1, "outlier point")[0])
         original = channels[name][row]
         if np.isnan(original):
             raise ValueError("outlier point lands on a missing cell")

@@ -480,7 +480,7 @@ def oracle_detrended_iqr_flags(frame, k, window):
     """The screen as a loop over (instance, channel) pairs."""
     flags = []
     half = window // 2
-    for s, e in _instances(frame):
+    for s, e in zip(*_instances(frame)):
         if e - s <= window:
             continue
         for name in frame.channels:
@@ -507,7 +507,7 @@ def fence_branches(frame, window):
     virtual index (m-1)*q is an integer, ``upper`` when its fraction is at
     least 0.5, else ``lower``."""
     seen = set()
-    for s, e in _instances(frame):
+    for s, e in zip(*_instances(frame)):
         if e - s <= window:
             continue
         for q in (0.25, 0.75):
@@ -565,7 +565,7 @@ class TestScreeningOracle:
 
     @staticmethod
     def check_against_the_loop(frame, window):
-        spans = [(s, e) for s, e in _instances(frame) if e - s > window]
+        spans = [(s, e) for s, e in zip(*_instances(frame)) if e - s > window]
         starts, stops = np.array(spans).T
         for name, x in frame.channels.items():
             med = cleaning._span_medians(x, starts, stops, window)
@@ -589,7 +589,7 @@ class TestScreeningOracle:
             x = np.column_stack(list(frame.channels.values()))
             tied += (np.diff(x, axis=0) == 0).any()
             signed_zeros += ((x == 0) & np.signbit(x)).any() and ((x == 0) & ~np.signbit(x)).any()
-            short += any(e - s <= window for s, e in _instances(frame))
+            short += any(e - s <= window for s, e in zip(*_instances(frame)))
             flagged += len(oracle_detrended_iqr_flags(frame, 1.5, window)) > 0
         assert tied == signed_zeros == short == flagged == 36
 
@@ -704,7 +704,7 @@ def oracle_envelope_check(frame, i, kb):
 def oracle_verify_outliers(frame, flags, kb, events, window_minutes=60):
     """verify_outliers with one envelope judgement per neighbour row."""
     t_int = frame.timestamps.astype("int64")
-    instances = list(_instances(frame))
+    instances = list(zip(*_instances(frame)))
     windows = []
     for e in events:
         if e.severity != BLOCKING:

@@ -459,6 +459,125 @@ class TestRuleEngine:
             evaluate_rules(frame, kb)
 
 
+def oracle_evaluate_rules(frame, kb):
+    """The rule engine as it walked the frame instance by instance: one
+    onset search per (instance, rule) with elapsed minutes from the
+    instance's first row, and a latch on the (rule, cycle) pairs fired."""
+
+    def onset_offset(rule, start, end, elapsed):
+        cond = np.ones(end - start, dtype=bool)
+        if rule.sensor is not None:
+            cond &= rule.sensor.holds(frame.channels[rule.sensor.channel][start:end])
+        if rule.log is not None:
+            hit = np.zeros(end - start, dtype=bool)
+            for name in rule.log.logs:
+                hit |= frame.logs[name][start:end] == rule.log.value
+            cond &= hit
+        if rule.no_memory_first_minutes is not None:
+            n_min = rule.no_memory_first_minutes
+            if np.any(cond[elapsed < n_min]):
+                return None
+            later = np.flatnonzero(elapsed >= n_min)
+            return int(later[0]) if later.size else None
+        mask = elapsed >= rule.step_minute
+        if rule.within_first_minutes is not None:
+            mask &= elapsed < rule.within_first_minutes
+        hits = np.flatnonzero(cond & mask)
+        return int(hits[0]) if hits.size else None
+
+    by_sequence = {}
+    for rule in kb.rules:
+        by_sequence.setdefault(rule.sequence_id, []).append(rule)
+    events = []
+    fired = set()
+    for start, end in zip(*_instances(frame)):
+        seq = str(frame.sequence[start])
+        cycle = int(frame.cycle[start])
+        delta = frame.timestamps[start:end] - frame.timestamps[start]
+        elapsed = delta.astype("timedelta64[s]").astype(np.int64) // 60
+        for rule in by_sequence.get(seq, ()):
+            if (rule.id, cycle) in fired:
+                continue
+            offset = onset_offset(rule, start, end, elapsed)
+            if offset is None:
+                continue
+            fired.add((rule.id, cycle))
+            entry = kb.entry(rule.fault_name)
+            events.append(FaultEvent(
+                onset=frame.timestamps[start + offset], cycle=cycle, sequence_id=seq,
+                fault_name=rule.fault_name,
+                cause=rule.cause if rule.cause is not None else entry.causes[0],
+                severity=entry.severity, consequence=entry.consequence))
+    events.sort(key=lambda e: (e.onset.astype("datetime64[s]").astype(np.int64),
+                               e.cycle, e.fault_name))
+    return events
+
+
+def scaled_thresholds(kb, factor):
+    """``kb`` with every sensor threshold times ``factor``."""
+    rules = []
+    for rule in kb.rules:
+        if rule.sensor is not None:
+            thr = rule.sensor.threshold
+            thr = tuple(v * factor for v in thr) if isinstance(thr, tuple) else thr * factor
+            rule = replace(rule, sensor=replace(rule.sensor, threshold=thr))
+        rules.append(rule)
+    return replace(kb, rules=tuple(rules))
+
+
+# S10 twice in one cycle, with S11 between the two runs
+REPEATED_S10 = (("S09", 30), ("S10", 20), ("S11", 10), ("S10", 20), ("IDLE", 10))
+
+
+class TestRuleEngineOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_per_instance_engine_with_and_without_row_deletion(self, kb, sim_mid, seed):
+        frame, _ = sim_mid
+        rng = np.random.default_rng(seed)
+        n = len(frame)
+        blocks = np.ones(n, dtype=bool)
+        for start in rng.integers(0, n, 20):
+            blocks[start:start + int(rng.integers(5, 400))] = False
+        rows = frame.take(rng.random(n) >= rng.uniform(0.02, 0.4))
+        for survived in (frame, rows, frame.take(blocks)):
+            for factor in (0.97, 1.0, 1.03):
+                rules = scaled_thresholds(kb, factor)
+                events = evaluate_rules(survived, rules)
+                assert events == oracle_evaluate_rules(survived, rules)
+                assert events
+
+    def test_a_spoiled_no_memory_run_does_not_latch(self, kb):
+        # the first S10 run reaches vacuum at once, so the needle check
+        # holds there; the second never does, so it fires at its minute 5
+        frame = quiet_frame(segments=REPEATED_S10)
+        runs = frame.sequence == "S10"
+        second = np.flatnonzero(runs)[20:]
+        frame.channels["pressure_internal_a"][second] = 750.0
+        events = evaluate_rules(frame, kb)
+        assert [(e.fault_name, e.onset) for e in events] == [
+            ("Needle Valve Fault", frame.timestamps[second[5]])]
+        assert events == oracle_evaluate_rules(frame, kb)
+
+    def test_a_rule_latches_at_its_first_run_in_the_cycle(self, kb):
+        frame = quiet_frame(cycles=2, segments=REPEATED_S10)
+        frame.channels["pressure_internal_a"][frame.sequence == "S10"] = 750.0
+        frame.channels["angle_platform"][frame.sequence == "S10"] = 45.0
+        first_runs = [segment_rows(frame, cycle, "S10")[:20] for cycle in (1, 2)]
+        events = evaluate_rules(frame, kb)
+        assert [(e.cycle, e.fault_name, e.onset) for e in events] == [
+            (cycle, name, frame.timestamps[rows[row]])
+            for cycle, rows in zip((1, 2), first_runs)
+            for row, name in ((0, "Angle Measurement Fault"), (5, "Needle Valve Fault"))]
+        assert events == oracle_evaluate_rules(frame, kb)
+
+    def test_an_empty_frame_has_no_instances_and_no_events(self, kb):
+        frame = quiet_frame().take(np.zeros(len(quiet_frame()), dtype=bool))
+        starts, stops = _instances(frame)
+        assert starts.dtype == stops.dtype == np.int64
+        assert starts.size == stops.size == 0
+        assert evaluate_rules(frame, kb) == oracle_evaluate_rules(frame, kb) == []
+
+
 def needle_event(cycle, onset):
     return FaultEvent(onset=onset, cycle=cycle, sequence_id="S10",
                       fault_name="Needle Valve Fault", cause="needle valve clogging",
@@ -469,7 +588,7 @@ def oracle_event_rows(frame, event):
     """The per-run scan fault annotation made: the first run of the event's
     (cycle, sequence) pair whose last row reaches the onset, from the onset on."""
     t = frame.timestamps
-    for s, stop in _instances(frame):
+    for s, stop in zip(*_instances(frame)):
         if (frame.cycle[s] == event.cycle and frame.sequence[s] == event.sequence_id
                 and t[stop - 1] >= event.onset):
             rows = np.arange(s, stop)[t[s:stop] >= event.onset]
@@ -517,7 +636,7 @@ class TestEventRows:
     def test_each_cycle_and_sequence_is_one_run(self, sim_small):
         frame, _ = sim_small
         for f in (frame, resample(frame, 15)):
-            pairs = [(int(f.cycle[s]), str(f.sequence[s])) for s, _ in _instances(f)]
+            pairs = [(int(f.cycle[s]), str(f.sequence[s])) for s, _ in zip(*_instances(f))]
             assert len(pairs) == len(set(pairs))
 
     @pytest.mark.parametrize("seed", range(12))

@@ -291,6 +291,23 @@ class TestInjectOutliers:
                 Outlier(cycle=1, channel="temp_internal", minute=105,
                         kind="FalseSpike", delta=50.0)])
 
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_absent_cycle_and_minute_past_the_cycle_rejected(self, sim_small, missing):
+        frame, gt = sim_small
+        what = "missing interval" if missing else "outlier point"
+        for cycle, minute, message in ((9, 0, f"{what} references absent cycle 9"),
+                                       (2, 5000, f"{what} outside frame span (cycle 2)")):
+            with pytest.raises(ValueError) as err:
+                if missing:
+                    inject_missing(frame, gt, MissingScenario(dropout=(Dropout(
+                        cycle=cycle, channel="temp_internal", start_minute=minute,
+                        minutes=10),)))
+                else:
+                    inject_outliers(frame, gt, [Outlier(
+                        cycle=cycle, channel="temp_internal", minute=minute,
+                        kind="FalseSpike", delta=1.0)])
+            assert str(err.value) == message
+
     def test_unknown_channel_and_kind_rejected(self):
         with pytest.raises(ValueError, match="channel must be a simulated channel, got 'bogus'"):
             Outlier(cycle=1, channel="bogus", minute=5, kind="FalseSpike", delta=1.0)
