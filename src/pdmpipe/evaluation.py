@@ -196,7 +196,7 @@ def tune_and_fit(X_train, y_train, X_val, y_val, family: str, grid,
                 trees = max(r.trees for r in records if (r.max_depth, r.min_leaf) == shape)
                 grown[shape] = fit_forest(X_train, y_train, replace(record, trees=trees),
                                           seed=child_seed)
-            model = Forest(grown[shape].trees[:record.trees], record)
+            model = Forest(grown[shape].trees[:record.trees])
         elif family == "gbdt":
             model = fit_gbdt(X_train, y_train, record)
         else:

@@ -1,10 +1,11 @@
 """Feature reduction, knowledge integration, and dataset assembly.
 
-The curated dataset is built in a fixed order: clean, reduce channels,
-integrate fault knowledge, transform, resample to the working interval,
-then keep only the sequences where prediction matters. Both scenarios
-share the machinery; ``build_dataset`` withholds the knowledge base
-from the data-driven one, which then skips every step that needs it.
+The curated dataset is built in a fixed order: evaluate the monitoring
+rules on the raw telemetry, clean, reduce channels, integrate fault
+knowledge, transform, resample to the working interval, then keep only
+the sequences where prediction matters. Both scenarios share the
+machinery; ``build_dataset`` withholds the knowledge base from the
+data-driven one, which then skips every step that needs it.
 """
 
 from __future__ import annotations
@@ -178,18 +179,14 @@ def standardize(frame: TimeSeriesFrame, fit_mask: np.ndarray):
     return replace(frame, channels=channels, units=units), scaler
 
 
-def add_statistical_features(frame: TimeSeriesFrame, over=None) -> TimeSeriesFrame:
-    """Append per-row mean, median, and population variance channels."""
-    names = list(over) if over is not None else list(frame.channels)
-    missing = [n for n in names if n not in frame.channels]
-    if missing:
-        raise ValueError(f"unknown channels {missing}")
+def add_statistical_features(frame: TimeSeriesFrame) -> TimeSeriesFrame:
+    """Append the per-row mean, median, and population variance of the channels."""
     stats = np.empty((len(STAT_FEATURES), len(frame)))
     # each row's statistics depend on that row alone, so a block of rows at
     # a time gives the same bits and bounds the stacked copy and its temporaries
     for lo in range(0, len(frame), _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
-        stack = np.column_stack([frame.channels[n][block] for n in names])
+        stack = np.column_stack([values[block] for values in frame.channels.values()])
         stats[:, block] = stack.mean(axis=1), np.median(stack, axis=1), stack.var(axis=1)
     out = frame
     for name, values in zip(STAT_FEATURES, stats):
@@ -355,14 +352,14 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
                   train_fraction: float = 0.6) -> CuratedDataset:
     """Run the full curation pipeline on raw telemetry.
 
-    Order: clean (gaps, then outliers), reduce channels, integrate fault
-    knowledge, transform, resample, balance. The scenario is decided once:
-    the data-driven one (s1) gets no knowledge base, and every later step
-    asks only whether one is present. Without it, gaps and flagged rows
-    are deleted and the automation fault log is the target. The final
-    scaler is fitted on the leading ``train_fraction`` of the cycles that
-    keep rows in the balance window, the ones the chronological split
-    trains on.
+    Order: evaluate the rules on the raw frame, clean (gaps, then
+    outliers), reduce channels, integrate fault knowledge, transform,
+    resample, balance. The scenario is decided once: the data-driven one
+    (s1) gets no knowledge base, and every later step asks only whether
+    one is present. Without it, gaps and flagged rows are deleted and the
+    automation fault log is the target. The final scaler is fitted on the
+    leading ``train_fraction`` of the cycles that keep rows in the balance
+    window, the ones the chronological split trains on.
     """
     params = params or PreprocessParams()
     if scenario not in ("s1", "s2"):
@@ -371,6 +368,9 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     kb = kb if scenario == "s2" else None
     notes = []
+    # the rules see the telemetry as the baseline's engine does: every row and
+    # channel present, and a missing cell satisfies no predicate
+    events = evaluate_rules(frame, kb) if kb is not None else None
 
     frame = replace(frame, logs={**frame.logs, "cycle_minute": _cycle_minutes(frame)})
 
@@ -402,7 +402,6 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
         frame = frame.take(keep)
         verdict_counts = {"deleted_rows": len(drop)}
     else:
-        events = evaluate_rules(frame, kb)
         verdicts = verify_outliers(frame, flags, kb, events,
                                    params.verify_window_minutes)
         verdict_counts = dict(Counter(v.verdict for v in verdicts))
@@ -442,7 +441,7 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     train_cycles = set(unique_cycles[:n_train].tolist())
     fit_mask = np.isin(frame.cycle, list(train_cycles))
     frame, scaler = standardize(frame, fit_mask)
-    frame = add_statistical_features(frame, selection.selected)
+    frame = add_statistical_features(frame)
 
     frame = resample(frame, params.resample_minutes)
     frame = slice_by_sequence(frame, BALANCE_SEQUENCES)

@@ -1,10 +1,8 @@
 """Native binary classifiers: bagged CART forest, boosted trees, linear SVM.
 
-All three are deterministic (the forest given its seed), and each
-fitted model's ``to_dict`` describes it as plain JSON; nothing reads
-that back. Ties everywhere resolve toward the negative class, the lower
-feature index, and the lower threshold, in that order, so retraining is
-stable.
+All three are deterministic (the forest given its seed). Ties everywhere
+resolve toward the negative class, the lower feature index, and the
+lower threshold, in that order, so retraining is stable.
 
 A forest grows its trees in lock-step: each step takes the next node of
 every tree, which draws its features from that tree's own random stream,
@@ -19,7 +17,7 @@ from __future__ import annotations
 
 import math
 import pickle
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,14 +85,6 @@ class Tree:
         self.left = np.asarray(left, dtype=np.int64)
         self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(value, dtype=float)
-
-    def to_dict(self) -> dict:
-        return {"family": "tree",
-                "feature": self.feature.tolist(),
-                "threshold": self.threshold.tolist(),
-                "left": self.left.tolist(),
-                "right": self.right.tolist(),
-                "value": self.value.tolist()}
 
 
 def _tree_values(trees, X: np.ndarray) -> np.ndarray:
@@ -321,19 +311,13 @@ def _grow_trees(X, y, rows, rngs, mtry, max_depth, min_leaf) -> list:
 
 
 class Forest:
-    def __init__(self, trees, params: ForestParams):
+    def __init__(self, trees):
         self.trees = list(trees)
-        self.params = params
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         votes = _tree_values(self.trees, X).astype(np.int8).sum(axis=0, dtype=np.int64)
         # strict majority; a tied vote stays negative
         return (2 * votes > len(self.trees)).astype(np.int8)
-
-    def to_dict(self) -> dict:
-        return {"family": "forest",
-                "params": asdict(self.params),
-                "trees": [t.to_dict() for t in self.trees]}
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams = None,
@@ -367,7 +351,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams = None,
         trees = grow(bounds[0], bounds[1])
         for part in parts:
             trees += pickle.load(part.join())
-    return Forest(trees, params)
+    return Forest(trees)
 
 
 def _log_loss(y: np.ndarray, score: np.ndarray) -> float:
@@ -379,10 +363,9 @@ def _log_loss(y: np.ndarray, score: np.ndarray) -> float:
 class Gbdt:
     """Boosted histogram trees on the logistic loss."""
 
-    def __init__(self, base_score, trees, params: GbdtParams, train_loss):
+    def __init__(self, base_score, trees, train_loss):
         self.base_score = float(base_score)
         self.trees = list(trees)              # leaf values carry the step size
-        self.params = params
         self.train_loss = list(train_loss)
 
     def decision_score(self, X: np.ndarray) -> np.ndarray:
@@ -397,13 +380,6 @@ class Gbdt:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(np.int8)
-
-    def to_dict(self) -> dict:
-        return {"family": "gbdt",
-                "base_score": self.base_score,
-                "params": asdict(self.params),
-                "train_loss": self.train_loss,
-                "trees": [t.to_dict() for t in self.trees]}
 
 
 def _bin_features(X: np.ndarray, bins: int):
@@ -556,15 +532,14 @@ def fit_gbdt(X: np.ndarray, y: np.ndarray, params: GbdtParams = None) -> Gbdt:
         score = score + scale * step
         loss = candidate
         losses.append(loss)
-    return Gbdt(base, trees, params, losses)
+    return Gbdt(base, trees, losses)
 
 
 class Svm:
     """Linear classifier on the squared hinge loss, fitted by primal Newton."""
 
-    def __init__(self, weights, params: SvmParams, objectives):
+    def __init__(self, weights, objectives):
         self.weights = np.asarray(weights, dtype=float)   # bias is the last entry
-        self.params = params
         self.objectives = list(objectives)
 
     def decision_score(self, X: np.ndarray) -> np.ndarray:
@@ -574,12 +549,6 @@ class Svm:
     def predict(self, X: np.ndarray) -> np.ndarray:
         # a zero score stays negative
         return (self.decision_score(X) > 0).astype(np.int8)
-
-    def to_dict(self) -> dict:
-        return {"family": "svm",
-                "weights": self.weights.tolist(),
-                "params": asdict(self.params),
-                "objectives": self.objectives}
 
 
 def _svm_objective(w, aug, signed, reg):
@@ -633,4 +602,4 @@ def fit_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = None) -> Svm:
         w = w + t * step
         obj, slack = cand, cand_slack
         objectives.append(obj)
-    return Svm(w, params, objectives)
+    return Svm(w, objectives)

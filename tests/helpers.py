@@ -1,6 +1,7 @@
 """Hand-built telemetry frames with known, rule-silent nominal values, the
 stock knowledge-base document, a runner for the ``pdm`` command line in a
-fresh interpreter, and a traced-memory probe."""
+fresh interpreter, a traced-memory probe, and a fitted model's numbers as
+plain lists."""
 
 from __future__ import annotations
 
@@ -32,6 +33,8 @@ UNITS = {
     "temp_external_a": "degC",
     "angle_platform": "deg",
 }
+
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
 def quiet_frame(cycles: int = 1, segments=CYCLE_SEGMENTS,
@@ -119,3 +122,21 @@ def traced_peak(call) -> int:
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def model_state(model) -> dict:
+    """The numbers a fitted model predicts from, as plain lists.
+
+    A tree gives its node arrays; a forest, boosted model or SVM gives
+    whichever of its base score, training loss or objective curve,
+    weights and trees it has, each tree as above. Two models with equal
+    states predict alike.
+    """
+    if hasattr(model, "feature"):
+        return {name: getattr(model, name).tolist() for name in TREE_ARRAYS}
+    state = {name: np.asarray(getattr(model, name)).tolist()
+             for name in ("base_score", "train_loss", "objectives", "weights")
+             if hasattr(model, name)}
+    if hasattr(model, "trees"):
+        state["trees"] = [model_state(tree) for tree in model.trees]
+    return state

@@ -8,7 +8,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from pdmpipe import build_dataset, inject_missing, make_config, simulate, split_chronological
+from pdmpipe import (
+    build_dataset,
+    evaluate_rules,
+    inject_missing,
+    make_config,
+    simulate,
+    split_chronological,
+)
 from pdmpipe import features
 from pdmpipe.features import (
     PcaResult,
@@ -229,21 +236,14 @@ class TestStatisticalFeatures:
         frame.channels["temp_internal"][::5] = -0.0
         monkeypatch.setattr(features, "_BLOCK_ROWS", 7)
         assert len(frame) % 7
-        for over in (list(frame.channels), list(frame.channels)[:4]):
-            out = add_statistical_features(frame, over)
-            stack = np.column_stack([frame.channels[n] for n in over])
+        for part in (frame, frame.drop_channels(["angle_platform"])):
+            out = add_statistical_features(part)
+            stack = np.column_stack(list(part.channels.values()))
             for name, want in (("stat_mean", stack.mean(axis=1)),
                                ("stat_median", np.median(stack, axis=1)),
                                ("stat_variance", stack.var(axis=1))):
                 assert np.array_equal(out.channels[name].view(np.int64),
                                       want.view(np.int64)), name
-
-    def test_subset_and_validation(self):
-        frame = quiet_frame()
-        out = add_statistical_features(frame, over=["temp_internal"])
-        assert np.allclose(out.channels["stat_variance"], 0.0)
-        with pytest.raises(ValueError, match="unknown"):
-            add_statistical_features(frame, over=["bogus"])
 
 
 def event_at(frame, row, name, cause, severity, consequence, priority=False):
@@ -490,6 +490,29 @@ class TestBuildDataset:
             ds = build_dataset(frame, kb, scenario, config.preprocess, config.split[0])
             assert len(np.unique(ds.cycles)) == 9
             assert fitted.pop() == split_chronological(ds, config.split).train_cycles
+
+    def test_rules_see_the_rows_gap_handling_deletes(self, kb):
+        # the blanket deletes cycle 2's minutes 120 to 419, the head of S09,
+        # where the heating fault's temporal qualifier counts from
+        config = make_config(3, sim={"cycles": 3, "schedule": [[2, "heating_temp"]]},
+                             outliers=[], missing={"non_use": True, "blanket": [
+                                 {"cycle": 2, "start_minute": 120, "minutes": 300}]})
+        frame, _ = inject_missing(*simulate(config.sim, kb), config.missing)
+        assert [(e.fault_name, e.cycle) for e in evaluate_rules(frame, kb)] == [
+            ("Heating Fault", 2)]
+        ds = build_dataset(frame, kb, "s2", config.preprocess, config.split[0])
+        assert "cause thermal regulation drift: 1 blocking events, rank 1" in ds.notes
+        assert int(ds.y[ds.cycles == 2].sum()) == 5
+
+    def test_rules_see_a_channel_the_column_drop_removes(self, kb):
+        config = make_config(3, sim={"cycles": 6}, outliers=[], missing={
+            "non_use": True, "dropout": [{"cycle": 2, "channel": "pressure_internal_a",
+                                          "start_minute": 0, "minutes": 1500}]},
+            preprocess={"column_drop_missing_fraction": 0.10})
+        frame, _ = inject_missing(*simulate(config.sim, kb), config.missing)
+        ds = build_dataset(frame, kb, "s2", config.preprocess, config.split[0])
+        assert "dropped column pressure_internal_a: 16% missing" in ds.notes
+        assert len(ds) == 480
 
     def test_unknown_scenario_rejected(self, sim_mid, kb):
         with pytest.raises(ValueError, match="scenario"):

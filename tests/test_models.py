@@ -17,8 +17,8 @@ import pytest
 from pdmpipe import GbdtParams, _fork, fit_gbdt, models
 from pdmpipe._seeding import substream
 from pdmpipe.models import Forest, ForestParams, Gbdt, Svm, SvmParams, Tree, fit_forest, fit_svm
+from helpers import TREE_ARRAYS, model_state
 
-TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
 
@@ -120,7 +120,7 @@ def oracle_fit_gbdt(X, y, params):
         score = score + scale * step
         loss = candidate
         losses.append(loss)
-    return Gbdt(base, trees, params, losses)
+    return Gbdt(base, trees, losses)
 
 
 def oracle_predict_value(tree, X):
@@ -237,7 +237,7 @@ def oracle_fit_forest(X, y, params, seed):
         rows = np.sort(rng.integers(0, n, size=n))
         trees.append(oracle_fit_tree(X[rows], y[rows], params.max_depth, params.min_leaf,
                                      rng=rng, mtry=mtry))
-    return Forest(trees, params)
+    return Forest(trees)
 
 
 def forest_case(seed):
@@ -322,11 +322,11 @@ class TestTree:
     def test_matches_the_one_node_search(self, seed):
         X, y, params = forest_case(seed)
         limits = (params.max_depth, params.min_leaf)
-        assert grow_tree(X, y, *limits).to_dict() == oracle_fit_tree(X, y, *limits).to_dict()
+        assert model_state(grow_tree(X, y, *limits)) == model_state(oracle_fit_tree(X, y, *limits))
         mtry = max(1, X.shape[1] // 2)
         got = grow_tree(X, y, *limits, rng=np.random.default_rng(seed), mtry=mtry)
         want = oracle_fit_tree(X, y, *limits, rng=np.random.default_rng(seed), mtry=mtry)
-        assert got.to_dict() == want.to_dict()
+        assert model_state(got) == model_state(want)
 
     def test_later_feature_must_win_by_more_than_eps(self):
         # the two columns' best cuts have the same Gini gain; rounding
@@ -341,7 +341,7 @@ class TestTree:
     def test_no_columns_gives_a_majority_leaf(self):
         y = np.array([0, 1, 1, 1])
         model = grow_tree(np.zeros((4, 0)), y)
-        assert model.to_dict() == oracle_fit_tree(np.zeros((4, 0)), y).to_dict()
+        assert model_state(model) == model_state(oracle_fit_tree(np.zeros((4, 0)), y))
         assert models._tree_values([model], np.zeros((2, 0)))[0].tolist() == [1, 1]
 
     def test_non_finite_x_rejected(self):
@@ -371,7 +371,7 @@ class TestForest:
         b = fit_forest(X, y, ForestParams(trees=7, max_depth=3), seed=9)
         assert np.array_equal(a.predict(X), b.predict(X))
         c = fit_forest(X, y, ForestParams(trees=7, max_depth=3), seed=10)
-        assert a.to_dict() != c.to_dict()
+        assert model_state(a) != model_state(c)
 
     def test_learns_a_separable_threshold(self):
         X, y = blobs(3)
@@ -384,8 +384,8 @@ class TestForest:
     @pytest.mark.parametrize("seed", range(36))
     def test_matches_trees_grown_one_by_one(self, seed):
         X, y, params = forest_case(seed)
-        assert (fit_forest(X, y, params, seed=seed).to_dict()
-                == oracle_fit_forest(X, y, params, seed).to_dict())
+        assert (model_state(fit_forest(X, y, params, seed=seed))
+                == model_state(oracle_fit_forest(X, y, params, seed)))
 
     def test_validation(self):
         X, y = blobs(15, n=40)
@@ -400,7 +400,7 @@ class TestForest:
             fit_forest(X, y)
 
     def test_tied_vote_stays_negative(self):
-        model = Forest([leaf(1.0), leaf(0.0)], ForestParams(trees=2))
+        model = Forest([leaf(1.0), leaf(0.0)])
         assert model.predict(np.zeros((3, 2))).tolist() == [0, 0, 0]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -453,12 +453,12 @@ class TestForestParts:
         fits = {}
         for cpus in (1, 2, 3):
             monkeypatch.setattr(_fork, "_cpus", lambda cpus=cpus: cpus)
-            fits[cpus] = fit_forest(X, y, params, seed=seed).to_dict()
+            fits[cpus] = model_state(fit_forest(X, y, params, seed=seed))
             assert len(forks) == cpus - 1
             forks.clear()
         self.assert_no_child()
         assert fits[1] == fits[2] == fits[3]
-        assert fits[1] == oracle_fit_forest(X, y, params, seed).to_dict()
+        assert fits[1] == model_state(oracle_fit_forest(X, y, params, seed))
 
     def test_one_cpu_or_a_small_fit_never_forks(self, monkeypatch):
         def no_fork():
@@ -468,8 +468,8 @@ class TestForestParts:
         X, y = blobs(5, n=400)
         params = ForestParams(trees=150, max_depth=2)   # 60,000 bootstrap rows
         monkeypatch.setattr(_fork, "_cpus", lambda: 1)
-        assert fit_forest(X, y, params, seed=3).to_dict() == \
-            oracle_fit_forest(X, y, params, 3).to_dict()
+        assert model_state(fit_forest(X, y, params, seed=3)) == \
+            model_state(oracle_fit_forest(X, y, params, 3))
         # 4 CPUs, but a part needs 75 trees of 400 rows, so 149 trees make one part
         monkeypatch.setattr(_fork, "_cpus", lambda: 4)
         fit_forest(X, y, ForestParams(trees=149, max_depth=2), seed=3)
@@ -549,7 +549,7 @@ class TestGbdt:
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_the_per_feature_search(self, seed):
         X, y, params = oracle_case(seed)
-        assert fit_gbdt(X, y, params).to_dict() == oracle_fit_gbdt(X, y, params).to_dict()
+        assert model_state(fit_gbdt(X, y, params)) == model_state(oracle_fit_gbdt(X, y, params))
 
     def test_identical_columns_split_on_the_lower_index(self):
         X, y = blobs(11)
@@ -602,7 +602,7 @@ class TestGbdt:
         edges = [np.array([0.5])]
         tree, leaf = models._fit_hist_tree(codes, edges, g, h, params)
         oracle = oracle_hist_tree(codes, edges, g, h, np.arange(128), params)
-        assert tree.to_dict() == oracle.to_dict()
+        assert model_state(tree) == model_state(oracle)
         assert len(tree.feature) == 1 and not leaf.any()
 
     def test_validation(self):
@@ -681,7 +681,7 @@ class TestOnePassPrediction:
                 assert self.bits(got[t]) == self.bits(oracle_predict_value(tree, rows))
 
     def test_a_gbdt_without_trees_scores_its_base(self):
-        model = Gbdt(-0.4, [], GbdtParams(), [0.7])
+        model = Gbdt(-0.4, [], [0.7])
         assert models._tree_values([], np.zeros((3, 2))).shape == (0, 3)
         assert model.decision_score(np.zeros((3, 2))).tolist() == [-0.4] * 3
 
@@ -734,14 +734,14 @@ class TestHistogramSubtraction:
         X, y, params = oracle_case(175)
         tree = fit_gbdt(X, y, params).trees[8]
         assert (tree.feature[3], tree.threshold[3]) == (1, -1.0750000000000002)
-        assert fit_gbdt(X, y, params).to_dict() == oracle_fit_gbdt(X, y, params).to_dict()
+        assert model_state(fit_gbdt(X, y, params)) == model_state(oracle_fit_gbdt(X, y, params))
 
     def test_seeds_40_to_299_match_the_per_feature_search(self):
         # a subtracted G or H bin can still differ from a direct sum in its
         # low bits and flip a near-tied gain; none of these seeds does
         differ = {seed for seed in range(40, 300)
-                  if fit_gbdt(*oracle_case(seed)).to_dict()
-                  != oracle_fit_gbdt(*oracle_case(seed)).to_dict()}
+                  if model_state(fit_gbdt(*oracle_case(seed)))
+                  != model_state(oracle_fit_gbdt(*oracle_case(seed)))}
         assert differ == set()
 
 
@@ -777,7 +777,7 @@ class TestSvm:
         assert 1 <= len(model.objectives) <= models._NEWTON_STEPS
 
     def test_zero_score_stays_negative(self):
-        model = Svm(np.zeros(4), SvmParams(), [])
+        model = Svm(np.zeros(4), [])
         assert model.predict(np.ones((2, 3))).tolist() == [0, 0]
 
     @pytest.mark.parametrize("seed", SVM_SEEDS)
@@ -844,29 +844,26 @@ class TestSvm:
             SvmParams(epochs=30)
 
 
-class TestSerialization:
+class TestFittedNumbers:
     def fitted_models(self):
         X, y = blobs(8, n=60)
-        return X, [
-            grow_tree(X, y, max_depth=3),
-            fit_forest(X, y, ForestParams(trees=3, max_depth=3), seed=0),
-            fit_gbdt(X, y, GbdtParams(iterations=5)),
-            fit_svm(X, y),
-        ]
-
-    def test_saved_bytes_are_pinned(self):
-        # sha256 of each model's sorted-key JSON text, one trailing newline,
-        # as the params dicts were written field by field
-        expected = {
-            "tree": "590a4db5606585be1dc0aac39cc07536be0e7c6764051c371a1205ae18669df8",
-            "forest": "08a0292fb75c362d888c72ddb9749058cb9a3835de5f49416d9e8d1c04a0efbe",
-            "gbdt": "d61c2d709c9996031b2cfc5169863c5957c6d8375fad60b67fc28ea8fb753c14",
-            "svm": "a6fff8fe9c143389b4afbc0d0f6904f8696284a9a46de2e3fe282a20e89083dd",
+        return {
+            "tree": grow_tree(X, y, max_depth=3),
+            "forest": fit_forest(X, y, ForestParams(trees=3, max_depth=3), seed=0),
+            "gbdt": fit_gbdt(X, y, GbdtParams(iterations=5)),
+            "svm": fit_svm(X, y),
         }
-        _, models = self.fitted_models()
+
+    def test_fitted_numbers_are_pinned(self):
+        # sha256 of each model's state as sorted-key JSON text, one trailing newline
+        expected = {
+            "tree": "e6ad0b097cb74ee0a49bb920139d4e14baf1693ec6e1efa35b6b474e0b49be7a",
+            "forest": "5d7282f94d1e5422185ac6af93210a1b9de206cbdc46a3fcb4f5b1fecb2e70a9",
+            "gbdt": "1d03239efe734a363ffc9ae11f9bc5f2e7fd37688e2f05fff4d214d2c51d980c",
+            "svm": "da1233178cea6f896dc8f17a72b1d58323a3dcd93e0e82b0654ecfd772890eb8",
+        }
         got = {}
-        for model in models:
-            saved = model.to_dict()
-            text = json.dumps(saved, sort_keys=True) + "\n"
-            got[saved["family"]] = hashlib.sha256(text.encode()).hexdigest()
+        for family, model in self.fitted_models().items():
+            text = json.dumps(model_state(model), sort_keys=True) + "\n"
+            got[family] = hashlib.sha256(text.encode()).hexdigest()
         assert got == expected
