@@ -369,7 +369,8 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     kb = kb if scenario == "s2" else None
     notes = []
     # the rules see the telemetry as the baseline's engine does: every row and
-    # channel present, and a missing cell satisfies no predicate
+    # channel present, and a missing reading satisfies no predicate (nor lets
+    # a no-memory rule say that its condition never held)
     events = evaluate_rules(frame, kb) if kb is not None else None
 
     frame = replace(frame, logs={**frame.logs, "cycle_minute": _cycle_minutes(frame)})

@@ -171,7 +171,8 @@ class MonitoringRule:
     - ``no_memory_first_minutes``: inverted detection — the rule fires at
       the first row at or after minute N when the condition never held
       during [0, N); used for "pressure never reached vacuum in time"
-      style checks.
+      style checks. A missing sensor reading in [0, N) counts as one that
+      may have held, so the run does not fire.
     """
 
     id: int = bounded()
@@ -449,7 +450,13 @@ def evaluate_rules(frame: TimeSeriesFrame, kb: KnowledgeBase) -> list:
         own = np.repeat(frame.sequence[starts] == rule.sequence_id, sizes)
         held = own
         if rule.sensor is not None:
-            held = held & rule.sensor.holds(frame.channels[rule.sensor.channel])
+            values = frame.channels[rule.sensor.channel]
+            sensor = rule.sensor.holds(values)
+            if rule.no_memory_first_minutes is not None:
+                # a missing reading may have met the condition, so it spoils
+                # the "never held" check as a reading that met it does
+                sensor |= np.isnan(values)
+            held = held & sensor
         if rule.log is not None:
             held = held & np.any([frame.logs[name] == rule.log.value
                                   for name in rule.log.logs], axis=0)

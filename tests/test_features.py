@@ -504,15 +504,37 @@ class TestBuildDataset:
         assert "cause thermal regulation drift: 1 blocking events, rank 1" in ds.notes
         assert int(ds.y[ds.cycles == 2].sum()) == 5
 
+    @staticmethod
+    def needle_dropouts(kb, cycle, start_minute, minutes, **preprocess):
+        """Scenario 2 on six cycles, without and then with a dropout of
+        pressure_internal_a in one cycle, as (rule events, dataset) pairs."""
+        out = []
+        for dropout in ([], [{"cycle": cycle, "channel": "pressure_internal_a",
+                              "start_minute": start_minute, "minutes": minutes}]):
+            config = make_config(3, sim={"cycles": 6}, outliers=[], preprocess=preprocess,
+                                 missing={"non_use": True, "dropout": dropout})
+            frame, _ = inject_missing(*simulate(config.sim, kb), config.missing)
+            out.append(([(e.fault_name, e.cycle) for e in evaluate_rules(frame, kb)],
+                        build_dataset(frame, kb, "s2", config.preprocess, config.split[0])))
+        return out
+
     def test_rules_see_a_channel_the_column_drop_removes(self, kb):
-        config = make_config(3, sim={"cycles": 6}, outliers=[], missing={
-            "non_use": True, "dropout": [{"cycle": 2, "channel": "pressure_internal_a",
-                                          "start_minute": 0, "minutes": 1500}]},
-            preprocess={"column_drop_missing_fraction": 0.10})
-        frame, _ = inject_missing(*simulate(config.sim, kb), config.missing)
-        ds = build_dataset(frame, kb, "s2", config.preprocess, config.split[0])
+        (events, whole), (gappy, ds) = self.needle_dropouts(
+            kb, 2, 0, 1500, column_drop_missing_fraction=0.10)
         assert "dropped column pressure_internal_a: 16% missing" in ds.notes
-        assert len(ds) == 480
+        assert len(ds) == len(whole) == 480
+        # the dropout covers cycle 2's S10, where the needle valve check
+        # has no reading to go on, so it fires no event there
+        assert gappy == events
+        assert np.array_equal(ds.y, whole.y)
+
+    def test_a_dropout_over_the_vacuum_window_fires_no_needle_fault(self, kb):
+        # cycle 5's S10 starts at its minute 1080; the needle valve check
+        # reads its first five minutes, all of them missing here
+        (events, whole), (gappy, ds) = self.needle_dropouts(kb, 5, 1080, 5)
+        assert ("Needle Valve Fault", 5) not in gappy
+        assert gappy == events
+        assert int(ds.y[ds.cycles == 5].sum()) == int(whole.y[whole.cycles == 5].sum()) == 0
 
     def test_unknown_scenario_rejected(self, sim_mid, kb):
         with pytest.raises(ValueError, match="scenario"):

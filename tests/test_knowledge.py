@@ -393,6 +393,20 @@ class TestRuleEngine:
         assert [e.fault_name for e in events] == ["Needle Valve Fault"]
         assert events[0].onset == frame.timestamps[rows[5]]
 
+    def test_a_missing_reading_before_minute_n_spoils_the_vacuum_check(self, kb):
+        # a reading that is missing may have been below the vacuum threshold,
+        # so the check cannot say that pressure never got there
+        frame = quiet_frame()
+        rows = segment_rows(frame, 1, "S10")
+        pressure = frame.channels["pressure_internal_a"]
+        pressure[rows] = 750.0
+        pressure[rows[5:9]] = np.nan
+        events = evaluate_rules(frame, kb)
+        assert [(e.fault_name, e.onset) for e in events] == [
+            ("Needle Valve Fault", frame.timestamps[rows[5]])]
+        pressure[rows[4]] = np.nan
+        assert evaluate_rules(frame, kb) == []
+
     def test_valve_open_at_sampling_start(self, kb):
         frame = quiet_frame()
         rows = segment_rows(frame, 1, "S10")
