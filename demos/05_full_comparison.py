@@ -28,6 +28,10 @@ config = make_config(
              "blanket": [{"cycle": 7, "start_minute": 1500, "minutes": 180}],
              "dropout": [{"cycle": 12, "channel": "temp_external_a",
                           "start_minute": 200, "minutes": 120}]},
+    outliers=[{"cycle": 9, "channel": "pressure_internal_b", "minute": 1900,
+               "kind": "FalseSpike", "delta": 500.0},
+              {"cycle": 17, "channel": "temp_external_c", "minute": 400,
+               "kind": "TrueIrrelevant", "delta": 60.0}],
 )
 
 kb = default_kb()

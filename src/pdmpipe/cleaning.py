@@ -131,10 +131,10 @@ def impute_single_sensor(frame: TimeSeriesFrame, gap: GapInterval, k: int = 3) -
     t = frame.timestamps
     rows = np.flatnonzero((t >= gap.start) & (t <= gap.end) & ~observed)
     for r in rows:
-        # cycles never decrease, so the rows of cycles 1 .. cyc[r]-1 are one slice
-        lo, hi = np.searchsorted(cyc, [1, cyc[r]])
-        same = (offsets[lo:hi] == offsets[r]) & (seq[lo:hi] == seq[r]) & observed[lo:hi]
-        donors = values[lo + np.flatnonzero(same)[::-1][:k]]   # nearest cycle first
+        # cycles never decrease, so the rows of every earlier cycle are the head [:hi]
+        hi = np.searchsorted(cyc, cyc[r])
+        same = (offsets[:hi] == offsets[r]) & (seq[:hi] == seq[r]) & observed[:hi]
+        donors = values[np.flatnonzero(same)[::-1][:k]]   # nearest cycle first
         values[r] = float(np.mean(donors)) if donors.size else fallback
     return frame.with_channel(gap.channel, values, frame.units[gap.channel])
 
@@ -425,8 +425,15 @@ def apply_verdicts(frame: TimeSeriesFrame, verdicts) -> TimeSeriesFrame:
     in turn), so the channels are handled one at a time: a channel is
     copied only when a correction writes to it, and cut to the kept rows
     before the next one. A channel that is neither corrected nor cut is
-    shared with ``frame``, whose arrays are never written.
+    shared with ``frame``, whose arrays are never written. A verdict row
+    outside the frame, or a correction at its first or last row, raises a
+    ``ValueError``.
     """
+    n = len(frame)
+    for v in verdicts:
+        if not (0 < v.index < n - 1 if v.verdict == VERDICT_CORRECTED else 0 <= v.index < n):
+            raise ValueError(f"{v.verdict} at row {v.index} of a {n}-row frame: rows run "
+                             f"0 .. {n - 1}, and a corrected point needs a row either side")
     corrected = [v for v in verdicts if v.verdict == VERDICT_CORRECTED]
     drop = [v.index for v in verdicts if v.verdict == VERDICT_DROPPED]
     keep = None

@@ -22,8 +22,7 @@ from ._spec import bounded, check_fields, number, record, records
 from .features import PreprocessParams
 from .knowledge import _load_yaml
 from .models import FAMILY_PARAMS
-from .simulator import (CHANNEL_UNITS, Blanket, Dropout, MissingScenario, Outlier,
-                        SimConfig)
+from .simulator import CHANNEL_UNITS, MissingScenario, Outlier, SimConfig
 
 
 class ConfigError(ValueError):
@@ -39,23 +38,6 @@ DEFAULT_GRIDS = {
              {"iterations": 120, "learning_rate": 0.1, "max_depth": 4}),
     "svm": ({"reg": 0.001}, {"reg": 0.0001}),
 }
-
-# the built-in injection scenario, for a configuration that leaves out
-# ``missing`` or ``outliers``; it names cycles up to 31
-DEFAULT_MISSING = MissingScenario(
-    non_use=True,
-    blanket=(Blanket(cycle=7, start_minute=1500, minutes=180),
-             Blanket(cycle=23, start_minute=1620, minutes=120)),
-    dropout=(Dropout(cycle=12, channel="temp_external_a", start_minute=200, minutes=120),
-             Dropout(cycle=31, channel="temp_external_c", start_minute=1400, minutes=90)),
-)
-
-DEFAULT_OUTLIERS = (
-    Outlier(cycle=9, channel="pressure_internal_b", minute=1900, kind="FalseSpike",
-            delta=500.0),
-    Outlier(cycle=17, channel="temp_external_c", minute=400, kind="TrueIrrelevant",
-            delta=60.0),
-)
 
 
 @dataclass(frozen=True)
@@ -86,20 +68,14 @@ class PipelineConfig:
             # the ICS screen would skip every sequence, so outliers would pass unscreened
             raise ValueError(f"preprocess: ics_m must be at most {len(CHANNEL_UNITS)}, "
                              f"the number of channels, got {preprocess.ics_m}")
-        missing = (DEFAULT_MISSING if self.missing is None
-                   else record(MissingScenario, self.missing, "missing"))
-        outliers = (DEFAULT_OUTLIERS if self.outliers is None
-                    else records(Outlier, self.outliers, "outliers"))
-        for path, entries, section in (("missing.blanket", missing.blanket, self.missing),
-                                       ("missing.dropout", missing.dropout, self.missing),
-                                       ("outliers", outliers, self.outliers)):
+        missing = record(MissingScenario, _section(self.missing), "missing")
+        outliers = () if self.outliers is None else records(Outlier, self.outliers, "outliers")
+        for path, entries in (("missing.blanket", missing.blanket),
+                              ("missing.dropout", missing.dropout), ("outliers", outliers)):
             for i, entry in enumerate(entries):
                 if entry.cycle > sim.cycles:
-                    hint = "" if section is not None else (
-                        f"; the entry is from the built-in scenario, which names cycles "
-                        f"up to 31: set {path.split('.')[0]} in the configuration")
                     raise ValueError(f"{path}[{i}]: cycle {entry.cycle} is past "
-                                     f"sim.cycles, {sim.cycles}{hint}")
+                                     f"sim.cycles, {sim.cycles}")
         models = DEFAULT_GRIDS if self.models is None else self.models
         if not isinstance(models, dict):
             raise ValueError(f"models: must be a mapping, got {models!r}")

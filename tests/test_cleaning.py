@@ -139,6 +139,14 @@ class TestImpute:
         assert expected != np.mean([-1e16, 1e16, 1.0])
         assert np.array_equal(out.channels["temp_external_a"][rows], np.full(10, expected))
 
+    def test_donors_come_from_every_earlier_cycle_whatever_its_number(self):
+        frame = quiet_frame(cycles=2, segments=[("S09", 4)])
+        frame.logs["cycle_number"][:] = [0, 0, 0, 0, 1, 1, 1, 1]
+        frame.channels["temp_external_a"][:] = [10, 11, 12, 13, 20, np.nan, 22, 23]
+        out = impute_single_sensor(frame, self.gap_for(frame, [5]), k=3)
+        # row 5 is offset 1 of cycle 1; cycle 0 read 11 there
+        assert out.channels["temp_external_a"][5] == 11.0
+
     def test_validation(self):
         frame = self.make_frame(cycles=1)
         rows = segment_rows(frame, 1, "S09")[:5]
@@ -902,3 +910,13 @@ class TestApplyVerdicts:
             left = frame.channels[name][row - 1]
             right = frame.channels[name][row + 1]
             assert out.channels[name][row] == (left + right) / 2
+
+    @pytest.mark.parametrize("row, verdict", [(0, "CorrectedFalsePositive"),
+                                              (5, "CorrectedFalsePositive"),
+                                              (-1, "DroppedTrueIrrelevant"),
+                                              (6, "TaggedTrueRelevant")])
+    def test_a_row_outside_the_frame_or_a_correction_at_its_edge_is_refused(self, row, verdict):
+        frame = quiet_frame(segments=[("S09", 6)])
+        frame.channels["temp_external_a"][:] = np.arange(6.0)
+        with pytest.raises(ValueError, match=f"{verdict} at row {row} of a 6-row frame"):
+            apply_verdicts(frame, [OutlierVerdict(row, "temp_external_a", verdict)])

@@ -40,6 +40,8 @@ class TestMakeConfig:
         assert config.horizons_minutes == (180, 720, 1440)
         assert config.split == (0.6, 0.2, 0.2)
         assert set(config.models) == {"forest", "gbdt", "svm"}
+        assert config.missing == MissingScenario()
+        assert config.outliers == ()
 
     def test_yaml_file_round_trips(self, tmp_path):
         doc = {"seed": 9, "horizons_minutes": [180, 360],
@@ -70,7 +72,8 @@ class TestMakeConfig:
         assert set(doc["models"]) == set(FAMILY_PARAMS)
 
     def test_null_sections_get_the_defaults(self):
-        assert make_config(7, sim=None, preprocess=None, out=None, kb=None) == make_config(7)
+        assert make_config(7, sim=None, missing=None, outliers=None, preprocess=None,
+                           out=None, kb=None) == make_config(7)
 
     def test_entry_numbers_are_converted_at_load(self):
         config = make_config(7, missing={"blanket": [{"cycle": "7", "start_minute": 1500.0,
@@ -285,6 +288,14 @@ class TestCliSimulate:
         assert digest == TELEMETRY_DIGEST
         for name, want in SIMULATE_JSON_DIGESTS.items():
             assert hashlib.sha256((a / name).read_bytes()).hexdigest() == want, name
+
+    def test_left_out_missing_and_outliers_inject_nothing(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({"seed": 5, "sim": {"cycles": 5}}))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        gt = json.loads((out / "ground_truth.json").read_text())
+        assert (gt["missing"], gt["outliers"]) == ([], [])
 
     def test_default_sections_ground_truth_bytes(self, tmp_path):
         # CLI_DOC injects nothing; the default missing and outlier sections put
@@ -745,11 +756,8 @@ BAD_INPUTS = {
                               ["evaluate", "--scenario", "baseline"], 2,
                               "rule 3: step_minute 5000 is at or past the 960 minutes "
                               "S09 lasts"),
-    "builtin_scenario_past_cycles": ({"sim": dict(CLI_DOC["sim"], cycles=12), "missing": None},
-                                     None, ["simulate"], 2,
-                                     "missing.blanket[1]: cycle 23 is past sim.cycles, 12; the "
-                                     "entry is from the built-in scenario, which names cycles "
-                                     "up to 31: set missing in the configuration"),
+    "dropout_past_cycles": ({"missing": {"dropout": [dict(DROPOUT, cycle=9)]}}, None,
+                            ["simulate"], 2, "missing.dropout[0]: cycle 9 is past sim.cycles, 6"),
     "outlier_past_cycles": ({"outliers": [dict(OUTLIER, cycle=9)]}, None, ["simulate"], 2,
                             "outliers[0]: cycle 9 is past sim.cycles, 6"),
     "blanket_start_negative": ({"missing": {"blanket": [{"cycle": 3, "start_minute": -100,
