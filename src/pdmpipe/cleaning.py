@@ -21,13 +21,18 @@ from scipy.ndimage import median_filter
 from scipy.special import gammaincinv
 
 from .knowledge import BLOCKING, KnowledgeBase, _event_rows, _instances, envelope_breaches
-from .timeseries import IDLE, TimeSeriesFrame, _require_finite, _runs
+from .timeseries import (
+    CAUSE_BLANKET,
+    CAUSE_DROPOUT,
+    CAUSE_NON_USE,
+    IDLE,
+    TimeSeriesFrame,
+    _require_finite,
+    _runs,
+)
 
 log = logging.getLogger(__name__)
 
-CAUSE_BLANKET = "BlanketMaintenance"
-CAUSE_DROPOUT = "SingleSensorDropout"
-CAUSE_NON_USE = "NonUse"
 CAUSE_UNKNOWN = "Unknown"
 
 DISPOSITION_DELETE = "Delete"

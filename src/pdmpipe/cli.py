@@ -114,6 +114,8 @@ def main(argv=None) -> int:
     common(p_cmp)
 
     args = parser.parse_args(argv)
+    if args.out == "":
+        parser.error("argument --out: must be a path, got ''")
     logging.basicConfig(
         level=os.environ.get("PDM_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s")
@@ -125,7 +127,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = args.out or config.out
+    out_dir = config.out if args.out is None else args.out
     try:
         if args.command == "simulate":
             return cmd_simulate(config, kb, out_dir)

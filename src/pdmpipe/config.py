@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import yaml
 
 from ._spec import bounded, check_fields, number, record, records
-from .features import PreprocessParams
+from .features import DEFAULT_SPLIT, PreprocessParams
 from .knowledge import _load_yaml
 from .models import FAMILY_PARAMS
 from .simulator import CHANNEL_UNITS, MissingScenario, Outlier, SimConfig
@@ -30,7 +30,6 @@ class ConfigError(ValueError):
 
 
 DEFAULT_HORIZONS = (180, 720, 1440)
-DEFAULT_SPLIT = (0.6, 0.2, 0.2)
 
 DEFAULT_GRIDS = {
     "forest": ({"trees": 30, "max_depth": 10}, {"trees": 60, "max_depth": 10}),
@@ -60,7 +59,7 @@ class PipelineConfig:
     def __post_init__(self):
         check_fields(self)
         for key, path in (("out", self.out), ("kb", self.kb)):
-            if path is not None and not isinstance(path, str):
+            if path is not None and not (isinstance(path, str) and path):
                 raise ValueError(f"{key} must be a path, got {path!r}")
         sim = record(SimConfig, _section(self.sim), "sim", seed=self.seed)
         preprocess = record(PreprocessParams, _section(self.preprocess), "preprocess")

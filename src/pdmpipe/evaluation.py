@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from ._seeding import substream
-from .features import CuratedDataset, build_dataset
+from .features import DEFAULT_SPLIT, CuratedDataset, _split_cycles, build_dataset
 from .knowledge import BLOCKING, KnowledgeBase, evaluate_rules
 from .models import FAMILY_PARAMS, Forest, fit_forest, fit_gbdt, fit_svm
 from .timeseries import _write_json
@@ -117,29 +117,20 @@ class Split:
     test_cycles: tuple
 
 
-def split_chronological(ds: CuratedDataset, fractions=(0.6, 0.2, 0.2)) -> Split:
+def split_chronological(ds: CuratedDataset, fractions=DEFAULT_SPLIT) -> Split:
     """Whole-cycle chronological split: floor(train), floor(val), remainder."""
     if len(fractions) != 3 or any(f < 0 for f in fractions):
         raise ValueError("need three non-negative fractions")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must sum to 1")
-    cycles = np.unique(ds.cycles)
-    if len(cycles) < 5:
-        raise ValueError(f"need at least 5 cycles to split, got {len(cycles)}")
-    n_train = math.floor(fractions[0] * len(cycles))
-    n_val = math.floor(fractions[1] * len(cycles))
-    if n_train == 0 or n_val == 0 or n_train + n_val >= len(cycles):
+    parts = _split_cycles(ds.cycles, fractions[:2])
+    n_cycles = sum(part.size for part in parts)
+    if n_cycles < 5:
+        raise ValueError(f"need at least 5 cycles to split, got {n_cycles}")
+    if any(part.size == 0 for part in parts):
         raise ValueError("fractions leave an empty part")
-    train_c = cycles[:n_train]
-    val_c = cycles[n_train:n_train + n_val]
-    test_c = cycles[n_train + n_val:]
-    return Split(
-        train=np.isin(ds.cycles, train_c),
-        validation=np.isin(ds.cycles, val_c),
-        test=np.isin(ds.cycles, test_c),
-        train_cycles=tuple(int(c) for c in train_c),
-        validation_cycles=tuple(int(c) for c in val_c),
-        test_cycles=tuple(int(c) for c in test_c))
+    return Split(*(np.isin(ds.cycles, part) for part in parts),
+                 *(tuple(map(int, part)) for part in parts))
 
 
 def _check_labels_within_parts(ds: CuratedDataset, split: Split,

@@ -31,10 +31,12 @@ from .cleaning import (
 )
 from .knowledge import BLOCKING, CYCLE_STOP, KnowledgeBase, _event_rows, evaluate_rules
 from .timeseries import (
+    CYCLE_MINUTE_COL,
     IDLE,
     SEQUENCE_IDS,
     TimeSeriesFrame,
     _buckets,
+    _cycle_minutes,
     _write_json,
     _write_table,
     resample,
@@ -44,6 +46,7 @@ from .timeseries import (
 log = logging.getLogger(__name__)
 
 BALANCE_SEQUENCES = ("S09", "S10")
+DEFAULT_SPLIT = (0.6, 0.2, 0.2)   # train, validation and test shares of the cycles
 STAT_FEATURES = ("stat_mean", "stat_median", "stat_variance")
 _BLOCK_ROWS = 1 << 12
 TARGET = "target"
@@ -288,13 +291,11 @@ def encode_sequence(sequence: np.ndarray) -> np.ndarray:
     return codes.astype(np.int64)
 
 
-def _cycle_minutes(frame: TimeSeriesFrame) -> np.ndarray:
-    """Within-cycle position of each row, in minutes since its cycle's first
-    row; it survives row deletion and resamples to the bucket's end minute."""
-    t_sec = frame.timestamps.astype(np.int64)
-    _, first_idx, inverse = np.unique(frame.cycle, return_index=True,
-                                      return_inverse=True)
-    return (t_sec - t_sec[first_idx][inverse]) // 60
+def _split_cycles(cycles, shares) -> list:
+    """The ``n`` distinct ``cycles`` in order, cut into parts: for each leading
+    share ``f`` the next ``floor(f * n)``, then the rest; a part may be empty."""
+    distinct = np.unique(cycles)
+    return np.split(distinct, np.cumsum([math.floor(f * len(distinct)) for f in shares]))
 
 
 @dataclass(frozen=True)
@@ -349,7 +350,7 @@ class CuratedDataset:
 
 def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
                   params: PreprocessParams = None,
-                  train_fraction: float = 0.6) -> CuratedDataset:
+                  train_fraction: float = DEFAULT_SPLIT[0]) -> CuratedDataset:
     """Run the full curation pipeline on raw telemetry.
 
     Order: evaluate the rules on the raw frame, clean (gaps, then
@@ -359,7 +360,8 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     one is present. Without it, gaps and flagged rows are deleted and the
     automation fault log is the target. The final scaler is fitted on the
     leading ``train_fraction`` of the cycles that keep rows in the balance
-    window, the ones the chronological split trains on.
+    window, the ones the chronological split trains on, or on the first of
+    them when that share holds no whole cycle.
     """
     params = params or PreprocessParams()
     if scenario not in ("s1", "s2"):
@@ -373,7 +375,7 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     # a no-memory rule say that its condition never held)
     events = evaluate_rules(frame, kb) if kb is not None else None
 
-    frame = replace(frame, logs={**frame.logs, "cycle_minute": _cycle_minutes(frame)})
+    frame = replace(frame, logs={**frame.logs, CYCLE_MINUTE_COL: _cycle_minutes(frame)})
 
     # cleaning: oversparse columns, then gaps, then outliers
     fractions = {name: float(np.isnan(values).mean())
@@ -437,11 +439,8 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     kept = last[np.isin(frame.sequence[last], BALANCE_SEQUENCES)]
     if kept.size == 0:
         raise ValueError("balance window removed every row")
-    unique_cycles = np.unique(frame.cycle[kept])
-    n_train = max(1, math.floor(train_fraction * len(unique_cycles)))
-    train_cycles = set(unique_cycles[:n_train].tolist())
-    fit_mask = np.isin(frame.cycle, list(train_cycles))
-    frame, scaler = standardize(frame, fit_mask)
+    train, rest = _split_cycles(frame.cycle[kept], (train_fraction,))
+    frame, scaler = standardize(frame, np.isin(frame.cycle, train if train.size else rest[:1]))
     frame = add_statistical_features(frame)
 
     frame = resample(frame, params.resample_minutes)
@@ -450,10 +449,10 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     # the cycle number stays split metadata, not a feature: a chronological
     # split makes it a row id the trees would memorize
     channel_names = list(frame.channels)   # selected + statistical
-    feature_names = [*channel_names, "sequence", "cycle_minute", *kb_columns]
+    feature_names = [*channel_names, "sequence", CYCLE_MINUTE_COL, *kb_columns]
     X = np.column_stack([*(frame.channels[n] for n in channel_names),
                          encode_sequence(frame.sequence).astype(float),
-                         frame.logs["cycle_minute"].astype(float),
+                         frame.logs[CYCLE_MINUTE_COL].astype(float),
                          *(frame.logs[c].astype(float) for c in kb_columns)])
     y = frame.logs[TARGET].astype(np.int8)
     notes.append(f"{len(frame)} rows, {X.shape[1]} features, "

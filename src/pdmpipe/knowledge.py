@@ -36,10 +36,9 @@ NON_BLOCKING = "NonBlocking"
 CYCLE_STOP = "CycleStop"
 ACKNOWLEDGE = "Acknowledge"
 
-SOURCE_AUTOMATION = "AutomationLog"
 SOURCE_RULE_ENGINE = "RuleEngine"
 SOURCE_GROUND_TRUTH = "GroundTruth"
-SOURCES = (SOURCE_AUTOMATION, SOURCE_RULE_ENGINE, SOURCE_GROUND_TRUTH)
+SOURCES = (SOURCE_RULE_ENGINE, SOURCE_GROUND_TRUTH)
 
 # Severity and consequence travel in lockstep: a blocking fault stops the
 # cycle, a non-blocking one only demands acknowledgment.

@@ -37,7 +37,16 @@ from .knowledge import (
     FaultEvent,
     KnowledgeBase,
 )
-from .timeseries import IDLE, SEQUENCE_IDS, TimeSeriesFrame, _runs
+from .timeseries import (
+    CAUSE_BLANKET,
+    CAUSE_DROPOUT,
+    CAUSE_NON_USE,
+    IDLE,
+    SEQUENCE_IDS,
+    TimeSeriesFrame,
+    _cycle_minutes,
+    _runs,
+)
 
 log = logging.getLogger(__name__)
 
@@ -102,7 +111,6 @@ DEFAULT_WANDER = {
     "angle_platform": 0.15,
 }
 
-MISSING_CAUSES = ("BlanketMaintenance", "SingleSensorDropout", "NonUse")
 OUTLIER_KINDS = ("FalseSpike", "TruePrecursorRelevant", "TrueIrrelevant")
 
 # degradation magnitude is uniform on [MU_LOW, 1]
@@ -171,10 +179,6 @@ class MissingInterval:
     cause: str
     channel: str = None           # None = every channel
 
-    def __post_init__(self):
-        if self.cause not in MISSING_CAUSES:
-            raise ValueError(f"unknown missing cause {self.cause!r}")
-
 
 @dataclass(frozen=True)
 class OutlierPoint:
@@ -183,10 +187,6 @@ class OutlierPoint:
     kind: str
     value: float
     original: float
-
-    def __post_init__(self):
-        if self.kind not in OUTLIER_KINDS:
-            raise ValueError(f"unknown outlier kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -545,13 +545,12 @@ class Outlier:
 def _cycle_rows(frame: TimeSeriesFrame, minutes: np.ndarray, cycle: int,
                 start_minute: int, length: int, what: str) -> np.ndarray:
     """Rows of ``cycle`` in the ``length`` minutes from ``start_minute`` on,
-    counted from the cycle's first row; ``what`` names the caller's entry
-    in the errors."""
+    with ``minutes`` each row's minute in its cycle; ``what`` names the
+    caller's entry in the errors."""
     base = np.flatnonzero(frame.cycle == cycle)
     if base.size == 0:
         raise ValueError(f"{what} references absent cycle {cycle}")
-    lo = minutes[base[0]] + start_minute
-    rows = base[(minutes[base] >= lo) & (minutes[base] < lo + length)]
+    rows = base[(minutes[base] >= start_minute) & (minutes[base] < start_minute + length)]
     if rows.size == 0:
         raise ValueError(f"{what} outside frame span (cycle {cycle})")
     return rows
@@ -567,7 +566,7 @@ def inject_missing(frame: TimeSeriesFrame, gt: GroundTruth, scenario: MissingSce
         return frame, gt
     channels = {k: v.copy() for k, v in frame.channels.items()}
     intervals = list(gt.missing)
-    minutes = frame.elapsed_minutes()
+    minutes = _cycle_minutes(frame)
     blanket_spans = []
     for spec in scenario.blanket:
         rows = _cycle_rows(frame, minutes, spec.cycle, spec.start_minute, spec.minutes,
@@ -581,7 +580,7 @@ def inject_missing(frame: TimeSeriesFrame, gt: GroundTruth, scenario: MissingSce
             channels[name][rows] = np.nan
         intervals.append(MissingInterval(
             start=frame.timestamps[rows[0]], end=frame.timestamps[rows[-1]],
-            cause="BlanketMaintenance"))
+            cause=CAUSE_BLANKET))
 
     for spec in scenario.dropout:
         name = spec.channel
@@ -590,7 +589,7 @@ def inject_missing(frame: TimeSeriesFrame, gt: GroundTruth, scenario: MissingSce
         channels[name][rows] = np.nan
         intervals.append(MissingInterval(
             start=frame.timestamps[rows[0]], end=frame.timestamps[rows[-1]],
-            cause="SingleSensorDropout", channel=name))
+            cause=CAUSE_DROPOUT, channel=name))
 
     if scenario.non_use:
         idle = frame.sequence == IDLE
@@ -599,7 +598,7 @@ def inject_missing(frame: TimeSeriesFrame, gt: GroundTruth, scenario: MissingSce
                 channels[name][idle] = np.nan
             for s, e in _runs(idle):
                 intervals.append(MissingInterval(
-                    start=frame.timestamps[s], end=frame.timestamps[e - 1], cause="NonUse"))
+                    start=frame.timestamps[s], end=frame.timestamps[e - 1], cause=CAUSE_NON_USE))
 
     return replace(frame, channels=channels), replace(gt, missing=tuple(intervals))
 
@@ -612,7 +611,7 @@ def inject_outliers(frame: TimeSeriesFrame, gt: GroundTruth, scenario):
     touched = {spec.channel for spec in scenario}
     channels = {k: v.copy() if k in touched else v for k, v in frame.channels.items()}
     points = list(gt.outliers)
-    minutes = frame.elapsed_minutes()
+    minutes = _cycle_minutes(frame)
     for spec in scenario:
         name = spec.channel
         row = int(_cycle_rows(frame, minutes, spec.cycle, spec.minute, 1, "outlier point")[0])

@@ -5,7 +5,7 @@ The frame carries three kinds of columns:
 - ``channels``: numeric sensor series (float64) with a unit tag each; missing
   cells are NaN until gap handling, and resampling refuses NaN and infinity,
 - ``logs``: discrete series — the sequence id (S01..S13 or IDLE), the cycle
-  number, and binary fault/valve/door flags,
+  number, the minute in the cycle, and binary fault/valve/door flags,
 - ``timestamps``: strictly increasing instants at a nominal fixed step.
 
 Frames are immutable by convention: every operation returns a new frame.
@@ -33,9 +33,15 @@ SEQUENCE_IDS = tuple(f"S{i:02d}" for i in range(1, 14))
 IDLE = "IDLE"
 SEQUENCE_VOCAB = frozenset(SEQUENCE_IDS) | {IDLE}
 
+# causes of a gap in the telemetry
+CAUSE_BLANKET = "BlanketMaintenance"
+CAUSE_DROPOUT = "SingleSensorDropout"
+CAUSE_NON_USE = "NonUse"
+
 TIME_COL = "timestamp"
 SEQUENCE_COL = "sequence_id"
 CYCLE_COL = "cycle_number"
+CYCLE_MINUTE_COL = "cycle_minute"
 
 
 @dataclass(frozen=True)
@@ -118,6 +124,13 @@ class TimeSeriesFrame:
             return np.zeros(0, dtype=np.int64)
         delta = (self.timestamps - self.timestamps[0]).astype("timedelta64[s]")
         return delta.astype(np.int64) // 60
+
+
+def _cycle_minutes(frame: TimeSeriesFrame) -> np.ndarray:
+    """Minutes since the first row of each row's cycle."""
+    seconds = frame.timestamps.astype("datetime64[s]").view(np.int64)
+    # cycle numbers never decrease, so a cycle starts at the first row of its number
+    return (seconds - seconds[np.searchsorted(frame.cycle, frame.cycle)]) // 60
 
 
 def _runs(mask: np.ndarray) -> list:
@@ -282,9 +295,10 @@ def resample(frame: TimeSeriesFrame, interval_minutes: int) -> TimeSeriesFrame:
     """Aggregate the frame into ``interval_minutes`` buckets anchored at its first timestamp.
 
     Numeric channels take the bucket mean; a NaN or infinite cell raises a
-    ``ValueError`` naming its channel. Binary logs take any-one, so a fault
-    pulse anywhere in a bucket survives. The sequence id and the cycle
-    number take the bucket's last value.
+    ``ValueError`` naming its channel. The sequence id, the cycle number and
+    the minute in the cycle take the bucket's last value, so a bucket that
+    straddles two cycles joins the later one; every other log is a binary
+    flag and takes any-one, so a fault pulse anywhere in a bucket survives.
 
     One output row is emitted per non-empty bucket. On gap-free input the
     output length is exactly ceil(span / interval) with span = (last - first)
@@ -310,7 +324,7 @@ def resample(frame: TimeSeriesFrame, interval_minutes: int) -> TimeSeriesFrame:
 
     out_logs = {}
     for name, values in frame.logs.items():
-        if name in (SEQUENCE_COL, CYCLE_COL):
+        if name in (SEQUENCE_COL, CYCLE_COL, CYCLE_MINUTE_COL):
             out_logs[name] = values[last]
         else:
             out_logs[name] = np.maximum.reduceat(values, starts)

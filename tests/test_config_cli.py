@@ -792,6 +792,9 @@ BAD_INPUTS = {
     "kb_not_a_path": ({"kb": ["a"]}, None, ["simulate"], 2, "kb must be a path, got ['a']"),
     "kb_file_descriptor": ({"kb": 0}, None, ["simulate"], 2, "kb must be a path, got 0"),
     "out_not_a_path": ({"out": True}, None, ["simulate"], 2, "out must be a path, got True"),
+    "out_empty": ({"out": ""}, None, ["simulate"], 2, "out must be a path, got ''"),
+    "out_flag_empty": ({}, None, ["simulate", "--out", ""], 2,
+                      "argument --out: must be a path, got ''"),
 }
 
 
@@ -806,7 +809,12 @@ class TestCliBadInputs:
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump(doc))
         out = tmp_path / "out"
-        rc = main([*command, "--config", str(path), "--out", str(out)])
+        prefix = "configuration error" if code == 2 else "pipeline error"
+        try:
+            # the command's own options come last, so an --out there is the one used
+            rc = main([command[0], "--config", str(path), "--out", str(out), *command[1:]])
+        except SystemExit as exc:   # argparse refuses bad usage itself
+            rc, prefix = exc.code, "usage"
         assert rc == code
         err = capsys.readouterr().err
         if code == 0:
@@ -814,7 +822,6 @@ class TestCliBadInputs:
             assert report["best"] is None
             assert report["reason"] == message
         else:
-            prefix = "configuration error" if code == 2 else "pipeline error"
             assert f"{prefix}: " in err and message in err
             assert code == 3 or not out.exists()
 

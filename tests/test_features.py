@@ -466,16 +466,32 @@ class TestBuildDataset:
         sampling = col[ds.sequences == "S10"]
         assert heating.max() < sampling.min()
 
+    def test_a_bucket_straddling_two_cycles_takes_the_later_cycles_minute(self, kb):
+        # 240-minute buckets do not divide the cycle, so on gap-free telemetry a
+        # bucket that ends in S09 may begin in the cycle before; its minute is
+        # its last row's
+        config = make_config(5, sim={"cycles": 6}, preprocess={"resample_minutes": 240},
+                             horizons_minutes=[720])
+        frame, _ = simulate(config.sim, kb)
+        bounds = np.cumsum([0, *(kb.mode_model.durations[s] for s in SEQUENCE_IDS)])
+        first, end = bounds[SEQUENCE_IDS.index("S09")], bounds[SEQUENCE_IDS.index("S10") + 1]
+        for scenario in ("s1", "s2"):
+            ds = build_dataset(frame, kb, scenario, config.preprocess)
+            minutes = ds.X[:, ds.feature_names.index("cycle_minute")]
+            assert ((minutes >= first) & (minutes < end)).all()
+
     # The blanket deletes all of cycle 9's S09 and S10 rows, or all but five
     # S10 minutes that share a 15-minute bucket with S11, which resampling
     # labels S11. Either way the balance window keeps nine cycles and the
-    # split trains on the first five.
-    @pytest.mark.parametrize("idle_minutes, minutes", [(210, 1200), (205, 1195)],
-                             ids=["rows-deleted", "rows-resampled-away"])
+    # split trains on the leading ones.
+    @pytest.mark.parametrize("idle_minutes, minutes, split",
+                             [(210, 1200, [0.6, 0.2, 0.2]), (205, 1195, [0.6, 0.2, 0.2]),
+                              (210, 1200, [0.5, 0.3, 0.2])],
+                             ids=["rows-deleted", "rows-resampled-away", "split-50-30-20"])
     def test_scaler_fits_the_cycles_the_split_trains_on(self, kb, monkeypatch,
-                                                        idle_minutes, minutes):
+                                                        idle_minutes, minutes, split):
         config = make_config(7, sim={"cycles": 10, "idle_minutes": idle_minutes},
-                             outliers=[], missing={"non_use": True, "blanket": [
+                             outliers=[], split=split, missing={"non_use": True, "blanket": [
                                  {"cycle": 9, "start_minute": 120, "minutes": minutes}]})
         frame, _ = inject_missing(*simulate(config.sim, kb), config.missing)
         fitted = []
