@@ -20,6 +20,7 @@ from scipy.linalg import eigh
 from scipy.ndimage import median_filter
 from scipy.special import gammaincinv
 
+from ._fork import _gather
 from .knowledge import BLOCKING, KnowledgeBase, _event_rows, _instances, envelope_breaches
 from .timeseries import (
     CAUSE_BLANKET,
@@ -116,7 +117,9 @@ def impute_single_sensor(frame: TimeSeriesFrame, gap: GapInterval, k: int = 3) -
     Each missing cell takes the mean of the channel's value at the same
     sequence offset in up to k prior cycles where it was observed; with
     no usable history it falls back to the channel median. A channel
-    with no observed cells at all cannot be reconstructed.
+    with no observed cells at all cannot be reconstructed. The rows are
+    grouped once by (sequence id, offset), so a cell reads only its own
+    group's rows for its donors.
     """
     if gap.channel is None:
         raise ValueError("gap is not a single-sensor interval")
@@ -126,21 +129,31 @@ def impute_single_sensor(frame: TimeSeriesFrame, gap: GapInterval, k: int = 3) -
     observed = ~np.isnan(values)
     if not observed.any():
         raise ValueError(f"channel {gap.channel!r} has no observed cells")
-    fallback = float(np.median(values[observed]))
-
-    starts, stops = _instances(frame)
-    offsets = np.arange(len(frame)) - np.repeat(starts, stops - starts)
-    cyc = frame.cycle
-    seq = frame.sequence
+    fallback = None    # the median, taken once a row has no donor
 
     t = frame.timestamps
     rows = np.flatnonzero((t >= gap.start) & (t <= gap.end) & ~observed)
-    for r in rows:
-        # cycles never decrease, so the rows of every earlier cycle are the head [:hi]
-        hi = np.searchsorted(cyc, cyc[r])
-        same = (offsets[:hi] == offsets[r]) & (seq[:hi] == seq[r]) & observed[:hi]
-        donors = values[np.flatnonzero(same)[::-1][:k]]   # nearest cycle first
-        values[r] = float(np.mean(donors)) if donors.size else fallback
+    # rows at the same offset into an instance of the same sequence id share a key
+    n = len(frame)
+    starts, stops = _instances(frame)
+    lengths = stops - starts
+    ids = np.unique(frame.sequence[starts], return_inverse=True)[1].ravel()
+    key = np.repeat(ids * lengths.max() - starts, lengths) + np.arange(n)
+    # key * n + row of every observed row that shares a gap row's key, ascending
+    pool = np.flatnonzero(np.isin(key, key[rows]) & observed)
+    pool = np.sort(key[pool] * n + pool)
+    # a gap row's donors lie from its key's first entry up to its own cycle's
+    # first row; cycles never decrease, so every earlier cycle's rows come before it
+    heads = np.searchsorted(pool, key[rows] * n)
+    ends = np.searchsorted(pool, key[rows] * n + np.searchsorted(frame.cycle, frame.cycle[rows]))
+    for r, head, end in zip(rows.tolist(), heads.tolist(), ends.tolist()):
+        donors = values[pool[max(head, end - k):end][::-1] % n]   # nearest cycle first
+        if donors.size:
+            values[r] = float(np.mean(donors))
+        else:
+            if fallback is None:
+                fallback = float(np.median(values[observed]))
+            values[r] = fallback
     return frame.with_channel(gap.channel, values, frame.units[gap.channel])
 
 
@@ -162,6 +175,11 @@ def drop_intervals(frame: TimeSeriesFrame, report: GapReport) -> TimeSeriesFrame
 
 
 _QUARTILES = np.array([0.25, 0.75])
+# rows x channels in the smallest part the spike screen screens. On a 2-vCPU
+# host, inside the pipeline's commands, two forked parts ran slower than one
+# on the frames of 58,200-row runs and a fifth faster on those of 87,300-row
+# runs (BENCH_channel_parts.json); a part of 4 channels x 75,000 rows splits
+_PART_ROWS = 300_000
 
 
 def _iqr_fences(samples, k: float):
@@ -306,6 +324,11 @@ def detrended_iqr_flags(frame: TimeSeriesFrame, k: float, window: int = 31):
     spikes stand out. Rows within half a window of an instance boundary
     are exempt: the shrinking median is biased there and a trend looks
     like a spike. Instances no longer than the window are skipped.
+
+    No channel reads another's result, so the channels are screened in
+    contiguous parts, one per CPU, each of at least ``_PART_ROWS`` rows x
+    channels (``_fork._gather``); a forked child screens every part after
+    the first. The pairs come back sorted, the same for any CPU count.
     """
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window}")
@@ -317,20 +340,30 @@ def detrended_iqr_flags(frame: TimeSeriesFrame, k: float, window: int = 31):
     if not spans:
         return []
     starts, stops = np.array(spans, dtype=np.int64).T
-    flags = []
-    for name, values in frame.channels.items():
-        resid = _span_medians(values, starts, stops, window)
-        np.subtract(values, resid, out=resid)
-        lo, hi = _iqr_fences([resid[s:e] for s, e in spans], k)
-        # per row, its instance's fences inside the screened interiors and
-        # NaN, which no residual crosses, everywhere else
-        fences = np.full((2, 2 * len(lo) + 1), np.nan)
-        fences[:, 1::2] = lo, hi
-        sizes = np.diff(np.column_stack([starts + half, stops - half]).ravel(),
-                        prepend=0, append=len(values))
-        row_lo, row_hi = np.repeat(fences, sizes, axis=1)
-        crossed = (resid < row_lo) | (resid > row_hi)
-        flags.extend((row, name) for row in np.flatnonzero(crossed).tolist())
+    # the rows each column of a channel's fences covers: a screened interior
+    # takes its instance's fences (the odd columns), every other row NaN,
+    # which no residual crosses
+    sizes = np.diff(np.column_stack([starts + half, stops - half]).ravel(),
+                    prepend=0, append=len(frame))
+    names = list(frame.channels)
+
+    def screen(lo: int, hi: int) -> list:
+        flags = []
+        for name in names[lo:hi]:
+            values = frame.channels[name]
+            resid = _span_medians(values, starts, stops, window)
+            np.subtract(values, resid, out=resid)
+            fence_lo, fence_hi = _iqr_fences([resid[s:e] for s, e in spans], k)
+            fences = np.full((2, 2 * len(fence_lo) + 1), np.nan)
+            fences[:, 1::2] = fence_lo, fence_hi
+            row_lo, row_hi = np.repeat(fences, sizes, axis=1)
+            crossed = (resid < row_lo) | (resid > row_hi)
+            flags.extend((row, name) for row in np.flatnonzero(crossed).tolist())
+        return flags
+
+    parts = _gather(len(names), -(-_PART_ROWS // len(frame)), "the process screening channels",
+                    screen)
+    flags = [flag for part in parts for flag in part]
     flags.sort(key=lambda f: (f[0], f[1]))
     return flags
 

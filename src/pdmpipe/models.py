@@ -16,12 +16,11 @@ every part after the first; the trees are the same for any CPU count.
 from __future__ import annotations
 
 import math
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fork import _bounds, _children
+from ._fork import _gather
 from ._seeding import substream
 from ._spec import bounded, check_fields
 
@@ -328,7 +327,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams = None,
     ``substream(seed, "tree", t)``, so the first k trees of a forest are
     the k-tree forest of the same seed. The trees grow in contiguous parts,
     one per CPU, each of at least ``_PART_ROWS`` bootstrap rows
-    (``_fork._bounds``), and each part's trees grow in lock-step, one node
+    (``_fork._gather``), and each part's trees grow in lock-step, one node
     of each per step, which gives the same trees as growing them one by one.
     This process grows the first part; a forked child grows each other part
     and hands its trees back through a file. A child that fails raises a
@@ -345,13 +344,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams = None,
         return _grow_trees(X, y, rows[lo:hi], rngs[lo:hi], mtry, params.max_depth,
                            params.min_leaf)
 
-    bounds = _bounds(params.trees, -(-_PART_ROWS // n))
-    with _children(bounds, "the process growing trees",
-                   lambda file, lo, hi: pickle.dump(grow(lo, hi), file)) as parts:
-        trees = grow(bounds[0], bounds[1])
-        for part in parts:
-            trees += pickle.load(part.join())
-    return Forest(trees)
+    parts = _gather(params.trees, -(-_PART_ROWS // n), "the process growing trees", grow)
+    return Forest([tree for part in parts for tree in part])
 
 
 def _log_loss(y: np.ndarray, score: np.ndarray) -> float:
@@ -394,18 +388,20 @@ def _bin_features(X: np.ndarray, bins: int):
     return edges, codes
 
 
-def _histograms(flat, g, h, rows, bins):
-    """The G, H and row-count histograms of ``rows`` as one (3, d, bins) array.
+def _histograms(codes, g, h, bins, counts=None):
+    """The G, H and row-count histograms of some rows as one (3, d, bins) array.
 
-    ``flat`` holds each row's bin codes offset by ``feature * bins``, so one
-    bincount per quantity gives every feature's histogram.
+    ``codes`` holds a row of bin codes per row, each offset by
+    ``feature * bins``, so one bincount per quantity gives every feature's
+    histogram; ``g`` and ``h`` hold the rows' gradients. ``counts`` is the
+    rows' count histogram, or None to count it.
     """
-    d = flat.shape[1]
-    local = flat[rows].ravel()
+    d = codes.shape[1]
+    local = codes.ravel()
     hist = np.empty((3, d * bins))
-    hist[0] = np.bincount(local, weights=np.repeat(g[rows], d), minlength=d * bins)
-    hist[1] = np.bincount(local, weights=np.repeat(h[rows], d), minlength=d * bins)
-    hist[2] = np.bincount(local, minlength=d * bins)
+    hist[0] = np.bincount(local, weights=np.repeat(g, d), minlength=d * bins)
+    hist[1] = np.bincount(local, weights=np.repeat(h, d), minlength=d * bins)
+    hist[2] = np.bincount(local, minlength=d * bins) if counts is None else counts
     return hist.reshape(3, d, bins)
 
 
@@ -420,27 +416,27 @@ def _child_histograms(flat, g, h, hist, left, right, bins):
     counted.
     """
     small_left = len(left) <= len(right)
-    small = _histograms(flat, g, h, left if small_left else right, bins)
+    rows = left if small_left else right
+    small = _histograms(flat[rows], g[rows], h[rows], bins)
     large = hist - small
     large[:2, large[2] == 0] = 0.0
     return (small, large) if small_left else (large, small)
 
 
-def _fit_hist_tree(flat, edges, g, h, params: GbdtParams):
+def _fit_hist_tree(flat, edges, cuts, counts, g, h, params: GbdtParams):
     """One regression tree on binned gradients, Newton leaf values.
 
-    ``flat`` holds each row's bin codes offset by ``feature * bins``. The
-    root's histograms are counted; each split counts its smaller child's
-    and subtracts them from its own for the larger child, and makes none
-    when neither child will search. Leaf values come from the rows' own
+    ``flat`` holds each row's bin codes offset by ``feature * bins``;
+    ``cuts[j, b]`` says whether feature j has cut b, and ``counts`` is the
+    count histogram of every row, which the root holds. The root's G and H
+    histograms are counted; each split counts its smaller child's and
+    subtracts them from its own for the larger child, and makes none when
+    neither child will search. Leaf values come from the rows' own
     gradient sums. Returns the tree and the leaf each training row ends in.
     """
     builder = _TreeBuilder()
     lam = params.reg_lambda
     n, d = flat.shape
-    # np.unique can leave a feature fewer bins; cut b exists iff b < len(edges[j])
-    n_edges = np.array([len(e) for e in edges], dtype=np.int64)
-    cuts = np.arange(params.bins - 1) < n_edges[:, None]
     features = np.arange(d)
     leaf = np.empty(n, dtype=np.int64)
 
@@ -489,7 +485,8 @@ def _fit_hist_tree(flat, edges, g, h, params: GbdtParams):
         return node
 
     root = np.arange(n)
-    grow(root, 0, _histograms(flat, g, h, root, params.bins) if searches(root, 0) else None)
+    grow(root, 0, _histograms(flat, g, h, params.bins, counts)
+         if searches(root, 0) else None)
     return builder.done(), leaf
 
 
@@ -503,7 +500,13 @@ def fit_gbdt(X: np.ndarray, y: np.ndarray, params: GbdtParams = None) -> Gbdt:
     params = params or GbdtParams()
     X, y = _fit_inputs(X, y, float)
     edges, codes = _bin_features(X, params.bins)
-    flat = codes + np.arange(X.shape[1]) * params.bins
+    d = X.shape[1]
+    flat = codes + np.arange(d) * params.bins
+    # the same for every tree: np.unique can leave a feature fewer bins, so
+    # cut b exists iff b < len(edges[j]), and every root holds every row
+    n_edges = np.array([len(e) for e in edges], dtype=np.int64)
+    cuts = np.arange(params.bins - 1) < n_edges[:, None]
+    counts = np.bincount(flat.ravel(), minlength=d * params.bins)
     p0 = min(max(float(y.mean()), 1e-6), 1.0 - 1e-6)
     base = math.log(p0 / (1.0 - p0))
     score = np.full(len(y), base)
@@ -514,7 +517,7 @@ def fit_gbdt(X: np.ndarray, y: np.ndarray, params: GbdtParams = None) -> Gbdt:
         p = 1.0 / (1.0 + np.exp(-score))
         g = p - y
         h = np.maximum(p * (1.0 - p), _EPS)
-        tree, leaf = _fit_hist_tree(flat, edges, g, h, params)
+        tree, leaf = _fit_hist_tree(flat, edges, cuts, counts, g, h, params)
         # a training row's leaf is where _tree_values routes X's row, because
         # code <= b iff x <= edges[b]
         step = tree.value[leaf] * params.learning_rate

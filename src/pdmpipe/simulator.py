@@ -5,8 +5,15 @@ slow AR(1) wander ``y[t] = e[t] + phi * y[t-1]``, solved block by block
 with LAPACK's ``dgttrs`` from one ``dgttrf`` factorization of the system
 ``(I - phi L) y = e``. With ``0 <= phi < 1`` it swaps no rows, so each
 step rounds as the recurrence does and the paths are bit-identical to
-it. The channels are built one at a time, so one channel's temporaries
-are alive at once.
+it. Each channel is built by its own builder, which adds its noise and
+wander and applies its clamps; no builder reads another's channel, and
+every draw comes from a substream keyed by the channel's name. The
+builders run in contiguous parts of channels, one per CPU, each of at
+least ``_PART_ROWS`` rows x channels (``_fork._gather``): this process
+builds the first part, a forked child each other part, and the channels
+are read back in part order, so the telemetry is the same for any CPU
+count. Within a part the channels are built one at a time, so one
+channel's temporaries are alive at once.
 
 Injected faults reproduce exactly the symptom each monitoring rule
 watches, with clipped margins wide enough that the rule engine fires on
@@ -29,6 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+from ._fork import _gather
 from ._seeding import substream
 from ._spec import bounded, check_fields, number, records
 from .knowledge import (
@@ -204,6 +212,12 @@ class GroundTruth:
         return [g for g in self.events if g.event.severity == BLOCKING]
 
 
+# rows x channels in the smallest part the channels are built in. On a 2-vCPU
+# host, inside the pipeline's commands, two forked parts ran slower than one
+# at 58,200 rows, about even at 87,300 and a sixth faster at 116,400
+# (BENCH_channel_parts.json); a part of 4 channels x 90,000 rows splits
+_PART_ROWS = 360_000
+
 WANDER_BLOCK = 4096   # rows per wander solve; factors at a run's length would hold MBs
 
 
@@ -303,10 +317,15 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
     onset_minute = {key: start[seq] + offset
                     for key, (_, _, seq, offset) in FAULT_KINDS.items() if offset is not None}
 
-    # Each channel is built, noised and clipped before the next one starts,
-    # so one channel's temporaries are alive at a time. Every draw comes
-    # from a substream keyed by name, so the build order changes no value.
+    # Every draw comes from a substream keyed by name, so neither the build
+    # order nor the part a channel is built in changes a value.
     twin_shared = substream(seed, "noise-shared-be").standard_normal(n)
+    # the internal temperature of a nominal cycle, which the casings follow
+    t_nominal = np.full(n, 22.0)
+    t_nominal[in_s09] = np.minimum(22.0 + 278.0 * np.minimum(m9 / 120.0, 1.0), 300.0)[in_s09]
+    t_nominal[in_s10] = 300.0
+    t_nominal[in_s11] = (22.0 + 278.0 * np.exp(-m11 / 300.0))[in_s11]
+    t_nominal[in_tail] = 24.0
 
     def noisy(name: str, base: np.ndarray) -> np.ndarray:
         """``base`` plus the channel's white noise, then its AR(1) wander, in place."""
@@ -320,57 +339,50 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
         base += _wander(seed, name, n, config.wander[name], config.wander_phi)
         return base
 
-    channels = {}
-
     # --- internal pressures ----------------------------------------------
-    heat_press = row_fault["heating_pressure"] & (m9 >= 610)
-    p_a = np.full(n, 1000.0)
-    p_a[in_s09] = (1000.0 + 1950.0 * np.minimum(m9 / 480.0, 1.0))[in_s09]
-    p_a[in_s09 & heat_press] = 3200.0
-    vacuum = 25.0 + 975.0 * np.exp(-np.maximum(m10, 0) / 0.7)
-    p_a[in_s10] = np.where(row_fault["needle"], 750.0, vacuum)[in_s10]
-    pa = channels["pressure_internal_a"] = noisy("pressure_internal_a", p_a)
-    # hard margins so rule firing matches injection exactly
-    needle_rows = in_s10 & row_fault["needle"]
-    pa[needle_rows] = np.maximum(pa[needle_rows], 700.0)
-    memory_rows = in_s10 & ~row_fault["needle"] & (m10 >= 3)
-    pa[memory_rows] = np.minimum(pa[memory_rows], 46.0)
-    hp_rows = in_s09 & heat_press
-    pa[hp_rows] = np.maximum(pa[hp_rows], 3160.0)
-    pa[in_s09 & ~heat_press] = np.minimum(pa[in_s09 & ~heat_press], 3100.0)
+    def pressure_internal_a() -> np.ndarray:
+        heat_press = row_fault["heating_pressure"] & (m9 >= 610)
+        p_a = np.full(n, 1000.0)
+        p_a[in_s09] = (1000.0 + 1950.0 * np.minimum(m9 / 480.0, 1.0))[in_s09]
+        p_a[in_s09 & heat_press] = 3200.0
+        vacuum = 25.0 + 975.0 * np.exp(-np.maximum(m10, 0) / 0.7)
+        p_a[in_s10] = np.where(row_fault["needle"], 750.0, vacuum)[in_s10]
+        pa = noisy("pressure_internal_a", p_a)
+        # hard margins so rule firing matches injection exactly
+        needle_rows = in_s10 & row_fault["needle"]
+        pa[needle_rows] = np.maximum(pa[needle_rows], 700.0)
+        memory_rows = in_s10 & ~row_fault["needle"] & (m10 >= 3)
+        pa[memory_rows] = np.minimum(pa[memory_rows], 46.0)
+        hp_rows = in_s09 & heat_press
+        pa[hp_rows] = np.maximum(pa[hp_rows], 3160.0)
+        pa[in_s09 & ~heat_press] = np.minimum(pa[in_s09 & ~heat_press], 3100.0)
+        return pa
 
-    # secondary loop holds reservoir pressure; runs high on degraded cycles
-    p_b = np.full(n, 1005.0)
-    p_b += np.where(row_blocking & (m < active_end), SHIFT_PRESSURE_B, 0.0)
-    channels["pressure_internal_b"] = noisy("pressure_internal_b", p_b)
+    def pressure_internal_b() -> np.ndarray:
+        # secondary loop holds reservoir pressure; runs high on degraded cycles
+        p_b = np.full(n, 1005.0)
+        p_b += np.where(row_blocking & (m < active_end), SHIFT_PRESSURE_B, 0.0)
+        return noisy("pressure_internal_b", p_b)
 
     # --- internal temperature -------------------------------------------
-    heat_hot = row_fault["heating_temp"] & (m9 >= 890)
-    plateau = np.where(row_fault["heating_temp"], 322.0, 300.0)
-    t_int = np.full(n, 22.0)
-    ramp9 = 22.0 + 278.0 * np.minimum(m9 / 120.0, 1.0)
-    t_int[in_s09] = np.where(heat_hot, 322.0, np.minimum(ramp9, 300.0))[in_s09]
-    t_int[in_s10] = plateau[in_s10]
-    t_int[in_s11] = (22.0 + (plateau - 22.0) * np.exp(-m11 / 300.0))[in_s11]
-    t_int[in_tail] = 24.0
-    del plateau
-    ti = channels["temp_internal"] = noisy("temp_internal", t_int)
-    hot_rows = in_s09 & heat_hot
-    ti[hot_rows] = np.maximum(ti[hot_rows], 318.0)
-    cool_rows = in_s09 & ~heat_hot
-    ti[cool_rows] = np.minimum(ti[cool_rows], 312.0)
+    def temp_internal() -> np.ndarray:
+        heat_hot = row_fault["heating_temp"] & (m9 >= 890)
+        plateau = np.where(row_fault["heating_temp"], 322.0, 300.0)
+        t_int = np.full(n, 22.0)
+        t_int[in_s09] = np.where(heat_hot, 322.0, t_nominal)[in_s09]
+        t_int[in_s10] = plateau[in_s10]
+        t_int[in_s11] = (22.0 + (plateau - 22.0) * np.exp(-m11 / 300.0))[in_s11]
+        t_int[in_tail] = 24.0
+        del plateau
+        ti = noisy("temp_internal", t_int)
+        hot_rows = in_s09 & heat_hot
+        ti[hot_rows] = np.maximum(ti[hot_rows], 318.0)
+        cool_rows = in_s09 & ~heat_hot
+        ti[cool_rows] = np.minimum(ti[cool_rows], 312.0)
+        return ti
 
     # --- external casing temperatures -------------------------------------
-    t_nominal = np.full(n, 22.0)
-    t_nominal[in_s09] = np.minimum(ramp9, 300.0)[in_s09]
-    del ramp9
-    t_nominal[in_s10] = 300.0
-    t_nominal[in_s11] = (22.0 + 278.0 * np.exp(-m11 / 300.0))[in_s11]
-    t_nominal[in_tail] = 24.0
-    follow = {"temp_external_a": 0.10, "temp_external_b": 0.12,
-              "temp_external_c": 0.08, "temp_external_d": 0.11,
-              "temp_external_e": 0.12}
-    for name, k in follow.items():
+    def temp_external(name: str, k: float) -> np.ndarray:
         t_ext = 22.0 + k * (t_nominal - 22.0)
         if name == "temp_external_d":
             # magnitude-scaled pre-onset ramp, held until the cycle aborts
@@ -381,17 +393,30 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
                 np.maximum(ramp_total, ramp, out=ramp_total)
             t_ext += ramp_total
             del ramp, ramp_total
-        channels[name] = noisy(name, t_ext)
-    del t_nominal, twin_shared
+        return noisy(name, t_ext)
 
     # --- platform angle ---------------------------------------------------
-    angle = np.zeros(n)
-    angle[in_s10 & row_fault["angle"]] = 46.0
-    ang = channels["angle_platform"] = noisy("angle_platform", angle)
-    bad_rows = in_s10 & row_fault["angle"]
-    ang[bad_rows] = np.maximum(ang[bad_rows], 44.0)
-    ok_rows = in_s10 & ~row_fault["angle"]
-    ang[ok_rows] = np.clip(ang[ok_rows], -25.0, 35.0)
+    def angle_platform() -> np.ndarray:
+        angle = np.zeros(n)
+        angle[in_s10 & row_fault["angle"]] = 46.0
+        ang = noisy("angle_platform", angle)
+        bad_rows = in_s10 & row_fault["angle"]
+        ang[bad_rows] = np.maximum(ang[bad_rows], 44.0)
+        ok_rows = in_s10 & ~row_fault["angle"]
+        ang[ok_rows] = np.clip(ang[ok_rows], -25.0, 35.0)
+        return ang
+
+    # one builder per channel, in CHANNEL_UNITS order
+    follow = {"temp_external_a": 0.10, "temp_external_b": 0.12,
+              "temp_external_c": 0.08, "temp_external_d": 0.11,
+              "temp_external_e": 0.12}
+    builders = [pressure_internal_a, pressure_internal_b, temp_internal,
+                *(lambda name=name, k=k: temp_external(name, k) for name, k in follow.items()),
+                angle_platform]
+    parts = _gather(len(builders), -(-_PART_ROWS // n), "the process simulating channels",
+                    lambda lo, hi: [build() for build in builders[lo:hi]])
+    channels = dict(zip(CHANNEL_UNITS, (values for part in parts for values in part)))
+    del t_nominal, twin_shared
 
     # --- discrete logs ------------------------------------------------------
     fan = in_s09.astype(np.int64)

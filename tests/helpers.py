@@ -1,7 +1,7 @@
 """Hand-built telemetry frames with known, rule-silent nominal values, the
 stock knowledge-base document, a runner for the ``pdm`` command line in a
-fresh interpreter, a traced-memory probe, and a fitted model's numbers as
-plain lists."""
+fresh interpreter, a traced-memory probe, a fitted model's numbers as
+plain lists, and probes of the forked parts of a stage."""
 
 from __future__ import annotations
 
@@ -140,3 +140,25 @@ def model_state(model) -> dict:
     if hasattr(model, "trees"):
         state["trees"] = [model_state(tree) for tree in model.trees]
     return state
+
+
+def count_forks(monkeypatch) -> list:
+    """A list that gains an entry for every ``os.fork`` call from now on."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)         # appended in this process before the child exists
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_child() -> None:
+    """No child of this process is left, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a child process outlived the call")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import re
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +13,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pdmpipe import (
+    SimConfig,
+    _fork,
     apply_verdicts,
     classify_gaps,
     drop_intervals,
     impute_single_sensor,
+    simulate,
     verify_outliers,
 )
 from pdmpipe import cleaning
@@ -31,7 +37,7 @@ from pdmpipe.knowledge import (
     OperatingEnvelope,
     _instances,
 )
-from helpers import quiet_frame, segment_rows, traced_peak
+from helpers import assert_no_child, count_forks, quiet_frame, segment_rows, traced_peak
 
 
 def blank(frame, rows, channels=None):
@@ -156,6 +162,69 @@ class TestImpute:
         from dataclasses import replace
         with pytest.raises(ValueError, match="single-sensor"):
             impute_single_sensor(frame, replace(gap, channel=None))
+
+
+def oracle_impute_single_sensor(frame, gap, k):
+    """The imputation as it scanned, for each gap cell, every row of every
+    earlier cycle for the observed cells at its sequence id and offset."""
+    values = frame.channels[gap.channel].copy()
+    observed = ~np.isnan(values)
+    fallback = float(np.median(values[observed]))
+    starts, stops = _instances(frame)
+    offsets = np.arange(len(frame)) - np.repeat(starts, stops - starts)
+    t = frame.timestamps
+    for r in np.flatnonzero((t >= gap.start) & (t <= gap.end) & ~observed):
+        hi = np.searchsorted(frame.cycle, frame.cycle[r])
+        same = ((offsets[:hi] == offsets[r]) & (frame.sequence[:hi] == frame.sequence[r])
+                & observed[:hi])
+        donors = values[np.flatnonzero(same)[::-1][:k]]
+        values[r] = float(np.mean(donors)) if donors.size else fallback
+    return values
+
+
+def impute_case(seed):
+    """Cycles of short instances, one id run twice a cycle and every cycle
+    cut at a random point; holes in the channel and one gap across
+    instance and cycle edges. Returns the frame, the gap and k."""
+    rng = np.random.default_rng(seed)
+    segments = (("S09", int(rng.integers(1, 6))), ("S10", int(rng.integers(1, 6))),
+                ("S09", int(rng.integers(1, 6))), ("IDLE", int(rng.integers(1, 4))))
+    frame = quiet_frame(cycles=int(rng.integers(1, 7)), segments=segments)
+    keep = np.flatnonzero(rng.random(len(frame)) < 0.9)
+    frame = frame.take(keep if len(keep) else np.arange(len(frame)))
+    values = np.round(rng.normal(0.0, 10.0, len(frame)), int(rng.integers(0, 3)))
+    values[rng.random(len(frame)) < 0.2] = np.nan
+    start = int(rng.integers(0, len(frame)))
+    stop = min(len(frame), start + int(rng.integers(1, 12)))
+    values[start:stop] = np.nan
+    values[rng.integers(0, len(frame))] = 1.0      # one observed cell at least
+    frame = frame.with_channel("temp_external_a", values, "degC")
+    gap = GapInterval(start=frame.timestamps[start], end=frame.timestamps[stop - 1],
+                      cause="SingleSensorDropout", disposition="Reconstruct",
+                      channel="temp_external_a")
+    return frame, gap, int(rng.integers(1, 5))
+
+
+class TestImputeOracle:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_the_scan_of_every_earlier_row(self, seed):
+        frame, gap, k = impute_case(seed)
+        got = impute_single_sensor(frame, gap, k).channels["temp_external_a"]
+        want = oracle_impute_single_sensor(frame, gap, k)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_cases_cover_donors_fallbacks_and_short_histories(self):
+        seen = set()
+        for seed in range(60):
+            frame, gap, k = impute_case(seed)
+            values = frame.channels["temp_external_a"]
+            t = frame.timestamps
+            rows = np.flatnonzero((t >= gap.start) & (t <= gap.end) & np.isnan(values))
+            filled = impute_single_sensor(frame, gap, k).channels["temp_external_a"][rows]
+            fallback = float(np.median(values[~np.isnan(values)]))
+            seen.add("fallback" if (filled == fallback).any() else "donors")
+            seen.add("cycles" if len(np.unique(frame.cycle[rows])) > 1 else "one cycle")
+        assert seen == {"fallback", "donors", "cycles", "one cycle"}
 
 
 class TestDropIntervals:
@@ -605,6 +674,80 @@ class TestScreeningOracle:
     def test_window_must_be_odd_and_at_least_three(self, window):
         with pytest.raises(ValueError, match="window"):
             detrended_iqr_flags(quiet_frame(), k=4.0, window=window)
+
+
+class TestScreeningParts:
+    """Forked channel parts: the same flags for any CPU count, no fork below
+    the minimum part size, and every child reaped."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_flags_for_any_cpu_count(self, seed, monkeypatch):
+        frame, window = screening_case(seed)
+        monkeypatch.setattr(cleaning, "_PART_ROWS", 1)
+        forks = count_forks(monkeypatch)
+        flags = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(_fork, "_cpus", lambda cpus=cpus: cpus)
+            flags[cpus] = detrended_iqr_flags(frame, 1.5, window)
+            assert len(forks) == cpus - 1
+            forks.clear()
+        assert_no_child()
+        assert flags[1] == flags[2] == flags[3] == oracle_detrended_iqr_flags(frame, 1.5, window)
+        assert len({name for _, name in flags[1]}) == len(frame.channels)
+
+    def test_simulated_flags_for_any_cpu_count(self, sim_small, monkeypatch):
+        frame, _ = sim_small
+        monkeypatch.setattr(cleaning, "_PART_ROWS", 1)
+        flags = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(_fork, "_cpus", lambda cpus=cpus: cpus)
+            flags[cpus] = detrended_iqr_flags(frame, 1.5)
+        assert flags[1] == flags[2] == flags[3]
+        assert len({name for _, name in flags[1]}) == len(frame.channels) == 9
+
+    def test_a_small_frame_never_forks(self, kb, monkeypatch):
+        frame, _ = simulate(SimConfig(seed=5, cycles=10), kb)     # 29,100 rows
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(_fork, "_cpus", lambda: 4)
+        detrended_iqr_flags(frame, 4.0)
+
+    def test_failed_child_names_its_channels(self, monkeypatch):
+        frame, window = screening_case(0)
+        monkeypatch.setattr(cleaning, "_PART_ROWS", 1)
+        monkeypatch.setattr(_fork, "_cpus", lambda: 2)
+        parent = os.getpid()
+        span_medians = cleaning._span_medians
+
+        def fail_in_children(*args):
+            if os.getpid() != parent:
+                raise OSError("no space left")
+            return span_medians(*args)
+
+        monkeypatch.setattr(cleaning, "_span_medians", fail_in_children)
+        with pytest.raises(RuntimeError, match=re.escape(
+                "the process screening channels 2 to 5 exited with status 1: "
+                "OSError: no space left")):
+            detrended_iqr_flags(frame, 1.5, window)
+        assert_no_child()
+
+    def test_children_are_killed_when_the_first_part_fails(self, monkeypatch):
+        frame, window = screening_case(0)
+        monkeypatch.setattr(cleaning, "_PART_ROWS", 1)
+        monkeypatch.setattr(_fork, "_cpus", lambda: 3)
+        parent = os.getpid()
+
+        def children_hang(*args):
+            if os.getpid() == parent:
+                raise OSError("no space left")
+            signal.pause()
+
+        monkeypatch.setattr(cleaning, "_span_medians", children_hang)
+        with pytest.raises(OSError, match="no space left"):
+            detrended_iqr_flags(frame, 1.5, window)
+        assert_no_child()
 
 
 class TestIcsFlags:

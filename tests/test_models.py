@@ -17,7 +17,7 @@ import pytest
 from pdmpipe import GbdtParams, _fork, fit_gbdt, models
 from pdmpipe._seeding import substream
 from pdmpipe.models import Forest, ForestParams, Gbdt, Svm, SvmParams, Tree, fit_forest, fit_svm
-from helpers import TREE_ARRAYS, model_state
+from helpers import TREE_ARRAYS, assert_no_child, count_forks, model_state
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
@@ -86,6 +86,13 @@ def oracle_hist_tree(codes, edges, g, h, rows, params):
 
     grow(rows, 0)
     return builder.done()
+
+
+def fit_hist_tree(flat, edges, g, h, params):
+    """``models._fit_hist_tree`` given the cuts and root counts ``fit_gbdt`` hands it."""
+    cuts = np.arange(params.bins - 1) < np.array([len(e) for e in edges])[:, None]
+    counts = np.bincount(flat.ravel(), minlength=flat.shape[1] * params.bins)
+    return models._fit_hist_tree(flat, edges, cuts, counts, g, h, params)
 
 
 def oracle_fit_gbdt(X, y, params):
@@ -427,36 +434,19 @@ class TestForestParts:
     """Forked tree parts: the same trees for any CPU count, no fork below the
     minimum part size, and every child reaped."""
 
-    @staticmethod
-    def assert_no_child():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @staticmethod
-    def count_forks(monkeypatch):
-        forks = []
-        real_fork = os.fork
-
-        def fork():
-            forks.append(1)         # appended in this process before the child exists
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
-        return forks
-
     @pytest.mark.parametrize("seed", [0, 7])
     def test_same_trees_for_any_cpu_count(self, seed, monkeypatch):
         X, y = blobs(seed, n=300)
         params = ForestParams(trees=7, max_depth=6)
         monkeypatch.setattr(models, "_PART_ROWS", 300)
-        forks = self.count_forks(monkeypatch)
+        forks = count_forks(monkeypatch)
         fits = {}
         for cpus in (1, 2, 3):
             monkeypatch.setattr(_fork, "_cpus", lambda cpus=cpus: cpus)
             fits[cpus] = model_state(fit_forest(X, y, params, seed=seed))
             assert len(forks) == cpus - 1
             forks.clear()
-        self.assert_no_child()
+        assert_no_child()
         assert fits[1] == fits[2] == fits[3]
         assert fits[1] == model_state(oracle_fit_forest(X, y, params, seed))
 
@@ -491,7 +481,7 @@ class TestForestParts:
                 "the process growing trees 5 to 10 exited with status 1: "
                 "OSError: no space left")):
             fit_forest(X, y, ForestParams(trees=10, max_depth=3), seed=0)
-        self.assert_no_child()
+        assert_no_child()
 
     def test_killed_child_names_its_signal(self, monkeypatch):
         X, y = blobs(6, n=120)
@@ -509,7 +499,7 @@ class TestForestParts:
         with pytest.raises(RuntimeError, match=re.escape(
                 "the process growing trees 3 to 6 exited with status -9") + "$"):
             fit_forest(X, y, ForestParams(trees=9, max_depth=3), seed=0)
-        self.assert_no_child()
+        assert_no_child()
 
     def test_children_are_killed_when_the_first_part_fails(self, monkeypatch):
         X, y = blobs(6, n=120)
@@ -525,7 +515,7 @@ class TestForestParts:
         monkeypatch.setattr(models, "_grow_trees", children_hang)
         with pytest.raises(OSError, match="no space left"):
             fit_forest(X, y, ForestParams(trees=4, max_depth=3), seed=0)
-        self.assert_no_child()
+        assert_no_child()
 
 
 class TestGbdt:
@@ -582,7 +572,7 @@ class TestGbdt:
 
         assert 0 < gain(codes[:, 1] == 0) - gain(codes[:, 0] == 0) < models._EPS
         edges = [np.array([0.5]), np.array([0.5])]
-        tree, _ = models._fit_hist_tree(codes + np.array([0, 2]), edges, g, h, params)
+        tree, _ = fit_hist_tree(codes + np.array([0, 2]), edges, g, h, params)
         assert tree.feature[0] == 0
 
     def test_cuts_past_a_features_last_edge_are_never_taken(self):
@@ -600,7 +590,7 @@ class TestGbdt:
         GL = np.bincount(codes[:, 0], weights=g).cumsum()[-1]
         assert GL * GL / (H + lam) + (G - GL) ** 2 / lam - G * G / (H + lam) > models._EPS
         edges = [np.array([0.5])]
-        tree, leaf = models._fit_hist_tree(codes, edges, g, h, params)
+        tree, leaf = fit_hist_tree(codes, edges, g, h, params)
         oracle = oracle_hist_tree(codes, edges, g, h, np.arange(128), params)
         assert model_state(tree) == model_state(oracle)
         assert len(tree.feature) == 1 and not leaf.any()
@@ -705,7 +695,7 @@ class TestHistogramSubtraction:
         for flat, g, h, bins, left, right, got in calls:
             counted = 0 if len(left) <= len(right) else 1     # a tie counts the left
             for side, (rows, hist) in enumerate(zip((left, right), got)):
-                direct = models._histograms(flat, g, h, rows, bins)
+                direct = models._histograms(flat[rows], g[rows], h[rows], bins)
                 assert np.array_equal(hist[2], direct[2])
                 assert np.array_equal(hist[2].sum(axis=1), np.full(flat.shape[1], len(rows)))
                 if side == counted:
@@ -719,8 +709,8 @@ class TestHistogramSubtraction:
         counted = []
         real = models._histograms
         monkeypatch.setattr(models, "_histograms",
-                            lambda flat, g, h, rows, bins: counted.append(len(rows))
-                            or real(flat, g, h, rows, bins))
+                            lambda codes, g, h, bins, counts=None: counted.append(len(g))
+                            or real(codes, g, h, bins, counts))
         X, y = blobs(22)
         model = fit_gbdt(X, y, GbdtParams(iterations=6, max_depth=1))
         assert all(len(t.feature) == 3 for t in model.trees)

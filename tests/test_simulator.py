@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import re
+import signal
 
 import numpy as np
 import pytest
 
-from pdmpipe import SimConfig, evaluate_rules, inject_missing, inject_outliers, simulate
+from pdmpipe import SimConfig, _fork, evaluate_rules, inject_missing, inject_outliers, simulate
+from pdmpipe import simulator
 from pdmpipe._seeding import substream
 from pdmpipe.simulator import (DEFAULT_INJECTION, DEFAULT_NOISE, MU_LOW, Blanket, Dropout,
                                MissingScenario, Outlier, WANDER_BLOCK, _wander)
 from pdmpipe.timeseries import _write_json
+from helpers import assert_no_child, count_forks
 
 GATE_AT_QUARTER = MU_LOW + (1 - MU_LOW) * 0.75
 
@@ -95,6 +100,76 @@ class TestWander:
                 want = np.zeros(n)
             assert path.shape == (n,)
             assert np.array_equal(path.view(np.int64), want.view(np.int64))
+
+
+class TestChannelParts:
+    """Forked channel parts: the same telemetry for any CPU count, no fork
+    below the minimum part size, and every child reaped."""
+
+    CONFIG = SimConfig(seed=808, cycles=3, logging_probability=1.0,
+                       schedule=((1, "heating_pressure"), (2, "needle"), (3, "angle")))
+
+    @staticmethod
+    def state(frame, gt, path):
+        _write_json(path, gt)
+        return ({name: values.tobytes() for name, values in frame.channels.items()},
+                {name: values.tobytes() for name, values in frame.logs.items()},
+                path.read_bytes())
+
+    def test_same_telemetry_for_any_cpu_count(self, kb, monkeypatch, tmp_path):
+        monkeypatch.setattr(simulator, "_PART_ROWS", 1)
+        forks = count_forks(monkeypatch)
+        runs = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(_fork, "_cpus", lambda cpus=cpus: cpus)
+            runs[cpus] = self.state(*simulate(self.CONFIG, kb), tmp_path / f"{cpus}.json")
+            assert len(forks) == cpus - 1
+            forks.clear()
+        assert_no_child()
+        assert runs[1] == runs[2] == runs[3]
+        assert list(runs[1][0]) == list(simulator.CHANNEL_UNITS)
+
+    def test_a_small_run_never_forks(self, kb, monkeypatch):
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(_fork, "_cpus", lambda: 4)
+        frame, _ = simulate(SimConfig(seed=5, cycles=10), kb)   # one part of 29,100 rows
+        assert len(frame) == 29_100
+
+    def test_failed_child_names_its_channels(self, kb, monkeypatch):
+        monkeypatch.setattr(simulator, "_PART_ROWS", 1)
+        monkeypatch.setattr(_fork, "_cpus", lambda: 2)
+        parent = os.getpid()
+        wander = simulator._wander
+
+        def fail_in_children(*args):
+            if os.getpid() != parent:
+                raise OSError("no space left")
+            return wander(*args)
+
+        monkeypatch.setattr(simulator, "_wander", fail_in_children)
+        with pytest.raises(RuntimeError, match=re.escape(
+                "the process simulating channels 4 to 9 exited with status 1: "
+                "OSError: no space left")):
+            simulate(self.CONFIG, kb)
+        assert_no_child()
+
+    def test_children_are_killed_when_the_first_part_fails(self, kb, monkeypatch):
+        monkeypatch.setattr(simulator, "_PART_ROWS", 1)
+        monkeypatch.setattr(_fork, "_cpus", lambda: 3)
+        parent = os.getpid()
+
+        def children_hang(*args):
+            if os.getpid() == parent:
+                raise OSError("no space left")
+            signal.pause()
+
+        monkeypatch.setattr(simulator, "_wander", children_hang)
+        with pytest.raises(OSError, match="no space left"):
+            simulate(self.CONFIG, kb)
+        assert_no_child()
 
 
 class TestLoggingGate:
