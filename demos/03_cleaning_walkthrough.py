@@ -15,7 +15,7 @@ from pdmpipe import (
     simulate,
     verify_outliers,
 )
-from pdmpipe.cleaning import DISPOSITION_RECONSTRUCT, detrended_iqr_flags, ics_flags
+from pdmpipe.cleaning import detrended_iqr_flags, ics_flags
 from pdmpipe.simulator import Blanket, Dropout, MissingScenario, Outlier
 
 kb = default_kb()
@@ -45,9 +45,7 @@ for gap in report.intervals:
 
 # the screens take a complete frame: rebuild the reconstruct-class gaps,
 # then drop the delete-class ones
-for gap in report.intervals:
-    if gap.disposition == DISPOSITION_RECONSTRUCT:
-        frame = impute_single_sensor(frame, gap)
+frame = impute_single_sensor(frame, report)
 frame = drop_intervals(frame, report)
 print(f"\nafter dropping delete-class intervals: {len(frame)} rows")
 

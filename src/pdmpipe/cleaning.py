@@ -111,50 +111,65 @@ def classify_gaps(frame: TimeSeriesFrame, reconstruct: bool) -> GapReport:
     return GapReport(intervals=tuple(intervals))
 
 
-def impute_single_sensor(frame: TimeSeriesFrame, gap: GapInterval, k: int = 3) -> TimeSeriesFrame:
-    """Fill one single-sensor gap from the same position in past cycles.
+def impute_single_sensor(frame: TimeSeriesFrame, report: GapReport, k: int = 3) -> TimeSeriesFrame:
+    """Fill every Reconstruct interval of ``report`` from the same position
+    in past cycles.
 
     Each missing cell takes the mean of the channel's value at the same
     sequence offset in up to k prior cycles where it was observed; with
     no usable history it falls back to the channel median. A channel
-    with no observed cells at all cannot be reconstructed. The rows are
-    grouped once by (sequence id, offset), so a cell reads only its own
-    group's rows for its donors.
+    with no observed cells at all cannot be reconstructed. The intervals
+    are filled in report order, and a cell filled by an earlier interval
+    counts as observed, for donors and for the median alike. The rows are
+    keyed once by (sequence id, offset), so a cell reads only its own
+    key's rows for its donors.
     """
-    if gap.channel is None:
-        raise ValueError("gap is not a single-sensor interval")
     if k < 1:
         raise ValueError("k must be >= 1")
-    values = frame.channels[gap.channel].copy()
-    observed = ~np.isnan(values)
-    if not observed.any():
-        raise ValueError(f"channel {gap.channel!r} has no observed cells")
-    fallback = None    # the median, taken once a row has no donor
-
-    t = frame.timestamps
-    rows = np.flatnonzero((t >= gap.start) & (t <= gap.end) & ~observed)
-    # rows at the same offset into an instance of the same sequence id share a key
+    gaps = [g for g in report.intervals if g.disposition == DISPOSITION_RECONSTRUCT]
+    if any(g.channel is None for g in gaps):
+        raise ValueError("a Reconstruct interval is not a single-sensor interval")
+    if not gaps:
+        return frame
+    # rows at the same offset into an instance of the same sequence id share a
+    # key; key * n + row of every row, ascending
     n = len(frame)
     starts, stops = _instances(frame)
     lengths = stops - starts
     ids = np.unique(frame.sequence[starts], return_inverse=True)[1].ravel()
     key = np.repeat(ids * lengths.max() - starts, lengths) + np.arange(n)
-    # key * n + row of every observed row that shares a gap row's key, ascending
-    pool = np.flatnonzero(np.isin(key, key[rows]) & observed)
-    pool = np.sort(key[pool] * n + pool)
-    # a gap row's donors lie from its key's first entry up to its own cycle's
-    # first row; cycles never decrease, so every earlier cycle's rows come before it
-    heads = np.searchsorted(pool, key[rows] * n)
-    ends = np.searchsorted(pool, key[rows] * n + np.searchsorted(frame.cycle, frame.cycle[rows]))
-    for r, head, end in zip(rows.tolist(), heads.tolist(), ends.tolist()):
-        donors = values[pool[max(head, end - k):end][::-1] % n]   # nearest cycle first
-        if donors.size:
-            values[r] = float(np.mean(donors))
-        else:
-            if fallback is None:
-                fallback = float(np.median(values[observed]))
-            values[r] = fallback
-    return frame.with_channel(gap.channel, values, frame.units[gap.channel])
+    packed = np.sort(key * n + np.arange(n))
+    t = frame.timestamps
+    first = np.searchsorted(t, np.array([g.start for g in gaps], dtype="M8"), "left")
+    stop = np.searchsorted(t, np.array([g.end for g in gaps], dtype="M8"), "right")
+    channels = {}      # name -> (values, observed), one copy per channel filled
+    for gap, lo, hi in zip(gaps, first.tolist(), stop.tolist()):
+        if gap.channel not in channels:
+            values = frame.channels[gap.channel].copy()
+            observed = ~np.isnan(values)
+            if not observed.any():
+                raise ValueError(f"channel {gap.channel!r} has no observed cells")
+            channels[gap.channel] = values, observed
+        values, observed = channels[gap.channel]
+        rows = lo + np.flatnonzero(~observed[lo:hi])
+        # a gap row's donors lie from its key's first entry up to its own cycle's
+        # first row; cycles never decrease, so every earlier cycle's rows come before it
+        heads = np.searchsorted(packed, key[rows] * n)
+        ends = np.searchsorted(packed, key[rows] * n
+                               + np.searchsorted(frame.cycle, frame.cycle[rows]))
+        fallback = None    # the median, taken once a row has no donor
+        for r, head, end in zip(rows.tolist(), heads.tolist(), ends.tolist()):
+            pool = packed[head:end] % n
+            donors = values[pool[observed[pool]][-k:][::-1]]   # nearest cycle first
+            if donors.size:
+                values[r] = float(np.mean(donors))
+            else:
+                if fallback is None:
+                    fallback = float(np.median(values[observed]))
+                values[r] = fallback
+        observed[rows] = True
+    return replace(frame, channels={**frame.channels,
+                                    **{name: values for name, (values, _) in channels.items()}})
 
 
 def drop_intervals(frame: TimeSeriesFrame, report: GapReport) -> TimeSeriesFrame:

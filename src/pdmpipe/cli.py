@@ -21,7 +21,7 @@ from .config import ConfigError, PipelineConfig, load_config
 from .evaluation import compare, run_scenario, write_comparison, write_report
 from .features import build_dataset
 from .knowledge import default_kb, load_kb
-from .simulator import inject_missing, inject_outliers, simulate
+from .simulator import _check_onsets, inject_missing, inject_outliers, simulate
 from .timeseries import _write_json, write_csv
 
 log = logging.getLogger(__name__)
@@ -123,6 +123,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         kb = _knowledge(config)   # KB problems are configuration errors
+        _check_onsets(kb)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -250,7 +250,8 @@ def _baseline_report(frame, gt, kb: KnowledgeBase, seed: int) -> ScenarioReport:
     """
     events = evaluate_rules(frame, kb)
     blocking_names = sorted({g.event.fault_name for g in gt.blocking_events()}
-                            | {r.fault_name for r in kb.rules if r.severity == BLOCKING})
+                            | {r.fault_name for r in kb.rules
+                               if kb.entry(r.fault_name).severity == BLOCKING})
     cycles = np.unique(frame.cycle)
     truth = {(g.event.cycle, g.event.fault_name) for g in gt.blocking_events()}
     predicted = {(e.cycle, e.fault_name) for e in events if e.severity == BLOCKING}

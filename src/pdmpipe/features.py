@@ -19,7 +19,6 @@ import numpy as np
 
 from ._spec import bounded, check_fields
 from .cleaning import (
-    DISPOSITION_RECONSTRUCT,
     GapReport,
     apply_verdicts,
     classify_gaps,
@@ -388,9 +387,7 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
         raise ValueError("every channel exceeded the missing-fraction limit")
 
     report = classify_gaps(frame, reconstruct=kb is not None)
-    for gap in report.intervals:
-        if gap.disposition == DISPOSITION_RECONSTRUCT:
-            frame = impute_single_sensor(frame, gap, params.impute_k)
+    frame = impute_single_sensor(frame, report, params.impute_k)
     frame = drop_intervals(frame, report)
     if len(frame) == 0:
         raise ValueError("gap handling removed every row")

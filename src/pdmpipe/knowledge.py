@@ -1,12 +1,14 @@
 """Declarative equipment knowledge and the rule engine that applies it.
 
-The knowledge base bundles five things: the mode/sequence model of the
-cyclic equipment, IF-THEN monitoring rules with thresholds and temporal
-qualifiers, an FMECA catalog (fault names, causes, severity, consequence,
-corrective action), nominal operating envelopes per channel and
-sequence, and groups of redundant channels. It is one record built from
-a YAML document and is immutable afterwards, so one instance can be
-shared freely.
+The knowledge base bundles five things: the nominal minutes of each
+sequence of the cyclic equipment, IF-THEN monitoring rules with
+thresholds and temporal qualifiers, an FMECA catalog (fault names,
+causes, severity, consequence, corrective action), nominal operating
+envelopes per channel and sequence, and groups of redundant channels.
+Each fact is stated once: a rule names its fault, and the fault's FMECA
+entry alone says how severe it is. It is one record built from a YAML
+document and is immutable afterwards, so one instance can be shared
+freely.
 
 ``evaluate_rules`` makes one pass per rule over a telemetry frame: a row
 mask of where the rule fires, with elapsed time counted from the first
@@ -44,15 +46,6 @@ SOURCES = (SOURCE_RULE_ENGINE, SOURCE_GROUND_TRUTH)
 # cycle, a non-blocking one only demands acknowledgment.
 _CONSEQUENCE_OF = {BLOCKING: CYCLE_STOP, NON_BLOCKING: ACKNOWLEDGE}
 
-# Fixed mode layout of the equipment; only durations vary by installation.
-CANONICAL_MODES = (
-    ("Preparation", SEQUENCE_IDS[0:8]),
-    ("Heating", SEQUENCE_IDS[8:9]),
-    ("Sampling", SEQUENCE_IDS[9:10]),
-    ("Cooling", SEQUENCE_IDS[10:11]),
-    ("Disconnection", SEQUENCE_IDS[11:13]),
-)
-_MODE_OF = {seq: mode for mode, sequences in CANONICAL_MODES for seq in sequences}
 # a sensor predicate's scalar comparators; ``outside`` takes a (low, high) range
 _COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
 
@@ -65,47 +58,6 @@ def _check_pairing(severity: str, consequence: str, where: str) -> None:
             f"{where}: severity {severity} requires consequence "
             f"{_CONSEQUENCE_OF[severity]}, got {consequence!r}"
         )
-
-
-@dataclass(frozen=True)
-class Mode:
-    """One entry of the document's ``mode_model.modes``."""
-
-    name: str
-    sequences: tuple = bounded()
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-@dataclass(frozen=True)
-class ModeModel:
-    """Operating modes in cycle order and the nominal minutes per sequence.
-
-    ``modes`` is the document's list of ``Mode`` mappings, built into
-    ``Mode`` records; they must give the canonical layout.
-    """
-
-    modes: tuple
-    durations: dict      # sequence id -> minutes
-
-    def __post_init__(self):
-        modes = records(Mode, self.modes, "modes")
-        if tuple((m.name, m.sequences) for m in modes) != CANONICAL_MODES:
-            raise ValueError("mode model must assign S01..S13 to the five canonical modes")
-        missing = set(SEQUENCE_IDS) - set(self.durations)
-        if missing:
-            raise ValueError(f"durations missing for {sorted(missing)}")
-        unknown = set(self.durations) - set(SEQUENCE_IDS)
-        if unknown:
-            raise ValueError(f"durations for unknown sequence ids {sorted(unknown, key=str)}")
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "durations", {
-            seq: number(v, int, f"duration of {seq}", ">= 1")
-            for seq, v in self.durations.items()})
-
-    def mode_of(self, sequence_id: str) -> str:
-        return _MODE_OF[sequence_id]
 
 
 @dataclass(frozen=True)
@@ -159,7 +111,8 @@ class LogPredicate:
 
 @dataclass(frozen=True)
 class MonitoringRule:
-    """One IF-THEN monitoring rule bound to a sequence.
+    """One IF-THEN monitoring rule bound to a sequence. The FMECA entry of
+    its ``fault_name`` says how severe a firing is.
 
     The sensor and log predicates, when both present, must hold together.
     Temporal qualifiers, all in elapsed minutes from the first row of the
@@ -175,11 +128,8 @@ class MonitoringRule:
     """
 
     id: int = bounded()
-    mode: str
     sequence_id: str
     fault_name: str
-    severity: str
-    consequence: str
     cause: str = None
     sensor: SensorPredicate = None
     log: LogPredicate = None
@@ -205,12 +155,12 @@ class MonitoringRule:
             raise ValueError(
                 f"rule {self.id}: within_first_minutes {self.within_first_minutes} must "
                 f"exceed step_minute {self.step_minute}, or the rule never fires")
-        _check_pairing(self.severity, self.consequence, f"rule {self.id}")
 
 
 @dataclass(frozen=True)
 class FmecaEntry:
-    """Failure mode record: what can cause it and how bad it is."""
+    """Failure mode record: what can cause it and how bad it is. A rule or a
+    simulated fault takes its severity and consequence from here."""
 
     fault_name: str
     causes: tuple = bounded()
@@ -230,7 +180,6 @@ class OperatingEnvelope:
     """Nominal [min, max] band for one channel inside one sequence."""
 
     channel: str
-    mode: str
     sequence_id: str
     min: float = bounded()
     max: float = bounded()
@@ -249,7 +198,7 @@ class KnowledgeBase:
     the document's five sections, each built into its records; a record
     already built is kept as it is."""
 
-    mode_model: ModeModel
+    durations: dict      # sequence id -> nominal minutes
     rules: tuple
     fmeca: tuple
     envelopes: tuple
@@ -263,7 +212,18 @@ class KnowledgeBase:
             with at(f"redundancy[{i}]"):
                 groups.append(names(group, "group"))
         object.__setattr__(self, "redundancy", tuple(groups))
-        object.__setattr__(self, "mode_model", record(ModeModel, self.mode_model, "mode_model"))
+        with at("durations"):
+            if not isinstance(self.durations, dict):
+                raise ValueError(f"must be a mapping, got {self.durations!r}")
+            missing = set(SEQUENCE_IDS) - set(self.durations)
+            if missing:
+                raise ValueError(f"durations missing for {sorted(missing)}")
+            unknown = set(self.durations) - set(SEQUENCE_IDS)
+            if unknown:
+                raise ValueError(f"durations for unknown sequence ids {sorted(unknown, key=str)}")
+            object.__setattr__(self, "durations", {
+                seq: number(v, int, f"duration of {seq}", ">= 1")
+                for seq, v in self.durations.items()})
         for key, kind in (("rules", MonitoringRule), ("fmeca", FmecaEntry),
                           ("envelopes", OperatingEnvelope)):
             object.__setattr__(self, key, records(kind, getattr(self, key), key))
@@ -279,13 +239,9 @@ class KnowledgeBase:
             entry = entries.get(rule.fault_name)
             if entry is None:
                 raise ValueError(f"rule {rule.id}: no FMECA entry for {rule.fault_name!r}")
-            if (rule.severity, rule.consequence) != (entry.severity, entry.consequence):
-                raise ValueError(f"rule {rule.id}: severity/consequence disagree with FMECA")
             if rule.cause is not None and rule.cause not in entry.causes:
                 raise ValueError(f"rule {rule.id}: cause {rule.cause!r} not in FMECA causes")
-            if self.mode_model.mode_of(rule.sequence_id) != rule.mode:
-                raise ValueError(f"rule {rule.id}: mode does not own sequence {rule.sequence_id}")
-            duration = self.mode_model.durations[rule.sequence_id]
+            duration = self.durations[rule.sequence_id]
             for key in ("step_minute", "no_memory_first_minutes"):
                 minute = getattr(rule, key)
                 if minute is not None and minute >= duration:
@@ -299,9 +255,6 @@ class KnowledgeBase:
                         f"rule {rule.id}: unit {rule.sensor.unit!r} for channel "
                         f"{rule.sensor.channel!r} conflicts with {seen!r}"
                     )
-        for env in self.envelopes:
-            if self.mode_model.mode_of(env.sequence_id) != env.mode:
-                raise ValueError(f"envelope {env.channel}: mode does not own {env.sequence_id}")
         flat = [c for group in self.redundancy for c in group]
         if len(flat) != len(set(flat)):
             raise ValueError("redundancy groups must be disjoint")
@@ -313,11 +266,11 @@ class KnowledgeBase:
         raise KeyError(f"unknown fault name {fault_name!r}")
 
     def blocking_channels(self) -> set:
-        """Channels referenced by blocking rules' sensor predicates."""
+        """Channels referenced by the sensor predicates of rules whose fault is blocking."""
         return {
             r.sensor.channel
             for r in self.rules
-            if r.severity == BLOCKING and r.sensor is not None
+            if r.sensor is not None and self.entry(r.fault_name).severity == BLOCKING
         }
 
 

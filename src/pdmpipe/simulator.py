@@ -82,6 +82,7 @@ FAULT_KINDS = {
     "angle": ("Angle Measurement Fault", "platform inclination shift", "S10", 0),
     "door": ("Door Closure Fault", "door left open", "S04", None),
 }
+DOOR_LATEST = 8     # the door opens 1 to DOOR_LATEST minutes into S04
 BLOCKING_KEYS = ("needle", "sample", "heating_temp", "heating_pressure", "angle")
 
 DEFAULT_INJECTION = {
@@ -255,10 +256,21 @@ def _ramp(m: np.ndarray, onset: int, amplitude: float, hold_until: int) -> np.nd
     return out
 
 
+def _check_onsets(kb: KnowledgeBase) -> None:
+    """Refuse sequence durations that put a fault's onset at or past the end
+    of its sequence, where its symptom would never appear."""
+    for key, (_, _, seq, offset) in FAULT_KINDS.items():
+        minute = DOOR_LATEST if offset is None else offset
+        if minute >= kb.durations[seq]:
+            raise ValueError(f"fault {key} can start at minute {minute} of {seq}, "
+                             f"which lasts only {kb.durations[seq]} minutes")
+
+
 def simulate(config: SimConfig, kb: KnowledgeBase):
     """Generate (telemetry frame, ground truth) for the configured run."""
+    _check_onsets(kb)
     # minute offsets of every sequence within one cycle, then the idle tail
-    durations = [int(kb.mode_model.durations[seq]) for seq in SEQUENCE_IDS]
+    durations = [kb.durations[seq] for seq in SEQUENCE_IDS]
     bounds = np.cumsum([0, *durations]).tolist()
     start = dict(zip(SEQUENCE_IDS, bounds))
     end = dict(zip(SEQUENCE_IDS, bounds[1:]))
@@ -289,7 +301,7 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
 
     mu_cycle = MU_LOW + (1 - MU_LOW) * substream(seed, "magnitude").random(cycles)
     door_mu = MU_LOW + (1 - MU_LOW) * substream(seed, "door-magnitude").random(cycles)
-    door_minute = substream(seed, "door-minute").integers(1, 9, cycles)
+    door_minute = substream(seed, "door-minute").integers(1, DOOR_LATEST + 1, cycles)
     valve_pick = substream(seed, "valve-pick").integers(0, 2, cycles)
 
     any_blocking = np.zeros(cycles, dtype=bool)

@@ -94,8 +94,10 @@ class TestImpute:
         values = frame.cycle * 1000.0 + minute
         return frame.with_channel("temp_external_a", values, "degC")
 
+    def report_for(self, frame, rows):
+        return GapReport((self.gap_for(frame, rows),))
+
     def gap_for(self, frame, rows):
-        from pdmpipe.cleaning import GapInterval
         return GapInterval(start=frame.timestamps[rows[0]],
                            end=frame.timestamps[rows[-1]],
                            cause="SingleSensorDropout",
@@ -107,7 +109,7 @@ class TestImpute:
         rows = segment_rows(frame, 4, "S09")[10:20]
         frame.channels["temp_external_a"][rows] = np.nan
         gap = self.gap_for(frame, rows)
-        out = impute_single_sensor(frame, gap, k=3)
+        out = impute_single_sensor(frame, GapReport((gap,)), k=3)
         minute = np.arange(len(frame)) % 2910
         # donors are cycles 1..3 at the same in-sequence offset
         assert np.array_equal(out.channels["temp_external_a"][rows],
@@ -117,7 +119,7 @@ class TestImpute:
         frame = self.make_frame()
         rows = segment_rows(frame, 4, "S09")[10:20]
         frame.channels["temp_external_a"][rows] = np.nan
-        out = impute_single_sensor(frame, self.gap_for(frame, rows), k=2)
+        out = impute_single_sensor(frame, self.report_for(frame, rows), k=2)
         minute = np.arange(len(frame)) % 2910
         assert np.array_equal(out.channels["temp_external_a"][rows],
                               2500.0 + minute[rows])
@@ -128,7 +130,7 @@ class TestImpute:
         values = frame.channels["temp_external_a"]
         values[rows] = np.nan
         expected = float(np.median(values[~np.isnan(values)]))
-        out = impute_single_sensor(frame, self.gap_for(frame, rows), k=3)
+        out = impute_single_sensor(frame, self.report_for(frame, rows), k=3)
         assert np.array_equal(out.channels["temp_external_a"][rows],
                               np.full(10, expected))
 
@@ -139,7 +141,7 @@ class TestImpute:
             values[segment_rows(frame, cycle, "S09")[10:20]] = donor
         rows = segment_rows(frame, 5, "S09")[10:20]
         values[rows] = np.nan
-        out = impute_single_sensor(frame, self.gap_for(frame, rows), k=3)
+        out = impute_single_sensor(frame, self.report_for(frame, rows), k=3)
         # cycle 4 has no donor cell, so cycles 3, 2, 1 give one each, in that order
         expected = np.mean([1.0, 1e16, -1e16])
         assert expected != np.mean([-1e16, 1e16, 1.0])
@@ -149,7 +151,7 @@ class TestImpute:
         frame = quiet_frame(cycles=2, segments=[("S09", 4)])
         frame.logs["cycle_number"][:] = [0, 0, 0, 0, 1, 1, 1, 1]
         frame.channels["temp_external_a"][:] = [10, 11, 12, 13, 20, np.nan, 22, 23]
-        out = impute_single_sensor(frame, self.gap_for(frame, [5]), k=3)
+        out = impute_single_sensor(frame, self.report_for(frame, [5]), k=3)
         # row 5 is offset 1 of cycle 1; cycle 0 read 11 there
         assert out.channels["temp_external_a"][5] == 11.0
 
@@ -158,10 +160,38 @@ class TestImpute:
         rows = segment_rows(frame, 1, "S09")[:5]
         gap = self.gap_for(frame, rows)
         with pytest.raises(ValueError, match="k must be"):
-            impute_single_sensor(frame, gap, k=0)
-        from dataclasses import replace
+            impute_single_sensor(frame, GapReport((gap,)), k=0)
         with pytest.raises(ValueError, match="single-sensor"):
-            impute_single_sensor(frame, replace(gap, channel=None))
+            impute_single_sensor(frame, GapReport((gap, replace(gap, channel=None))))
+
+    def test_delete_intervals_are_left_alone(self):
+        frame = self.make_frame(cycles=2)
+        rows = segment_rows(frame, 2, "S09")[10:20]
+        frame.channels["temp_external_a"][rows] = np.nan
+        gap = replace(self.gap_for(frame, rows), disposition="Delete")
+        assert impute_single_sensor(frame, GapReport((gap,))) is frame
+        assert impute_single_sensor(frame, GapReport(())) is frame
+
+    def test_a_cell_filled_by_an_earlier_interval_counts_as_observed(self):
+        frame = self.make_frame(cycles=2)
+        values = frame.channels["temp_external_a"]
+        first, second = (segment_rows(frame, c, "S09")[10:20] for c in (1, 2))
+        values[first] = values[second] = np.nan
+        early, late = self.gap_for(frame, first), self.gap_for(frame, second)
+        out = impute_single_sensor(frame, GapReport((early, late)), k=3)
+        # cycle 1 has no history and takes the median; cycle 2 then takes
+        # cycle 1's filled cells as donors
+        median = float(np.median(values[~np.isnan(values)]))
+        filled = out.channels["temp_external_a"]
+        assert np.array_equal(filled[first], np.full(10, median))
+        assert np.array_equal(filled[second], np.full(10, median))
+        # the other way round, cycle 2 falls back first, and its filled
+        # cells join the median cycle 1 falls back to
+        out = impute_single_sensor(frame, GapReport((late, early)), k=3)
+        filled = out.channels["temp_external_a"]
+        again = float(np.median(np.concatenate([values[~np.isnan(values)], filled[second]])))
+        assert np.array_equal(filled[second], np.full(10, median))
+        assert np.array_equal(filled[first], np.full(10, again))
 
 
 def oracle_impute_single_sensor(frame, gap, k):
@@ -209,7 +239,7 @@ class TestImputeOracle:
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_the_scan_of_every_earlier_row(self, seed):
         frame, gap, k = impute_case(seed)
-        got = impute_single_sensor(frame, gap, k).channels["temp_external_a"]
+        got = impute_single_sensor(frame, GapReport((gap,)), k).channels["temp_external_a"]
         want = oracle_impute_single_sensor(frame, gap, k)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -220,11 +250,69 @@ class TestImputeOracle:
             values = frame.channels["temp_external_a"]
             t = frame.timestamps
             rows = np.flatnonzero((t >= gap.start) & (t <= gap.end) & np.isnan(values))
-            filled = impute_single_sensor(frame, gap, k).channels["temp_external_a"][rows]
+            filled = impute_single_sensor(frame, GapReport((gap,)), k).channels["temp_external_a"]
+            filled = filled[rows]
             fallback = float(np.median(values[~np.isnan(values)]))
             seen.add("fallback" if (filled == fallback).any() else "donors")
             seen.add("cycles" if len(np.unique(frame.cycle[rows])) > 1 else "one cycle")
         assert seen == {"fallback", "donors", "cycles", "one cycle"}
+
+
+def oracle_impute_report(frame, report, k):
+    """The imputation as it was called, once per Reconstruct interval in
+    report order, each call on the frame the one before left."""
+    for gap in report.intervals:
+        if gap.disposition == "Reconstruct":
+            frame = frame.with_channel(gap.channel, oracle_impute_single_sensor(frame, gap, k),
+                                       frame.units[gap.channel])
+    return frame
+
+
+def impute_report_case(seed):
+    """The frames of ``impute_case`` with holes in two channels, three to
+    six gaps across them in random order (so some share a channel, and some
+    overlap) and one Delete interval among them. Returns the frame, the
+    report and k."""
+    rng = np.random.default_rng(seed)
+    frame, _, k = impute_case(seed)
+    frame = frame.with_channel("temp_internal", np.where(
+        rng.random(len(frame)) < 0.2, np.nan, rng.normal(300.0, 5.0, len(frame))), "degC")
+    gaps = []
+    for _ in range(int(rng.integers(3, 7))):
+        name = str(rng.choice(["temp_external_a", "temp_internal"]))
+        start = int(rng.integers(0, len(frame)))
+        stop = min(len(frame), start + int(rng.integers(1, 12)))
+        frame.channels[name][start:stop] = np.nan
+        gaps.append(GapInterval(start=frame.timestamps[start], end=frame.timestamps[stop - 1],
+                                cause="SingleSensorDropout", disposition="Reconstruct",
+                                channel=name))
+    gaps.insert(int(rng.integers(0, len(gaps) + 1)), GapInterval(
+        start=frame.timestamps[0], end=frame.timestamps[-1], cause="BlanketMaintenance",
+        disposition="Delete"))
+    for name in ("temp_external_a", "temp_internal"):
+        frame.channels[name][int(rng.integers(0, len(frame)))] = 1.0   # one observed cell
+    return frame, GapReport(tuple(gaps)), k
+
+
+class TestImputeReportOracle:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_one_call_matches_one_call_per_gap(self, seed):
+        frame, report, k = impute_report_case(seed)
+        got = impute_single_sensor(frame, report, k)
+        want = oracle_impute_report(frame, report, k)
+        assert list(got.channels) == list(frame.channels)
+        for name in frame.channels:
+            assert np.array_equal(got.channels[name].view(np.int64),
+                                  want.channels[name].view(np.int64)), name
+
+    def test_cases_cover_two_channels_and_shared_channels(self):
+        seen = set()
+        for seed in range(40):
+            _, report, _ = impute_report_case(seed)
+            names = [g.channel for g in report.intervals if g.channel is not None]
+            seen.add(len(set(names)))
+            seen.add("shared" if len(names) > len(set(names)) else "one each")
+        assert seen >= {2, "shared"}
 
 
 class TestDropIntervals:
@@ -911,8 +999,8 @@ def verify_case(seed, kb):
     n = len(frame)
     if seed % 2:
         kb = replace(kb, envelopes=kb.envelopes + (
-            OperatingEnvelope("angle_platform", "Sampling", "S10", -5.0, 5.0),
-            OperatingEnvelope("temp_internal", "Heating", "S09", 290.0, 305.0)))
+            OperatingEnvelope("angle_platform", "S10", -5.0, 5.0),
+            OperatingEnvelope("temp_internal", "S09", 290.0, 305.0)))
     bands = {(e.channel, e.sequence_id): e for e in kb.envelopes}
     for name, values in frame.channels.items():
         for i in range(n):

@@ -575,6 +575,13 @@ def rules_misspelled(doc):
     doc["rulez"] = []
 
 
+def heating_short(doc):
+    # S09 ends before the heating_temp fault's onset at minute 890; rule 3,
+    # which watches from minute 890 on, could never fire and goes too
+    doc["durations"]["S09"] = 800
+    del doc["rules"][2]
+
+
 OUTLIER = {"cycle": 3, "channel": "temp_internal", "minute": 100, "kind": "FalseSpike",
            "delta": 50.0}
 DROPOUT = {"cycle": 3, "channel": "temp_internal", "start_minute": 100, "minutes": 30}
@@ -612,6 +619,19 @@ BAD_INPUTS = {
                          "knowledge base rules[1]: unknown keys: ['within_first_minute']"),
     "kb_unknown_section": ({}, rules_misspelled, ["simulate"], 2,
                            "knowledge base: unknown keys: ['rulez']"),
+    # keys of the format before FMECA alone stated severity and consequence
+    "kb_rule_mode": ({}, lambda doc: doc["rules"][0].update(mode="Sampling"), ["simulate"], 2,
+                     "knowledge base rules[0]: unknown keys: ['mode']"),
+    "kb_rule_severity": ({}, lambda doc: doc["rules"][0].update(severity="Blocking"),
+                         ["simulate"], 2, "knowledge base rules[0]: unknown keys: ['severity']"),
+    "kb_envelope_mode": ({}, lambda doc: doc["envelopes"][0].update(mode="Heating"),
+                         ["simulate"], 2,
+                         "knowledge base envelopes[0]: unknown keys: ['mode']"),
+    "kb_mode_model": ({}, lambda doc: doc.update(mode_model={"durations": doc.pop("durations")}),
+                      ["simulate"], 2, "knowledge base: unknown keys: ['mode_model']"),
+    "kb_onset_past_sequence": ({}, heating_short, ["simulate"], 2,
+                               "fault heating_temp can start at minute 890 of S09, "
+                               "which lasts only 800 minutes"),
     "missing_unknown_key": ({"missing": {"bogus": True}}, None, ["simulate"], 2,
                             "missing: unknown keys: ['bogus']"),
     "missing_dropouts_typo": ({"missing": {"dropouts": [DROPOUT]}}, None, ["simulate"], 2,

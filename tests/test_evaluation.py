@@ -32,6 +32,7 @@ from pdmpipe.evaluation import (
     write_report,
 )
 from pdmpipe.features import CuratedDataset
+from pdmpipe.knowledge import BLOCKING, CYCLE_STOP, evaluate_rules
 from pdmpipe.models import ForestParams, fit_forest
 from helpers import model_state
 
@@ -315,6 +316,26 @@ class TestRunScenario:
         test = report.cells[0].test
         assert test.fn == 3 and test.fp == 0
         assert test.f1 < 1.0
+
+    def test_baseline_takes_a_faults_severity_from_fmeca_alone(self, sim_mid, kb, mid_config):
+        # only the FMECA entry makes the door fault blocking; rule 6 then
+        # reports blocking events, and the baseline scores the door fault
+        frame, gt = sim_mid
+        fmeca = tuple(dataclasses.replace(e, severity=BLOCKING, consequence=CYCLE_STOP)
+                      if e.fault_name == "Door Closure Fault" else e for e in kb.fmeca)
+        door_blocking = dataclasses.replace(kb, fmeca=fmeca)
+        door = [(e.cycle, e.severity, e.consequence) for e in evaluate_rules(frame, door_blocking)
+                if e.fault_name == "Door Closure Fault"]
+        assert door == [(3, BLOCKING, CYCLE_STOP)]
+        stock = run_scenario(frame, gt, kb, "baseline", mid_config)
+        report = run_scenario(frame, gt, door_blocking, "baseline", mid_config)
+        assert (report.counts["rule_detections_blocking"]
+                == stock.counts["rule_detections_blocking"] + 1)
+        # one more blocking name in each of the 8 cycles; the ground truth
+        # holds the door fault of cycle 3 as non-blocking, so its hit is false
+        cells = [dataclasses.astuple(r.cells[0].test)[:4] for r in (stock, report)]
+        assert sum(cells[1]) == sum(cells[0]) + 8
+        assert (stock.cells[0].test.fp, report.cells[0].test.fp) == (0, 1)
 
     @pytest.mark.parametrize("scenario", ["s1", "s2"])
     def test_learned_scenarios_produce_full_grids(self, mid_comparison, scenario):

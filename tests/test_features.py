@@ -473,7 +473,7 @@ class TestBuildDataset:
         config = make_config(5, sim={"cycles": 6}, preprocess={"resample_minutes": 240},
                              horizons_minutes=[720])
         frame, _ = simulate(config.sim, kb)
-        bounds = np.cumsum([0, *(kb.mode_model.durations[s] for s in SEQUENCE_IDS)])
+        bounds = np.cumsum([0, *(kb.durations[s] for s in SEQUENCE_IDS)])
         first, end = bounds[SEQUENCE_IDS.index("S09")], bounds[SEQUENCE_IDS.index("S10") + 1]
         for scenario in ("s1", "s2"):
             ds = build_dataset(frame, kb, scenario, config.preprocess)

@@ -18,7 +18,6 @@ from pdmpipe.knowledge import (
     NON_BLOCKING,
     FaultEvent,
     LogPredicate,
-    ModeModel,
     MonitoringRule,
     OperatingEnvelope,
     SensorPredicate,
@@ -66,12 +65,10 @@ class TestLoading:
         assert len(kb.fmeca) == 5
         assert kb.redundancy == (("temp_external_b", "temp_external_e"),)
 
-    def test_mode_model(self, kb):
-        mm = kb.mode_model
-        assert mm.mode_of("S09") == "Heating"
-        assert mm.mode_of("S10") == "Sampling"
-        with pytest.raises(KeyError):
-            mm.mode_of("S99")
+    def test_durations(self, kb):
+        assert list(kb.durations) == [f"S{i:02d}" for i in range(1, 14)]
+        assert (kb.durations["S09"], kb.durations["S10"]) == (960, 240)
+        assert sum(kb.durations.values()) == 2700
 
     def test_unknown_rule_sequence_rejected(self, tmp_path):
         doc = stock_doc()
@@ -81,14 +78,13 @@ class TestLoading:
 
     def test_severity_consequence_pairing_enforced(self, tmp_path):
         doc = stock_doc()
-        doc["rules"][2]["consequence"] = "Acknowledge"
-        with pytest.raises(ValueError, match="requires consequence"):
+        doc["fmeca"][2]["consequence"] = "Acknowledge"
+        with pytest.raises(ValueError, match=r"fmeca\[2\].*requires consequence"):
             load_doc(doc, tmp_path)
 
     def test_rule_without_fmeca_entry_rejected(self, tmp_path):
         doc = stock_doc()
         doc["rules"][0]["fault_name"] = "Phantom Fault"
-        doc["rules"][0]["severity"] = "Blocking"
         with pytest.raises(ValueError, match="no FMECA entry"):
             load_doc(doc, tmp_path)
 
@@ -103,7 +99,8 @@ class TestLoading:
         ("fmeca", "list", lambda doc: doc.update(
             fmeca={e["fault_name"]: e for e in doc["fmeca"]})),
         ("rules", "sequence_id", lambda doc: doc["rules"][0].pop("sequence_id")),
-        ("mode_model", "durations", lambda doc: doc["mode_model"].pop("durations")),
+        ("knowledge base", r"lacks required keys: \['durations'\]",
+         lambda doc: doc.pop("durations")),
         ("envelopes", "min must be a number, got 'zero'",
          lambda doc: doc["envelopes"][0].update(min="zero")),
         (r"rules\[1\]", r"unknown keys: \['within_first_minute'\]",
@@ -116,10 +113,15 @@ class TestLoading:
          lambda doc: doc["fmeca"][0].update(cause="x")),
         (r"envelopes\[0\]", r"unknown keys: \['maximum'\]",
          lambda doc: doc["envelopes"][0].update(maximum=1.0)),
-        ("mode_model", r"unknown keys: \['mode'\]",
-         lambda doc: doc["mode_model"].update(mode=[])),
-        (r"mode_model\.modes\[0\]", r": unknown keys: \['sequence'\]",
-         lambda doc: doc["mode_model"]["modes"][0].update(sequence="S01")),
+        # keys of the format before FMECA alone stated severity and consequence
+        (r"rules\[0\]", r": unknown keys: \['mode'\]",
+         lambda doc: doc["rules"][0].update(mode="Sampling")),
+        (r"rules\[0\]", r": unknown keys: \['severity'\]",
+         lambda doc: doc["rules"][0].update(severity="Blocking")),
+        (r"envelopes\[0\]", r": unknown keys: \['mode'\]",
+         lambda doc: doc["envelopes"][0].update(mode="Heating")),
+        ("knowledge base", r": unknown keys: \['mode_model'\]",
+         lambda doc: doc.update(mode_model={"durations": doc.pop("durations")})),
         (r"rules\[6\]", ": must be a mapping, got 3", lambda doc: doc["rules"].append(3)),
         (r"rules\[0\]", "threshold must be a number, got nan",
          lambda doc: doc["rules"][0]["sensor"].update(threshold=float("nan"))),
@@ -139,8 +141,10 @@ class TestLoading:
          lambda doc: doc["rules"][0].update(no_memory_first_minutes=True)),
         (r"rules\[1\]", "value must be an integer, got 1.5",
          lambda doc: doc["rules"][1]["log"].update(value=1.5)),
-        ("mode_model", "duration of S10 must be an integer >= 1, got 240.9",
-         lambda doc: doc["mode_model"]["durations"].update(S10=240.9)),
+        ("durations", "duration of S10 must be an integer >= 1, got 240.9",
+         lambda doc: doc["durations"].update(S10=240.9)),
+        ("durations", r"must be a mapping, got \[15\]",
+         lambda doc: doc.update(durations=[15])),
         (r"envelopes\[0\]", "max must be a number, got inf",
          lambda doc: doc["envelopes"][0].update(max=float("inf"))),
         (r"rules\[4\]", r"'outside' needs a \[low, high\] threshold range, got \[1, 2, 3\]",
@@ -157,13 +161,14 @@ class TestLoading:
         (r"rules\[1\]", "rule 2: within_first_minutes 1 must exceed step_minute 1",
          lambda doc: doc["rules"][1].update(step_minute=1)),
     ], ids=["envelope-without-min", "fmeca-as-mapping", "rule-without-sequence-id",
-            "mode-model-without-durations", "envelope-min-not-a-number",
+            "without-durations", "envelope-min-not-a-number",
             "rule-key-typo", "sensor-key-typo", "log-key-typo", "fmeca-key-typo",
-            "envelope-key-typo", "mode-model-key-typo", "mode-key-typo",
+            "envelope-key-typo", "rule-mode", "rule-severity", "envelope-mode",
+            "mode-model",
             "rule-not-a-mapping", "threshold-nan", "threshold-infinite", "id-bool",
             "step-minute-not-integral", "step-minute-negative", "within-zero",
             "within-not-integral", "no-memory-bool", "log-value-not-integral",
-            "duration-not-integral", "envelope-max-infinite", "outside-three-values",
+            "duration-not-integral", "durations-a-list", "envelope-max-infinite", "outside-three-values",
             "logs-a-string", "logs-item-not-a-name", "causes-a-string",
             "redundancy-group-a-string", "rule-never-fires"])
     def test_malformed_entry_names_section_and_key(self, tmp_path, section, detail, damage):
@@ -176,19 +181,19 @@ class TestLoading:
         doc = stock_doc()
         doc["rules"][1]["within_first_minutes"] = "1"
         doc["rules"][0]["sensor"]["threshold"] = "50"
-        doc["mode_model"]["durations"]["S10"] = "240"
+        doc["durations"]["S10"] = "240"
         kb = load_doc(doc, tmp_path)
         assert kb.rules[1].within_first_minutes == 1
         assert type(kb.rules[1].within_first_minutes) is int
         assert kb.rules[0].sensor.threshold == 50.0
-        assert kb.mode_model.durations["S10"] == 240
+        assert kb.durations["S10"] == 240
 
     @pytest.mark.parametrize("damage, message", [
         (lambda doc: doc["rules"][2].update(step_minute=960),
          "rule 3: step_minute 960 is at or past the 960 minutes S09 lasts"),
         (lambda doc: doc["rules"][2].update(step_minute=5000),
          "rule 3: step_minute 5000 is at or past the 960 minutes S09 lasts"),
-        (lambda doc: doc["mode_model"]["durations"].update(S10=5),
+        (lambda doc: doc["durations"].update(S10=5),
          "rule 1: no_memory_first_minutes 5 is at or past the 5 minutes S10 lasts"),
     ], ids=["step-at-duration", "step-past-duration", "no-memory-at-duration"])
     def test_qualifier_past_its_sequence_rejected(self, tmp_path, damage, message):
@@ -208,8 +213,8 @@ class TestLoading:
 
     def test_duration_of_unknown_sequence_rejected(self, tmp_path):
         doc = stock_doc()
-        doc["mode_model"]["durations"]["S14"] = 30
-        with pytest.raises(ValueError, match=r"mode_model.*unknown sequence ids \['S14'\]"):
+        doc["durations"]["S14"] = 30
+        with pytest.raises(ValueError, match=r"durations.*unknown sequence ids \['S14'\]"):
             load_doc(doc, tmp_path)
 
     @pytest.mark.parametrize("path", [*sorted(REPO.glob("configs/*.yaml")), PACKAGED_KB],
@@ -257,6 +262,21 @@ class TestLoading:
                                     for c in "bec"]
             assert run["repr"] == runs[0]["repr"]
 
+    def test_fmeca_alone_states_a_faults_severity(self, tmp_path):
+        doc = stock_doc()
+        assert [e["fault_name"] for e in doc["fmeca"][3:]] == [
+            "Angle Measurement Fault", "Door Closure Fault"]
+        doc["fmeca"][3].update(severity="NonBlocking", consequence="Acknowledge")
+        doc["fmeca"][4].update(severity="Blocking", consequence="CycleStop")
+        kb = load_doc(doc, tmp_path)
+        assert kb.blocking_channels() == {"pressure_internal_a", "temp_internal"}
+        frame = quiet_frame()
+        frame.logs["door_z013"][segment_rows(frame, 1, "S04")[3:8]] = 1
+        frame.channels["angle_platform"][segment_rows(frame, 1, "S10")] = 45.0
+        assert [(e.fault_name, e.severity, e.consequence) for e in evaluate_rules(frame, kb)] == [
+            ("Door Closure Fault", BLOCKING, CYCLE_STOP),
+            ("Angle Measurement Fault", NON_BLOCKING, ACKNOWLEDGE)]
+
     def test_duplicate_rule_id_rejected(self, tmp_path):
         doc = stock_doc()
         doc["rules"][1]["id"] = doc["rules"][0]["id"]
@@ -283,26 +303,17 @@ class TestTypes:
 
     def test_rule_needs_a_predicate(self):
         with pytest.raises(ValueError, match="predicate"):
-            MonitoringRule(id=9, mode="Sampling", sequence_id="S10",
-                           fault_name="X", severity=BLOCKING,
-                           consequence=CYCLE_STOP)
+            MonitoringRule(id=9, sequence_id="S10", fault_name="X")
 
     def test_no_memory_excludes_other_qualifiers(self):
         sensor = SensorPredicate("x", "<", 50.0, "hPa")
         with pytest.raises(ValueError, match="no-memory"):
-            MonitoringRule(id=9, mode="Sampling", sequence_id="S10",
-                           fault_name="X", severity=BLOCKING,
-                           consequence=CYCLE_STOP, sensor=sensor,
+            MonitoringRule(id=9, sequence_id="S10", fault_name="X", sensor=sensor,
                            step_minute=3, no_memory_first_minutes=5)
-
-    def test_canonical_mode_layout_enforced(self):
-        with pytest.raises(ValueError, match="canonical"):
-            ModeModel(modes=[{"name": "Preparation", "sequences": ["S01"]}],
-                      durations={f"S{i:02d}": 1 for i in range(1, 14)})
 
     def test_envelope_needs_known_sequence(self):
         with pytest.raises(ValueError, match="unknown sequence"):
-            OperatingEnvelope("x", "Sampling", "S77", 0.0, 1.0)
+            OperatingEnvelope("x", "S77", 0.0, 1.0)
 
     def test_event_source_validated(self):
         with pytest.raises(ValueError, match="source"):
@@ -345,8 +356,8 @@ class TestLookups:
         frame = quiet_frame()
         s10 = segment_rows(frame, 1, "S10")
         frame.channels["angle_platform"][s10[0]] = 10.0
-        narrow = OperatingEnvelope("angle_platform", "Sampling", "S10", -5.0, 5.0)
-        wide = OperatingEnvelope("angle_platform", "Sampling", "S10", -50.0, 50.0)
+        narrow = OperatingEnvelope("angle_platform", "S10", -5.0, 5.0)
+        wide = OperatingEnvelope("angle_platform", "S10", -50.0, 50.0)
         for envelopes, hit in (((narrow,), True), ((narrow, wide), False),
                                ((wide, narrow), True)):
             breaches = envelope_breaches(frame, replace(kb, envelopes=envelopes))

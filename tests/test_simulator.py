@@ -7,6 +7,7 @@ import json
 import os
 import re
 import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -248,6 +249,44 @@ class TestLoggingGate:
         with pytest.raises(ValueError, match=r"schedule\[0\] cycle must be an integer "
                                              r"in \[1, 3\], got 4"):
             SimConfig(seed=1, cycles=3, schedule=[[4, "needle"]])
+
+
+def with_durations(kb, **minutes):
+    """``kb`` with the given sequence durations and without the rules they
+    would leave unable to fire."""
+    durations = {**kb.durations, **minutes}
+    rules = tuple(r for r in kb.rules
+                  if max(r.step_minute, r.no_memory_first_minutes or 0) < durations[r.sequence_id])
+    return replace(kb, durations=durations, rules=rules)
+
+
+class TestOnsets:
+    @pytest.mark.parametrize("minutes, message", [
+        ({"S09": 800}, "fault heating_temp can start at minute 890 of S09, "
+                       "which lasts only 800 minutes"),
+        ({"S09": 890}, "fault heating_temp can start at minute 890 of S09, "
+                       "which lasts only 890 minutes"),
+        ({"S10": 5}, "fault needle can start at minute 5 of S10, which lasts only 5 minutes"),
+        ({"S04": 8}, "fault door can start at minute 8 of S04, which lasts only 8 minutes"),
+    ], ids=["heating-past", "heating-at", "needle-at", "door-at"])
+    def test_onset_at_or_past_its_sequence_refused(self, kb, minutes, message):
+        # the onset row would lie in the next sequence, where no rule sees
+        # the symptom, and the ground truth would still record the fault
+        shorter = with_durations(kb, **minutes)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate(SimConfig(seed=3, cycles=1), shorter)
+
+    def test_onset_on_the_last_minute_of_its_sequence_is_detected(self, kb):
+        shorter = with_durations(kb, S09=891, S04=9)
+        config = SimConfig(seed=3, cycles=2, logging_probability=1.0,
+                           schedule=((1, "heating_temp"), (2, "door")))
+        frame, gt = simulate(config, shorter)
+        events = evaluate_rules(frame, shorter)
+        assert [(e.cycle, e.fault_name, e.onset) for e in events] == [
+            (g.event.cycle, g.event.fault_name, g.event.onset) for g in gt.events]
+        for g in gt.events:
+            row = np.searchsorted(frame.timestamps, g.event.onset)
+            assert frame.sequence[row] == g.event.sequence_id
 
 
 class TestScenarioRecords:
