@@ -2,14 +2,21 @@
 
 ``_bounds`` plans the parts and ``_children`` starts their children. A
 child writes what it makes into a file, which the parent reads back in part
-order, so the result is the same for any number of parts. The table writer
-streams row parts through ``_children`` itself. ``_gather`` hands back
-each part's result: the forest fit grows tree parts with it, the simulator
-builds channel parts and the spike screen screens channel parts.
+order, so the result is the same for any number of parts. Two stages fork,
+the two whose parts measurably pay on a 2-vCPU host: the table writer
+streams row parts through ``_children`` itself (the ``curate_long``
+benchmark took 3.1-3.6 s against 4.0-5.9 s in one part), and the forest
+fit grows tree parts through ``_gather``, which hands back each part's
+result (the six 60-tree ``reference`` forest fits ran about 1.5 times as
+fast in two parts).
 
-Every other stage runs in this process. The ICS row screen works per
-sequence id, and two ids hold most rows (250,800 of the 320,100 rows of a
-110-cycle run), so per-id parts would leave one CPU waiting on the other.
+Every other stage runs in this process. The simulator and the spike
+screen take one channel at a time: forked channel parts won 8 of 10,
+3 of 10, 4 of 6, 4 of 8 and 7 of 12 ``curate_long`` pairs against one
+part on the same host, inside the noise. The ICS row screen works per
+sequence id, and two ids hold most rows (250,800 of the 320,100 rows of
+a 110-cycle run), so per-id parts would leave one CPU waiting on the
+other.
 
 ``_cpus`` counts the CPUs in the affinity mask, not the idle ones: on a
 machine whose CPUs are busy a stage still splits, and its parts then

@@ -20,7 +20,6 @@ from scipy.linalg import eigh
 from scipy.ndimage import median_filter
 from scipy.special import gammaincinv
 
-from ._fork import _gather
 from .knowledge import BLOCKING, KnowledgeBase, _event_rows, _instances, envelope_breaches
 from .timeseries import (
     CAUSE_BLANKET,
@@ -190,11 +189,6 @@ def drop_intervals(frame: TimeSeriesFrame, report: GapReport) -> TimeSeriesFrame
 
 
 _QUARTILES = np.array([0.25, 0.75])
-# rows x channels in the smallest part the spike screen screens. On a 2-vCPU
-# host, inside the pipeline's commands, two forked parts ran slower than one
-# on the frames of 58,200-row runs and a fifth faster on those of 87,300-row
-# runs (BENCH_channel_parts.json); a part of 4 channels x 75,000 rows splits
-_PART_ROWS = 300_000
 
 
 def _iqr_fences(samples, k: float):
@@ -340,10 +334,9 @@ def detrended_iqr_flags(frame: TimeSeriesFrame, k: float, window: int = 31):
     are exempt: the shrinking median is biased there and a trend looks
     like a spike. Instances no longer than the window are skipped.
 
-    No channel reads another's result, so the channels are screened in
-    contiguous parts, one per CPU, each of at least ``_PART_ROWS`` rows x
-    channels (``_fork._gather``); a forked child screens every part after
-    the first. The pairs come back sorted, the same for any CPU count.
+    The channels are screened one at a time in this process, and each
+    channel's temporaries are freed before the next is screened. The pairs
+    come back sorted.
     """
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window}")
@@ -360,33 +353,32 @@ def detrended_iqr_flags(frame: TimeSeriesFrame, k: float, window: int = 31):
     # which no residual crosses
     sizes = np.diff(np.column_stack([starts + half, stops - half]).ravel(),
                     prepend=0, append=len(frame))
-    names = list(frame.channels)
-
-    def screen(lo: int, hi: int) -> list:
-        flags = []
-        for name in names[lo:hi]:
-            values = frame.channels[name]
-            resid = _span_medians(values, starts, stops, window)
-            np.subtract(values, resid, out=resid)
-            fence_lo, fence_hi = _iqr_fences([resid[s:e] for s, e in spans], k)
-            fences = np.full((2, 2 * len(fence_lo) + 1), np.nan)
-            fences[:, 1::2] = fence_lo, fence_hi
-            row_lo, row_hi = np.repeat(fences, sizes, axis=1)
-            crossed = (resid < row_lo) | (resid > row_hi)
-            flags.extend((row, name) for row in np.flatnonzero(crossed).tolist())
-        return flags
-
-    parts = _gather(len(names), -(-_PART_ROWS // len(frame)), "the process screening channels",
-                    screen)
-    flags = [flag for part in parts for flag in part]
+    flags = []
+    for name, values in frame.channels.items():
+        resid = _span_medians(values, starts, stops, window)
+        np.subtract(values, resid, out=resid)
+        fence_lo, fence_hi = _iqr_fences([resid[s:e] for s, e in spans], k)
+        fences = np.full((2, 2 * len(fence_lo) + 1), np.nan)
+        fences[:, 1::2] = fence_lo, fence_hi
+        row_lo, row_hi = np.repeat(fences, sizes, axis=1)
+        crossed = (resid < row_lo) | (resid > row_hi)
+        flags.extend((row, name) for row in np.flatnonzero(crossed).tolist())
+        del resid, row_lo, row_hi, crossed
     flags.sort(key=lambda f: (f[0], f[1]))
     return flags
 
 
 def ics_flags(frame: TimeSeriesFrame, m: int, alpha: float):
-    """Whole-row candidates per sequence id, pooled across cycles."""
+    """Whole-row candidates per sequence id, pooled across cycles.
+
+    An ``m`` outside 1 to the frame's channel count is an error: the
+    screen would skip every id, so no row would be screened.
+    """
     _require_finite(frame)
     names = list(frame.channels)
+    if not 1 <= m <= len(names):
+        raise ValueError(f"ics_m must be between 1 and {len(names)}, the number of "
+                         f"channels left, got {m}")
     ids, group = np.unique(frame.sequence, return_inverse=True)
     # the rows of each id, ascending, as consecutive slices of one ordering
     order = np.argsort(group, kind="stable")

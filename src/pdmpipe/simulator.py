@@ -8,12 +8,8 @@ step rounds as the recurrence does and the paths are bit-identical to
 it. Each channel is built by its own builder, which adds its noise and
 wander and applies its clamps; no builder reads another's channel, and
 every draw comes from a substream keyed by the channel's name. The
-builders run in contiguous parts of channels, one per CPU, each of at
-least ``_PART_ROWS`` rows x channels (``_fork._gather``): this process
-builds the first part, a forked child each other part, and the channels
-are read back in part order, so the telemetry is the same for any CPU
-count. Within a part the channels are built one at a time, so one
-channel's temporaries are alive at once.
+builders run one at a time in this process, so one channel's
+temporaries are alive at once.
 
 Injected faults reproduce exactly the symptom each monitoring rule
 watches, with clipped margins wide enough that the rule engine fires on
@@ -36,7 +32,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from ._fork import _gather
 from ._seeding import substream
 from ._spec import bounded, check_fields, number, records
 from .knowledge import (
@@ -213,12 +208,6 @@ class GroundTruth:
         return [g for g in self.events if g.event.severity == BLOCKING]
 
 
-# rows x channels in the smallest part the channels are built in. On a 2-vCPU
-# host, inside the pipeline's commands, two forked parts ran slower than one
-# at 58,200 rows, about even at 87,300 and a sixth faster at 116,400
-# (BENCH_channel_parts.json); a part of 4 channels x 90,000 rows splits
-_PART_ROWS = 360_000
-
 WANDER_BLOCK = 4096   # rows per wander solve; factors at a run's length would hold MBs
 
 
@@ -329,8 +318,8 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
     onset_minute = {key: start[seq] + offset
                     for key, (_, _, seq, offset) in FAULT_KINDS.items() if offset is not None}
 
-    # Every draw comes from a substream keyed by name, so neither the build
-    # order nor the part a channel is built in changes a value.
+    # Every draw comes from a substream keyed by name, so the build order
+    # changes no value.
     twin_shared = substream(seed, "noise-shared-be").standard_normal(n)
     # the internal temperature of a nominal cycle, which the casings follow
     t_nominal = np.full(n, 22.0)
@@ -425,9 +414,7 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
     builders = [pressure_internal_a, pressure_internal_b, temp_internal,
                 *(lambda name=name, k=k: temp_external(name, k) for name, k in follow.items()),
                 angle_platform]
-    parts = _gather(len(builders), -(-_PART_ROWS // n), "the process simulating channels",
-                    lambda lo, hi: [build() for build in builders[lo:hi]])
-    channels = dict(zip(CHANNEL_UNITS, (values for part in parts for values in part)))
+    channels = {name: build() for name, build in zip(CHANNEL_UNITS, builders)}
     del t_nominal, twin_shared
 
     # --- discrete logs ------------------------------------------------------

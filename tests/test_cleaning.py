@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import os
-import re
-import signal
 from dataclasses import replace
 
 import numpy as np
@@ -13,13 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pdmpipe import (
-    SimConfig,
-    _fork,
     apply_verdicts,
     classify_gaps,
     drop_intervals,
     impute_single_sensor,
-    simulate,
     verify_outliers,
 )
 from pdmpipe import cleaning
@@ -37,7 +31,7 @@ from pdmpipe.knowledge import (
     OperatingEnvelope,
     _instances,
 )
-from helpers import assert_no_child, count_forks, quiet_frame, segment_rows, traced_peak
+from helpers import quiet_frame, segment_rows, traced_peak
 
 
 def blank(frame, rows, channels=None):
@@ -764,80 +758,6 @@ class TestScreeningOracle:
             detrended_iqr_flags(quiet_frame(), k=4.0, window=window)
 
 
-class TestScreeningParts:
-    """Forked channel parts: the same flags for any CPU count, no fork below
-    the minimum part size, and every child reaped."""
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_same_flags_for_any_cpu_count(self, seed, monkeypatch):
-        frame, window = screening_case(seed)
-        monkeypatch.setattr(cleaning, "_PART_ROWS", 1)
-        forks = count_forks(monkeypatch)
-        flags = {}
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(_fork, "_cpus", lambda cpus=cpus: cpus)
-            flags[cpus] = detrended_iqr_flags(frame, 1.5, window)
-            assert len(forks) == cpus - 1
-            forks.clear()
-        assert_no_child()
-        assert flags[1] == flags[2] == flags[3] == oracle_detrended_iqr_flags(frame, 1.5, window)
-        assert len({name for _, name in flags[1]}) == len(frame.channels)
-
-    def test_simulated_flags_for_any_cpu_count(self, sim_small, monkeypatch):
-        frame, _ = sim_small
-        monkeypatch.setattr(cleaning, "_PART_ROWS", 1)
-        flags = {}
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(_fork, "_cpus", lambda cpus=cpus: cpus)
-            flags[cpus] = detrended_iqr_flags(frame, 1.5)
-        assert flags[1] == flags[2] == flags[3]
-        assert len({name for _, name in flags[1]}) == len(frame.channels) == 9
-
-    def test_a_small_frame_never_forks(self, kb, monkeypatch):
-        frame, _ = simulate(SimConfig(seed=5, cycles=10), kb)     # 29,100 rows
-        def no_fork():
-            raise AssertionError("os.fork called")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(_fork, "_cpus", lambda: 4)
-        detrended_iqr_flags(frame, 4.0)
-
-    def test_failed_child_names_its_channels(self, monkeypatch):
-        frame, window = screening_case(0)
-        monkeypatch.setattr(cleaning, "_PART_ROWS", 1)
-        monkeypatch.setattr(_fork, "_cpus", lambda: 2)
-        parent = os.getpid()
-        span_medians = cleaning._span_medians
-
-        def fail_in_children(*args):
-            if os.getpid() != parent:
-                raise OSError("no space left")
-            return span_medians(*args)
-
-        monkeypatch.setattr(cleaning, "_span_medians", fail_in_children)
-        with pytest.raises(RuntimeError, match=re.escape(
-                "the process screening channels 2 to 5 exited with status 1: "
-                "OSError: no space left")):
-            detrended_iqr_flags(frame, 1.5, window)
-        assert_no_child()
-
-    def test_children_are_killed_when_the_first_part_fails(self, monkeypatch):
-        frame, window = screening_case(0)
-        monkeypatch.setattr(cleaning, "_PART_ROWS", 1)
-        monkeypatch.setattr(_fork, "_cpus", lambda: 3)
-        parent = os.getpid()
-
-        def children_hang(*args):
-            if os.getpid() == parent:
-                raise OSError("no space left")
-            signal.pause()
-
-        monkeypatch.setattr(cleaning, "_span_medians", children_hang)
-        with pytest.raises(OSError, match="no space left"):
-            detrended_iqr_flags(frame, 1.5, window)
-        assert_no_child()
-
-
 class TestIcsFlags:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_the_per_id_comparison_on_interleaved_ids(self, seed, monkeypatch):
@@ -862,6 +782,12 @@ class TestIcsFlags:
             for got, expected in zip(screened, want):
                 assert np.array_equal(got.view(np.int64), expected.view(np.int64))
         assert flags    # the loosest cutoff flags rows
+
+    @pytest.mark.parametrize("m", [0, 6])
+    def test_m_outside_the_channel_count_is_refused(self, m):
+        with pytest.raises(ValueError, match=f"ics_m must be between 1 and 5, the number "
+                                             f"of channels left, got {m}"):
+            ics_flags(interleaved_case(0), m, 0.01)
 
 
 class TestVerifyOutliers:

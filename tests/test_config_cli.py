@@ -604,6 +604,16 @@ BAD_INPUTS = {
     "horizon_beyond_data": ({"sim": dict(CLI_DOC["sim"], cycles=10),
                              "horizons_minutes": [99990]},
                             None, ["compare"], 3, "horizon 99990 leaves an empty split part"),
+    # dropping the 65%-missing temp_external_a leaves 8 channels for ICS
+    "ics_m_above_channels_left": ({"sim": dict(CLI_DOC["sim"], cycles=8),
+                                   "preprocess": {"ics_m": 9},
+                                   "missing": {"dropout": [
+                                       {"cycle": cycle, "channel": "temp_external_a",
+                                        "start_minute": 0, "minutes": 2910}
+                                       for cycle in range(1, 6)]}},
+                                  None, ["preprocess", "--scenario", "s2"], 3,
+                                  "ics_m must be between 1 and 8, the number of channels "
+                                  "left, got 9"),
     "nothing_logged": ({"sim": dict(CLI_DOC["sim"], logging_probability=0)},
                        None, ["evaluate", "--scenario", "s1"], 0,
                        "no cell exceeded accuracy 0.7 with nonzero F1"),

@@ -1,6 +1,6 @@
 """The part plan of forked work: one part per CPU, each at least the minimum
-its caller sets, or else one part; the table writer, the forest fit, the
-simulator and the spike screen cut their parts with it."""
+its caller sets, or else one part; the table writer and the forest fit cut
+their parts with it, and the simulator and the spike screen fork nothing."""
 
 from __future__ import annotations
 
@@ -9,10 +9,10 @@ import os
 import numpy as np
 import pytest
 
-from pdmpipe import SimConfig, _fork, cleaning, default_kb, models, simulate, simulator, timeseries
+from pdmpipe import SimConfig, _fork, cleaning, default_kb, models, simulate, timeseries
 from pdmpipe._fork import _bounds
 from pdmpipe.models import ForestParams, fit_forest
-from helpers import quiet_frame
+from helpers import assert_no_child, count_forks
 
 
 def oracle_part_starts(n, cpus):
@@ -27,15 +27,6 @@ def oracle_tree_parts(trees, n, cpus):
     least = -(-models._PART_ROWS // n)
     parts = max(1, min(cpus, trees // least))
     return [k * trees // parts for k in range(parts + 1)]
-
-
-def oracle_channel_parts(part_rows, channels, n, cpus):
-    """The channel bounds of ``channels`` channels on ``n`` rows, at least
-    ``part_rows`` rows x channels a part, as the simulator and the spike
-    screen cut them (each with its own ``_PART_ROWS``)."""
-    least = -(-part_rows // n)
-    parts = max(1, min(cpus, channels // least))
-    return [k * channels // parts for k in range(parts + 1)]
 
 
 class Planned(Exception):
@@ -95,14 +86,7 @@ def test_callers_cut_their_parts_as_before(tmp_path, monkeypatch):
     rows = (0, 1, 511, 2047, 2048, 2049, 8 * 512 + 1, 9000, 12 * 512, 320100)
     shapes = [(trees, n) for trees in (1, 2, 3, 5, 12, 60)
               for n in (2, 473, 2500, 2633, 6000, 15_001)]
-    kb = default_kb()
-    # 2,910 rows a cycle: the seeds_small, break-even, reference and curate_long runs
-    run_cycles = (1, 10, 30, 31, 40, 55, 110)
-    # the spike screen's frames, with 5 channels or fewer
-    frames = [quiet_frame(cycles) for cycles in (1, 10, 20, 26, 27, 52, 110)]
-    frames += [frames[-1].drop_channels(["temp_internal", "angle_platform"]),
-               frames[-1].drop_channels(list(frames[-1].channels)[1:])]
-    table_parts, forest_parts, sim_parts, screen_parts = set(), set(), set(), set()
+    table_parts, forest_parts = set(), set()
     for cpus in (1, 2, 3, 4):
         monkeypatch.setattr(_fork, "_cpus", lambda cpus=cpus: cpus)
         for n in rows:
@@ -115,17 +99,17 @@ def test_callers_cut_their_parts_as_before(tmp_path, monkeypatch):
                 np.zeros((n, 1)), np.arange(n) % 2, ForestParams(trees=trees)))
             assert bounds == oracle_tree_parts(trees, n, cpus), (cpus, trees, n)
             forest_parts.add(len(bounds) - 1)
-        for cycles in run_cycles:
-            bounds = planned_bounds(_fork, monkeypatch, lambda: simulate(
-                SimConfig(seed=1, cycles=cycles), kb))
-            assert bounds == oracle_channel_parts(simulator._PART_ROWS, 9, cycles * 2910,
-                                                  cpus), (cpus, cycles)
-            sim_parts.add(len(bounds) - 1)
-        for frame in frames:
-            bounds = planned_bounds(_fork, monkeypatch, lambda: cleaning.detrended_iqr_flags(
-                frame, 4.0))
-            assert bounds == oracle_channel_parts(cleaning._PART_ROWS, len(frame.channels),
-                                                  len(frame), cpus), (cpus, len(frame))
-            screen_parts.add(len(bounds) - 1)
-    assert table_parts == forest_parts == sim_parts == screen_parts == {1, 2, 3, 4}
+    assert table_parts == forest_parts == {1, 2, 3, 4}
     assert list(tmp_path.iterdir()) == []
+
+
+def test_channel_stages_start_no_child(monkeypatch):
+    # 31 cycles of 2,910 rows: the simulator and the spike screen each split
+    # this run's 9 channels in two when they forked channel parts
+    monkeypatch.setattr(_fork, "_cpus", lambda: 4)
+    forks = count_forks(monkeypatch)
+    frame, _ = simulate(SimConfig(seed=1, cycles=31), default_kb())
+    assert len(frame) == 90_210 and len(frame.channels) == 9
+    assert cleaning.detrended_iqr_flags(frame, 4.0)
+    assert forks == []
+    assert_no_child()
