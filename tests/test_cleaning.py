@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +11,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pdmpipe import (
+    SimConfig,
+    _fork,
     apply_verdicts,
     classify_gaps,
     drop_intervals,
     impute_single_sensor,
+    simulate,
     verify_outliers,
 )
 from pdmpipe import cleaning
@@ -31,7 +35,7 @@ from pdmpipe.knowledge import (
     OperatingEnvelope,
     _instances,
 )
-from helpers import quiet_frame, segment_rows, traced_peak
+from helpers import assert_no_child, count_forks, quiet_frame, segment_rows, traced_peak
 
 
 def blank(frame, rows, channels=None):
@@ -756,6 +760,42 @@ class TestScreeningOracle:
     def test_window_must_be_odd_and_at_least_three(self, window):
         with pytest.raises(ValueError, match="window"):
             detrended_iqr_flags(quiet_frame(), k=4.0, window=window)
+
+
+class TestScreeningParts:
+    """The spike screen works through every channel in the calling process:
+    the same flags for any CPU count, and no fork at any frame size."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_flags_for_any_cpu_count(self, seed, monkeypatch):
+        frame, window = screening_case(seed)
+        forks = count_forks(monkeypatch)
+        flags = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(_fork, "_cpus", lambda cpus=cpus: cpus)
+            flags[cpus] = detrended_iqr_flags(frame, 1.5, window)
+        assert forks == []
+        assert_no_child()
+        assert flags[1] == flags[2] == flags[3] == oracle_detrended_iqr_flags(frame, 1.5, window)
+        assert len({name for _, name in flags[1]}) == len(frame.channels)
+
+    def test_simulated_flags_for_any_cpu_count(self, sim_small, monkeypatch):
+        frame, _ = sim_small
+        flags = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(_fork, "_cpus", lambda cpus=cpus: cpus)
+            flags[cpus] = detrended_iqr_flags(frame, 1.5)
+        assert flags[1] == flags[2] == flags[3]
+        assert len({name for _, name in flags[1]}) == len(frame.channels) == 9
+
+    def test_a_small_frame_never_forks(self, kb, monkeypatch):
+        frame, _ = simulate(SimConfig(seed=5, cycles=10), kb)     # 29,100 rows
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(_fork, "_cpus", lambda: 4)
+        detrended_iqr_flags(frame, 4.0)
 
 
 class TestIcsFlags:

@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pdmpipe import SimConfig, evaluate_rules, inject_missing, inject_outliers, simulate
+from pdmpipe import SimConfig, _fork, evaluate_rules, inject_missing, inject_outliers, simulate
+from pdmpipe import simulator
 from pdmpipe._seeding import substream
 from pdmpipe.simulator import (DEFAULT_INJECTION, DEFAULT_NOISE, MU_LOW, Blanket, Dropout,
                                MissingScenario, Outlier, WANDER_BLOCK, _wander)
 from pdmpipe.timeseries import _write_json
+from helpers import assert_no_child, count_forks
 
 GATE_AT_QUARTER = MU_LOW + (1 - MU_LOW) * 0.75
 
@@ -96,6 +99,41 @@ class TestWander:
                 want = np.zeros(n)
             assert path.shape == (n,)
             assert np.array_equal(path.view(np.int64), want.view(np.int64))
+
+
+class TestChannelParts:
+    """The simulator builds every channel in the calling process: the same
+    telemetry for any CPU count, and no fork at any run size."""
+
+    CONFIG = SimConfig(seed=808, cycles=3, logging_probability=1.0,
+                       schedule=((1, "heating_pressure"), (2, "needle"), (3, "angle")))
+
+    @staticmethod
+    def state(frame, gt, path):
+        _write_json(path, gt)
+        return ({name: values.tobytes() for name, values in frame.channels.items()},
+                {name: values.tobytes() for name, values in frame.logs.items()},
+                path.read_bytes())
+
+    def test_same_telemetry_for_any_cpu_count(self, kb, monkeypatch, tmp_path):
+        forks = count_forks(monkeypatch)
+        runs = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(_fork, "_cpus", lambda cpus=cpus: cpus)
+            runs[cpus] = self.state(*simulate(self.CONFIG, kb), tmp_path / f"{cpus}.json")
+        assert forks == []
+        assert_no_child()
+        assert runs[1] == runs[2] == runs[3]
+        assert list(runs[1][0]) == list(simulator.CHANNEL_UNITS)
+
+    def test_a_small_run_never_forks(self, kb, monkeypatch):
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(_fork, "_cpus", lambda: 4)
+        frame, _ = simulate(SimConfig(seed=5, cycles=10), kb)
+        assert len(frame) == 29_100
 
 
 class TestLoggingGate:
