@@ -159,8 +159,8 @@ class MonitoringRule:
 
 @dataclass(frozen=True)
 class FmecaEntry:
-    """Failure mode record: what can cause it and how bad it is. A rule or a
-    simulated fault takes its severity and consequence from here."""
+    """Failure mode record: what can cause it and how bad it is. A rule
+    takes its severity and consequence from here."""
 
     fault_name: str
     causes: tuple = bounded()

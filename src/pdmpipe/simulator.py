@@ -11,9 +11,9 @@ every draw comes from a substream keyed by the channel's name. The
 builders run one at a time in this process, so one channel's
 temporaries are alive at once.
 
-Injected faults reproduce exactly the symptom each monitoring rule
-watches, with clipped margins wide enough that the rule engine fires on
-every injected event and never on a nominal cycle.
+Each fault is stated once, in ``FAULTS``. Its symptoms match the rules
+of the packaged knowledge base, with clipped margins wide enough that
+they fire on every injected event and never on a nominal cycle.
 
 The automation layer under-reports: each fault carries a latent magnitude,
 and only faults whose magnitude clears a quantile gate make it into the
@@ -34,12 +34,8 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from ._seeding import substream
 from ._spec import bounded, check_fields, number, records
-from .knowledge import (
-    BLOCKING,
-    SOURCE_GROUND_TRUTH,
-    FaultEvent,
-    KnowledgeBase,
-)
+from .knowledge import (_CONSEQUENCE_OF, BLOCKING, NON_BLOCKING, SOURCE_GROUND_TRUTH,
+                        FaultEvent, KnowledgeBase)
 from .timeseries import (
     CAUSE_BLANKET,
     CAUSE_DROPOUT,
@@ -67,27 +63,34 @@ CHANNEL_UNITS = {
 
 FAULT_LOG = "fault_log"
 
-# fault key -> (fault name, cause, sequence, onset offset in minutes from
-# sequence start; None = drawn per cycle)
-FAULT_KINDS = {
-    "needle": ("Needle Valve Fault", "needle valve clogging", "S10", 5),
-    "sample": ("Sample Taking Fault", "sampling valve actuation failure", "S10", 0),
-    "heating_temp": ("Heating Fault", "thermal regulation drift", "S09", 890),
-    "heating_pressure": ("Heating Fault", "brewing fan failure", "S09", 610),
-    "angle": ("Angle Measurement Fault", "platform inclination shift", "S10", 0),
-    "door": ("Door Closure Fault", "door left open", "S04", None),
-}
-DOOR_LATEST = 8     # the door opens 1 to DOOR_LATEST minutes into S04
-BLOCKING_KEYS = ("needle", "sample", "heating_temp", "heating_pressure", "angle")
 
-DEFAULT_INJECTION = {
-    "needle": 0.30,
-    "sample": 0.10,
-    "heating_temp": 0.12,
-    "heating_pressure": 0.10,
-    "angle": 0.10,
-    "door": 0.15,
+@dataclass(frozen=True)
+class Fault:
+    """A fault of the plant. It starts at a minute of ``sequence`` drawn
+    per cycle from ``onset`` (first, last); a cycle's blocking faults
+    share one magnitude, and any other fault draws its own."""
+
+    name: str
+    cause: str
+    sequence: str
+    onset: tuple
+    blocking: bool
+    probability: float
+
+
+FAULTS = {
+    "needle": Fault("Needle Valve Fault", "needle valve clogging", "S10", (5, 5), True, 0.30),
+    "sample": Fault("Sample Taking Fault", "sampling valve actuation failure", "S10", (0, 0),
+                    True, 0.10),
+    "heating_temp": Fault("Heating Fault", "thermal regulation drift", "S09", (890, 890),
+                          True, 0.12),
+    "heating_pressure": Fault("Heating Fault", "brewing fan failure", "S09", (610, 610),
+                              True, 0.10),
+    "angle": Fault("Angle Measurement Fault", "platform inclination shift", "S10", (0, 0),
+                   True, 0.10),
+    "door": Fault("Door Closure Fault", "door left open", "S04", (1, 8), False, 0.15),
 }
+DEFAULT_INJECTION = {key: fault.probability for key, fault in FAULTS.items()}
 
 # white noise scale per channel
 DEFAULT_NOISE = {
@@ -160,7 +163,7 @@ class SimConfig:
                 raise ValueError(f"schedule must be a list of [cycle, fault key] pairs, "
                                  f"got {self.schedule!r}") from None
             for cycle, key in pairs:
-                if key not in FAULT_KINDS:
+                if key not in FAULTS:
                     raise ValueError(f"schedule references unknown fault key {key!r}")
             object.__setattr__(self, "schedule", tuple(
                 (number(cycle, int, f"schedule[{i}] cycle", f"[1, {self.cycles}]"), key)
@@ -248,15 +251,15 @@ def _ramp(m: np.ndarray, onset: int, amplitude: float, hold_until: int) -> np.nd
 def _check_onsets(kb: KnowledgeBase) -> None:
     """Refuse sequence durations that put a fault's onset at or past the end
     of its sequence, where its symptom would never appear."""
-    for key, (_, _, seq, offset) in FAULT_KINDS.items():
-        minute = DOOR_LATEST if offset is None else offset
+    for key, fault in FAULTS.items():
+        minute, seq = fault.onset[1], fault.sequence
         if minute >= kb.durations[seq]:
             raise ValueError(f"fault {key} can start at minute {minute} of {seq}, "
                              f"which lasts only {kb.durations[seq]} minutes")
 
 
 def simulate(config: SimConfig, kb: KnowledgeBase):
-    """Generate (telemetry frame, ground truth) for the configured run."""
+    """Generate (telemetry frame, ground truth) for the configured run; reads ``kb.durations``."""
     _check_onsets(kb)
     # minute offsets of every sequence within one cycle, then the idle tail
     durations = [kb.durations[seq] for seq in SEQUENCE_IDS]
@@ -278,30 +281,34 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
     m = np.tile(np.arange(total, dtype=np.int64), cycles)   # minute within cycle
 
     # --- fault draws ---------------------------------------------------
-    injected = {}
     if config.schedule is not None:
-        for key in FAULT_KINDS:
-            injected[key] = np.zeros(cycles, dtype=bool)
+        injected = {key: np.zeros(cycles, dtype=bool) for key in FAULTS}
         for cycle, key in config.schedule:
             injected[key][cycle - 1] = True
     else:
-        for key in FAULT_KINDS:
-            injected[key] = substream(seed, "inject", key).random(cycles) < config.injection[key]
+        injected = {key: substream(seed, "inject", key).random(cycles) < config.injection[key]
+                    for key in FAULTS}
 
-    mu_cycle = MU_LOW + (1 - MU_LOW) * substream(seed, "magnitude").random(cycles)
-    door_mu = MU_LOW + (1 - MU_LOW) * substream(seed, "door-magnitude").random(cycles)
-    door_minute = substream(seed, "door-minute").integers(1, DOOR_LATEST + 1, cycles)
+    def magnitudes(tag: str) -> np.ndarray:
+        return MU_LOW + (1 - MU_LOW) * substream(seed, tag).random(cycles)
+
+    mu_cycle = magnitudes("magnitude")
+    mu = {key: mu_cycle if fault.blocking else magnitudes(f"{key}-magnitude")
+          for key, fault in FAULTS.items()}
+    # each fault's onset, as a minute of the cycle, per cycle; the symptoms
+    # built for all cycles at once start at the first minute of the range
+    earliest = {key: start[fault.sequence] + fault.onset[0] for key, fault in FAULTS.items()}
+    onset = {key: start[fault.sequence] + substream(seed, f"{key}-minute").integers(
+        fault.onset[0], fault.onset[1] + 1, cycles) for key, fault in FAULTS.items()}
     valve_pick = substream(seed, "valve-pick").integers(0, 2, cycles)
 
-    any_blocking = np.zeros(cycles, dtype=bool)
-    for key in BLOCKING_KEYS:
-        any_blocking |= injected[key]
+    blocking = [key for key, fault in FAULTS.items() if fault.blocking]
 
     def per_row(flags: np.ndarray) -> np.ndarray:
         return np.repeat(flags, total)
 
-    row_fault = {key: per_row(injected[key]) for key in FAULT_KINDS}
-    row_blocking = per_row(any_blocking)
+    row_fault = {key: per_row(injected[key]) for key in FAULTS}
+    row_blocking = per_row(np.any([injected[key] for key in blocking], axis=0))
     row_mu = np.repeat(mu_cycle, total)
 
     s9a, s9b = start["S09"], end["S09"]
@@ -315,8 +322,6 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
     m9 = m - s9a
     m10 = m - s10a
     m11 = m - s11a
-    onset_minute = {key: start[seq] + offset
-                    for key, (_, _, seq, offset) in FAULT_KINDS.items() if offset is not None}
 
     # Every draw comes from a substream keyed by name, so the build order
     # changes no value.
@@ -342,7 +347,7 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
 
     # --- internal pressures ----------------------------------------------
     def pressure_internal_a() -> np.ndarray:
-        heat_press = row_fault["heating_pressure"] & (m9 >= 610)
+        heat_press = row_fault["heating_pressure"] & (m >= earliest["heating_pressure"])
         p_a = np.full(n, 1000.0)
         p_a[in_s09] = (1000.0 + 1950.0 * np.minimum(m9 / 480.0, 1.0))[in_s09]
         p_a[in_s09 & heat_press] = 3200.0
@@ -367,7 +372,7 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
 
     # --- internal temperature -------------------------------------------
     def temp_internal() -> np.ndarray:
-        heat_hot = row_fault["heating_temp"] & (m9 >= 890)
+        heat_hot = row_fault["heating_temp"] & (m >= earliest["heating_temp"])
         plateau = np.where(row_fault["heating_temp"], 322.0, 300.0)
         t_int = np.full(n, 22.0)
         t_int[in_s09] = np.where(heat_hot, 322.0, t_nominal)[in_s09]
@@ -388,8 +393,8 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
         if name == "temp_external_d":
             # magnitude-scaled pre-onset ramp, held until the cycle aborts
             ramp_total = np.zeros(n)
-            for key in BLOCKING_KEYS:
-                ramp = _ramp(m, onset_minute[key], RAMP_EXT_D_PER_MU, s10b)
+            for key in blocking:
+                ramp = _ramp(m, earliest[key], RAMP_EXT_D_PER_MU, s10b)
                 ramp *= row_mu * row_fault[key]
                 np.maximum(ramp_total, ramp, out=ramp_total)
             t_ext += ramp_total
@@ -419,7 +424,8 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
 
     # --- discrete logs ------------------------------------------------------
     fan = in_s09.astype(np.int64)
-    fan[in_s09 & row_fault["heating_pressure"] & (m9 >= 600)] = 0
+    # the fan stops ten minutes before the pressure runs away
+    fan[in_s09 & row_fault["heating_pressure"] & (m >= earliest["heating_pressure"] - 10)] = 0
 
     valve1 = np.zeros(n, dtype=np.int64)
     valve2 = np.zeros(n, dtype=np.int64)
@@ -428,12 +434,9 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
     valve1[stuck & (pick == 0)] = 1
     valve2[stuck & (pick == 1)] = 1
 
-    s4a = start["S04"]
     door = np.zeros(n, dtype=np.int64)
-    row_door_minute = np.repeat(door_minute, total)
-    door_open = per_row(injected["door"]) & (m >= s4a + row_door_minute) & \
-        (m < s4a + row_door_minute + 8)
-    door[door_open] = 1
+    opened = np.repeat(onset["door"], total)
+    door[row_fault["door"] & (m >= opened) & (m < opened + 8)] = 1   # open for 8 minutes
 
     # --- ground-truth events and fault log ----------------------------------
     if config.logging_probability >= 1.0:
@@ -445,34 +448,29 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
     gt_events = []
     for c in range(1, cycles + 1):
         offset = (c - 1) * total
-        for key in FAULT_KINDS:
+        for key, fault in FAULTS.items():
             if not injected[key][c - 1]:
                 continue
-            name, cause, seq, _ = FAULT_KINDS[key]
-            if key == "door":
-                onset = s4a + int(door_minute[c - 1])
-                mu = float(door_mu[c - 1])
-            else:
-                onset = onset_minute[key]
-                mu = float(mu_cycle[c - 1])
-            logged = mu > gate
-            entry = kb.entry(name)
+            row = offset + int(onset[key][c - 1])
+            magnitude = float(mu[key][c - 1])
+            logged = magnitude > gate
+            severity = BLOCKING if fault.blocking else NON_BLOCKING
             gt_events.append(GtEvent(
                 event=FaultEvent(
-                    onset=timestamps[offset + onset],
+                    onset=timestamps[row],
                     cycle=c,
-                    sequence_id=seq,
-                    fault_name=name,
-                    cause=cause,
-                    severity=entry.severity,
-                    consequence=entry.consequence,
+                    sequence_id=fault.sequence,
+                    fault_name=fault.name,
+                    cause=fault.cause,
+                    severity=severity,
+                    consequence=_CONSEQUENCE_OF[severity],
                     source=SOURCE_GROUND_TRUTH,
                 ),
                 logged=logged,
-                magnitude=mu,
+                magnitude=magnitude,
             ))
             if logged:
-                fault_pulse[offset + onset:offset + end[seq]] = 1
+                fault_pulse[row:offset + end[fault.sequence]] = 1
 
     frame = TimeSeriesFrame(
         timestamps=timestamps,

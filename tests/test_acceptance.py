@@ -83,8 +83,8 @@ def gt_name_pairs(gt):
     return {(g.event.cycle, g.event.fault_name) for g in gt.events}
 
 
-def rule_name_pairs(events):
-    return {(e.cycle, e.fault_name) for e in events}
+def event_facts(events) -> list:
+    return sorted((e.cycle, e.fault_name, e.cause, e.onset, e.severity) for e in events)
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +134,8 @@ def test_rule_engine_recovers_lossless_ground_truth(kb):
     for seed in range(1000, 1020):
         config = SimConfig(seed=seed, cycles=8, logging_probability=1.0)
         frame, gt = simulate(config, kb)
-        assert rule_name_pairs(evaluate_rules(frame, kb)) == gt_name_pairs(gt), \
+        assert event_facts(evaluate_rules(frame, kb)) == \
+            event_facts(g.event for g in gt.events), \
             f"rule detections diverge from ground truth at seed {seed}"
     assert time.perf_counter() - started < 30.0
 

@@ -312,6 +312,25 @@ class TestCliSimulate:
             {"events": 27, "missing": 39, "outliers": 3}
         assert hashlib.sha256(written).hexdigest() == DEFAULT_GROUND_TRUTH_DIGEST
 
+    def test_a_knowledge_base_without_the_door_still_simulates_it(self, tmp_path):
+        # the plant states its own faults; the knowledge base need not know them
+        def drop_door(doc):
+            doc["rules"] = [rule for rule in doc["rules"] if rule["id"] != 6]
+            doc["fmeca"] = [entry for entry in doc["fmeca"]
+                            if entry["fault_name"] != "Door Closure Fault"]
+
+        doc = dict(CLI_DOC, kb=kb_copy(tmp_path, drop_door),
+                   sim=dict(CLI_DOC["sim"], schedule=[[2, "door"], [3, "needle"]]))
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        events = json.loads((out / "ground_truth.json").read_text())["events"]
+        assert [(e["event"]["cycle"], e["event"]["fault_name"], e["event"]["severity"],
+                 e["event"]["consequence"]) for e in events] == [
+            (2, "Door Closure Fault", "NonBlocking", "Acknowledge"),
+            (3, "Needle Valve Fault", "Blocking", "CycleStop")]
+
 
 class TestCliPipeline:
     def test_preprocess_writes_a_loadable_dataset(self, cli_config, tmp_path,

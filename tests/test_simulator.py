@@ -10,9 +10,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pdmpipe import SimConfig, _fork, evaluate_rules, inject_missing, inject_outliers, simulate
+from pdmpipe import (KnowledgeBase, SimConfig, _fork, evaluate_rules, inject_missing,
+                     inject_outliers, simulate)
 from pdmpipe import simulator
 from pdmpipe._seeding import substream
+from pdmpipe.knowledge import BLOCKING
 from pdmpipe.simulator import (DEFAULT_INJECTION, DEFAULT_NOISE, MU_LOW, Blanket, Dropout,
                                MissingScenario, Outlier, WANDER_BLOCK, _wander)
 from pdmpipe.timeseries import _write_json
@@ -134,6 +136,46 @@ class TestChannelParts:
         monkeypatch.setattr(_fork, "_cpus", lambda: 4)
         frame, _ = simulate(SimConfig(seed=5, cycles=10), kb)
         assert len(frame) == 29_100
+
+
+class TestFaultTable:
+    """The plant states each fault once, in ``simulator.FAULTS``; of the
+    knowledge base, ``simulate`` reads only the sequence durations."""
+
+    def test_packaged_table_agrees_with_the_packaged_knowledge_base(self, kb):
+        for key, fault in simulator.FAULTS.items():
+            entry = kb.entry(fault.name)
+            assert fault.cause in entry.causes, key
+            assert any(rule.fault_name == fault.name and rule.cause == fault.cause
+                       and rule.sequence_id == fault.sequence for rule in kb.rules), key
+            assert fault.blocking == (entry.severity == BLOCKING), key
+
+    def test_a_knowledge_base_of_durations_alone_simulates_the_same_run(self, kb, tmp_path):
+        bare = KnowledgeBase(durations=kb.durations, rules=(), fmeca=(), envelopes=(),
+                             redundancy=())
+        config = SimConfig(seed=9, cycles=6)
+        frame, gt = simulate(config, bare)
+        assert len(gt.events) == 7
+        assert TestChannelParts.state(frame, gt, tmp_path / "bare.json") == \
+            TestChannelParts.state(*simulate(config, kb), tmp_path / "stock.json")
+
+    def test_each_onset_is_stated_once(self, kb, monkeypatch):
+        # moving an onset in the table moves every symptom of the fault with it
+        for key, minute in (("heating_pressure", 620), ("heating_temp", 900)):
+            monkeypatch.setitem(simulator.FAULTS, key,
+                                replace(simulator.FAULTS[key], onset=(minute, minute)))
+        config = SimConfig(seed=12, cycles=2, logging_probability=1.0,
+                           schedule=((1, "heating_pressure"), (2, "heating_temp")))
+        frame, gt = simulate(config, kb)
+        onset = {g.event.cause: g.event.onset for g in gt.events}
+        in_s09 = frame.sequence == "S09"
+        overpressure = in_s09 & (frame.channels["pressure_internal_a"] > 3141.0) & \
+            (frame.logs["brewing_fan"] == 0)
+        overheat = in_s09 & (frame.channels["temp_internal"] > 314.0)
+        assert frame.timestamps[np.argmax(overpressure)] == onset["brewing fan failure"] == \
+            np.datetime64("2025-01-05T12:20:00")
+        assert frame.timestamps[np.argmax(overheat)] == onset["thermal regulation drift"] == \
+            np.datetime64("2025-01-07T17:30:00")
 
 
 class TestLoggingGate:
