@@ -371,14 +371,17 @@ def detrended_iqr_flags(frame: TimeSeriesFrame, k: float, window: int = 31):
 def ics_flags(frame: TimeSeriesFrame, m: int, alpha: float):
     """Whole-row candidates per sequence id, pooled across cycles.
 
-    An ``m`` outside 1 to the frame's channel count is an error: the
-    screen would skip every id, so no row would be screened.
+    An ``m`` outside 1 to the frame's channel count, or an ``alpha``
+    outside (0, 1), is an error: the screen would skip every id. Each id
+    it skips is logged as a warning with the reason.
     """
     _require_finite(frame)
     names = list(frame.channels)
     if not 1 <= m <= len(names):
         raise ValueError(f"ics_m must be between 1 and {len(names)}, the number of "
                          f"channels left, got {m}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"ics_alpha must be in (0, 1), got {alpha}")
     ids, group = np.unique(frame.sequence, return_inverse=True)
     # the rows of each id, ascending, as consecutive slices of one ordering
     order = np.argsort(group, kind="stable")
@@ -392,12 +395,12 @@ def ics_flags(frame: TimeSeriesFrame, m: int, alpha: float):
         for j, name in enumerate(names):
             sub[:, j] = frame.channels[name][rows]
         if any(np.ptp(sub[:, j]) == 0 for j in range(sub.shape[1])):
-            log.info("skipping ICS on %s: constant channel", sid)
+            log.warning("skipping ICS on %s: constant channel", sid)
             continue
         try:
             local = _ics_in_place(sub, m, alpha)    # sub is not read again
         except ValueError as exc:
-            log.info("skipping ICS on %s: %s", sid, exc)
+            log.warning("skipping ICS on %s: %s", sid, exc)
             continue
         flags.extend((int(rows[i]), None) for i in local)
     flags.sort(key=lambda f: f[0])

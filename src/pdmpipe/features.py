@@ -31,6 +31,7 @@ from .cleaning import (
 from .knowledge import BLOCKING, CYCLE_STOP, KnowledgeBase, _event_rows, evaluate_rules
 from .timeseries import (
     CYCLE_MINUTE_COL,
+    FAULT_LOG,
     IDLE,
     SEQUENCE_IDS,
     TimeSeriesFrame,
@@ -419,7 +420,7 @@ def build_dataset(frame: TimeSeriesFrame, kb: KnowledgeBase, scenario: str,
     # fault annotations it is reconstructed from
     if kb is None:
         frame = replace(frame, logs={
-            **frame.logs, TARGET: (frame.logs["fault_log"] > 0).astype(np.int64)})
+            **frame.logs, TARGET: (frame.logs[FAULT_LOG] > 0).astype(np.int64)})
         kb_columns = []
     else:
         events, priority_table = prioritize(events, params.top_n)

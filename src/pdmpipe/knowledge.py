@@ -3,12 +3,11 @@
 The knowledge base bundles five things: the nominal minutes of each
 sequence of the cyclic equipment, IF-THEN monitoring rules with
 thresholds and temporal qualifiers, an FMECA catalog (fault names,
-causes, severity, consequence, corrective action), nominal operating
-envelopes per channel and sequence, and groups of redundant channels.
-Each fact is stated once: a rule names its fault, and the fault's FMECA
-entry alone says how severe it is. It is one record built from a YAML
-document and is immutable afterwards, so one instance can be shared
-freely.
+causes, severity, corrective action), nominal operating envelopes per
+channel and sequence, and groups of redundant channels. Each fact is
+stated once: a rule names its fault, and the fault's FMECA entry alone
+says how severe it is. It is one record built from a YAML document and
+is immutable afterwards, so one instance can be shared freely.
 
 ``evaluate_rules`` makes one pass per rule over a telemetry frame: a row
 mask of where the rule fires, with elapsed time counted from the first
@@ -22,7 +21,7 @@ within the same cycle carry no information.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -42,22 +41,18 @@ SOURCE_RULE_ENGINE = "RuleEngine"
 SOURCE_GROUND_TRUTH = "GroundTruth"
 SOURCES = (SOURCE_RULE_ENGINE, SOURCE_GROUND_TRUTH)
 
-# Severity and consequence travel in lockstep: a blocking fault stops the
-# cycle, a non-blocking one only demands acknowledgment.
+# A fault's consequence follows from its severity: a blocking fault stops
+# the cycle, a non-blocking one only demands acknowledgment.
 _CONSEQUENCE_OF = {BLOCKING: CYCLE_STOP, NON_BLOCKING: ACKNOWLEDGE}
 
 # a sensor predicate's scalar comparators; ``outside`` takes a (low, high) range
 _COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
 
 
-def _check_pairing(severity: str, consequence: str, where: str) -> None:
+def _consequence(severity: str, where: str) -> str:
     if severity not in _CONSEQUENCE_OF:
         raise ValueError(f"{where}: unknown severity {severity!r}")
-    if consequence != _CONSEQUENCE_OF[severity]:
-        raise ValueError(
-            f"{where}: severity {severity} requires consequence "
-            f"{_CONSEQUENCE_OF[severity]}, got {consequence!r}"
-        )
+    return _CONSEQUENCE_OF[severity]
 
 
 @dataclass(frozen=True)
@@ -160,19 +155,18 @@ class MonitoringRule:
 @dataclass(frozen=True)
 class FmecaEntry:
     """Failure mode record: what can cause it and how bad it is. A rule
-    takes its severity and consequence from here."""
+    takes its severity from here."""
 
     fault_name: str
     causes: tuple = bounded()
     severity: str
-    consequence: str
     corrective_action: str = ""
 
     def __post_init__(self):
         check_fields(self)
         if not self.causes:
             raise ValueError(f"FMECA entry {self.fault_name!r} needs at least one cause")
-        _check_pairing(self.severity, self.consequence, f"FMECA entry {self.fault_name!r}")
+        _consequence(self.severity, f"FMECA entry {self.fault_name!r}")
 
 
 @dataclass(frozen=True)
@@ -255,6 +249,10 @@ class KnowledgeBase:
                         f"rule {rule.id}: unit {rule.sensor.unit!r} for channel "
                         f"{rule.sensor.channel!r} conflicts with {seen!r}"
                     )
+        bands = [(e.channel, e.sequence_id) for e in self.envelopes]
+        for i, band in enumerate(bands):
+            if band in bands[:i]:
+                raise EntryError(f"envelopes[{i}]", "second envelope for %s in %s" % band)
         flat = [c for group in self.redundancy for c in group]
         if len(flat) != len(set(flat)):
             raise ValueError("redundancy groups must be disjoint")
@@ -284,14 +282,15 @@ class FaultEvent:
     fault_name: str
     cause: str
     severity: str
-    consequence: str
+    consequence: str = field(init=False)    # follows from the severity
     priority: bool = False
     source: str = SOURCE_RULE_ENGINE
 
     def __post_init__(self):
         if self.source not in SOURCES:
             raise ValueError(f"unknown event source {self.source!r}")
-        _check_pairing(self.severity, self.consequence, f"event {self.fault_name!r}")
+        object.__setattr__(self, "consequence",
+                           _consequence(self.severity, f"event {self.fault_name!r}"))
 
 
 def _build_kb(doc) -> KnowledgeBase:
@@ -430,7 +429,6 @@ def evaluate_rules(frame: TimeSeriesFrame, kb: KnowledgeBase) -> list:
             fault_name=rule.fault_name,
             cause=rule.cause if rule.cause is not None else entry.causes[0],
             severity=entry.severity,
-            consequence=entry.consequence,
             source=SOURCE_RULE_ENGINE,
         ) for row in rows)
     events.sort(key=lambda e: (e.onset.astype("datetime64[s]").astype(np.int64),
@@ -439,18 +437,15 @@ def evaluate_rules(frame: TimeSeriesFrame, kb: KnowledgeBase) -> list:
 
 
 def envelope_breaches(frame: TimeSeriesFrame, kb: KnowledgeBase) -> dict:
-    """Per channel, a row mask of readings outside the envelope of the row's sequence.
-
-    Where several envelopes name the same (channel, sequence), the last
-    one counts. A missing reading, and a sequence without an envelope
-    for the channel, breach nothing.
+    """Per channel, a row mask of readings outside the envelope of the row's
+    sequence. A missing reading, and a sequence without an envelope for the
+    channel, breach nothing.
     """
-    bands = {(e.channel, e.sequence_id): e for e in kb.envelopes}
     out = {name: np.zeros(len(frame), dtype=bool) for name in frame.channels}
-    for (name, sequence), env in bands.items():
-        if name in out:
-            values = frame.channels[name]
+    for env in kb.envelopes:
+        if env.channel in out:
+            values = frame.channels[env.channel]
             with np.errstate(invalid="ignore"):
                 outside = (values < env.min) | (values > env.max)
-            out[name] |= outside & (frame.sequence == sequence)
+            out[env.channel] |= outside & (frame.sequence == env.sequence_id)
     return out

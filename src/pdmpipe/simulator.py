@@ -34,13 +34,15 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from ._seeding import substream
 from ._spec import bounded, check_fields, number, records
-from .knowledge import (_CONSEQUENCE_OF, BLOCKING, NON_BLOCKING, SOURCE_GROUND_TRUTH,
-                        FaultEvent, KnowledgeBase)
+from .knowledge import BLOCKING, NON_BLOCKING, SOURCE_GROUND_TRUTH, FaultEvent, KnowledgeBase
 from .timeseries import (
     CAUSE_BLANKET,
     CAUSE_DROPOUT,
     CAUSE_NON_USE,
+    CYCLE_COL,
+    FAULT_LOG,
     IDLE,
+    SEQUENCE_COL,
     SEQUENCE_IDS,
     TimeSeriesFrame,
     _cycle_minutes,
@@ -60,8 +62,6 @@ CHANNEL_UNITS = {
     "temp_external_e": "degC",
     "angle_platform": "deg",
 }
-
-FAULT_LOG = "fault_log"
 
 
 @dataclass(frozen=True)
@@ -454,7 +454,6 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
             row = offset + int(onset[key][c - 1])
             magnitude = float(mu[key][c - 1])
             logged = magnitude > gate
-            severity = BLOCKING if fault.blocking else NON_BLOCKING
             gt_events.append(GtEvent(
                 event=FaultEvent(
                     onset=timestamps[row],
@@ -462,8 +461,7 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
                     sequence_id=fault.sequence,
                     fault_name=fault.name,
                     cause=fault.cause,
-                    severity=severity,
-                    consequence=_CONSEQUENCE_OF[severity],
+                    severity=BLOCKING if fault.blocking else NON_BLOCKING,
                     source=SOURCE_GROUND_TRUTH,
                 ),
                 logged=logged,
@@ -477,8 +475,8 @@ def simulate(config: SimConfig, kb: KnowledgeBase):
         channels=channels,
         units=dict(CHANNEL_UNITS),
         logs={
-            "sequence_id": sequence,
-            "cycle_number": cycle_number,
+            SEQUENCE_COL: sequence,
+            CYCLE_COL: cycle_number,
             FAULT_LOG: fault_pulse,
             "valve_0001": valve1,
             "valve_0002": valve2,

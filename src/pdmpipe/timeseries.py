@@ -42,6 +42,7 @@ TIME_COL = "timestamp"
 SEQUENCE_COL = "sequence_id"
 CYCLE_COL = "cycle_number"
 CYCLE_MINUTE_COL = "cycle_minute"
+FAULT_LOG = "fault_log"
 
 
 @dataclass(frozen=True)

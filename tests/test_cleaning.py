@@ -30,7 +30,6 @@ from pdmpipe.cleaning import (
 )
 from pdmpipe.knowledge import (
     BLOCKING,
-    CYCLE_STOP,
     FaultEvent,
     OperatingEnvelope,
     _instances,
@@ -829,13 +828,27 @@ class TestIcsFlags:
                                              f"of channels left, got {m}"):
             ics_flags(interleaved_case(0), m, 0.01)
 
+    @pytest.mark.parametrize("alpha", [0, 1, 1.5])
+    def test_alpha_outside_0_1_is_refused(self, alpha):
+        with pytest.raises(ValueError, match=f"ics_alpha must be in \\(0, 1\\), got {alpha}"):
+            ics_flags(interleaved_case(0), 2, alpha)
+
+    def test_each_skipped_id_is_a_warning_naming_it(self, kb, caplog):
+        frame, _ = simulate(SimConfig(seed=1, cycles=2), kb)
+        with caplog.at_level("WARNING", logger="pdmpipe.cleaning"):
+            ics_flags(frame, 9, 2e-5)
+        skipped = [*(f"S{i:02d}" for i in range(1, 9)), "S12", "S13"]
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", f"skipping ICS on {sid}: need at least 90 rows for 9 channels, "
+                        f"got {60 if sid in ('S12', 'S13') else 30}") for sid in skipped]
+
 
 class TestVerifyOutliers:
     def make_event(self, frame, onset_row):
         return FaultEvent(
             onset=frame.timestamps[onset_row], cycle=1, sequence_id="S10",
             fault_name="Needle Valve Fault", cause="needle valve clogging",
-            severity=BLOCKING, consequence=CYCLE_STOP)
+            severity=BLOCKING)
 
     def test_pre_onset_point_is_tagged(self, kb):
         frame = quiet_frame()
@@ -956,17 +969,19 @@ def oracle_verify_outliers(frame, flags, kb, events, window_minutes=60):
 def verify_case(seed, kb):
     """A short cycle whose enveloped readings sit at, just inside and just
     past their bands' edges, with flags on neighbouring rows,
-    row-wide flags, and on odd seeds a second envelope that overrides a
-    stock one."""
+    row-wide flags, and on odd seeds narrower bands in place of two stock
+    ones."""
     rng = np.random.default_rng(seed)
     segments = tuple((sid, int(rng.integers(8, 30)))
                      for sid in ("S01", "S09", "S10", "S11", "S12"))
     frame = quiet_frame(segments=segments)
     n = len(frame)
     if seed % 2:
-        kb = replace(kb, envelopes=kb.envelopes + (
-            OperatingEnvelope("angle_platform", "S10", -5.0, 5.0),
-            OperatingEnvelope("temp_internal", "S09", 290.0, 305.0)))
+        narrow = {("angle_platform", "S10"): (-5.0, 5.0),
+                  ("temp_internal", "S09"): (290.0, 305.0)}
+        kb = replace(kb, envelopes=tuple(
+            OperatingEnvelope(e.channel, e.sequence_id, *narrow.get(
+                (e.channel, e.sequence_id), (e.min, e.max))) for e in kb.envelopes))
     bands = {(e.channel, e.sequence_id): e for e in kb.envelopes}
     for name, values in frame.channels.items():
         for i in range(n):
@@ -993,7 +1008,7 @@ def verify_case(seed, kb):
         events.append(FaultEvent(
             onset=frame.timestamps[s10[len(s10) // 2]], cycle=1, sequence_id="S10",
             fault_name="Needle Valve Fault", cause="needle valve clogging",
-            severity=BLOCKING, consequence=CYCLE_STOP))
+            severity=BLOCKING))
     return frame, flags, kb, events
 
 

@@ -658,6 +658,14 @@ BAD_INPUTS = {
                          "knowledge base envelopes[0]: unknown keys: ['mode']"),
     "kb_mode_model": ({}, lambda doc: doc.update(mode_model={"durations": doc.pop("durations")}),
                       ["simulate"], 2, "knowledge base: unknown keys: ['mode_model']"),
+    # the key of the format before a consequence followed from its severity
+    "kb_fmeca_consequence": ({}, lambda doc: doc["fmeca"][0].update(consequence="CycleStop"),
+                             ["simulate"], 2,
+                             "knowledge base fmeca[0]: unknown keys: ['consequence']"),
+    "kb_envelope_twice": ({}, lambda doc: doc["envelopes"].append(
+                              {**doc["envelopes"][2], "max": 900}),
+                          ["simulate"], 2, "knowledge base envelopes[5]: second envelope for "
+                                           "pressure_internal_a in S10"),
     "kb_onset_past_sequence": ({}, heating_short, ["simulate"], 2,
                                "fault heating_temp can start at minute 890 of S09, "
                                "which lasts only 800 minutes"),

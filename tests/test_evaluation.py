@@ -321,7 +321,7 @@ class TestRunScenario:
         # only the FMECA entry makes the door fault blocking; rule 6 then
         # reports blocking events, and the baseline scores the door fault
         frame, gt = sim_mid
-        fmeca = tuple(dataclasses.replace(e, severity=BLOCKING, consequence=CYCLE_STOP)
+        fmeca = tuple(dataclasses.replace(e, severity=BLOCKING)
                       if e.fault_name == "Door Closure Fault" else e for e in kb.fmeca)
         door_blocking = dataclasses.replace(kb, fmeca=fmeca)
         door = [(e.cycle, e.severity, e.consequence) for e in evaluate_rules(frame, door_blocking)

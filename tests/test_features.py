@@ -27,7 +27,7 @@ from pdmpipe.features import (
     select_features,
     standardize,
 )
-from pdmpipe.knowledge import ACKNOWLEDGE, BLOCKING, CYCLE_STOP, NON_BLOCKING, FaultEvent
+from pdmpipe.knowledge import BLOCKING, NON_BLOCKING, FaultEvent
 from pdmpipe.timeseries import SEQUENCE_IDS, TimeSeriesFrame
 from helpers import quiet_frame, segment_rows, traced_peak
 
@@ -246,11 +246,10 @@ class TestStatisticalFeatures:
                                       want.view(np.int64)), name
 
 
-def event_at(frame, row, name, cause, severity, consequence, priority=False):
+def event_at(frame, row, name, cause, severity, priority=False):
     return FaultEvent(onset=frame.timestamps[row], cycle=int(frame.cycle[row]),
                       sequence_id=str(frame.sequence[row]), fault_name=name,
-                      cause=cause, severity=severity, consequence=consequence,
-                      priority=priority)
+                      cause=cause, severity=severity, priority=priority)
 
 
 class TestPrioritize:
@@ -260,9 +259,7 @@ class TestPrioritize:
         for cause, severity in spec:
             name = ("Door Closure Fault" if severity == NON_BLOCKING
                     else "Needle Valve Fault")
-            consequence = CYCLE_STOP if severity == BLOCKING else ACKNOWLEDGE
-            events.append(event_at(frame, row, name, cause, severity,
-                                   consequence))
+            events.append(event_at(frame, row, name, cause, severity))
         return events
 
     def test_competition_ranking_with_ties(self):
@@ -295,7 +292,7 @@ class TestAnnotateAndTarget:
         frame = quiet_frame()
         s9 = segment_rows(frame, 1, "S09")
         event = event_at(frame, int(s9[890]), "Heating Fault",
-                         "thermal regulation drift", BLOCKING, CYCLE_STOP,
+                         "thermal regulation drift", BLOCKING,
                          priority=True)
         out = annotate_faults(frame, [event], kb)
         assert out.logs["severity"][s9[890]:s9[-1] + 1].all()
@@ -309,7 +306,7 @@ class TestAnnotateAndTarget:
         frame = quiet_frame()
         s4 = segment_rows(frame, 1, "S04")
         event = event_at(frame, int(s4[3]), "Door Closure Fault",
-                         "door left open", NON_BLOCKING, ACKNOWLEDGE)
+                         "door left open", NON_BLOCKING)
         out = annotate_faults(frame, [event], kb)
         assert out.logs["cause_door_left_open"][s4[3]:s4[-1] + 1].all()
         assert not out.logs["severity"].any()
@@ -319,7 +316,7 @@ class TestAnnotateAndTarget:
         frame = quiet_frame()
         s9 = segment_rows(frame, 1, "S09")
         event = event_at(frame, int(s9[890]), "Heating Fault",
-                         "thermal regulation drift", BLOCKING, CYCLE_STOP)
+                         "thermal regulation drift", BLOCKING)
         survived = frame.take(frame.sequence != "S09")
         out = annotate_faults(survived, [event], kb)
         assert not out.logs["severity"].any()
@@ -330,10 +327,10 @@ class TestAnnotateAndTarget:
         s4 = segment_rows(frame, 1, "S04")
         events = [
             event_at(frame, int(s9[890]), "Heating Fault",
-                     "thermal regulation drift", BLOCKING, CYCLE_STOP,
+                     "thermal regulation drift", BLOCKING,
                      priority=True),
             event_at(frame, int(s4[3]), "Door Closure Fault",
-                     "door left open", NON_BLOCKING, ACKNOWLEDGE),
+                     "door left open", NON_BLOCKING),
         ]
         out = reconstruct_target(annotate_faults(frame, events, kb))
         target = out.logs["target"]
@@ -344,7 +341,7 @@ class TestAnnotateAndTarget:
         frame = quiet_frame()
         s9 = segment_rows(frame, 1, "S09")
         event = event_at(frame, int(s9[890]), "Heating Fault",
-                         "thermal regulation drift", BLOCKING, CYCLE_STOP,
+                         "thermal regulation drift", BLOCKING,
                          priority=False)
         out = reconstruct_target(annotate_faults(frame, [event], kb))
         assert out.logs["target"].sum() == 0

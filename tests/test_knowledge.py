@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from pdmpipe.knowledge import (
     MonitoringRule,
     OperatingEnvelope,
     SensorPredicate,
+    _build_kb,
     _event_rows,
     _YAML_LOADER,
     _instances,
@@ -76,12 +78,6 @@ class TestLoading:
         with pytest.raises(ValueError, match="unknown sequence"):
             load_doc(doc, tmp_path)
 
-    def test_severity_consequence_pairing_enforced(self, tmp_path):
-        doc = stock_doc()
-        doc["fmeca"][2]["consequence"] = "Acknowledge"
-        with pytest.raises(ValueError, match=r"fmeca\[2\].*requires consequence"):
-            load_doc(doc, tmp_path)
-
     def test_rule_without_fmeca_entry_rejected(self, tmp_path):
         doc = stock_doc()
         doc["rules"][0]["fault_name"] = "Phantom Fault"
@@ -122,6 +118,13 @@ class TestLoading:
          lambda doc: doc["envelopes"][0].update(mode="Heating")),
         ("knowledge base", r": unknown keys: \['mode_model'\]",
          lambda doc: doc.update(mode_model={"durations": doc.pop("durations")})),
+        # the key of the format before a consequence followed from its severity
+        (r"fmeca\[0\]", r": unknown keys: \['consequence'\]",
+         lambda doc: doc["fmeca"][0].update(consequence="CycleStop")),
+        (r"fmeca\[2\]", "FMECA entry 'Heating Fault': unknown severity 'Severe'",
+         lambda doc: doc["fmeca"][2].update(severity="Severe")),
+        (r"envelopes\[5\]", ": second envelope for temp_internal in S09",
+         lambda doc: doc["envelopes"].append({**doc["envelopes"][0], "max": 300})),
         (r"rules\[6\]", ": must be a mapping, got 3", lambda doc: doc["rules"].append(3)),
         (r"rules\[0\]", "threshold must be a number, got nan",
          lambda doc: doc["rules"][0]["sensor"].update(threshold=float("nan"))),
@@ -164,7 +167,7 @@ class TestLoading:
             "without-durations", "envelope-min-not-a-number",
             "rule-key-typo", "sensor-key-typo", "log-key-typo", "fmeca-key-typo",
             "envelope-key-typo", "rule-mode", "rule-severity", "envelope-mode",
-            "mode-model",
+            "mode-model", "fmeca-consequence", "fmeca-severity-unknown", "envelope-twice",
             "rule-not-a-mapping", "threshold-nan", "threshold-infinite", "id-bool",
             "step-minute-not-integral", "step-minute-negative", "within-zero",
             "within-not-integral", "no-memory-bool", "log-value-not-integral",
@@ -237,6 +240,19 @@ class TestLoading:
         with pytest.raises(ValueError, match="min must be"):
             load_doc(doc, tmp_path)
 
+    def test_format_document_examples_load(self, kb):
+        # each example of docs/knowledge_base.md but the durations sketch,
+        # which elides entries with "...", loads as one knowledge base
+        text = (REPO / "docs" / "knowledge_base.md").read_text(encoding="utf-8")
+        sections = {}
+        for block in re.findall(r"```yaml\n(.*?)```", text, re.S):
+            if "..." not in block:
+                example = yaml.safe_load(block)
+                sections.update({"rules": example} if isinstance(example, list) else example)
+        assert sorted(sections) == ["envelopes", "fmeca", "redundancy", "rules"]
+        built = _build_kb({"durations": kb.durations, **sections})
+        assert [len(getattr(built, key)) for key in sorted(sections)] == [1, 1, 1, 1]
+
     def test_missing_section_rejected(self, tmp_path):
         doc = stock_doc()
         del doc["fmeca"]
@@ -266,8 +282,8 @@ class TestLoading:
         doc = stock_doc()
         assert [e["fault_name"] for e in doc["fmeca"][3:]] == [
             "Angle Measurement Fault", "Door Closure Fault"]
-        doc["fmeca"][3].update(severity="NonBlocking", consequence="Acknowledge")
-        doc["fmeca"][4].update(severity="Blocking", consequence="CycleStop")
+        doc["fmeca"][3]["severity"] = "NonBlocking"
+        doc["fmeca"][4]["severity"] = "Blocking"
         kb = load_doc(doc, tmp_path)
         assert kb.blocking_channels() == {"pressure_internal_a", "temp_internal"}
         frame = quiet_frame()
@@ -319,15 +335,29 @@ class TestTypes:
         with pytest.raises(ValueError, match="source"):
             FaultEvent(onset=np.datetime64("2025-01-01", "s"), cycle=1,
                        sequence_id="S10", fault_name="X",
-                       cause="c", severity=BLOCKING,
-                       consequence=CYCLE_STOP, source="Rumor")
+                       cause="c", severity=BLOCKING, source="Rumor")
+
+    @pytest.mark.parametrize("severity, consequence", [
+        (BLOCKING, CYCLE_STOP), (NON_BLOCKING, ACKNOWLEDGE)])
+    def test_event_consequence_follows_its_severity(self, severity, consequence):
+        event = FaultEvent(onset=np.datetime64("2025-01-01", "s"), cycle=1,
+                           sequence_id="S04", fault_name="X", cause="c", severity=severity)
+        assert event.consequence == consequence
+        assert replace(event, severity=BLOCKING).consequence == CYCLE_STOP
+        with pytest.raises(TypeError, match="consequence"):
+            FaultEvent(onset=event.onset, cycle=1, sequence_id="S04", fault_name="X",
+                       cause="c", severity=severity, consequence=consequence)
+
+    def test_event_with_unknown_severity_refused(self):
+        with pytest.raises(ValueError, match="event 'X': unknown severity 'Severe'"):
+            FaultEvent(onset=np.datetime64("2025-01-01", "s"), cycle=1,
+                       sequence_id="S04", fault_name="X", cause="c", severity="Severe")
 
     def test_event_json(self, kb, tmp_path):
         event = FaultEvent(
             onset=np.datetime64("2025-01-05T18:05:00", "s"), cycle=3,
             sequence_id="S10", fault_name="Needle Valve Fault",
-            cause="needle valve clogging", severity=BLOCKING,
-            consequence=CYCLE_STOP, priority=True)
+            cause="needle valve clogging", severity=BLOCKING, priority=True)
         _write_json(tmp_path / "event.json", event)
         assert json.loads((tmp_path / "event.json").read_text()) == {
             "onset": "2025-01-05T18:05:00", "cycle": 3, "sequence_id": "S10",
@@ -352,16 +382,19 @@ class TestLookups:
         assert np.flatnonzero(breaches["angle_platform"]).tolist() == [s10[1]]
         assert not breaches["temp_external_a"].any()
 
-    def test_last_envelope_for_a_channel_and_sequence_counts(self, kb):
+    def test_one_envelope_bounds_a_channel_and_sequence(self, kb):
         frame = quiet_frame()
         s10 = segment_rows(frame, 1, "S10")
         frame.channels["angle_platform"][s10[0]] = 10.0
         narrow = OperatingEnvelope("angle_platform", "S10", -5.0, 5.0)
         wide = OperatingEnvelope("angle_platform", "S10", -50.0, 50.0)
-        for envelopes, hit in (((narrow,), True), ((narrow, wide), False),
-                               ((wide, narrow), True)):
+        for envelopes, hit in (((narrow,), True), ((wide,), False)):
             breaches = envelope_breaches(frame, replace(kb, envelopes=envelopes))
             assert breaches["angle_platform"][s10[0]] == hit
+        for envelopes in ((narrow, wide), (wide, narrow)):
+            with pytest.raises(ValueError, match=r"envelopes\[1\]: second envelope for "
+                                                 r"angle_platform in S10"):
+                replace(kb, envelopes=envelopes)
 
 
 class TestRuleEngine:
@@ -532,7 +565,7 @@ def oracle_evaluate_rules(frame, kb):
                 onset=frame.timestamps[start + offset], cycle=cycle, sequence_id=seq,
                 fault_name=rule.fault_name,
                 cause=rule.cause if rule.cause is not None else entry.causes[0],
-                severity=entry.severity, consequence=entry.consequence))
+                severity=entry.severity))
     events.sort(key=lambda e: (e.onset.astype("datetime64[s]").astype(np.int64),
                                e.cycle, e.fault_name))
     return events
@@ -606,7 +639,7 @@ class TestRuleEngineOracle:
 def needle_event(cycle, onset):
     return FaultEvent(onset=onset, cycle=cycle, sequence_id="S10",
                       fault_name="Needle Valve Fault", cause="needle valve clogging",
-                      severity=BLOCKING, consequence=CYCLE_STOP)
+                      severity=BLOCKING)
 
 
 def oracle_event_rows(frame, event):
